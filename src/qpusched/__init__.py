@@ -5,7 +5,6 @@ connected-region qubit allocation with inter-group buffers -> deterministic
 discrete-event execution with shot-boundary preemption -> metrics.
 """
 
-from ._kernels import backend_name
 from .allocator import (
     AllocationError,
     AllocationOutcome,
@@ -26,6 +25,7 @@ from .chip import (
     DistanceMatrix,
     QubitSpec,
     all_pairs_distances,
+    backend_name,
     dump_chip,
     generate_grid,
     load_chip,

@@ -3,7 +3,8 @@
 Each dispatched group gets a connected region of exactly its demanded
 size. Regions of distinct groups may never touch: a free qubit adjacent
 to someone else's region is ineligible (it acts as a buffer), enforced as
-a candidate filter rather than by reserving qubits.
+a candidate filter rather than by reserving qubits. ``buffer_mask`` is the
+one statement of that rule.
 
 Placement of one group:
 
@@ -33,7 +34,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import eval_candidates
 from .chip import Chip, QubitSpec
 from .merger import Group
 from .workload import Job
@@ -132,20 +132,6 @@ class Occupancy:
     def owned_count(self) -> int:
         return int((self.owner >= 0).sum())
 
-    def free_count(self) -> int:
-        return self.chip.n_qubits - self.owned_count()
-
-    def buffer_qubits(self) -> set[int]:
-        """Free qubits adjacent to an owned qubit (unusable while it runs)."""
-        out: set[int] = set()
-        owner = self.owner
-        for a, b in self.chip.graph.edges:
-            if owner[a] >= 0 and owner[b] < 0:
-                out.add(b)
-            elif owner[b] >= 0 and owner[a] < 0:
-                out.add(a)
-        return out
-
     def clone(self) -> "Occupancy":
         other = Occupancy.__new__(Occupancy)
         other.chip = self.chip
@@ -191,17 +177,33 @@ def region_ratio(chip: Chip, region: Iterable[int]) -> RegionStats:
     return RegionStats(r_i=r_i, r_a=r_i + boundary)
 
 
-def _cmp_frac(r1: int, a1: int, r2: int, a2: int) -> int:
-    """Compare r1/a1 with r2/a2 exactly; positive denominators assumed."""
-    lhs = int(r1) * int(a2)
-    rhs = int(r2) * int(a1)
-    return (lhs > rhs) - (lhs < rhs)
+def buffer_mask(chip: Chip, owner: np.ndarray) -> np.ndarray:
+    """Free qubits with an owned neighbor: buffers that no group may take.
+
+    ``owner`` maps each qubit to its owning group id, or -1 when free.
+    """
+    src, dst = chip.graph.arcs
+    mask = np.zeros(chip.n_qubits, dtype=bool)
+    mask[dst[owner[src] >= 0]] = True
+    return mask & (owner < 0)
 
 
-def _foreign_owners(owner: np.ndarray, indptr, indices, q: int, group_id: int) -> list[int]:
-    nbrs = indices[indptr[q]:indptr[q + 1]]
-    own = owner[nbrs]
-    return [int(o) for o in own[(own >= 0) & (own != group_id)]]
+def _owners_next_to(chip: Chip, owner: np.ndarray, mask: np.ndarray) -> set[int]:
+    """Groups owning a qubit adjacent to some qubit of ``mask``."""
+    src, dst = chip.graph.arcs
+    own = owner[dst[mask[src]]]
+    return set(own[own >= 0].tolist())
+
+
+def _best_ratio(r_i: np.ndarray, r_a: np.ndarray) -> np.ndarray:
+    """Ascending indices attaining the maximum r_i/r_a, compared exactly.
+
+    The float argmax finds a maximizer: distinct ratios with denominators
+    up to 2|E| never round to the same float64. Ties are then confirmed
+    by integer cross-multiplication.
+    """
+    m = int(np.argmax(r_i / r_a))
+    return np.flatnonzero(r_i * r_a[m] == r_i[m] * r_a)
 
 
 def _choose_root(
@@ -214,24 +216,14 @@ def _choose_root(
 ) -> tuple[int | None, frozenset[int]]:
     """Best root for the next group, or (None, blockers) when none exists."""
     owner = occupancy.owner
-    indptr, indices = chip.graph.csr
-    free = np.flatnonzero(owner < 0)
-    eligible: list[int] = []
-    blockers: set[int] = set()
-    for q in free:
-        q = int(q)
-        if exclude and q in exclude:
-            continue
-        foreign = _foreign_owners(owner, indptr, indices, q, group_id=-2)
-        if foreign:
-            blockers.update(foreign)
-        else:
-            eligible.append(q)
-    if not eligible:
-        if not blockers:
-            blockers = set(occupancy.regions.keys())
-        return None, frozenset(blockers)
-    elig = np.array(eligible, dtype=np.int64)
+    buffer = buffer_mask(chip, owner)
+    usable = owner < 0
+    if exclude:
+        usable[list(exclude)] = False
+    elig = np.flatnonzero(usable & ~buffer)
+    if not elig.size:
+        blockers = _owners_next_to(chip, owner, usable & buffer)
+        return None, frozenset(blockers or occupancy.regions.keys())
     dist = chip.distances
     if prior_roots:
         score = dist.hops[np.ix_(elig, np.array(sorted(prior_roots), dtype=np.int64))].sum(axis=1)
@@ -292,7 +284,7 @@ def grow_region(
     Greedy: every step adds the frontier candidate maximizing the
     post-addition r_i/r_a (exact comparison); ties prefer minimum E_Q,
     then the best next-step achievable ratio, then the lowest id. The
-    frontier never contains qubits adjacent to another group's region.
+    frontier never contains buffer qubits (see ``buffer_mask``).
     Returns a stall naming the blocking groups if the frontier empties
     before the region is complete.
     """
@@ -304,56 +296,47 @@ def grow_region(
     degrees = chip.graph.degrees
     if owner[root] >= 0:
         raise AllocationError(f"root {root} is not free")
-    if _foreign_owners(owner, indptr, indices, root, group_id):
+    buffer = buffer_mask(chip, owner)
+    if buffer[root]:
         raise AllocationError(f"root {root} is adjacent to another group's region")
 
     eq = _qubit_error_array(chip, t_e_group, t_q_mode)
-    in_region = np.zeros(n, dtype=np.uint8)
-    in_region[root] = 1
+    open_ = (owner < 0) & ~buffer  # qubits the region may still take
+    frontier = np.zeros(n, dtype=bool)
+    links = np.zeros(n, dtype=np.int64)  # per qubit: its neighbors inside the region
+
+    def join(q: int) -> None:
+        nbrs = indices[indptr[q]:indptr[q + 1]]
+        links[nbrs] += 1
+        open_[q] = frontier[q] = False
+        frontier[nbrs[open_[nbrs]]] = True
+
     region = [root]
     r_i = 0
     sum_deg = int(degrees[root])
-    frontier: set[int] = set()
-    blockers: set[int] = set()
-
-    def extend_frontier(q: int) -> None:
-        for w in chip.graph.neighbors[q]:
-            if owner[w] >= 0 or in_region[w] or w in frontier:
-                continue
-            foreign = _foreign_owners(owner, indptr, indices, w, group_id)
-            if foreign:
-                blockers.update(foreign)
-            else:
-                frontier.add(w)
-
-    extend_frontier(root)
+    join(root)
     steps: list[GrowthStep] = []
 
     while len(region) < demand:
-        if not frontier:
-            blocked = blockers or set(occupancy.regions.keys())
-            return GrowthResult(region=None, stats=None, steps=steps, blockers=frozenset(blocked))
-        cand = np.fromiter(sorted(frontier), dtype=np.int32, count=len(frontier))
-        links, _ = eval_candidates(indptr, indices, owner, group_id, in_region, cand)
-        ri_new = r_i + links
-        ra_new = (sum_deg + degrees[cand]) - ri_new
-        best = [0]
-        for i in range(1, len(cand)):
-            c = _cmp_frac(ri_new[i], ra_new[i], ri_new[best[0]], ra_new[best[0]])
-            if c > 0:
-                best = [i]
-            elif c == 0:
-                best.append(i)
-        if len(best) > 1:
-            errs = eq[cand[best]]
-            floor = errs.min()
-            best = [i for i in best if eq[cand[i]] == floor]
-        if len(best) > 1 and len(region) + 1 < demand:
-            best = _lookahead_filter(
-                chip, owner, group_id, in_region, ri_new, sum_deg, frontier,
-                cand, best, indptr, indices, degrees,
+        cand = np.flatnonzero(frontier)
+        if not cand.size:
+            blockers = _owners_next_to(chip, owner, buffer & (links > 0))
+            return GrowthResult(
+                region=None, stats=None, steps=steps,
+                blockers=frozenset(blockers or occupancy.regions.keys()),
             )
-        chosen_i = min(best)
+        ri_new = r_i + links[cand]
+        ra_new = (sum_deg + degrees[cand]) - ri_new
+        best = _best_ratio(ri_new, ra_new)
+        if best.size > 1:
+            errs = eq[cand[best]]
+            best = best[errs == errs.min()]
+        if best.size > 1 and len(region) + 1 < demand:
+            best = best[_lookahead_filter(
+                cand[best], ri_new[best], sum_deg, frontier, open_, links,
+                indptr, indices, degrees,
+            )]
+        chosen_i = int(best[0])
         chosen = int(cand[chosen_i])
         if record_steps:
             steps.append(
@@ -361,17 +344,15 @@ def grow_region(
                     chosen=chosen,
                     r_i=int(ri_new[chosen_i]),
                     r_a=int(ra_new[chosen_i]),
-                    frontier=tuple(int(c) for c in cand),
-                    frontier_r_i=tuple(int(v) for v in ri_new),
-                    frontier_r_a=tuple(int(v) for v in ra_new),
+                    frontier=tuple(cand.tolist()),
+                    frontier_r_i=tuple(ri_new.tolist()),
+                    frontier_r_a=tuple(ra_new.tolist()),
                 )
             )
         r_i = int(ri_new[chosen_i])
         sum_deg += int(degrees[chosen])
-        in_region[chosen] = 1
         region.append(chosen)
-        frontier.discard(chosen)
-        extend_frontier(chosen)
+        join(chosen)
 
     stats = RegionStats(r_i=r_i, r_a=sum_deg - r_i)
     return GrowthResult(
@@ -382,44 +363,27 @@ def grow_region(
 
 
 def _lookahead_filter(
-    chip, owner, group_id, in_region, ri_new, sum_deg, frontier, cand, best,
-    indptr, indices, degrees,
-) -> list[int]:
-    """Among tied candidates, keep those enabling the best next-step ratio."""
-    outcomes: list[tuple[int, int]] = []
-    for i in best:
-        c = int(cand[i])
-        ri_c = int(ri_new[i])
-        sum_c = sum_deg + int(degrees[c])
-        in_region[c] = 1
-        nxt = set(frontier)
-        nxt.discard(c)
-        for w in chip.graph.neighbors[c]:
-            if owner[w] >= 0 or in_region[w] or w in nxt:
-                continue
-            if not _foreign_owners(owner, indptr, indices, w, group_id):
-                nxt.add(w)
-        if nxt:
-            arr = np.fromiter(sorted(nxt), dtype=np.int32, count=len(nxt))
-            links2, _ = eval_candidates(indptr, indices, owner, group_id, in_region, arr)
-            r2 = ri_c + links2
-            a2 = (sum_c + degrees[arr]) - r2
-            bi = 0
-            for t in range(1, len(arr)):
-                if _cmp_frac(r2[t], a2[t], r2[bi], a2[bi]) > 0:
-                    bi = t
-            outcomes.append((int(r2[bi]), int(a2[bi])))
+    tied, ri_tied, sum_deg, frontier, open_, links, indptr, indices, degrees,
+) -> np.ndarray:
+    """Positions among ``tied`` candidates enabling the best next-step ratio."""
+    out_r = np.empty(len(tied), dtype=np.int64)
+    out_a = np.empty(len(tied), dtype=np.int64)
+    for j, c in enumerate(tied):
+        nbrs = indices[indptr[c]:indptr[c + 1]]
+        links[nbrs] += 1
+        nxt = frontier.copy()
+        nxt[c] = False
+        nxt[nbrs[open_[nbrs]]] = True
+        arr = np.flatnonzero(nxt)
+        if arr.size:
+            r2 = ri_tied[j] + links[arr]
+            a2 = (sum_deg + degrees[c] + degrees[arr]) - r2
+            m = int(np.argmax(r2 / a2))
+            out_r[j], out_a[j] = r2[m], a2[m]
         else:
-            outcomes.append((-1, 1))
-        in_region[c] = 0
-    keep = [0]
-    for j in range(1, len(best)):
-        c = _cmp_frac(outcomes[j][0], outcomes[j][1], outcomes[keep[0]][0], outcomes[keep[0]][1])
-        if c > 0:
-            keep = [j]
-        elif c == 0:
-            keep.append(j)
-    return [best[j] for j in keep]
+            out_r[j], out_a[j] = -1, 1
+        links[nbrs] -= 1
+    return _best_ratio(out_r, out_a)
 
 
 @dataclass(frozen=True)

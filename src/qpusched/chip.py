@@ -23,8 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import bfs_all_pairs
-
 
 class ChipError(ValueError):
     """Malformed or inconsistent chip description."""
@@ -115,7 +113,7 @@ class CouplingGraph:
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) int32 arrays for the kernel functions."""
+        """(indptr, indices) int32 arrays: neighbor lists concatenated in qubit order."""
         indptr = np.zeros(self.n_qubits + 1, dtype=np.int32)
         for i, nbrs in enumerate(self.neighbors):
             indptr[i + 1] = indptr[i] + len(nbrs)
@@ -128,6 +126,41 @@ class CouplingGraph:
     def degrees(self) -> np.ndarray:
         indptr, _ = self.csr
         return np.diff(indptr).astype(np.int64)
+
+    @cached_property
+    def arcs(self) -> np.ndarray:
+        """(2, 2m) array of directed arcs: every edge once in each direction."""
+        e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        return np.concatenate([e, e[:, ::-1]]).T
+
+
+def backend_name() -> str:
+    """Identifier of the numeric backend; numpy is the only one."""
+    return "numpy"
+
+
+def _bfs_all_pairs(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
+    """Hop distances between all vertex pairs, -1 where unreachable.
+
+    Runs all sources simultaneously: the frontier is an (n, n) indicator
+    matrix advanced one level per mat-mul against the adjacency matrix.
+    float32 keeps the product on the BLAS path; entries are neighbor
+    counts bounded by the degree, far below float32's exact-integer range.
+    """
+    adj = np.zeros((n, n), dtype=np.float32)
+    for u in range(n):
+        adj[u, indices[indptr[u]:indptr[u + 1]]] = 1.0
+    dist = np.full((n, n), -1, dtype=np.int32)
+    np.fill_diagonal(dist, 0)
+    frontier = np.eye(n, dtype=np.float32)
+    level = 0
+    while frontier.any():
+        level += 1
+        reached = (frontier @ adj) > 0
+        fresh = reached & (dist < 0)
+        dist[fresh] = level
+        frontier = fresh.astype(np.float32)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -172,7 +205,7 @@ class Chip:
     @cached_property
     def distances(self) -> DistanceMatrix:
         indptr, indices = self.graph.csr
-        return DistanceMatrix(bfs_all_pairs(indptr, indices, self.n_qubits))
+        return DistanceMatrix(_bfs_all_pairs(indptr, indices, self.n_qubits))
 
     def coherence_array(self, mode: str = "t2") -> np.ndarray:
         """Per-qubit coherence time in microseconds under the given mode."""

@@ -401,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--backfill", action="store_true", help="backfill past blocked queue heads")
     p_run.add_argument("--exclusive", action="store_true",
                        help="single-program mode: one group at a time on the full chip")
-    p_run.add_argument("--jobs", type=int, default=1, help="(reserved) parallel workers")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a policy x lambda x seed grid")

@@ -406,7 +406,7 @@ class _Simulation:
                 r_a=placement.stats.r_a,
                 t_e_group=group.t_e_group,
                 member_ids=tuple(j.id for j in group.members),
-                steps=placement.steps if self.config.record_growth_steps else [],
+                steps=placement.steps,
             )
         )
         self.trace.log(
@@ -463,7 +463,7 @@ class _Simulation:
                     self.occupancy,
                     groups,
                     t_q_mode=self.config.t_q_mode,
-                    record_steps=True,
+                    record_steps=self.config.record_growth_steps,
                 )
                 placed_ids: set[int] = set()
                 for p in outcome.placed:

@@ -72,10 +72,6 @@ class Group:
             priority_key=min(keys),
         )
 
-    def eta(self, n_qubits: int) -> float:
-        """Qubit fraction occupied by the whole group."""
-        return self.demand / n_qubits
-
     def worst_member(self) -> Job:
         """The lowest-priority member (largest key); requeue target on conflicts."""
         idx = max(range(len(self.members)), key=lambda i: self.member_keys[i])

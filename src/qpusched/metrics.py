@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .allocator import buffer_mask
 from .chip import Chip
 from .workload import service_demand
 
@@ -121,7 +122,7 @@ def occupancy_timeline(trace: "Trace", chip: Chip) -> list[tuple[float, float, i
         t = changes[pos][0] if pos < len(changes) else t_end
         if t > prev_t:
             owned = int((owner >= 0).sum())
-            buffer = _buffer_count(chip, owner)
+            buffer = int(buffer_mask(chip, owner).sum())
             spans.append((prev_t, t, owned, buffer))
             prev_t = t
         if pos == len(changes):
@@ -132,16 +133,6 @@ def occupancy_timeline(trace: "Trace", chip: Chip) -> list[tuple[float, float, i
         owner[arr] = iv.group_id if action == 1 else -1
         pos += 1
     return spans
-
-
-def _buffer_count(chip: Chip, owner: np.ndarray) -> int:
-    buffered: set[int] = set()
-    for a, b in chip.graph.edges:
-        if owner[a] >= 0 and owner[b] < 0:
-            buffered.add(b)
-        elif owner[b] >= 0 and owner[a] < 0:
-            buffered.add(a)
-    return len(buffered)
 
 
 def busy_qubit_seconds(trace: "Trace") -> float:

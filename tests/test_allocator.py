@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpusched._kernels import eval_candidates, eval_candidates_numpy
 from qpusched.allocator import (
     AllocationError,
     Occupancy,
     allocate,
+    buffer_mask,
     grow_region,
     qubit_error,
     region_ratio,
@@ -27,7 +27,7 @@ from qpusched.allocator import (
 from qpusched.chip import QubitSpec, generate_grid
 from qpusched.merger import Group
 
-from conftest import make_job, path_chip
+from conftest import make_job, path_chip, uniform_chip
 
 
 def grid_region(rows_cols, cols, cells):
@@ -215,18 +215,50 @@ class TestGrowRegion:
             assert chosen.r_i * best[1] == best[0] * chosen.r_a  # attains the max
             region.append(step.chosen)
 
-    def test_kernel_backends_agree(self):
-        chip = generate_grid(5, 5)
-        indptr, indices = chip.graph.csr
-        owner = np.full(25, -1, dtype=np.int32)
-        owner[[0, 1, 5]] = 3
-        in_region = np.zeros(25, dtype=np.uint8)
-        in_region[[12, 13]] = 1
-        cand = np.array([7, 8, 11, 14, 17, 18], dtype=np.int32)
-        a = eval_candidates(indptr, indices, owner, 1, in_region, cand)
-        b = eval_candidates_numpy(indptr, indices, owner, 1, in_region, cand)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_buffers_and_stall_blockers_match_edge_scan(self, data):
+        # brute-force oracle over chip.graph.edges on grids and on random
+        # connected graphs (a random tree plus extra edges)
+        if data.draw(st.booleans(), label="grid"):
+            chip = generate_grid(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)))
+        else:
+            n = data.draw(st.integers(2, 16))
+            edges = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            edges |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=n)))
+            chip = uniform_chip(n, sorted(edges))
+        n = chip.n_qubits
+        owner = data.draw(st.lists(st.sampled_from([-1, -1, -1, 0, 1, 2]), min_size=n, max_size=n))
+        occ = Occupancy(chip)
+        for g in sorted(set(owner) - {-1}):
+            qs = [q for q in range(n) if owner[q] == g]
+            occ.place(g, qs, root=qs[0])
+        adj = {q: set() for q in range(n)}
+        for a, b in chip.graph.edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        buffers = {q for q in range(n) if owner[q] < 0 and any(owner[w] >= 0 for w in adj[q])}
+        assert set(np.flatnonzero(buffer_mask(chip, occ.owner)).tolist()) == buffers
+
+        eligible = [q for q in range(n) if owner[q] < 0 and q not in buffers]
+        if not eligible or len(eligible) == n:
+            return
+        root = eligible[0]
+        component, stack = {root}, [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in eligible and w not in component:
+                    component.add(w)
+                    stack.append(w)
+        blockers = {
+            owner[x]
+            for q in component for w in adj[q] if w in buffers
+            for x in adj[w] if owner[x] >= 0
+        }
+        res = grow_region(chip, occ, root=root, demand=n, t_e_group=0.001, group_id=7)
+        assert res.region is None
+        assert res.blockers == blockers
 
 
 class TestResolveConflict:

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpusched._kernels import bfs_all_pairs_numpy
 from qpusched.chip import (
     Chip,
     ChipError,
@@ -26,7 +25,8 @@ from qpusched.chip import (
     load_chip,
 )
 
-from conftest import path_chip
+from conftest import path_chip, uniform_chip
+from graphgen import connected_graphs
 
 
 MINIMAL_DOC = {
@@ -225,11 +225,21 @@ class TestDistances:
         for k in range(n):
             assert np.all(h <= h[:, k][:, None] + h[k, :][None, :])
 
-    def test_numpy_backend_agrees_with_active(self, grid5):
-        indptr, indices = grid5.graph.csr
-        ours = all_pairs_distances(grid5).hops
-        fallback = bfs_all_pairs_numpy(indptr, indices, grid5.n_qubits)
-        assert np.array_equal(ours, fallback)
+    def test_matches_networkx_off_grid(self):
+        # ring, star, ternary tree, then every connected graph on <= 5 vertices
+        graphs = [
+            (9, [(i, (i + 1) % 9) for i in range(9)]),
+            (7, [(0, i) for i in range(1, 7)]),
+            (13, [((i - 1) // 3, i) for i in range(1, 13)]),
+            *connected_graphs(5),
+        ]
+        for n, edges in graphs:
+            hops = all_pairs_distances(uniform_chip(n, edges)).hops
+            g = nx.Graph(edges)
+            g.add_nodes_from(range(n))
+            for src, lengths in nx.all_pairs_shortest_path_length(g):
+                for dst, d in lengths.items():
+                    assert hops[src, dst] == d, (n, edges, src, dst)
 
     def test_eccentricity(self, grid5):
         ecc = all_pairs_distances(grid5).eccentricity
