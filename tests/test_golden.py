@@ -1,10 +1,13 @@
 """Golden trace digests: the simulator's output is pinned byte for byte.
 
-Each scenario runs a seeded Poisson workload with growth steps recorded
-and hashes ``Trace.to_jsonl(include_steps=True)``. A refactor of the
-scheduler, merger or allocator must leave every digest unchanged; a
-deliberate behaviour change updates the digests together with a
-CHANGES.md entry that explains it.
+Each scenario runs a seeded Poisson workload twice: with growth steps
+recorded, hashing ``Trace.to_jsonl(include_steps=True)`` (``GOLDEN``),
+and with steps off, the engine's default, hashing ``Trace.to_jsonl()``
+(``GOLDEN_STEPS_OFF``). The allocator takes different code paths in the
+two cases, so both are pinned. A refactor of the scheduler, merger or
+allocator must leave every digest unchanged; a deliberate behaviour
+change updates the digests together with a CHANGES.md entry that
+explains it.
 
 Matrix: all 8 policies on a noise-seeded 8x8 grid under merge, no-merge,
 backfill and exclusive, plus all 8 policies with merge on a ternary
@@ -95,6 +98,50 @@ GOLDEN = {
 }
 
 
+GOLDEN_STEPS_OFF = {
+    ("grid8", "fcfs", "merge"): "f323bbc04b381c6808797f30ac0317481085f2ceeee1e80fa9209b4a5943b020",
+    ("grid8", "sjf", "merge"): "7862ae833e26ef70d624fb4267717fdfdf420b0cc5c80918be8833a8ef7c8d75",
+    ("grid8", "qsjf", "merge"): "e0392388ad789e747d6f9af52abe20405098fddf97b0645140bbbe0721e3806e",
+    ("grid8", "srtf", "merge"): "2fdb0933afb10121f8320d9ce867ae0ddc59f9a88b584e87b3dd18a1800808e5",
+    ("grid8", "rr", "merge"): "ae021fb445e38025bd7dae0a6cee77811e14615644e5e4c6edc638a4d65b8790",
+    ("grid8", "mfq", "merge"): "f7e3815a550ab341ec41fc81982459a18f9c92327844350e9e79c138aee66c8a",
+    ("grid8", "hrrf", "merge"): "e1385e9ec15e66e05584c2a30ff7238b47ea336a2024f51c31cd4559337d4085",
+    ("grid8", "qhrrf", "merge"): "13d1e4c3e07a4168bdfe3cad237548ca659a84bd2768f60dca0b1c576e63f6c3",
+    ("grid8", "fcfs", "nomerge"): "c601a81a8a9fc8734d74915736097546b8271f6192366fcead9fa4ad33b5e492",
+    ("grid8", "sjf", "nomerge"): "7d3179a5b062dc493e39ad61030ad9590f0eccf0e83a26230dd4b4149656439e",
+    ("grid8", "qsjf", "nomerge"): "cb79c45c2bca83874c2517fa1e9dab157f1b63161190fcd86eed4605bdb34692",
+    ("grid8", "srtf", "nomerge"): "0c5d2e7fde09f52e071ce77808812f2b50376ef93491f3f749f0ca0df109b807",
+    ("grid8", "rr", "nomerge"): "d791f5940a1d6c50a56322130d029e3a0db6399d902cc8a2a5629cdb4c2ae850",
+    ("grid8", "mfq", "nomerge"): "ad5c15385ab820fea0d656ac64ff49c417bf732bdfcad5205891b29971e9261d",
+    ("grid8", "hrrf", "nomerge"): "16705d97bea27492287be8da30ee20392c72d70cd580358da28d03decc76c44f",
+    ("grid8", "qhrrf", "nomerge"): "3fe7bac13c301bd6bd7015beaadacd530ea1b8862490e6c2185d5a5cd789f12a",
+    ("grid8", "fcfs", "backfill"): "701ff8369b5f849f1aa59785ac20b1e3337c04bfa5fce418a3edc934633e67fd",
+    ("grid8", "sjf", "backfill"): "544f348d9e12e0274b2f0746ffdc80e02853a95ca98d25e17dd3b050a37517cd",
+    ("grid8", "qsjf", "backfill"): "13031434f50d7b3f6698d3c38f5ee2e5f89e96621bc8165674c67dc29f3c4f2e",
+    ("grid8", "srtf", "backfill"): "cbc30c736f99d1c0e19323e88c242fa02eab1647e52b198468d501d454902844",
+    ("grid8", "rr", "backfill"): "90cccfbc44a9eaddf323a95d7d87dbe9ab2cf7aee823521b66a6ddba13439309",
+    ("grid8", "mfq", "backfill"): "326e035dea34481ad5fe9e5af576b38953a8ee2c0fbdc5057444360f56ba7e48",
+    ("grid8", "hrrf", "backfill"): "2dedd7b3976e3a70804fe3ffa08872ba0d2d45a290b22766bdc282515c4de3c0",
+    ("grid8", "qhrrf", "backfill"): "dd91317deafb8e0a8c9013e7600177e4431c53d187d2d596d9af05d556726b95",
+    ("grid8", "fcfs", "exclusive"): "d2500dd694d34c366e8a660ea7b136238fede7208bd4e05da716e73550cab982",
+    ("grid8", "sjf", "exclusive"): "48c465cfa852b22b868fa10906683d8d83edb5889bfea0afe4f8c756cd4b62ae",
+    ("grid8", "qsjf", "exclusive"): "72570e1b396cdc68de9a7e051ad4a44a52b44c774f1dcd8903a31bc082c90b87",
+    ("grid8", "srtf", "exclusive"): "db095dd7f09b169ea933c7149b298fb071d806bf3e42469e42a9b27dd3cd7800",
+    ("grid8", "rr", "exclusive"): "138cdd984a5bd6ac953f3cd62e2b86fca8823e94312a8e41b8a09de480f121ea",
+    ("grid8", "mfq", "exclusive"): "0bde937625a822fb2444b6c3651e7e9829fd8d66c89fb73a495ece908e26482a",
+    ("grid8", "hrrf", "exclusive"): "9989a544e1983b6b82559b9679aa52d047119db5be37149470180ead2eca203a",
+    ("grid8", "qhrrf", "exclusive"): "b6af04ba33a0a043a88296e93069af3df6e71f800a674def623066026ebcd0ac",
+    ("tree40", "fcfs", "merge"): "b8c54c268cf5b4d54315445e544156738a6888143dfdba226bb7b5454a77329f",
+    ("tree40", "sjf", "merge"): "21ab72cd572b76700db373ef33e6d8e1d45d07308e7c00d00bb05498427353a9",
+    ("tree40", "qsjf", "merge"): "7f9dd06247147438e20df7fcbbd319d1070c6a961151aabf892861aec360ecb5",
+    ("tree40", "srtf", "merge"): "0fb6b3bc1638fda1578e8b85897b56f34857356459505f113eb3877d5531bce0",
+    ("tree40", "rr", "merge"): "17404c9682a30c9381f33f2ad19d456a8b6bc735148ea5e6e2dc7146c47beb64",
+    ("tree40", "mfq", "merge"): "100a5efb36fc3f01dfd204d1aadfbac6b73e71ef12b9d74679f4913944ea1277",
+    ("tree40", "hrrf", "merge"): "6c210718a2a44ea2bcfc8c17d0680bfc1f3ca0eb715ff103bb7bb638fff0d2ea",
+    ("tree40", "qhrrf", "merge"): "baaf9f5a26e239f25ef9abf8f769f7f4d59f23c85efda5d8476f387e5aad9246",
+}
+
+
 def _scenarios():
     for mode in MODES:
         for policy in POLICY_NAMES:
@@ -103,7 +150,7 @@ def _scenarios():
         yield "tree40", policy, "merge"
 
 
-def trace_digest(chip_name: str, policy: str, mode: str) -> str:
+def trace_digest(chip_name: str, policy: str, mode: str, steps: bool = True) -> str:
     chip = CHIPS[chip_name]
     merge, exclusive = MODES[mode]
     workload = generate_poisson_workload(default_spec(chip.n_qubits, 10.0, 2.0, seed=5))
@@ -113,12 +160,17 @@ def trace_digest(chip_name: str, policy: str, mode: str) -> str:
         policy=Policy(policy, rr_quantum_shots=50, mfq_base_quantum_shots=50),
         merge=merge,
         exclusive=exclusive,
-        record_growth_steps=True,
+        record_growth_steps=steps,
     )
     trace, _ = run(config)
-    return hashlib.sha256(trace.to_jsonl(include_steps=True).encode()).hexdigest()
+    return hashlib.sha256(trace.to_jsonl(include_steps=steps).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("scenario", list(_scenarios()), ids="-".join)
 def test_trace_digest(scenario):
     assert trace_digest(*scenario) == GOLDEN[scenario]
+
+
+@pytest.mark.parametrize("scenario", list(_scenarios()), ids="-".join)
+def test_trace_digest_steps_off(scenario):
+    assert trace_digest(*scenario, steps=False) == GOLDEN_STEPS_OFF[scenario]
