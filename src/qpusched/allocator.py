@@ -20,10 +20,14 @@ Placement of one group:
    candidate whose addition enables the best next-step ratio, then the
    lowest id.
 3. If the frontier empties before the region is full, the growth stalls
-   and names the groups whose regions boxed it in; the lower-priority
-   side of the conflict is bounced back to the queue (merged groups shed
-   only their lowest-priority member) and the pass restarts. Running
-   groups are never disturbed.
+   and names the groups whose regions boxed it in. A stalled growth has
+   taken the root's whole open component (free, non-buffer qubits), so
+   unless growth steps are recorded a component search from the root
+   decides the stall before any growth. The lower-priority side of the
+   conflict is bounced back to the queue (merged groups shed only their
+   lowest-priority member) and the pass resumes at the evicted group:
+   placements before it saw the same occupancy and are kept, those from
+   it onward are released and redone. Running groups are never disturbed.
 """
 
 from __future__ import annotations
@@ -195,6 +199,31 @@ def _owners_next_to(chip: Chip, owner: np.ndarray, mask: np.ndarray) -> set[int]
     return set(own[own >= 0].tolist())
 
 
+def _stall(chip: Chip, occupancy: Occupancy, boundary: np.ndarray, steps: list) -> GrowthResult:
+    """A stalled growth whose region is hemmed in by the buffers in ``boundary``."""
+    blockers = _owners_next_to(chip, occupancy.owner, boundary)
+    return GrowthResult(
+        region=None, stats=None, steps=steps,
+        blockers=frozenset(blockers or occupancy.regions.keys()),
+    )
+
+
+def _short_component(chip: Chip, open_: np.ndarray, root: int, demand: int) -> list[int] | None:
+    """The qubits reachable from ``root`` through ``open_``, if fewer than ``demand``.
+
+    The search stops, returning None, once ``demand`` qubits are found.
+    """
+    nbrs = chip.graph.neighbors
+    seen = {root}
+    stack = [root]
+    while stack and len(seen) < demand:
+        for w in nbrs[stack.pop()]:
+            if open_[w] and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return list(seen) if len(seen) < demand else None
+
+
 def _best_ratio(r_i: np.ndarray, r_a: np.ndarray) -> np.ndarray:
     """Ascending indices attaining the maximum r_i/r_a, compared exactly.
 
@@ -286,7 +315,9 @@ def grow_region(
     then the best next-step achievable ratio, then the lowest id. The
     frontier never contains buffer qubits (see ``buffer_mask``).
     Returns a stall naming the blocking groups if the frontier empties
-    before the region is complete.
+    before the region is complete. With ``record_steps`` off, a stall is
+    found by a component search before any growth; it names the same
+    blockers, and its step log is empty either way.
     """
     n = chip.n_qubits
     if not 1 <= demand <= n:
@@ -300,8 +331,18 @@ def grow_region(
     if buffer[root]:
         raise AllocationError(f"root {root} is adjacent to another group's region")
 
-    eq = _qubit_error_array(chip, t_e_group, t_q_mode)
     open_ = (owner < 0) & ~buffer  # qubits the region may still take
+    if not record_steps:
+        component = _short_component(chip, open_, root, demand)
+        if component is not None:
+            src, dst = chip.graph.arcs
+            inside = np.zeros(n, dtype=bool)
+            inside[component] = True
+            near = np.zeros(n, dtype=bool)
+            near[dst[inside[src]]] = True
+            return _stall(chip, occupancy, buffer & near, [])
+
+    eq = _qubit_error_array(chip, t_e_group, t_q_mode)
     frontier = np.zeros(n, dtype=bool)
     links = np.zeros(n, dtype=np.int64)  # per qubit: its neighbors inside the region
 
@@ -320,11 +361,7 @@ def grow_region(
     while len(region) < demand:
         cand = np.flatnonzero(frontier)
         if not cand.size:
-            blockers = _owners_next_to(chip, owner, buffer & (links > 0))
-            return GrowthResult(
-                region=None, stats=None, steps=steps,
-                blockers=frozenset(blockers or occupancy.regions.keys()),
-            )
+            return _stall(chip, occupancy, buffer & (links > 0), steps)
         ri_new = r_i + links[cand]
         ra_new = (sum_deg + degrees[cand]) - ri_new
         best = _best_ratio(ri_new, ra_new)
@@ -450,54 +487,52 @@ def allocate(
     """Place every group or requeue the losers of irreconcilable conflicts.
 
     Groups are processed in priority order, roots interleaved with
-    growth. On a stall the conflict is resolved, the evicted job leaves
-    the pass, and the whole pass restarts against the original occupancy.
+    growth, on one scratch copy of the occupancy. On a stall the conflict
+    is resolved and the evicted job leaves the pass. A group's placement
+    depends only on the groups placed before it, so the pass resumes at
+    the evicted group: its placement and those after it are released from
+    the scratch, the earlier ones stay. The outcome is that of restarting
+    the whole pass against the original occupancy after each eviction.
     Committed placements appear in the passed occupancy on return.
     """
     work = list(groups)
     requeued: list[Job] = []
     conflicts: list[dict] = []
-    while True:
-        scratch = occupancy.clone()
-        placements: list[Placement] = []
-        stalled: Group | None = None
-        stall_blockers: frozenset[int] = frozenset()
-        for group in work:
-            root, blockers = _choose_root(
-                chip, scratch, group.t_e_group, list(scratch.roots.values()), t_q_mode
-            )
-            if root is None:
-                stalled, stall_blockers = group, blockers
-                break
+    scratch = occupancy.clone()
+    placements: list[Placement] = []
+    while len(placements) < len(work):
+        group = work[len(placements)]
+        root, blockers = _choose_root(
+            chip, scratch, group.t_e_group, list(scratch.roots.values()), t_q_mode
+        )
+        if root is not None:
             result = grow_region(
                 chip, scratch, root, group.demand, group.t_e_group,
                 group_id=group.id, t_q_mode=t_q_mode, record_steps=record_steps,
             )
-            if not result.ok:
-                stalled, stall_blockers = group, result.blockers
-                break
-            scratch.place(group.id, result.region.qubits, root)
-            placements.append(Placement(group, result.region, root, result.stats, result.steps))
-        if stalled is None:
-            for p in placements:
-                occupancy.place(p.group.id, p.region.qubits, p.root)
-            return AllocationOutcome(placed=placements, requeued=requeued, conflicts=conflicts)
-        decision = resolve_conflict(
-            stalled, stall_blockers, {p.group.id: p.group for p in placements}
-        )
+            if result.ok:
+                scratch.place(group.id, result.region.qubits, root)
+                placements.append(Placement(group, result.region, root, result.stats, result.steps))
+                continue
+            blockers = result.blockers
+        decision = resolve_conflict(group, blockers, {p.group.id: p.group for p in placements})
         requeued.append(decision.job)
         conflicts.append(
             {
-                "stalled_group": stalled.id,
+                "stalled_group": group.id,
                 "evicted_group": decision.target_group_id,
                 "requeued_job": decision.job.id,
                 "whole_group": decision.whole_group,
             }
         )
-        new_work: list[Group] = []
-        for g in work:
-            if g.id != decision.target_group_id:
-                new_work.append(g)
-            elif not decision.whole_group:
-                new_work.append(g.without(decision.job.id))
-        work = new_work
+        k = next(i for i, g in enumerate(work) if g.id == decision.target_group_id)
+        for p in placements[k:]:
+            scratch.release(p.group.id)
+        del placements[k:]
+        if decision.whole_group:
+            del work[k]
+        else:
+            work[k] = work[k].without(decision.job.id)
+    for p in placements:
+        occupancy.place(p.group.id, p.region.qubits, p.root)
+    return AllocationOutcome(placed=placements, requeued=requeued, conflicts=conflicts)

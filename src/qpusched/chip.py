@@ -208,12 +208,29 @@ class Chip:
         return DistanceMatrix(_bfs_all_pairs(indptr, indices, self.n_qubits))
 
     def coherence_array(self, mode: str = "t2") -> np.ndarray:
-        """Per-qubit coherence time in microseconds under the given mode."""
-        return np.array([s.coherence_us(mode) for s in self.specs], dtype=np.float64)
+        """Per-qubit coherence time in microseconds under the given mode.
+
+        Built once per mode and cached on the chip; the array is read-only.
+        """
+        arr = self._coherence_arrays.get(mode)
+        if arr is None:
+            arr = _read_only([s.coherence_us(mode) for s in self.specs])
+            self._coherence_arrays[mode] = arr
+        return arr
+
+    @cached_property
+    def _coherence_arrays(self) -> dict[str, np.ndarray]:
+        return {}
 
     @cached_property
     def readout_array(self) -> np.ndarray:
-        return np.array([s.readout_error for s in self.specs], dtype=np.float64)
+        return _read_only([s.readout_error for s in self.specs])
+
+
+def _read_only(values: list[float]) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 def load_chip(source) -> Chip:

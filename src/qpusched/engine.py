@@ -53,8 +53,8 @@ class MergeConfig:
     by_total_time: bool = False
 
     def __post_init__(self):
-        if self.alpha < 1:
-            raise SimulationError(f"merge alpha must be >= 1, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1):
+            raise SimulationError(f"merge alpha must be finite and >= 1, got {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ byte-identical workloads on any platform.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,12 @@ class Job:
             raise WorkloadError(f"job {self.id}: qubit demand must be >= 1, got {self.n}")
         if self.shots < 1:
             raise WorkloadError(f"job {self.id}: shots must be >= 1, got {self.shots}")
-        if not self.t_e_shot > 0:
-            raise WorkloadError(f"job {self.id}: t_e_shot must be positive, got {self.t_e_shot}")
-        if self.t_sub < 0:
-            raise WorkloadError(f"job {self.id}: t_sub must be >= 0, got {self.t_sub}")
+        if not (math.isfinite(self.t_e_shot) and self.t_e_shot > 0):
+            raise WorkloadError(
+                f"job {self.id}: t_e_shot must be positive and finite, got {self.t_e_shot}"
+            )
+        if not (math.isfinite(self.t_sub) and self.t_sub >= 0):
+            raise WorkloadError(f"job {self.id}: t_sub must be finite and >= 0, got {self.t_sub}")
 
 
 def service_demand(job: Job) -> float:

@@ -1,11 +1,13 @@
 """Region allocation tests: ratios, error scores, roots, growth, conflicts.
 
 Independent oracles: edge counts recomputed by brute force over the edge
-list, networkx connectivity checks, and an exhaustive frontier enumeration
-replaying each recorded growth step.
+list, networkx connectivity checks, an exhaustive frontier enumeration
+replaying each recorded growth step, and a conflict-free replay of the
+groups that survived an ``allocate`` pass.
 """
 
 import math
+from functools import cache
 
 import networkx as nx
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpusched import allocator
 from qpusched.allocator import (
     AllocationError,
     Occupancy,
@@ -28,6 +31,7 @@ from qpusched.chip import QubitSpec, generate_grid
 from qpusched.merger import Group
 
 from conftest import make_job, path_chip, uniform_chip
+from graphgen import enumerate_validated
 
 
 def grid_region(rows_cols, cols, cells):
@@ -39,6 +43,28 @@ def singleton_group(gid, n, t_e=0.001, key=None):
     g = Group.build(gid, [make_job(gid, n=n, t_e=t_e)],
                     keys_by_id={gid: key} if key else None)
     return g
+
+
+def draw_occupancy(data, chip=None, owner_ids=(0, 1, 2)):
+    """A random occupancy by ``owner_ids`` of ``chip``, by default a grid or a
+    random connected chip (a random tree plus extra edges)."""
+    if chip is None and data.draw(st.booleans(), label="grid"):
+        chip = generate_grid(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)))
+    elif chip is None:
+        n = data.draw(st.integers(2, 16))
+        edges = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=n)))
+        chip = uniform_chip(n, sorted(edges))
+    n = chip.n_qubits
+    owner = data.draw(
+        st.lists(st.sampled_from([-1, -1, -1, *owner_ids]), min_size=n, max_size=n)
+    )
+    occ = Occupancy(chip)
+    for g in sorted(set(owner) - {-1}):
+        qs = [q for q in range(n) if owner[q] == g]
+        occ.place(g, qs, root=qs[0])
+    return chip, owner, occ
 
 
 class TestRegionRatio:
@@ -218,22 +244,9 @@ class TestGrowRegion:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_buffers_and_stall_blockers_match_edge_scan(self, data):
-        # brute-force oracle over chip.graph.edges on grids and on random
-        # connected graphs (a random tree plus extra edges)
-        if data.draw(st.booleans(), label="grid"):
-            chip = generate_grid(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)))
-        else:
-            n = data.draw(st.integers(2, 16))
-            edges = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-            edges |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=n)))
-            chip = uniform_chip(n, sorted(edges))
+        # brute-force oracle over chip.graph.edges
+        chip, owner, occ = draw_occupancy(data)
         n = chip.n_qubits
-        owner = data.draw(st.lists(st.sampled_from([-1, -1, -1, 0, 1, 2]), min_size=n, max_size=n))
-        occ = Occupancy(chip)
-        for g in sorted(set(owner) - {-1}):
-            qs = [q for q in range(n) if owner[q] == g]
-            occ.place(g, qs, root=qs[0])
         adj = {q: set() for q in range(n)}
         for a, b in chip.graph.edges:
             adj[a].add(b)
@@ -259,6 +272,26 @@ class TestGrowRegion:
         res = grow_region(chip, occ, root=root, demand=n, t_e_group=0.001, group_id=7)
         assert res.region is None
         assert res.blockers == blockers
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_steps_on_and_off_agree(self, data):
+        # with steps off a stall is decided by a component search before
+        # growing; the outcome must be the one the greedy loop reaches
+        chip, _, occ = draw_occupancy(data)
+        eligible = np.flatnonzero((occ.owner < 0) & ~buffer_mask(chip, occ.owner))
+        if not eligible.size:
+            return
+        root = data.draw(st.sampled_from(eligible.tolist()))
+        demand = data.draw(st.integers(1, chip.n_qubits))
+        on, off = (
+            grow_region(chip, occ, root=root, demand=demand, t_e_group=0.001,
+                        group_id=7, record_steps=steps)
+            for steps in (True, False)
+        )
+        assert (off.ok, off.region, off.stats, off.blockers) == (
+            on.ok, on.region, on.stats, on.blockers)
+        assert off.steps == []
 
 
 class TestResolveConflict:
@@ -392,3 +425,77 @@ def test_allocate_properties_random(rows, cols, demands):
     for a, b in chip.graph.edges:
         oa, ob = occ.owner[a], occ.owner[b]
         assert not (oa >= 0 and ob >= 0 and oa != ob)
+
+
+@cache
+def small_graphs():
+    return [(n, edges) for n, graphs in enumerate_validated(6).items() for edges in graphs]
+
+
+def assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record_steps):
+    """``outcome`` equals allocating, without conflicts, the groups it kept.
+
+    The survivors are ``groups`` with the requeued jobs removed in the order
+    they were requeued; allocating them on a fresh copy of the occupancy
+    the pass started from must place the same regions from the same roots.
+    """
+    survivors = list(groups)
+    for job in outcome.requeued:
+        i = next(i for i, g in enumerate(survivors) if job in g.members)
+        if len(survivors[i].members) == 1:
+            del survivors[i]
+        else:
+            survivors[i] = survivors[i].without(job.id)
+    fresh = before.clone()
+    replay = allocate(chip, fresh, survivors, record_steps=record_steps)
+    assert replay.requeued == [] and replay.conflicts == []
+    assert replay.placed == outcome.placed
+    assert np.array_equal(fresh.owner, occ.owner)
+    assert fresh.roots == occ.roots
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_allocate_equals_conflict_free_pass_of_survivors(data):
+    n, edges = data.draw(st.sampled_from(small_graphs()), label="graph")
+    chip, _, occ = draw_occupancy(data, uniform_chip(n, edges), owner_ids=(90, 91))
+    sizes = data.draw(st.lists(st.integers(1, min(n, 3)), min_size=1, max_size=4), label="members")
+    groups, jid = [], 0
+    for gid, size in enumerate(sizes):
+        jobs = [make_job(jid + i, n=data.draw(st.integers(1, max(1, min(3, n // size)))))
+                for i in range(size)]
+        keys = {j.id: (data.draw(st.floats(0, 10)), 0.0, j.id) for j in jobs}
+        groups.append(Group.build(gid, jobs, keys_by_id=keys))
+        jid += size
+    groups = data.draw(st.permutations(groups), label="order")  # any priority order
+    record_steps = data.draw(st.booleans(), label="record_steps")
+    before = occ.clone()
+    outcome = allocate(chip, occ, groups, record_steps=record_steps)
+    assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record_steps)
+
+
+def test_evicting_an_earlier_blocker_resumes_at_it(monkeypatch):
+    # path 0-...-8: C takes qubit 0 and A qubit 8; B then finds only 2..6
+    # between their buffers, five qubits for a demand of six. A, placed
+    # before B but with a worse key, is the one evicted; the pass resumes
+    # at A's slot, so C is grown once and B regrows from the far end.
+    chip = path_chip(9)
+    c = singleton_group(0, n=1, key=(0.0, 0.0, 0))
+    a = singleton_group(1, n=1, key=(5.0, 0.0, 1))
+    b = singleton_group(2, n=6, key=(1.0, 0.0, 2))
+    grown = []
+    real_grow = allocator.grow_region
+
+    def counting_grow(*args, **kwargs):
+        grown.append(kwargs["group_id"])
+        return real_grow(*args, **kwargs)
+
+    monkeypatch.setattr(allocator, "grow_region", counting_grow)
+    occ = Occupancy(chip)
+    outcome = allocate(chip, occ, [c, a, b], record_steps=False)
+    assert outcome.conflicts == [
+        {"stalled_group": 2, "evicted_group": 1, "requeued_job": 1, "whole_group": True}
+    ]
+    assert grown == [0, 1, 2, 2]
+    assert [p.region.qubits for p in outcome.placed] == [(0,), (3, 4, 5, 6, 7, 8)]
+    assert_matches_conflict_free_pass(chip, Occupancy(chip), [c, a, b], outcome, occ, False)

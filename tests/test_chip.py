@@ -262,6 +262,25 @@ class TestTypes:
         assert s.coherence_us("min_t1_t2") == 60
         assert QubitSpec(id=0, t2_us=100, readout_error=0.01).coherence_us("min_t1_t2") == 100
 
+    def test_coherence_array_cached_read_only_and_per_mode(self):
+        specs = (
+            QubitSpec(0, t2_us=100.0, readout_error=0.01, t1_us=60.0),
+            QubitSpec(1, t2_us=80.0, readout_error=0.02),
+            QubitSpec(2, t2_us=50.0, readout_error=0.03, t1_us=90.0),
+        )
+        chip = Chip("c", CouplingGraph(3, ((0, 1), (1, 2))), specs)
+        for mode in ("t2", "min_t1_t2"):
+            arr = chip.coherence_array(mode)
+            assert arr.tolist() == [s.coherence_us(mode) for s in specs]
+            assert chip.coherence_array(mode) is arr
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        assert chip.coherence_array("t2").tolist() == [100.0, 80.0, 50.0]
+        assert chip.coherence_array("min_t1_t2").tolist() == [60.0, 80.0, 50.0]
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(ChipError, match="unknown coherence mode"):
+                chip.coherence_array("t3")
+
     def test_chip_spec_count_mismatch(self):
         graph = CouplingGraph(n_qubits=2, edges=((0, 1),))
         with pytest.raises(ChipError):

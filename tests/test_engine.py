@@ -33,6 +33,12 @@ def simulate(jobs, policy="fcfs", rows=4, cols=4, horizon=None, **kwargs):
     return run(cfg)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.5])
+def test_merge_alpha_must_be_finite_and_at_least_one(alpha):
+    with pytest.raises(SimulationError, match="alpha"):
+        MergeConfig(alpha=alpha)
+
+
 class TestLifecycle:
     def test_single_job_no_contention(self):
         trace, report = simulate([make_job(0, n=4, shots=100, t_sub=0.5, t_e=0.01)])

@@ -44,6 +44,16 @@ class TestJob:
         with pytest.raises(WorkloadError):
             Job(0, 2, 10, 0.0, 0.0)
 
+    @pytest.mark.parametrize("t_sub", [math.inf, math.nan])
+    def test_non_finite_t_sub_rejected(self, t_sub):
+        with pytest.raises(WorkloadError, match="t_sub"):
+            Job(0, 2, 10, t_sub, 0.01)
+
+    @pytest.mark.parametrize("t_e_shot", [math.inf, math.nan])
+    def test_non_finite_t_e_shot_rejected(self, t_e_shot):
+        with pytest.raises(WorkloadError, match="t_e_shot"):
+            Job(0, 2, 10, 0.0, t_e_shot)
+
 
 class TestDistribution:
     def test_empty_support_rejected(self):
