@@ -16,7 +16,6 @@ from .allocator import (
     qubit_error,
     region_ratio,
     resolve_conflict,
-    select_roots,
 )
 from .chip import (
     Chip,

@@ -19,15 +19,16 @@ Placement of one group:
    smallest error score E_Q = (1 - exp(-t_e/T_Q)) * E_meas, then the
    candidate whose addition enables the best next-step ratio, then the
    lowest id.
-3. If the frontier empties before the region is full, the growth stalls
-   and names the groups whose regions boxed it in. A stalled growth has
-   taken the root's whole open component (free, non-buffer qubits), so
-   unless growth steps are recorded a component search from the root
-   decides the stall before any growth. The lower-priority side of the
-   conflict is bounced back to the queue (merged groups shed only their
-   lowest-priority member) and the pass resumes at the evicted group:
-   placements before it saw the same occupancy and are kept, those from
-   it onward are released and redone. Running groups are never disturbed.
+3. Before growing, a component search from the root counts the open
+   qubits (free, non-buffer) it can reach, stopping at the demand. A
+   smaller component is a stall: growth would take all of it and stop,
+   boxed in by the buffers next to it, whose owners are the blockers.
+   Otherwise growth cannot run out of frontier before the region is full.
+   The lower-priority side of the conflict is bounced back to the queue
+   (merged groups shed only their lowest-priority member) and the pass
+   resumes at the evicted group: placements before it saw the same
+   occupancy and are kept, those from it onward are released and redone.
+   Running groups are never disturbed.
 """
 
 from __future__ import annotations
@@ -107,8 +108,7 @@ class Occupancy:
     """Mutable map from physical qubits to owning groups.
 
     owner[q] is the owning group id, or -1 when free. One simulation owns
-    its Occupancy exclusively; clone() produces an independent scratch
-    copy for speculative allocation passes.
+    its Occupancy exclusively.
     """
 
     def __init__(self, chip: Chip):
@@ -135,14 +135,6 @@ class Occupancy:
 
     def owned_count(self) -> int:
         return int((self.owner >= 0).sum())
-
-    def clone(self) -> "Occupancy":
-        other = Occupancy.__new__(Occupancy)
-        other.chip = self.chip
-        other.owner = self.owner.copy()
-        other.regions = dict(self.regions)
-        other.roots = dict(self.roots)
-        return other
 
 
 def qubit_error(spec: QubitSpec, t_e_group: float, t_q_mode: str = "t2") -> float:
@@ -192,20 +184,14 @@ def buffer_mask(chip: Chip, owner: np.ndarray) -> np.ndarray:
     return mask & (owner < 0)
 
 
-def _owners_next_to(chip: Chip, owner: np.ndarray, mask: np.ndarray) -> set[int]:
-    """Groups owning a qubit adjacent to some qubit of ``mask``."""
+def _blockers(chip: Chip, occupancy: Occupancy, boundary: np.ndarray) -> frozenset[int]:
+    """Groups owning a qubit next to some qubit of ``boundary``.
+
+    With none, every placed group is named.
+    """
     src, dst = chip.graph.arcs
-    own = owner[dst[mask[src]]]
-    return set(own[own >= 0].tolist())
-
-
-def _stall(chip: Chip, occupancy: Occupancy, boundary: np.ndarray, steps: list) -> GrowthResult:
-    """A stalled growth whose region is hemmed in by the buffers in ``boundary``."""
-    blockers = _owners_next_to(chip, occupancy.owner, boundary)
-    return GrowthResult(
-        region=None, stats=None, steps=steps,
-        blockers=frozenset(blockers or occupancy.regions.keys()),
-    )
+    own = occupancy.owner[dst[boundary[src]]]
+    return frozenset(own[own >= 0].tolist() or occupancy.regions)
 
 
 def _short_component(chip: Chip, open_: np.ndarray, root: int, demand: int) -> list[int] | None:
@@ -236,26 +222,22 @@ def _best_ratio(r_i: np.ndarray, r_a: np.ndarray) -> np.ndarray:
 
 
 def _choose_root(
-    chip: Chip,
-    occupancy: Occupancy,
-    t_e_group: float,
-    prior_roots: Sequence[int],
-    t_q_mode: str,
-    exclude: set[int] | None = None,
+    chip: Chip, occupancy: Occupancy, t_e_group: float, t_q_mode: str
 ) -> tuple[int | None, frozenset[int]]:
-    """Best root for the next group, or (None, blockers) when none exists."""
+    """Best root for the next group, or (None, blockers) when none exists.
+
+    The score is the summed hop distance to the roots of every group in
+    ``occupancy``: running groups and those placed earlier in the pass.
+    """
     owner = occupancy.owner
     buffer = buffer_mask(chip, owner)
-    usable = owner < 0
-    if exclude:
-        usable[list(exclude)] = False
-    elig = np.flatnonzero(usable & ~buffer)
+    elig = np.flatnonzero((owner < 0) & ~buffer)
     if not elig.size:
-        blockers = _owners_next_to(chip, owner, usable & buffer)
-        return None, frozenset(blockers or occupancy.regions.keys())
+        return None, _blockers(chip, occupancy, buffer)
     dist = chip.distances
-    if prior_roots:
-        score = dist.hops[np.ix_(elig, np.array(sorted(prior_roots), dtype=np.int64))].sum(axis=1)
+    if occupancy.roots:
+        priors = np.array(sorted(occupancy.roots.values()), dtype=np.int64)
+        score = dist.hops[np.ix_(elig, priors)].sum(axis=1)
     else:
         score = np.zeros(elig.size, dtype=np.int64)
     ecc = dist.eccentricity[elig]
@@ -266,35 +248,6 @@ def _choose_root(
         eq = _qubit_error_array(chip, t_e_group, t_q_mode)[cands]
         cands = cands[eq == eq.min()]
     return int(cands.min()), frozenset()
-
-
-def select_roots(
-    chip: Chip,
-    groups: Sequence[Group],
-    occupancy: Occupancy,
-    *,
-    t_q_mode: str = "t2",
-) -> dict[int, int]:
-    """Pick one root per group, in priority order, spreading them apart.
-
-    Each root maximizes the summed hop distance to the roots already
-    chosen in this pass plus the roots of running groups; the first root
-    (no priors) maximizes eccentricity. Raises AllocationError when some
-    group has no eligible qubit left.
-    """
-    roots: dict[int, int] = {}
-    priors: list[int] = [occupancy.roots[g] for g in sorted(occupancy.roots)]
-    chosen: set[int] = set()
-    for group in groups:
-        root, _ = _choose_root(
-            chip, occupancy, group.t_e_group, priors, t_q_mode, exclude=chosen
-        )
-        if root is None:
-            raise AllocationError(f"no eligible root qubit for group {group.id}")
-        roots[group.id] = root
-        priors.append(root)
-        chosen.add(root)
-    return roots
 
 
 def grow_region(
@@ -314,10 +267,12 @@ def grow_region(
     post-addition r_i/r_a (exact comparison); ties prefer minimum E_Q,
     then the best next-step achievable ratio, then the lowest id. The
     frontier never contains buffer qubits (see ``buffer_mask``).
-    Returns a stall naming the blocking groups if the frontier empties
-    before the region is complete. With ``record_steps`` off, a stall is
-    found by a component search before any growth; it names the same
-    blockers, and its step log is empty either way.
+    Returns a stall naming the blocking groups when the root's open
+    component (free, non-buffer qubits reachable from it) holds fewer
+    than ``demand`` qubits; growth would take all of it and stop there.
+    The stall is decided by a component search before any growth, so
+    its step log is empty. ``record_steps`` only decides whether the
+    growth steps are logged.
     """
     n = chip.n_qubits
     if not 1 <= demand <= n:
@@ -332,15 +287,17 @@ def grow_region(
         raise AllocationError(f"root {root} is adjacent to another group's region")
 
     open_ = (owner < 0) & ~buffer  # qubits the region may still take
-    if not record_steps:
-        component = _short_component(chip, open_, root, demand)
-        if component is not None:
-            src, dst = chip.graph.arcs
-            inside = np.zeros(n, dtype=bool)
-            inside[component] = True
-            near = np.zeros(n, dtype=bool)
-            near[dst[inside[src]]] = True
-            return _stall(chip, occupancy, buffer & near, [])
+    component = _short_component(chip, open_, root, demand)
+    if component is not None:
+        src, dst = chip.graph.arcs
+        inside = np.zeros(n, dtype=bool)
+        inside[component] = True
+        near = np.zeros(n, dtype=bool)
+        near[dst[inside[src]]] = True
+        return GrowthResult(
+            region=None, stats=None, steps=[],
+            blockers=_blockers(chip, occupancy, buffer & near),
+        )
 
     eq = _qubit_error_array(chip, t_e_group, t_q_mode)
     frontier = np.zeros(n, dtype=bool)
@@ -359,9 +316,7 @@ def grow_region(
     steps: list[GrowthStep] = []
 
     while len(region) < demand:
-        cand = np.flatnonzero(frontier)
-        if not cand.size:
-            return _stall(chip, occupancy, buffer & (links > 0), steps)
+        cand = np.flatnonzero(frontier)  # non-empty: the component holds demand qubits
         ri_new = r_i + links[cand]
         ra_new = (sum_deg + degrees[cand]) - ri_new
         best = _best_ratio(ri_new, ra_new)
@@ -487,31 +442,27 @@ def allocate(
     """Place every group or requeue the losers of irreconcilable conflicts.
 
     Groups are processed in priority order, roots interleaved with
-    growth, on one scratch copy of the occupancy. On a stall the conflict
-    is resolved and the evicted job leaves the pass. A group's placement
-    depends only on the groups placed before it, so the pass resumes at
-    the evicted group: its placement and those after it are released from
-    the scratch, the earlier ones stay. The outcome is that of restarting
+    growth, and placed directly into ``occupancy``. On a stall the
+    conflict is resolved and the evicted job leaves the pass. A group's
+    placement depends only on the groups placed before it, so the pass
+    resumes at the evicted group: its placement and those after it are
+    released, the earlier ones stay. The outcome is that of restarting
     the whole pass against the original occupancy after each eviction.
-    Committed placements appear in the passed occupancy on return.
     """
     work = list(groups)
     requeued: list[Job] = []
     conflicts: list[dict] = []
-    scratch = occupancy.clone()
     placements: list[Placement] = []
     while len(placements) < len(work):
         group = work[len(placements)]
-        root, blockers = _choose_root(
-            chip, scratch, group.t_e_group, list(scratch.roots.values()), t_q_mode
-        )
+        root, blockers = _choose_root(chip, occupancy, group.t_e_group, t_q_mode)
         if root is not None:
             result = grow_region(
-                chip, scratch, root, group.demand, group.t_e_group,
+                chip, occupancy, root, group.demand, group.t_e_group,
                 group_id=group.id, t_q_mode=t_q_mode, record_steps=record_steps,
             )
             if result.ok:
-                scratch.place(group.id, result.region.qubits, root)
+                occupancy.place(group.id, result.region.qubits, root)
                 placements.append(Placement(group, result.region, root, result.stats, result.steps))
                 continue
             blockers = result.blockers
@@ -527,12 +478,10 @@ def allocate(
         )
         k = next(i for i, g in enumerate(work) if g.id == decision.target_group_id)
         for p in placements[k:]:
-            scratch.release(p.group.id)
+            occupancy.release(p.group.id)
         del placements[k:]
         if decision.whole_group:
             del work[k]
         else:
             work[k] = work[k].without(decision.job.id)
-    for p in placements:
-        occupancy.place(p.group.id, p.region.qubits, p.root)
     return AllocationOutcome(placed=placements, requeued=requeued, conflicts=conflicts)

@@ -18,6 +18,7 @@ Chip files are JSON documents::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,6 +27,15 @@ import numpy as np
 
 class ChipError(ValueError):
     """Malformed or inconsistent chip description."""
+
+
+COHERENCE_MODES = ("t2", "min_t1_t2")
+
+
+def check_coherence_mode(mode: str) -> None:
+    """Raise ChipError unless ``mode`` names a coherence time (COHERENCE_MODES)."""
+    if mode not in COHERENCE_MODES:
+        raise ChipError(f"unknown coherence mode {mode!r}; expected one of {COHERENCE_MODES}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +50,10 @@ class QubitSpec:
     def __post_init__(self):
         if self.id < 0:
             raise ChipError(f"qubit id must be non-negative, got {self.id}")
-        if not self.t2_us > 0:
-            raise ChipError(f"qubit {self.id}: t2 must be positive, got {self.t2_us}")
-        if self.t1_us is not None and not self.t1_us > 0:
-            raise ChipError(f"qubit {self.id}: t1 must be positive, got {self.t1_us}")
+        if not (math.isfinite(self.t2_us) and self.t2_us > 0):
+            raise ChipError(f"qubit {self.id}: t2 must be positive and finite, got {self.t2_us}")
+        if self.t1_us is not None and not (math.isfinite(self.t1_us) and self.t1_us > 0):
+            raise ChipError(f"qubit {self.id}: t1 must be positive and finite, got {self.t1_us}")
         if not 0.0 <= self.readout_error <= 1.0:
             raise ChipError(
                 f"qubit {self.id}: readout_error must lie in [0, 1], "
@@ -52,11 +62,10 @@ class QubitSpec:
 
     def coherence_us(self, mode: str = "t2") -> float:
         """Coherence time used by error formulas: plain t2 or min(t1, t2)."""
+        check_coherence_mode(mode)
         if mode == "t2" or self.t1_us is None:
             return self.t2_us
-        if mode == "min_t1_t2":
-            return min(self.t1_us, self.t2_us)
-        raise ChipError(f"unknown coherence mode {mode!r}")
+        return min(self.t1_us, self.t2_us)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,10 @@ import sys
 from pathlib import Path
 
 from .allocator import AllocationError
-from .chip import Chip, ChipError, QubitSpec, dump_chip, generate_grid, load_chip
+from .chip import (
+    Chip, ChipError, QubitSpec, check_coherence_mode, dump_chip, generate_grid, load_chip,
+)
 from .engine import MergeConfig, SimConfig, SimulationError, run as run_simulation
-from .metrics import EmptyTraceError
 from .scheduler import POLICY_NAMES, Policy
 from .workload import (
     Distribution,
@@ -257,7 +258,11 @@ def cmd_run(ns) -> int:
         "mean": mean,
         "per_seed": per_seed,
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    try:
+        text = json.dumps(summary, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise SimulationError(f"summary.json: {exc}") from exc
+    (out_dir / "summary.json").write_text(text + "\n")
     (out_dir / "trace.jsonl").write_text(first_trace.to_jsonl())
     print(f"wrote {out_dir}/summary.json, results.csv, trace.jsonl ({len(seeds)} seed(s))")
     return 0
@@ -359,6 +364,7 @@ def cmd_validate(ns) -> int:
         chip = _build_chip(doc.get("chip", {}))
         _build_workload(doc.get("workload", {}), chip, seed=0, lam_override=None)
         _build_policy(doc.get("policy", {}), None)
+        check_coherence_mode(doc.get("t_q_mode", "t2"))
         print(f"config OK: {ns.config}")
         checked += 1
     if ns.chip:
@@ -455,7 +461,7 @@ def main(argv=None) -> int:
     except (ConfigError, ChipError, WorkloadError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, AllocationError, EmptyTraceError) as exc:
+    except (SimulationError, AllocationError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 1
 

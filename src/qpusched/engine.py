@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .allocator import Occupancy, Placement, allocate
-from .chip import Chip
+from .chip import Chip, check_coherence_mode
 from .merger import Group, group_by_exec_time, select_prefix
 from .metrics import MetricsReport, compute_report
 from .scheduler import (
@@ -67,6 +67,9 @@ class SimConfig:
     seed: int = 0
     t_q_mode: str = "t2"
     record_growth_steps: bool = False
+
+    def __post_init__(self):
+        check_coherence_mode(self.t_q_mode)
 
 
 # event kind ranks; equal-time ties process in this order
@@ -113,7 +116,7 @@ class AllocationRecord:
     r_a: int
     t_e_group: float
     member_ids: tuple[int, ...]
-    steps: list = field(default_factory=list)
+    steps: list | None = None  # growth steps, None unless they were recorded
 
 
 class Trace:
@@ -132,13 +135,14 @@ class Trace:
     def completed_jobs(self) -> list[JobRecord]:
         return [rec for rec in self.jobs.values() if rec.t_comp is not None]
 
-    def to_jsonl(self, include_steps: bool = False) -> str:
-        """Serialize the trace as JSON lines: meta, events, then job summaries."""
+    def to_jsonl(self) -> str:
+        """Serialize the trace as JSON lines: meta, events, growth steps of
+        the allocations that recorded them, then job summaries."""
         lines = [json.dumps({"type": "meta", **self.meta})]
         for ev in self.events:
             lines.append(json.dumps({"type": "event", **ev}))
-        if include_steps:
-            for rec in self.allocations:
+        for rec in self.allocations:
+            if rec.steps is not None:
                 lines.append(
                     json.dumps(
                         {
@@ -194,12 +198,9 @@ class Trace:
 @dataclass
 class _RunningGroup:
     group: Group
-    region: tuple[int, ...]
-    root: int
     start: float
     t_e: float
     dispatch_shots: int
-    completion_time: float
     member_entry_shots: dict[int, int]
     interval_idx: int
     quantum_shots: int = 0       # 0 when the policy grants no quantum
@@ -290,34 +291,32 @@ class _Simulation:
             for member in rg.group.members:
                 st = self.state.jobs[member.id]
                 st.mfq_level = min(st.mfq_level + 1, self.policy.mfq_levels - 1)
-            if self.queue:
-                self._finish_group(gid, now, preempted=True, done_shots=done)
-                self._pass(now)
-                return
-            level = min(self.state.jobs[m.id].mfq_level for m in rg.group.members)
-            nxt = self.policy.quantum_shots_for_level(level)
-            rg.quantum_start_shot = done
-            rg.quantum_shots = nxt or 0
-            if nxt is not None and done + nxt < rg.dispatch_shots:
-                self._push(rg.start + (done + nxt) * rg.t_e, QUANTUM, gid)
-            return
-        # round robin
-        snap = RunningSnapshot(gid, remaining_demand(rg, now), quantum_exhausted=True)
-        marked = preemption_decision(self.policy, [snap], self.queue, now, self.state)
-        if gid in marked:
+        if self.queue:
             self._finish_group(gid, now, preempted=True, done_shots=done)
             self._pass(now)
-            return
-        rg.quantum_start_shot = done
-        if done + rg.quantum_shots < rg.dispatch_shots:
-            self._push(rg.start + (done + rg.quantum_shots) * rg.t_e, QUANTUM, gid)
+        else:
+            self._start_quantum(rg, done)
+
+    def _start_quantum(self, rg: _RunningGroup, start_shot: int) -> None:
+        """Grant the group its policy's quantum from ``start_shot`` on and
+        schedule the expiry, unless the quantum outlasts the dispatch."""
+        quantum: int | None = None
+        if self.policy.name == "rr":
+            quantum = self.policy.rr_quantum_shots
+        elif self.policy.name == "mfq":
+            level = min(self.state.jobs[j.id].mfq_level for j in rg.group.members)
+            quantum = self.policy.quantum_shots_for_level(level)
+        rg.quantum_start_shot = start_shot
+        rg.quantum_shots = quantum or 0
+        if quantum is not None and start_shot + quantum < rg.dispatch_shots:
+            self._push(rg.start + (start_shot + quantum) * rg.t_e, QUANTUM, rg.group.id)
 
     def _on_preempt_point(self, now: float, gid: int, target_shots: int) -> None:
         rg = self.running.get(gid)
         if rg is None:
             return
         rg.preempt_pending = False
-        snap = RunningSnapshot(gid, remaining_demand(rg, now), quantum_exhausted=False)
+        snap = RunningSnapshot(gid, remaining_demand(rg, now))
         still = preemption_decision(self.policy, [snap], self.queue, now, self.state)
         if gid not in still:
             return  # the motivating job got served in the meantime
@@ -365,12 +364,9 @@ class _Simulation:
         region = placement.region.qubits
         rg = _RunningGroup(
             group=group,
-            region=region,
-            root=placement.root,
             start=now,
             t_e=group.t_e_group,
             dispatch_shots=group.shots_group,
-            completion_time=now + group.shots_group * group.t_e_group,
             member_entry_shots={
                 j.id: self.state.jobs[j.id].remaining_shots for j in group.members
             },
@@ -378,16 +374,8 @@ class _Simulation:
         )
         self.trace.intervals.append(GroupInterval(group_id=group.id, start=now, region=region))
         self.running[group.id] = rg
-        self._push(rg.completion_time, COMPLETE, group.id)
-        quantum: int | None = None
-        if self.policy.name == "rr":
-            quantum = self.policy.rr_quantum_shots
-        elif self.policy.name == "mfq":
-            level = min(self.state.jobs[j.id].mfq_level for j in group.members)
-            quantum = self.policy.quantum_shots_for_level(level)
-        rg.quantum_shots = quantum or 0
-        if quantum is not None and quantum < rg.dispatch_shots:
-            self._push(now + quantum * rg.t_e, QUANTUM, group.id)
+        self._push(now + group.shots_group * group.t_e_group, COMPLETE, group.id)
+        self._start_quantum(rg, 0)
         for job in group.members:
             st = self.state.jobs[job.id]
             st.last_run = now
@@ -406,7 +394,7 @@ class _Simulation:
                 r_a=placement.stats.r_a,
                 t_e_group=group.t_e_group,
                 member_ids=tuple(j.id for j in group.members),
-                steps=placement.steps,
+                steps=placement.steps if self.config.record_growth_steps else None,
             )
         )
         self.trace.log(
@@ -476,7 +464,7 @@ class _Simulation:
                     self.queue = [j for j in self.queue if j.id not in placed_ids]
         if self.policy.name == "srtf" and self.queue and self.running:
             snaps = [
-                RunningSnapshot(gid, remaining_demand(rg, now), quantum_exhausted=False)
+                RunningSnapshot(gid, remaining_demand(rg, now))
                 for gid, rg in sorted(self.running.items())
             ]
             for gid in sorted(

@@ -147,9 +147,16 @@ def busy_qubit_seconds(trace: "Trace") -> float:
     return math.fsum(terms)
 
 
+def _integrals(spans: list[tuple[float, float, int, int]]) -> tuple[float, float]:
+    """Integrals over the timeline of owned and of buffer qubits."""
+    owned = math.fsum(o * (t1 - t0) for t0, t1, o, _ in spans)
+    buffer = math.fsum(b * (t1 - t0) for t0, t1, _, b in spans)
+    return owned, buffer
+
+
 def busy_integral(trace: "Trace", chip: Chip) -> float:
     """Timeline-side accounting: integral of owned qubits over the makespan."""
-    return math.fsum(owned * (t1 - t0) for t0, t1, owned, _ in occupancy_timeline(trace, chip))
+    return _integrals(occupancy_timeline(trace, chip))[0]
 
 
 def utilization(trace: "Trace", chip: Chip) -> float:
@@ -159,10 +166,7 @@ def utilization(trace: "Trace", chip: Chip) -> float:
 
 def buffer_fraction(trace: "Trace", chip: Chip) -> float:
     """Fraction of qubit time pinned as buffers next to running regions."""
-    integral = math.fsum(
-        buf * (t1 - t0) for t0, t1, _, buf in occupancy_timeline(trace, chip)
-    )
-    return integral / (chip.n_qubits * makespan(trace))
+    return _integrals(occupancy_timeline(trace, chip))[1] / (chip.n_qubits * makespan(trace))
 
 
 def pst_estimate(record: "JobRecord", chip: Chip, t_q_mode: str = "t2") -> float:
@@ -199,10 +203,12 @@ def compute_report(trace: "Trace", chip: Chip, t_q_mode: str = "t2") -> MetricsR
     wt = {rec.job.id: weighted_turnaround(rec) for rec in records}
     pst = {rec.job.id: pst_estimate(rec, chip, t_q_mode) for rec in records}
     wt_values = np.array([wt[k] for k in sorted(wt)])
+    owned, buffer = _integrals(occupancy_timeline(trace, chip))  # one replay for both
+    qubit_time = chip.n_qubits * makespan(trace)
     return MetricsReport(
         throughput=throughput(trace),
-        utilization=utilization(trace, chip),
-        buffer_fraction=buffer_fraction(trace, chip),
+        utilization=owned / qubit_time,
+        buffer_fraction=buffer / qubit_time,
         mean_wt=float(wt_values.mean()),
         median_wt=float(np.median(wt_values)),
         p95_wt=float(np.percentile(wt_values, 95)),

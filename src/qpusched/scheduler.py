@@ -18,12 +18,14 @@ Priority keys are tuples; SMALLER sorts first. Every key ends with
 Waiting time is wall time minus accumulated running time, so preempted
 jobs are not credited (or charged) for the time they actually ran.
 
-Preemption may only land between shots: a mark issued here takes effect at
-the next shot boundary of the running group.
+Preemption may only land between shots: an SRTF mark issued here takes
+effect at the next shot boundary of the running group. RR and MFQ quanta
+are counted in shots, so their expiries fall on shot boundaries too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -46,6 +48,9 @@ class Policy:
         object.__setattr__(self, "name", self.name.lower())
         if self.name not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.name!r}; expected one of {POLICY_NAMES}")
+        for attr in ("rr_quantum_shots", "mfq_levels", "mfq_base_quantum_shots", "mfq_aging_s"):
+            if not math.isfinite(getattr(self, attr)):
+                raise ValueError(f"{attr} must be finite, got {getattr(self, attr)}")
         if self.rr_quantum_shots < 1:
             raise ValueError("rr quantum must be at least one shot")
         if self.mfq_levels < 2:
@@ -171,7 +176,6 @@ class RunningSnapshot:
 
     group_id: int
     remaining_demand: float
-    quantum_exhausted: bool = False
 
 
 def preemption_decision(
@@ -183,22 +187,12 @@ def preemption_decision(
 ) -> set[int]:
     """Group ids to preempt at their next shot boundary.
 
-    Only SRTF and RR mark groups here: SRTF when some queued job's full
-    service demand is strictly below a group's remaining demand, RR when a
-    group has consumed its quantum and the queue is non-empty (the
-    work-conserving exception keeps a lone group running). All other
-    policies return the empty set; MFQ demotion/preemption is driven by
-    its quantum-expiry events, not by this check.
+    Only SRTF marks groups here: those whose remaining demand is strictly
+    above some queued job's remaining service demand. All other policies
+    return the empty set; RR and MFQ preempt at quantum expiry in the
+    engine, when the queue is non-empty.
     """
-    if policy.name == "srtf":
-        if not queue:
-            return set()
-        shortest = min(state.remaining_demand(j) for j in queue)
-        return {
-            snap.group_id for snap in running if shortest < snap.remaining_demand
-        }
-    if policy.name == "rr":
-        if not queue:
-            return set()
-        return {snap.group_id for snap in running if snap.quantum_exhausted}
-    return set()
+    if policy.name != "srtf" or not queue:
+        return set()
+    shortest = min(state.remaining_demand(j) for j in queue)
+    return {snap.group_id for snap in running if shortest < snap.remaining_demand}

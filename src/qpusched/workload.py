@@ -96,6 +96,10 @@ class Distribution:
     weights: tuple | None = None
 
     def __post_init__(self):
+        numbers = [x for x in (self.low, self.high) if x is not None]
+        numbers += [*(self.values or ()), *(self.weights or ())]
+        if not all(math.isfinite(x) for x in numbers):
+            raise WorkloadError(f"{self.kind} distribution has a non-finite parameter")
         if self.kind in ("int_uniform", "uniform"):
             if self.low is None or self.high is None:
                 raise WorkloadError(f"{self.kind} distribution needs low and high")
@@ -215,6 +219,16 @@ def generate_poisson_workload(spec: WorkloadSpec) -> Workload:
     return Workload(jobs=tuple(jobs), horizon=spec.horizon)
 
 
+def _integral(doc: dict, key: str) -> int:
+    """The integral number under ``key`` (2 or 2.0); anything else is malformed."""
+    value = doc[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_workload(source) -> Workload:
     """Parse a JSON-lines workload file; jobs come back sorted by t_sub."""
     if hasattr(source, "read"):
@@ -230,9 +244,9 @@ def load_workload(source) -> Workload:
             doc = json.loads(line)
             jobs.append(
                 Job(
-                    id=int(doc["id"]),
-                    n=int(doc["n"]),
-                    shots=int(doc["shots"]),
+                    id=_integral(doc, "id"),
+                    n=_integral(doc, "n"),
+                    shots=_integral(doc, "shots"),
                     t_sub=float(doc["t_sub"]),
                     t_e_shot=float(doc["t_e_shot"]),
                 )

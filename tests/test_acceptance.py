@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qpusched.allocator import Occupancy, grow_region, qubit_error, region_ratio, select_roots
+from qpusched.allocator import Occupancy, allocate, grow_region, qubit_error, region_ratio
 from qpusched.chip import Chip, CouplingGraph, QubitSpec, generate_grid
 from qpusched.engine import MergeConfig, SimConfig, run
 from qpusched.merger import Group
@@ -88,8 +88,8 @@ def test_criterion_2_corner_roots():
             Group.build(i, [Job(id=i, n=4, shots=100, t_sub=0.0, t_e_shot=0.001)])
             for i in range(4)
         ]
-        roots = select_roots(chip, groups, Occupancy(chip))
-        assert sorted(roots.values()) == [0, 4, 20, 24]
+        outcome = allocate(chip, Occupancy(chip), groups)
+        assert sorted(p.root for p in outcome.placed) == [0, 4, 20, 24]
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +331,7 @@ def test_criterion_7_conservation_and_determinism(invariant_runs):
             )
             first, _ = run(cfg)
             second, _ = run(cfg)
-            assert first.to_jsonl(include_steps=True) == second.to_jsonl(include_steps=True)
+            assert first.to_jsonl() == second.to_jsonl()
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from qpusched.allocator import (
     qubit_error,
     region_ratio,
     resolve_conflict,
-    select_roots,
 )
 from qpusched.chip import QubitSpec, generate_grid
 from qpusched.merger import Group
@@ -126,32 +125,45 @@ class TestQubitError:
         assert qubit_error(spec, 1e-4, "min_t1_t2") > qubit_error(spec, 1e-4, "t2")
 
 
+def placed_roots(chip, groups):
+    """Roots of the groups ``allocate`` places on an empty chip, in placement order."""
+    outcome = allocate(chip, Occupancy(chip), groups)
+    return [p.root for p in outcome.placed]
+
+
 class TestSelectRoots:
+    # root choice is interleaved with growth: each root sees the regions
+    # and roots of the groups placed before it in the pass
     def test_four_equal_groups_land_on_corners(self):
         chip = generate_grid(5, 5)
         groups = [singleton_group(i, n=4) for i in range(4)]
-        roots = select_roots(chip, groups, Occupancy(chip))
-        assert sorted(roots.values()) == [0, 4, 20, 24]
+        assert sorted(placed_roots(chip, groups)) == [0, 4, 20, 24]
 
     def test_single_group_path_endpoint(self):
         chip = path_chip(3)
-        roots = select_roots(chip, [singleton_group(0, n=1)], Occupancy(chip))
-        assert roots[0] in (0, 2)
-        assert roots[0] == 0  # lowest-id endpoint wins the tie
+        assert placed_roots(chip, [singleton_group(0, n=1)]) == [0]  # lowest-id endpoint
 
     def test_second_root_at_far_end(self):
         chip = path_chip(5)
         groups = [singleton_group(0, n=1), singleton_group(1, n=1)]
-        roots = select_roots(chip, groups, Occupancy(chip))
-        assert roots[0] == 0
-        assert roots[1] == 4
+        assert placed_roots(chip, groups) == [0, 4]
 
-    def test_no_eligible_qubit(self):
+    def test_no_eligible_qubit(self, monkeypatch):
         chip = generate_grid(2, 3)
         occ = Occupancy(chip)
         occ.place(7, [0, 1, 3, 4], root=0)  # free column {2, 5} is all buffer
-        with pytest.raises(AllocationError, match="no eligible"):
-            select_roots(chip, [singleton_group(0, n=1)], occ)
+        seen = []
+        real_resolve = allocator.resolve_conflict
+
+        def recording_resolve(stalled, blockers, *args):
+            seen.append(set(blockers))
+            return real_resolve(stalled, blockers, *args)
+
+        monkeypatch.setattr(allocator, "resolve_conflict", recording_resolve)
+        outcome = allocate(chip, occ, [singleton_group(0, n=1)])
+        assert outcome.placed == [] and [j.id for j in outcome.requeued] == [0]
+        assert outcome.conflicts[0]["whole_group"]
+        assert seen == [{7}]
 
     def test_error_score_breaks_ties(self):
         # path of 3: both endpoints have eccentricity 2; noisier qubit 0 loses
@@ -162,8 +174,7 @@ class TestSelectRoots:
         )
         from qpusched.chip import Chip, CouplingGraph
         chip = Chip("p", CouplingGraph(3, ((0, 1), (1, 2))), specs)
-        roots = select_roots(chip, [singleton_group(0, n=1)], Occupancy(chip))
-        assert roots[0] == 2
+        assert placed_roots(chip, [singleton_group(0, n=1)]) == [2]
 
 
 class TestGrowRegion:
@@ -191,8 +202,8 @@ class TestGrowRegion:
         res = grow_region(chip, occ, root=3, demand=3, t_e_group=0.001, group_id=1)
         assert res.region is None
         assert res.blockers == {9}
-        # encloses its progress so far in the step log
-        assert len(res.steps) == 1
+        # decided by the component search before any growth step
+        assert res.steps == []
 
     def test_root_preconditions(self):
         chip = generate_grid(2, 4)
@@ -276,8 +287,7 @@ class TestGrowRegion:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_steps_on_and_off_agree(self, data):
-        # with steps off a stall is decided by a component search before
-        # growing; the outcome must be the one the greedy loop reaches
+        # recording the steps must not change the outcome
         chip, _, occ = draw_occupancy(data)
         eligible = np.flatnonzero((occ.owner < 0) & ~buffer_mask(chip, occ.owner))
         if not eligible.size:
@@ -432,6 +442,14 @@ def small_graphs():
     return [(n, edges) for n, graphs in enumerate_validated(6).items() for edges in graphs]
 
 
+def copy_of(occ):
+    """An independent Occupancy with the same regions and roots."""
+    copy = Occupancy(occ.chip)
+    for gid, qubits in occ.regions.items():
+        copy.place(gid, qubits, occ.roots[gid])
+    return copy
+
+
 def assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record_steps):
     """``outcome`` equals allocating, without conflicts, the groups it kept.
 
@@ -446,7 +464,7 @@ def assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record
             del survivors[i]
         else:
             survivors[i] = survivors[i].without(job.id)
-    fresh = before.clone()
+    fresh = copy_of(before)
     replay = allocate(chip, fresh, survivors, record_steps=record_steps)
     assert replay.requeued == [] and replay.conflicts == []
     assert replay.placed == outcome.placed
@@ -469,7 +487,7 @@ def test_allocate_equals_conflict_free_pass_of_survivors(data):
         jid += size
     groups = data.draw(st.permutations(groups), label="order")  # any priority order
     record_steps = data.draw(st.booleans(), label="record_steps")
-    before = occ.clone()
+    before = copy_of(occ)
     outcome = allocate(chip, occ, groups, record_steps=record_steps)
     assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record_steps)
 

@@ -6,6 +6,7 @@ over coordinates.
 """
 
 import json
+import math
 
 import networkx as nx
 import numpy as np
@@ -255,6 +256,17 @@ class TestTypes:
             QubitSpec(id=0, t2_us=10, readout_error=-0.1)
         with pytest.raises(ChipError):
             QubitSpec(id=0, t2_us=10, readout_error=0.1, t1_us=0.0)
+
+    @pytest.mark.parametrize("field", ["t2_us", "t1_us"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_coherence_rejected(self, field, value):
+        kwargs = {"t2_us": 100.0, "t1_us": 60.0, field: value}
+        with pytest.raises(ChipError, match=field[:2]):
+            QubitSpec(id=0, readout_error=0.01, **kwargs)
+
+    def test_unknown_coherence_mode_rejected_without_t1(self):
+        with pytest.raises(ChipError, match="unknown coherence mode"):
+            QubitSpec(0, t2_us=100.0, readout_error=0.01).coherence_us("bogus")
 
     def test_coherence_modes(self):
         s = QubitSpec(id=0, t2_us=100, readout_error=0.01, t1_us=60)

@@ -1,10 +1,13 @@
 """Command-line interface tests: subcommands, files, exit codes, reproducibility."""
 
 import csv
+import dataclasses
 import json
+import math
 
 import pytest
 
+from qpusched import cli
 from qpusched.chip import load_chip
 from qpusched.cli import CSV_COLUMNS, main
 from qpusched.workload import load_workload
@@ -119,6 +122,39 @@ class TestRun:
         rows = read_rows(workdir / "oenv" / "results.csv")
         assert rows[0]["seed"] == "17"
 
+    def test_unknown_coherence_mode_rejected(self, workdir, capsys):
+        config = {
+            "chip": {"grid": {"rows": 4, "cols": 4}},
+            "workload": {"lambda": 3.0, "horizon": 2.0},
+            "policy": {"name": "fcfs"},
+            "t_q_mode": "bogus",
+        }
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        assert main(["run", "--config", "cfg.json", "--out", "o"]) == 2
+        assert "unknown coherence mode" in capsys.readouterr().err
+        assert main(["validate", "--config", "cfg.json"]) == 2
+
+    def test_empty_workload_is_a_config_error(self, workdir, capsys):
+        write_minimal_inputs(workdir)
+        (workdir / "empty.jsonl").write_text("")
+        assert main(["run", "--chip", "chip.json", "--workload", "empty.jsonl",
+                     "--policy", "fcfs", "--out", "o"]) == 2
+        assert "error: empty trace" in capsys.readouterr().err
+
+    def test_non_finite_metric_is_not_written(self, workdir, monkeypatch, capsys):
+        write_minimal_inputs(workdir)
+        real_run = cli.run_simulation
+
+        def nan_run(config):
+            trace, report = real_run(config)
+            return trace, dataclasses.replace(report, mean_pst=math.nan)
+
+        monkeypatch.setattr(cli, "run_simulation", nan_run)
+        assert main(["run", "--chip", "chip.json", "--workload", "one.jsonl",
+                     "--policy", "fcfs", "--out", "o"]) == 1
+        assert "simulation error" in capsys.readouterr().err
+        assert not (workdir / "o" / "summary.json").exists()
+
     def test_exclusive_and_merge_flags(self, workdir):
         config = {
             "chip": {"grid": {"rows": 4, "cols": 4}},
@@ -192,6 +228,13 @@ class TestValidate:
     def test_bad_chip(self, workdir, capsys):
         (workdir / "bad.json").write_text('{"qubits": [], "edges": []}')
         assert main(["validate", "--chip", "bad.json"]) == 2
+
+    @pytest.mark.parametrize("field, value", [("n", 2.7), ("shots", 100.9)])
+    def test_non_integral_workload(self, workdir, capsys, field, value):
+        doc = {"id": 0, "n": 4, "shots": 100, "t_sub": 0.0, "t_e_shot": 0.01, field: value}
+        (workdir / "w.jsonl").write_text(json.dumps(doc) + "\n")
+        assert main(["validate", "--workload", "w.jsonl"]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
 
     def test_nothing_given(self, workdir):
         assert main(["validate"]) == 2

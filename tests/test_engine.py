@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from qpusched.chip import generate_grid
+from qpusched.chip import ChipError, generate_grid
 from qpusched.engine import (
     MergeConfig,
     SimConfig,
@@ -37,6 +37,13 @@ def simulate(jobs, policy="fcfs", rows=4, cols=4, horizon=None, **kwargs):
 def test_merge_alpha_must_be_finite_and_at_least_one(alpha):
     with pytest.raises(SimulationError, match="alpha"):
         MergeConfig(alpha=alpha)
+
+
+def test_unknown_coherence_mode_rejected():
+    # grid chips carry no T1, the case that used to slip through
+    wl = Workload(jobs=(make_job(0),), horizon=1.0)
+    with pytest.raises(ChipError, match="unknown coherence mode"):
+        SimConfig(chip=generate_grid(2, 2), workload=wl, policy=Policy("fcfs"), t_q_mode="bogus")
 
 
 class TestLifecycle:
@@ -118,7 +125,7 @@ class TestDeterminism:
                         record_growth_steps=True)
         t1, _ = run(cfg)
         t2, _ = run(cfg)
-        assert t1.to_jsonl(include_steps=True) == t2.to_jsonl(include_steps=True)
+        assert t1.to_jsonl() == t2.to_jsonl()
 
     def test_preemptive_policies_deterministic(self):
         wl = generate_poisson_workload(default_spec(16, 5.0, 4.0, seed=8))
@@ -246,8 +253,7 @@ class TestRemainingDemand:
     def _rg(self, shots=200, t_e=0.011):
         g = Group.build(0, [make_job(0, shots=shots, t_e=t_e)])
         return _RunningGroup(
-            group=g, region=(0,), root=0, start=0.0, t_e=t_e,
-            dispatch_shots=shots, completion_time=shots * t_e,
+            group=g, start=0.0, t_e=t_e, dispatch_shots=shots,
             member_entry_shots={0: shots}, interval_idx=0,
         )
 

@@ -1,7 +1,7 @@
 """Golden trace digests: the simulator's output is pinned byte for byte.
 
 Each scenario runs a seeded Poisson workload twice: with growth steps
-recorded, hashing ``Trace.to_jsonl(include_steps=True)`` (``GOLDEN``),
+recorded, hashing ``Trace.to_jsonl()`` with its growth lines (``GOLDEN``),
 and with steps off, the engine's default, hashing ``Trace.to_jsonl()``
 (``GOLDEN_STEPS_OFF``). The allocator takes different code paths in the
 two cases, so both are pinned. A refactor of the scheduler, merger or
@@ -163,7 +163,7 @@ def trace_digest(chip_name: str, policy: str, mode: str, steps: bool = True) -> 
         record_growth_steps=steps,
     )
     trace, _ = run(config)
-    return hashlib.sha256(trace.to_jsonl(include_steps=steps).encode()).hexdigest()
+    return hashlib.sha256(trace.to_jsonl().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("scenario", list(_scenarios()), ids="-".join)

@@ -1,5 +1,7 @@
 """Policy formulas, queue orderings, and preemption-mark tests."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,14 @@ class TestPolicy:
             Policy("mfq", mfq_levels=1)
         with pytest.raises(ValueError):
             Policy("mfq", mfq_aging_s=0.0)
+
+    @pytest.mark.parametrize("field", [
+        "rr_quantum_shots", "mfq_levels", "mfq_base_quantum_shots", "mfq_aging_s",
+    ])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Policy("mfq", **{field: value})
 
     def test_mfq_level_quanta(self):
         p = Policy("mfq", mfq_levels=3, mfq_base_quantum_shots=50)
@@ -210,11 +220,12 @@ class TestOrderingProperties:
 
 class TestPreemptionDecision:
     def test_non_preemptive_policies_never_mark(self):
-        running = [RunningSnapshot(0, 5.0, quantum_exhausted=True)]
+        # RR and MFQ preempt at quantum expiry in the engine, never here
+        running = [RunningSnapshot(0, 5.0)]
         queue = [make_job(1, shots=1, t_e=0.001)]
         st_ = SchedulerState()
         st_.ensure(queue[0])
-        for name in ("fcfs", "sjf", "qsjf", "hrrf", "qhrrf", "mfq"):
+        for name in ("fcfs", "sjf", "qsjf", "hrrf", "qhrrf", "rr", "mfq"):
             assert preemption_decision(Policy(name), running, queue, 1.0, st_) == set()
 
     def test_srtf_marks_on_shorter_arrival(self):
@@ -230,16 +241,6 @@ class TestPreemptionDecision:
         st_ = SchedulerState()
         st_.ensure(equal)
         assert preemption_decision(Policy("srtf"), running, [equal], 0.0, st_) == set()
-
-    def test_rr_marks_only_when_queue_nonempty(self):
-        exhausted = [RunningSnapshot(0, 5.0, quantum_exhausted=True)]
-        job = make_job(1)
-        st_ = SchedulerState()
-        st_.ensure(job)
-        assert preemption_decision(Policy("rr"), exhausted, [job], 0.0, st_) == {0}
-        assert preemption_decision(Policy("rr"), exhausted, [], 0.0, st_) == set()
-        fresh = [RunningSnapshot(0, 5.0, quantum_exhausted=False)]
-        assert preemption_decision(Policy("rr"), fresh, [job], 0.0, st_) == set()
 
 
 class TestWaitAccounting:

@@ -4,6 +4,7 @@ Statistical oracles: Poisson-count concentration, pooled inter-arrival
 sample means, and a Kolmogorov-Smirnov test against the exponential law.
 """
 
+import json
 import math
 
 import numpy as np
@@ -56,6 +57,16 @@ class TestJob:
 
 
 class TestDistribution:
+    @pytest.mark.parametrize("dist", [
+        lambda: Distribution("uniform", 0, math.nan),
+        lambda: Distribution("int_uniform", -math.inf, 3),
+        lambda: Distribution("choice", values=(1, math.inf)),
+        lambda: Distribution("choice", values=(1, 2), weights=(1.0, math.nan)),
+    ])
+    def test_non_finite_parameter_rejected(self, dist):
+        with pytest.raises(WorkloadError, match="non-finite"):
+            dist()
+
     def test_empty_support_rejected(self):
         with pytest.raises(WorkloadError, match="empty support"):
             Distribution("int_uniform", low=5, high=2)
@@ -172,6 +183,16 @@ class TestWorkloadFiles:
         line = '{"id": 0, "n": 1, "shots": 1, "t_sub": 0, "t_e_shot": 0.01}\n'
         with pytest.raises(WorkloadError, match="duplicate"):
             load_workload(line + line)
+
+    @pytest.mark.parametrize("field, value", [("n", 2.7), ("shots", 100.9), ("n", "4")])
+    def test_non_integral_count_rejected(self, field, value):
+        doc = {"id": 0, "n": 4, "shots": 100, "t_sub": 0.0, "t_e_shot": 0.01, field: value}
+        with pytest.raises(WorkloadError, match=f"{field} must be an integer"):
+            load_workload(json.dumps(doc))
+
+    def test_integral_float_count_accepted(self):
+        wl = load_workload('{"id": 0, "n": 4.0, "shots": 100.0, "t_sub": 0, "t_e_shot": 0.01}\n')
+        assert (wl.jobs[0].n, wl.jobs[0].shots) == (4, 100)
 
     def test_dump_load_round_trip(self):
         wl = generate_poisson_workload(default_spec(64, 2.0, 10.0, seed=5))
