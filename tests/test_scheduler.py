@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpusched.chip import generate_grid
+from qpusched.engine import MergeConfig, SimConfig, run
 from qpusched.scheduler import (
     Policy,
     RunningSnapshot,
@@ -17,7 +19,7 @@ from qpusched.scheduler import (
     q_response_ratio,
     response_ratio,
 )
-from qpusched.workload import Job
+from qpusched.workload import Job, Workload
 
 from conftest import make_job
 
@@ -241,6 +243,30 @@ class TestPreemptionDecision:
         st_ = SchedulerState()
         st_.ensure(equal)
         assert preemption_decision(Policy("srtf"), running, [equal], 0.0, st_) == set()
+
+    def test_rr_marks_only_when_queue_nonempty(self):
+        # RR expiry is decided in the engine: a full-chip job with a
+        # 100-shot quantum (0.1 s) yields at expiry only to a waiting job
+        def rr_run(jobs):
+            wl = Workload(jobs=tuple(jobs), horizon=1.0)
+            cfg = SimConfig(chip=generate_grid(4, 4), workload=wl,
+                            policy=Policy("rr", rr_quantum_shots=100),
+                            merge=MergeConfig(enabled=False))
+            return run(cfg)[0]
+
+        long_job = make_job(0, n=16, shots=300, t_e=0.001)
+        lone = rr_run([long_job])
+        assert lone.jobs[0].preemptions == 0
+        assert lone.jobs[0].t_comp == pytest.approx(0.3)
+
+        # the arrival at 0.05 s falls inside the quantum and marks nothing;
+        # the first preemption is at the expiry, after exactly 100 shots
+        contended = rr_run([long_job, make_job(1, n=16, shots=50, t_sub=0.05, t_e=0.001)])
+        preempts = [e for e in contended.events if e["kind"] == "preempt"]
+        assert preempts and preempts[0]["time"] == pytest.approx(0.1)
+        assert contended.jobs[0].preemptions == 1
+        assert contended.jobs[1].t_comp == pytest.approx(0.15)
+        assert contended.jobs[0].t_comp == pytest.approx(0.35)
 
 
 class TestWaitAccounting:
