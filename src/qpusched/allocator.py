@@ -391,7 +391,6 @@ def resolve_conflict(
     stalled: Group,
     blockers: Iterable[int],
     placed_this_pass: dict[int, Group],
-    running_ids: set[int] | None = None,
 ) -> EvictionDecision:
     """Decide who yields when a growth stalls.
 

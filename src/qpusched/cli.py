@@ -25,8 +25,10 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .allocator import AllocationError
@@ -52,6 +54,7 @@ CSV_COLUMNS = (
     "policy", "lambda", "seed", "throughput", "utilization",
     "mean_wt", "p95_wt", "pst", "mean_ratio", "makespan",
 )
+METRIC_COLUMNS = CSV_COLUMNS[3:]
 
 
 class ConfigError(ValueError):
@@ -116,17 +119,20 @@ def _build_workload(section: dict, chip: Chip, seed: int, lam_override: float | 
     lam = lam_override if lam_override is not None else section.get("lambda")
     if lam is None:
         raise ConfigError("workload section needs 'path' or 'lambda' (+ 'horizon')")
+    return generate_poisson_workload(_workload_spec(section, chip, float(lam), seed)), float(lam)
+
+
+def _workload_spec(section: dict, chip: Chip, lam: float, seed: int) -> WorkloadSpec:
     horizon = float(section.get("horizon", 30.0))
-    base = default_spec(chip.n_qubits, float(lam), horizon, seed)
-    spec = WorkloadSpec(
-        arrival_rate=float(lam),
+    base = default_spec(chip.n_qubits, lam, horizon, seed)
+    return WorkloadSpec(
+        arrival_rate=lam,
         horizon=horizon,
         qubit_dist=Distribution.from_dict(section["qubit_dist"]) if "qubit_dist" in section else base.qubit_dist,
         shots_dist=Distribution.from_dict(section["shots_dist"]) if "shots_dist" in section else base.shots_dist,
         t_e_dist=Distribution.from_dict(section["t_e_dist"]) if "t_e_dist" in section else base.t_e_dist,
         seed=seed,
     )
-    return generate_poisson_workload(spec), float(lam)
 
 
 def _build_policy(section: dict, name_override: str | None) -> Policy:
@@ -179,27 +185,45 @@ def _cell_row(policy_name: str, lam: float | None, seed: int, report) -> dict:
     }
 
 
-def _simulate_cell(doc: dict, policy_name: str | None, lam: float | None, seed: int,
-                   exclusive_flag: bool, ns_merge: dict):
-    """One isolated simulation cell; used directly and from worker processes."""
-    chip = _build_chip(doc.get("chip", {}))
-    workload, lam_used = _build_workload(doc.get("workload", {}), chip, seed, lam)
-    policy = _build_policy(doc.get("policy", {}), policy_name)
-    merge_section = dict(doc.get("merge", {}))
-    ns = argparse.Namespace(**ns_merge)
-    merge = _build_merge(merge_section, ns)
-    exclusive = exclusive_flag or bool(doc.get("exclusive", False))
-    config = SimConfig(
-        chip=chip,
-        workload=workload,
-        policy=policy,
-        merge=merge,
-        exclusive=exclusive,
-        seed=seed,
-        t_q_mode=doc.get("t_q_mode", "t2"),
+@dataclass(frozen=True)
+class _Cells:
+    """A config resolved once; its simulations differ only in policy,
+    arrival rate and seed."""
+
+    chip: Chip
+    workload: dict
+    merge: MergeConfig
+    exclusive: bool
+    t_q_mode: str
+
+    def simulate(self, policy: Policy, lam: float | None, seed: int):
+        workload, lam_used = _build_workload(self.workload, self.chip, seed, lam)
+        config = SimConfig(
+            chip=self.chip,
+            workload=workload,
+            policy=policy,
+            merge=self.merge,
+            exclusive=self.exclusive,
+            seed=seed,
+            t_q_mode=self.t_q_mode,
+        )
+        trace, report = run_simulation(config)
+        return trace, report, lam_used
+
+
+def _resolve(doc: dict, ns) -> _Cells:
+    """Build the chip, merge rule and coherence mode, so that a bad config
+    fails before anything is simulated. Flags absent from ``ns`` keep the
+    config's values."""
+    t_q_mode = doc.get("t_q_mode", "t2")
+    check_coherence_mode(t_q_mode)
+    return _Cells(
+        chip=_build_chip(doc.get("chip", {})),
+        workload=dict(doc.get("workload", {})),
+        merge=_build_merge(doc.get("merge", {}), ns),
+        exclusive=getattr(ns, "exclusive", False) or bool(doc.get("exclusive", False)),
+        t_q_mode=t_q_mode,
     )
-    trace, report = run_simulation(config)
-    return trace, report, lam_used
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
@@ -215,10 +239,9 @@ def _mean_rows(rows: list[dict]) -> list[dict]:
     for row in rows:
         cells.setdefault((row["policy"], row["lambda"]), []).append(row)
     means = []
-    numeric = ("throughput", "utilization", "mean_wt", "p95_wt", "pst", "mean_ratio", "makespan")
     for (policy, lam), cell_rows in sorted(cells.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
         mean = {"policy": policy, "lambda": lam, "seed": "mean"}
-        for col in numeric:
+        for col in METRIC_COLUMNS:
             mean[col] = sum(r[col] for r in cell_rows) / len(cell_rows)
         means.append(mean)
     return means
@@ -232,91 +255,99 @@ def cmd_run(ns) -> int:
         doc["workload"] = {"path": ns.workload}
     seeds = _resolve_seeds(ns, doc)
     out_dir = Path(ns.out or doc.get("output", {}).get("dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ns_merge = {"no_merge": ns.no_merge, "merge_alpha": ns.merge_alpha, "backfill": ns.backfill}
+    cells = _resolve(doc, ns)
+    policy = _build_policy(doc.get("policy", {}), ns.policy)
     rows = []
     per_seed = []
     first_trace = None
-    policy_name = None
     lam_used = None
     for seed in seeds:
-        trace, report, lam_used = _simulate_cell(
-            doc, ns.policy, ns.lam, seed, ns.exclusive, ns_merge
-        )
-        policy_name = trace.meta["policy"]
+        trace, report, lam_used = cells.simulate(policy, ns.lam, seed)
         if first_trace is None:
             first_trace = trace
-        rows.append(_cell_row(policy_name, lam_used, seed, report))
+        rows.append(_cell_row(policy.name, lam_used, seed, report))
         per_seed.append({"seed": seed, **report.to_dict()})
-    _write_csv(out_dir / "results.csv", rows)
     numeric_keys = [k for k, v in per_seed[0].items() if k != "seed" and isinstance(v, (int, float))]
     mean = {k: sum(p[k] for p in per_seed) / len(per_seed) for k in numeric_keys}
     summary = {
-        "policy": policy_name,
+        "policy": policy.name,
         "lambda": lam_used,
         "seeds": seeds,
         "mean": mean,
         "per_seed": per_seed,
     }
+    # per_seed holds every results.csv metric, so this covers all three files
     try:
         text = json.dumps(summary, indent=2, allow_nan=False)
+        trace_text = first_trace.to_jsonl()
     except ValueError as exc:
-        raise SimulationError(f"summary.json: {exc}") from exc
+        raise SimulationError(f"non-finite value in the outputs: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_csv(out_dir / "results.csv", rows)
     (out_dir / "summary.json").write_text(text + "\n")
-    (out_dir / "trace.jsonl").write_text(first_trace.to_jsonl())
+    (out_dir / "trace.jsonl").write_text(trace_text)
     print(f"wrote {out_dir}/summary.json, results.csv, trace.jsonl ({len(seeds)} seed(s))")
     return 0
 
 
-def _sweep_worker(args):
-    doc, policy_name, lam, seed = args
+def _sweep_cell(cells: _Cells, policy: Policy, lam: float, seed: int):
+    """(row, None) for a simulated cell, (None, reason) for a failed one."""
     try:
-        _, report, lam_used = _simulate_cell(
-            doc, policy_name, lam, seed, False,
-            {"no_merge": False, "merge_alpha": None, "backfill": False},
-        )
-        return (policy_name, lam, seed, _cell_row(policy_name, lam_used, seed, report), None)
+        _, report, lam_used = cells.simulate(policy, lam, seed)
     except Exception as exc:  # cell failures must not kill the sweep
-        return (policy_name, lam, seed, None, f"{type(exc).__name__}: {exc}")
+        return None, f"{type(exc).__name__}: {exc}"
+    row = _cell_row(policy.name, lam_used, seed, report)
+    bad = [col for col in METRIC_COLUMNS if not math.isfinite(row[col])]
+    if bad:
+        return None, f"non-finite {', '.join(bad)}"
+    return row, None
+
+
+_worker_cells: _Cells | None = None
+
+
+def _init_worker(cells: _Cells) -> None:
+    global _worker_cells
+    _worker_cells = cells
+
+
+def _worker_cell(args):
+    return _sweep_cell(_worker_cells, *args)
 
 
 def cmd_sweep(ns) -> int:
     doc = _load_config_file(ns.config)
     if ns.chip:
         doc["chip"] = {"path": ns.chip}
-    policies = [p.strip().lower() for p in ns.policies.split(",") if p.strip()]
-    if not policies:
+    names = [p.strip().lower() for p in ns.policies.split(",") if p.strip()]
+    if not names:
         raise ConfigError("sweep needs at least one policy")
-    for p in policies:
-        if p not in POLICY_NAMES:
-            raise ConfigError(f"unknown policy {p!r}")
     lambdas = [float(x) for x in ns.lambdas.split(",") if x.strip()]
     if not lambdas:
         raise ConfigError("sweep needs at least one lambda")
     seeds = _resolve_seeds(ns, doc)
     out_dir = Path(ns.out or doc.get("output", {}).get("dir", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(doc, p, lam, seed) for p in policies for lam in lambdas for seed in seeds]
-    results = {}
-    failures = []
+    cells = _resolve(doc, ns)
+    policies = [_build_policy(doc.get("policy", {}), name) for name in names]
+    for lam in lambdas:
+        _workload_spec(cells.workload, cells.chip, lam, 0)  # rejects a bad rate up front
+    grid = [(p, lam, seed) for p in policies for lam in lambdas for seed in seeds]
     if ns.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            for policy, lam, seed, row, err in pool.map(_sweep_worker, cells):
-                results[(policy, lam, seed)] = (row, err)
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=ns.jobs, initializer=_init_worker, initargs=(cells,)
+        ) as pool:
+            outcomes = list(pool.map(_worker_cell, grid))
     else:
-        for cell in cells:
-            policy, lam, seed, row, err = _sweep_worker(cell)
-            results[(policy, lam, seed)] = (row, err)
+        outcomes = [_sweep_cell(cells, *cell) for cell in grid]
     rows = []
-    for p in policies:
-        for lam in lambdas:
-            for seed in seeds:
-                row, err = results[(p, lam, seed)]
-                if err is not None:
-                    failures.append(f"{p} lambda={lam} seed={seed}: {err}")
-                else:
-                    rows.append(row)
+    failures = []
+    for (p, lam, seed), (row, err) in zip(grid, outcomes):
+        if err is not None:
+            failures.append(f"{p.name} lambda={lam} seed={seed}: {err}")
+        else:
+            rows.append(row)
     rows_out = rows + _mean_rows(rows)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "results.csv", rows_out)
     print(f"wrote {out_dir}/results.csv ({len(rows)} cell rows, {len(rows_out) - len(rows)} mean rows)")
     for failure in failures:
@@ -361,10 +392,9 @@ def cmd_validate(ns) -> int:
     checked = 0
     if ns.config:
         doc = _load_config_file(ns.config)
-        chip = _build_chip(doc.get("chip", {}))
-        _build_workload(doc.get("workload", {}), chip, seed=0, lam_override=None)
+        cells = _resolve(doc, argparse.Namespace())
+        _build_workload(cells.workload, cells.chip, seed=0, lam_override=None)
         _build_policy(doc.get("policy", {}), None)
-        check_coherence_mode(doc.get("t_q_mode", "t2"))
         print(f"config OK: {ns.config}")
         checked += 1
     if ns.chip:

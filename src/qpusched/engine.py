@@ -3,25 +3,28 @@
 Ties arrivals, queue ordering, merging, allocation, execution, and
 shot-boundary preemption together. A scheduling pass (reorder queue,
 select prefix, merge, allocate, start groups) runs at every arrival,
-group completion, quantum expiry, and executed preemption. Events at
-equal times process in a fixed kind order (completion before arrival
-before quantum expiry before preemption), then by id, so a simulation is
-a pure function of its config: identical configs produce byte-identical
-traces.
+group completion and executed preemption. Events at equal times process
+in a fixed kind order (completion < arrival < shot boundary), then by
+group or job id, so a simulation is a pure function of its config:
+identical configs produce byte-identical traces.
 
-Preemption never lands mid-shot. SRTF marks a running group when a
-queued job's remaining demand undercuts the group's; the mark fires at
-the group's next shot boundary and is re-validated there. RR and MFQ
-expire quanta exactly on shot boundaries; an expired group keeps running
-when the queue is empty (work conservation). A preempted merged group
-dissolves: each member returns to the queue with its own remaining
-shots, and members whose shots are already exhausted complete at the
-boundary.
+Preemption never lands mid-shot. One event kind, the shot boundary,
+carries every preemption point. SRTF marks a running group when a
+queued job's remaining demand undercuts the group's; the boundary event
+lands at the group's next shot boundary and re-checks the mark there.
+RR and MFQ schedule a boundary event where the quantum expires; there
+MFQ demotes the members, and the group is preempted if the queue is
+non-empty, else it is granted the next quantum (work conservation). A
+preempted merged group dissolves: each member returns to the queue with
+its own remaining shots, and members whose shots are already exhausted
+complete at the boundary.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,7 +57,7 @@ class MergeConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 1):
-            raise SimulationError(f"merge alpha must be finite and >= 1, got {self.alpha}")
+            raise ValueError(f"merge alpha must be finite and >= 1, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class SimConfig:
 
 
 # event kind ranks; equal-time ties process in this order
-COMPLETE, ARRIVAL, QUANTUM, PREEMPT = 0, 1, 2, 3
+COMPLETE, ARRIVAL, BOUNDARY = 0, 1, 2
 
 _EPS = 1e-9
 
@@ -137,82 +140,65 @@ class Trace:
 
     def to_jsonl(self) -> str:
         """Serialize the trace as JSON lines: meta, events, growth steps of
-        the allocations that recorded them, then job summaries."""
-        lines = [json.dumps({"type": "meta", **self.meta})]
-        for ev in self.events:
-            lines.append(json.dumps({"type": "event", **ev}))
-        for rec in self.allocations:
-            if rec.steps is not None:
-                lines.append(
-                    json.dumps(
-                        {
-                            "type": "growth",
-                            "group": rec.group_id,
-                            "root": rec.root,
-                            "steps": [
-                                {
-                                    "chosen": s.chosen,
-                                    "r_i": s.r_i,
-                                    "r_a": s.r_a,
-                                    "frontier": list(s.frontier),
-                                    "frontier_r_i": list(s.frontier_r_i),
-                                    "frontier_r_a": list(s.frontier_r_a),
-                                }
-                                for s in rec.steps
-                            ],
-                        }
-                    )
-                )
-        for jid in sorted(self.jobs):
-            rec = self.jobs[jid]
-            lines.append(
-                json.dumps(
+        the allocations that recorded them, then job summaries. A
+        non-finite number raises ``ValueError``."""
+        events = ({"type": "event", **ev} for ev in self.events)
+        growth = (
+            {
+                "type": "growth",
+                "group": rec.group_id,
+                "root": rec.root,
+                "steps": [dataclasses.asdict(s) for s in rec.steps],
+            }
+            for rec in self.allocations
+            if rec.steps is not None
+        )
+        jobs = (
+            {
+                "type": "job",
+                "id": jid,
+                "n": rec.job.n,
+                "shots": rec.job.shots,
+                "t_sub": rec.job.t_sub,
+                "t_e_shot": rec.job.t_e_shot,
+                "t_comp": rec.t_comp,
+                "preemptions": rec.preemptions,
+                "requeues": rec.requeues,
+                "executed_shots": rec.executed_shots,
+                "dispatches": [
                     {
-                        "type": "job",
-                        "id": jid,
-                        "n": rec.job.n,
-                        "shots": rec.job.shots,
-                        "t_sub": rec.job.t_sub,
-                        "t_e_shot": rec.job.t_e_shot,
-                        "t_comp": rec.t_comp,
-                        "preemptions": rec.preemptions,
-                        "requeues": rec.requeues,
-                        "executed_shots": rec.executed_shots,
-                        "dispatches": [
-                            {
-                                "start": d.start,
-                                "end": d.end,
-                                "group": d.group_id,
-                                "t_e_group": d.t_e_group,
-                                "shots_executed": d.shots_executed,
-                                "region": list(d.region),
-                            }
-                            for d in rec.dispatches
-                        ],
+                        "start": d.start,
+                        "end": d.end,
+                        "group": d.group_id,
+                        "t_e_group": d.t_e_group,
+                        "shots_executed": d.shots_executed,
+                        "region": list(d.region),
                     }
-                )
-            )
-        return "\n".join(lines) + "\n"
+                    for d in rec.dispatches
+                ],
+            }
+            for jid, rec in sorted(self.jobs.items())
+        )
+        docs = itertools.chain([{"type": "meta", **self.meta}], events, growth, jobs)
+        return "\n".join(json.dumps(doc, allow_nan=False) for doc in docs) + "\n"
 
 
 @dataclass
 class _RunningGroup:
+    """A dispatched group; its duration and shots are read from the group."""
+
     group: Group
     start: float
-    t_e: float
-    dispatch_shots: int
-    member_entry_shots: dict[int, int]
-    interval_idx: int
-    quantum_shots: int = 0       # 0 when the policy grants no quantum
-    quantum_start_shot: int = 0
-    preempt_pending: bool = False
+    interval: GroupInterval
+    preempt_pending: bool = False  # an SRTF boundary event is scheduled
 
 
 def remaining_demand(running: _RunningGroup, now: float) -> float:
     """Seconds of execution a running group still needs: remaining shots x t_e."""
-    done = int((now - running.start) / running.t_e + _EPS)
-    done = min(max(done, 0), running.dispatch_shots)
-    return (running.dispatch_shots - done) * running.t_e
+    t_e, shots = running.group.t_e_group, running.group.shots_group
+    done = int((now - running.start) / t_e + _EPS)
+    done = min(max(done, 0), shots)
+    return (shots - done) * t_e
 
 
 class _Simulation:
@@ -263,12 +249,10 @@ class _Simulation:
                 self._on_arrivals(time, batch)
             elif rank == COMPLETE:
                 if key in self.running:
-                    self._finish_group(key, time, preempted=False, done_shots=None)
+                    self._finish_group(key, time)
                     self._pass(time)
-            elif rank == QUANTUM:
-                self._on_quantum(time, key)
             else:
-                self._on_preempt_point(time, key, payload)
+                self._on_boundary(time, key, payload)
         incomplete = [jid for jid, rec in self.trace.jobs.items() if rec.t_comp is None]
         if incomplete or len(self.trace.jobs) != len(self.config.workload.jobs):
             raise SimulationError(f"simulation drained with incomplete jobs: {incomplete}")
@@ -282,60 +266,54 @@ class _Simulation:
             self.trace.log(now, "arrival", job=job.id, n=job.n, shots=job.shots)
         self._pass(now)
 
-    def _on_quantum(self, now: float, gid: int) -> None:
+    def _on_boundary(self, now: float, gid: int, shot: int) -> None:
+        """Shot ``shot`` of group ``gid`` ended where it may be preempted:
+        an SRTF mark is re-checked, an RR or MFQ quantum has expired."""
         rg = self.running.get(gid)
         if rg is None:
             return
-        done = rg.quantum_start_shot + rg.quantum_shots
-        if self.policy.name == "mfq":
-            for member in rg.group.members:
-                st = self.state.jobs[member.id]
-                st.mfq_level = min(st.mfq_level + 1, self.policy.mfq_levels - 1)
-        if self.queue:
-            self._finish_group(gid, now, preempted=True, done_shots=done)
-            self._pass(now)
+        if self.policy.name == "srtf":
+            rg.preempt_pending = False
+            snap = RunningSnapshot(gid, remaining_demand(rg, now))
+            if gid not in preemption_decision(self.policy, [snap], self.queue, now, self.state):
+                return  # the motivating job got served in the meantime
         else:
-            self._start_quantum(rg, done)
+            if self.policy.name == "mfq":
+                for member in rg.group.members:
+                    st = self.state.jobs[member.id]
+                    st.mfq_level = min(st.mfq_level + 1, self.policy.mfq_levels - 1)
+            if not self.queue:
+                self._start_quantum(rg, shot)
+                return
+        self._finish_group(gid, now, preempt_at=shot)
+        self._pass(now)
 
     def _start_quantum(self, rg: _RunningGroup, start_shot: int) -> None:
         """Grant the group its policy's quantum from ``start_shot`` on and
-        schedule the expiry, unless the quantum outlasts the dispatch."""
+        schedule the boundary where it expires, unless the quantum outlasts
+        the dispatch."""
         quantum: int | None = None
         if self.policy.name == "rr":
             quantum = self.policy.rr_quantum_shots
         elif self.policy.name == "mfq":
             level = min(self.state.jobs[j.id].mfq_level for j in rg.group.members)
             quantum = self.policy.quantum_shots_for_level(level)
-        rg.quantum_start_shot = start_shot
-        rg.quantum_shots = quantum or 0
-        if quantum is not None and start_shot + quantum < rg.dispatch_shots:
-            self._push(rg.start + (start_shot + quantum) * rg.t_e, QUANTUM, rg.group.id)
-
-    def _on_preempt_point(self, now: float, gid: int, target_shots: int) -> None:
-        rg = self.running.get(gid)
-        if rg is None:
-            return
-        rg.preempt_pending = False
-        snap = RunningSnapshot(gid, remaining_demand(rg, now))
-        still = preemption_decision(self.policy, [snap], self.queue, now, self.state)
-        if gid not in still:
-            return  # the motivating job got served in the meantime
-        self._finish_group(gid, now, preempted=True, done_shots=target_shots)
-        self._pass(now)
+        if quantum is not None and start_shot + quantum < rg.group.shots_group:
+            end = start_shot + quantum
+            self._push(rg.start + end * rg.group.t_e_group, BOUNDARY, rg.group.id, end)
 
     # -- group lifecycle ----------------------------------------------------
 
-    def _finish_group(self, gid: int, now: float, preempted: bool, done_shots: int | None) -> None:
+    def _finish_group(self, gid: int, now: float, preempt_at: int | None = None) -> None:
+        """End a dispatch: completed, or preempted after shot ``preempt_at``."""
         rg = self.running.pop(gid)
         self.occupancy.release(gid)
-        self.trace.intervals[rg.interval_idx].end = now
-        if done_shots is None:
-            done_shots = rg.dispatch_shots
-        done_shots = min(done_shots, rg.dispatch_shots)
+        rg.interval.end = now
+        shots = rg.group.shots_group
+        done_shots = shots if preempt_at is None else min(preempt_at, shots)
         requeued: list[int] = []
         completed: list[int] = []
-        for member in rg.group.members:
-            entry = rg.member_entry_shots[member.id]
+        for member, entry in zip(rg.group.members, rg.group.member_shots):
             executed = min(done_shots, entry)
             st = self.state.jobs[member.id]
             st.remaining_shots = entry - executed
@@ -353,7 +331,7 @@ class _Simulation:
                 self.queue.append(member)
                 st.rr_seq = self.state.next_rr_seq()
                 requeued.append(member.id)
-        kind = "preempt" if preempted else "group_complete"
+        kind = "group_complete" if preempt_at is None else "preempt"
         self.trace.log(
             now, kind, group=gid, shots_done=done_shots,
             completed=completed, requeued=requeued,
@@ -362,23 +340,13 @@ class _Simulation:
     def _start_group(self, placement: Placement, now: float) -> None:
         group = placement.group
         region = placement.region.qubits
-        rg = _RunningGroup(
-            group=group,
-            start=now,
-            t_e=group.t_e_group,
-            dispatch_shots=group.shots_group,
-            member_entry_shots={
-                j.id: self.state.jobs[j.id].remaining_shots for j in group.members
-            },
-            interval_idx=len(self.trace.intervals),
-        )
-        self.trace.intervals.append(GroupInterval(group_id=group.id, start=now, region=region))
+        interval = GroupInterval(group_id=group.id, start=now, region=region)
+        self.trace.intervals.append(interval)
+        rg = _RunningGroup(group=group, start=now, interval=interval)
         self.running[group.id] = rg
         self._push(now + group.shots_group * group.t_e_group, COMPLETE, group.id)
         self._start_quantum(rg, 0)
         for job in group.members:
-            st = self.state.jobs[job.id]
-            st.last_run = now
             self.trace.jobs[job.id].dispatches.append(
                 DispatchRecord(
                     start=now, group_id=group.id, region=region, t_e_group=group.t_e_group
@@ -401,7 +369,7 @@ class _Simulation:
             now, "dispatch", group=group.id, members=[j.id for j in group.members],
             root=placement.root, region=list(region),
             r_i=placement.stats.r_i, r_a=placement.stats.r_a,
-            shots=rg.dispatch_shots, t_e_group=group.t_e_group,
+            shots=group.shots_group, t_e_group=group.t_e_group,
         )
 
     # -- the scheduling pass --------------------------------------------------
@@ -476,15 +444,16 @@ class _Simulation:
         rg = self.running[gid]
         if rg.preempt_pending:
             return
-        k = math.ceil((now - rg.start) / rg.t_e - _EPS)  # next shot boundary, float-guarded
+        t_e, shots = rg.group.t_e_group, rg.group.shots_group
+        k = math.ceil((now - rg.start) / t_e - _EPS)  # next shot boundary, float-guarded
         # a freshly started group always executes at least one shot, otherwise
         # a mark at its own dispatch instant would preempt it with zero
         # progress and the pass could loop at one timestamp forever
-        k = min(max(k, 1), rg.dispatch_shots)
-        if k >= rg.dispatch_shots:
+        k = min(max(k, 1), shots)
+        if k >= shots:
             return  # would land at completion; let it finish
         rg.preempt_pending = True
-        self._push(rg.start + k * rg.t_e, PREEMPT, gid, k)
+        self._push(rg.start + k * t_e, BOUNDARY, gid, k)
 
 
 def run(config: SimConfig) -> tuple[Trace, MetricsReport]:

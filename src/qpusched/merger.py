@@ -14,6 +14,7 @@ are handed to the allocator in that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .workload import Job, service_demand
@@ -25,25 +26,37 @@ class Group:
 
     member_shots holds the shot count each member still needs (equal to
     job.shots for fresh jobs, less after a preemption); member_keys holds
-    each member's priority key under the active policy.
+    each member's priority key under the active policy. The rest is
+    derived: the group runs for the longest member's per-shot duration
+    (t_e_group) and the largest member's shot count (shots_group), needs
+    the summed member qubits (demand), and takes the best (smallest)
+    member key as its priority_key.
     """
 
     id: int
     members: tuple[Job, ...]
     member_shots: tuple[int, ...]
     member_keys: tuple[tuple, ...]
-    t_e_group: float
-    shots_group: int
-    demand: int
-    priority_key: tuple
 
     def __post_init__(self):
         if not self.members:
             raise ValueError("a group needs at least one member")
-        if self.demand != sum(j.n for j in self.members):
-            raise ValueError("group demand must equal the summed member demand")
-        if any(j.t_e_shot > self.t_e_group for j in self.members):
-            raise ValueError("group per-shot duration must cover every member")
+
+    @cached_property
+    def t_e_group(self) -> float:
+        return max(j.t_e_shot for j in self.members)
+
+    @cached_property
+    def shots_group(self) -> int:
+        return max(self.member_shots)
+
+    @cached_property
+    def demand(self) -> int:
+        return sum(j.n for j in self.members)
+
+    @cached_property
+    def priority_key(self) -> tuple:
+        return min(self.member_keys)
 
     @classmethod
     def build(
@@ -61,16 +74,7 @@ class Group:
             keys_by_id[j.id] if keys_by_id is not None else (j.t_sub, j.id)
             for j in members
         )
-        return cls(
-            id=group_id,
-            members=members,
-            member_shots=shots,
-            member_keys=keys,
-            t_e_group=max(j.t_e_shot for j in members),
-            shots_group=max(shots),
-            demand=sum(j.n for j in members),
-            priority_key=min(keys),
-        )
+        return cls(id=group_id, members=members, member_shots=shots, member_keys=keys)
 
     def worst_member(self) -> Job:
         """The lowest-priority member (largest key); requeue target on conflicts."""
@@ -78,24 +82,17 @@ class Group:
         return self.members[idx]
 
     def without(self, job_id: int) -> "Group":
-        """A copy of the group with one member removed; demand and durations recomputed."""
+        """A copy of the group with one member removed."""
         keep = [i for i, j in enumerate(self.members) if j.id != job_id]
         if len(keep) == len(self.members):
             raise ValueError(f"job {job_id} is not a member of group {self.id}")
         if not keep:
             raise ValueError("cannot remove the last member of a group")
-        members = tuple(self.members[i] for i in keep)
-        shots = tuple(self.member_shots[i] for i in keep)
-        keys = tuple(self.member_keys[i] for i in keep)
         return Group(
             id=self.id,
-            members=members,
-            member_shots=shots,
-            member_keys=keys,
-            t_e_group=max(j.t_e_shot for j in members),
-            shots_group=max(shots),
-            demand=sum(j.n for j in members),
-            priority_key=min(keys),
+            members=tuple(self.members[i] for i in keep),
+            member_shots=tuple(self.member_shots[i] for i in keep),
+            member_keys=tuple(self.member_keys[i] for i in keep),
         )
 
 

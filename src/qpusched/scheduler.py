@@ -18,9 +18,11 @@ Priority keys are tuples; SMALLER sorts first. Every key ends with
 Waiting time is wall time minus accumulated running time, so preempted
 jobs are not credited (or charged) for the time they actually ran.
 
-Preemption may only land between shots: an SRTF mark issued here takes
-effect at the next shot boundary of the running group. RR and MFQ quanta
-are counted in shots, so their expiries fall on shot boundaries too.
+Preemption may only land between shots. ``preemption_decision`` makes
+SRTF's marks; the engine re-checks a mark at the running group's next
+shot boundary and preempts only if it still holds. RR and MFQ quanta are
+counted in shots, so the engine handles their expiries at shot
+boundaries too, with the same boundary event.
 """
 
 from __future__ import annotations
@@ -60,10 +62,6 @@ class Policy:
         if not self.mfq_aging_s > 0:
             raise ValueError("mfq aging threshold must be positive")
 
-    @property
-    def preemptive(self) -> bool:
-        return self.name in ("srtf", "rr", "mfq")
-
     def quantum_shots_for_level(self, level: int) -> int | None:
         """Shot quantum at an MFQ level; None at the bottom (run to completion)."""
         if level >= self.mfq_levels - 1:
@@ -79,7 +77,6 @@ class JobState:
     run_time: float = 0.0     # seconds actually spent executing
     mfq_level: int = 0
     rr_seq: int = 0           # ring position; reassigned when requeued
-    last_run: float = -1.0    # start time of the most recent dispatch
 
 
 class SchedulerState:
@@ -190,7 +187,8 @@ def preemption_decision(
     Only SRTF marks groups here: those whose remaining demand is strictly
     above some queued job's remaining service demand. All other policies
     return the empty set; RR and MFQ preempt at quantum expiry in the
-    engine, when the queue is non-empty.
+    engine, when the queue is non-empty. The engine calls this both to
+    mark groups and to re-check a mark at its shot boundary.
     """
     if policy.name != "srtf" or not queue:
         return set()

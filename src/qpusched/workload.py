@@ -170,10 +170,11 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.arrival_rate > 0:
-            raise WorkloadError(f"arrival rate must be positive, got {self.arrival_rate}")
-        if not self.horizon > 0:
-            raise WorkloadError(f"horizon must be positive, got {self.horizon}")
+        # an infinite rate or horizon would make generation loop forever
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
+            raise WorkloadError(f"arrival rate must be finite and positive, got {self.arrival_rate}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise WorkloadError(f"horizon must be finite and positive, got {self.horizon}")
         if self.qubit_dist.support_min < 1:
             raise WorkloadError("qubit distribution support must be >= 1")
         if self.shots_dist.support_min < 1:

@@ -153,7 +153,28 @@ class TestRun:
         assert main(["run", "--chip", "chip.json", "--workload", "one.jsonl",
                      "--policy", "fcfs", "--out", "o"]) == 1
         assert "simulation error" in capsys.readouterr().err
-        assert not (workdir / "o" / "summary.json").exists()
+        for name in ("summary.json", "results.csv", "trace.jsonl"):
+            assert not (workdir / "o" / name).exists()
+
+    def test_bad_merge_alpha_flag_is_a_config_error(self, workdir, capsys):
+        write_minimal_inputs(workdir)
+        assert main(["run", "--chip", "chip.json", "--workload", "one.jsonl",
+                     "--policy", "fcfs", "--merge-alpha", "0.5", "--out", "o"]) == 2
+        assert "error: merge alpha" in capsys.readouterr().err
+        assert not (workdir / "o").exists()
+
+    def test_bad_merge_alpha_in_config_is_a_config_error(self, workdir, capsys):
+        config = {
+            "chip": {"grid": {"rows": 3, "cols": 3}},
+            "workload": {"lambda": 3.0, "horizon": 2.0},
+            "policy": {"name": "fcfs"},
+            "merge": {"alpha": 0.5},
+        }
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        assert main(["validate", "--config", "cfg.json"]) == 2
+        assert main(["run", "--config", "cfg.json", "--out", "o"]) == 2
+        assert "error: merge alpha" in capsys.readouterr().err
+        assert not (workdir / "o").exists()
 
     def test_exclusive_and_merge_flags(self, workdir):
         config = {
@@ -218,6 +239,77 @@ class TestSweep:
         (workdir / "cfg.json").write_text(json.dumps(config))
         assert main(["sweep", "--config", "cfg.json", "--policies", "lifo",
                      "--lambdas", "5"]) == 2
+
+
+def sweep_config(workdir, **extra):
+    config = {"chip": {"grid": {"rows": 3, "cols": 3}}, "workload": {"horizon": 2.0}, **extra}
+    (workdir / "cfg.json").write_text(json.dumps(config))
+
+
+class TestSweepErrors:
+    def test_unknown_coherence_mode_writes_nothing(self, workdir, capsys):
+        sweep_config(workdir, t_q_mode="bogus")
+        assert main(["sweep", "--config", "cfg.json", "--policies", "fcfs",
+                     "--lambdas", "5", "--out", "sw"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown coherence mode" in err
+        assert "cell failed" not in err
+        assert not (workdir / "sw").exists()
+
+    @pytest.mark.parametrize("lambdas", ["-1", "5,0", "inf"])
+    def test_bad_lambda_writes_nothing(self, workdir, capsys, lambdas):
+        sweep_config(workdir)
+        assert main(["sweep", "--config", "cfg.json", "--policies", "fcfs",
+                     "--lambdas", lambdas, "--out", "sw"]) == 2
+        assert "arrival rate" in capsys.readouterr().err
+        assert not (workdir / "sw").exists()
+
+    def test_bad_merge_alpha_writes_nothing(self, workdir):
+        sweep_config(workdir, merge={"alpha": 0.5})
+        assert main(["sweep", "--config", "cfg.json", "--policies", "fcfs",
+                     "--lambdas", "5", "--out", "sw"]) == 2
+        assert not (workdir / "sw").exists()
+
+    def test_bad_policy_parameter_writes_nothing(self, workdir):
+        sweep_config(workdir, policy={"rr_quantum_shots": 0})
+        assert main(["sweep", "--config", "cfg.json", "--policies", "fcfs,rr",
+                     "--lambdas", "5", "--out", "sw"]) == 2
+        assert not (workdir / "sw").exists()
+
+    def test_simulation_failure_fails_only_its_cell(self, workdir, monkeypatch, capsys):
+        sweep_config(workdir)
+        real_run = cli.run_simulation
+
+        def failing_run(config):
+            if config.policy.name == "sjf":
+                raise cli.SimulationError("boom")
+            return real_run(config)
+
+        monkeypatch.setattr(cli, "run_simulation", failing_run)
+        assert main(["sweep", "--config", "cfg.json", "--policies", "fcfs,sjf",
+                     "--lambdas", "5", "--out", "sw"]) == 1
+        err = capsys.readouterr().err
+        assert "cell failed: sjf lambda=5.0 seed=0: SimulationError: boom" in err
+        rows = read_rows(workdir / "sw" / "results.csv")
+        assert [(r["policy"], r["seed"]) for r in rows] == [("fcfs", "0"), ("fcfs", "mean")]
+
+    def test_non_finite_metric_fails_its_cell(self, workdir, monkeypatch, capsys):
+        sweep_config(workdir)
+        real_run = cli.run_simulation
+
+        def nan_run(config):
+            trace, report = real_run(config)
+            if config.policy.name == "sjf":
+                report = dataclasses.replace(report, mean_pst=math.nan)
+            return trace, report
+
+        monkeypatch.setattr(cli, "run_simulation", nan_run)
+        assert main(["sweep", "--config", "cfg.json", "--policies", "fcfs,sjf",
+                     "--lambdas", "5", "--out", "sw"]) == 1
+        assert "cell failed: sjf lambda=5.0 seed=0: non-finite pst" in capsys.readouterr().err
+        text = (workdir / "sw" / "results.csv").read_text()
+        assert "nan" not in text.lower()
+        assert [r["policy"] for r in read_rows(workdir / "sw" / "results.csv")] == ["fcfs", "fcfs"]
 
 
 class TestValidate:

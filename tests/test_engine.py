@@ -9,8 +9,10 @@ import math
 
 import pytest
 
+from qpusched import engine
 from qpusched.chip import ChipError, generate_grid
 from qpusched.engine import (
+    GroupInterval,
     MergeConfig,
     SimConfig,
     SimulationError,
@@ -35,7 +37,7 @@ def simulate(jobs, policy="fcfs", rows=4, cols=4, horizon=None, **kwargs):
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.5])
 def test_merge_alpha_must_be_finite_and_at_least_one(alpha):
-    with pytest.raises(SimulationError, match="alpha"):
+    with pytest.raises(ValueError, match="alpha"):
         MergeConfig(alpha=alpha)
 
 
@@ -171,6 +173,35 @@ class TestPreemption:
         assert trace.jobs[0].t_comp == pytest.approx(10.1)
         assert trace.jobs[0].executed_shots == 1000
 
+    def test_srtf_mark_cancelled_when_short_job_is_served_first(self, monkeypatch):
+        # 4x4 grid: short-lived job 1 (4 qubits, done at 0.015) and long job
+        # 0 (8 qubits, shot boundaries every 0.01) run side by side. Job 2
+        # arrives at 0.012, finds no room and marks group 1 (job 0) for its
+        # boundary at 0.02; job 1's completion at 0.015 frees room and job 2
+        # starts there, so the boundary re-check finds nothing to preempt for
+        decisions = []
+        real_decision = engine.preemption_decision
+
+        def recording_decision(policy, running, queue, now, state):
+            marked = real_decision(policy, running, queue, now, state)
+            decisions.append((now, sorted(s.group_id for s in running), marked))
+            return marked
+
+        monkeypatch.setattr(engine, "preemption_decision", recording_decision)
+        jobs = [make_job(0, n=8, shots=100, t_e=0.01),
+                make_job(1, n=4, shots=3, t_e=0.005),
+                make_job(2, n=4, shots=10, t_sub=0.012, t_e=0.001)]
+        trace, _ = simulate(jobs, policy="srtf", merge=MergeConfig(enabled=False))
+        assert decisions == [
+            (pytest.approx(0.012), [0, 1], {1}),  # the mark
+            (pytest.approx(0.02), [1], set()),    # its re-check at the boundary
+        ]
+        assert trace.jobs[2].dispatches[0].start == pytest.approx(0.015)
+        assert not [e for e in trace.events if e["kind"] == "preempt"]
+        assert len(trace.jobs[0].dispatches) == 1
+        assert trace.jobs[0].preemptions == 0
+        assert trace.jobs[0].t_comp == pytest.approx(1.0)
+
     def test_nonpreemptive_policies_produce_no_preempts(self):
         wl = generate_poisson_workload(default_spec(16, 5.0, 4.0, seed=4))
         chip = generate_grid(4, 4)
@@ -252,10 +283,7 @@ class TestExclusiveMode:
 class TestRemainingDemand:
     def _rg(self, shots=200, t_e=0.011):
         g = Group.build(0, [make_job(0, shots=shots, t_e=t_e)])
-        return _RunningGroup(
-            group=g, start=0.0, t_e=t_e, dispatch_shots=shots,
-            member_entry_shots={0: shots}, interval_idx=0,
-        )
+        return _RunningGroup(group=g, start=0.0, interval=GroupInterval(0, 0.0, ()))
 
     def test_fresh_group(self):
         rg = self._rg()

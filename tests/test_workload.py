@@ -98,6 +98,12 @@ class TestWorkloadSpec:
         with pytest.raises(WorkloadError):
             default_spec(64, arrival_rate=1.0, horizon=0.0)
 
+    @pytest.mark.parametrize("rate, horizon", [(math.inf, 10.0), (math.nan, 10.0), (1.0, math.inf)])
+    def test_rate_and_horizon_finite(self, rate, horizon):
+        # generation would never reach an infinite horizon or leave t = 0
+        with pytest.raises(WorkloadError, match="finite"):
+            default_spec(64, arrival_rate=rate, horizon=horizon)
+
     def test_support_checked_against_job_invariants(self):
         with pytest.raises(WorkloadError, match="qubit"):
             WorkloadSpec(
