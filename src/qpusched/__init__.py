@@ -23,7 +23,6 @@ from .chip import (
     CouplingGraph,
     DistanceMatrix,
     QubitSpec,
-    all_pairs_distances,
     backend_name,
     dump_chip,
     generate_grid,

@@ -96,17 +96,10 @@ class CouplingGraph:
             raise ChipError("coupling graph is disconnected")
 
     def _is_connected(self) -> bool:
-        if self.n_qubits == 1:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.n_qubits)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
         seen = {0}
         stack = [0]
         while stack:
-            u = stack.pop()
-            for v in adj[u]:
+            for v in self.neighbors[stack.pop()]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -123,12 +116,8 @@ class CouplingGraph:
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) int32 arrays: neighbor lists concatenated in qubit order."""
-        indptr = np.zeros(self.n_qubits + 1, dtype=np.int32)
-        for i, nbrs in enumerate(self.neighbors):
-            indptr[i + 1] = indptr[i] + len(nbrs)
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        for i, nbrs in enumerate(self.neighbors):
-            indices[indptr[i]:indptr[i + 1]] = nbrs
+        indptr = np.cumsum([0, *map(len, self.neighbors)], dtype=np.int32)
+        indices = np.array([v for nbrs in self.neighbors for v in nbrs], dtype=np.int32)
         return indptr, indices
 
     @cached_property
@@ -149,27 +138,41 @@ def backend_name() -> str:
 
 
 def _bfs_all_pairs(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
-    """Hop distances between all vertex pairs, -1 where unreachable.
+    """Read-only (n, n) hop distances of a connected graph, all sources at once.
 
-    Runs all sources simultaneously: the frontier is an (n, n) indicator
-    matrix advanced one level per mat-mul against the adjacency matrix.
-    float32 keeps the product on the BLAS path; entries are neighbor
-    counts bounded by the degree, far below float32's exact-integer range.
+    Bit-parallel BFS (Then et al., "The More the Merrier", PVLDB 8(4),
+    2014): bit s of the packed uint64 row v is set once source s has
+    reached v, and a level ORs the frontier rows of v's neighbours over the
+    CSR arrays. Levels are kept as bit planes (plane b holds bit b of each
+    distance) and unpacked a block of rows at a time, which bounds the
+    temporaries. int16 is exact up to 32768 vertices: the diameter is at
+    most n - 1.
     """
-    adj = np.zeros((n, n), dtype=np.float32)
-    for u in range(n):
-        adj[u, indices[indptr[u]:indptr[u + 1]]] = 1.0
-    dist = np.full((n, n), -1, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
-    frontier = np.eye(n, dtype=np.float32)
-    level = 0
-    while frontier.any():
-        level += 1
-        reached = (frontier @ adj) > 0
-        fresh = reached & (dist < 0)
-        dist[fresh] = level
-        frontier = fresh.astype(np.float32)
-    return dist
+    src = np.arange(n)
+    frontier = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    frontier[src, src // 64] = np.uint64(1) << (src % 64).astype(np.uint64)
+    seen = frontier.copy()
+    planes: list[np.ndarray] = []
+    for level in range(1, n):
+        frontier = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0) & ~seen
+        if not frontier.any():
+            break
+        seen |= frontier
+        if level >> len(planes):
+            planes.append(np.zeros_like(seen))
+        for b, plane in enumerate(planes):
+            if level >> b & 1:
+                plane |= frontier
+    del frontier, seen  # freed before the (n, n) matrix is allocated
+    hops = np.zeros((n, n), dtype=np.int16 if n <= 32768 else np.int32)
+    block = max(1, (1 << 19) // n)  # rows per unpacked block
+    for lo in range(0, n, block):
+        for b, plane in enumerate(planes):
+            packed = plane[lo:lo + block].astype("<u8", copy=False).view(np.uint8)
+            bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+            hops[lo:lo + block] |= bits.astype(hops.dtype) << b
+    hops.flags.writeable = False
+    return hops
 
 
 @dataclass(frozen=True)
@@ -177,9 +180,6 @@ class DistanceMatrix:
     """All-pairs shortest-path hop distances of a connected chip."""
 
     hops: np.ndarray = field(repr=False)
-
-    def d(self, a: int, b: int) -> int:
-        return int(self.hops[a, b])
 
     @cached_property
     def eccentricity(self) -> np.ndarray:
@@ -332,8 +332,3 @@ def generate_grid(
                 edges.append((q, q + cols))
     graph = CouplingGraph(n_qubits=n, edges=tuple(edges))
     return Chip(name=name or f"grid-{rows}x{cols}", graph=graph, specs=tuple(specs))
-
-
-def all_pairs_distances(chip: Chip) -> DistanceMatrix:
-    """Hop distances between every qubit pair (BFS from each qubit)."""
-    return chip.distances

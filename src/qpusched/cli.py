@@ -125,10 +125,13 @@ def _build_workload(section: dict, chip: Chip, seed: int, lam_override: float | 
 def _workload_spec(section: dict, chip: Chip, lam: float, seed: int) -> WorkloadSpec:
     horizon = float(section.get("horizon", 30.0))
     base = default_spec(chip.n_qubits, lam, horizon, seed)
+    qubit_dist = Distribution.from_dict(section["qubit_dist"]) if "qubit_dist" in section else base.qubit_dist
+    if qubit_dist.support_max > chip.n_qubits:
+        raise ConfigError(f"qubit_dist reaches {qubit_dist.support_max} qubits; the chip has {chip.n_qubits}")
     return WorkloadSpec(
         arrival_rate=lam,
         horizon=horizon,
-        qubit_dist=Distribution.from_dict(section["qubit_dist"]) if "qubit_dist" in section else base.qubit_dist,
+        qubit_dist=qubit_dist,
         shots_dist=Distribution.from_dict(section["shots_dist"]) if "shots_dist" in section else base.shots_dist,
         t_e_dist=Distribution.from_dict(section["t_e_dist"]) if "t_e_dist" in section else base.t_e_dist,
         seed=seed,

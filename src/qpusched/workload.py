@@ -132,9 +132,11 @@ class Distribution:
 
     @property
     def support_min(self):
-        if self.kind in ("int_uniform", "uniform"):
-            return self.low
-        return min(self.values)
+        return self.low if self.kind in ("int_uniform", "uniform") else min(self.values)
+
+    @property
+    def support_max(self):
+        return self.high if self.kind in ("int_uniform", "uniform") else max(self.values)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from qpusched.chip import (
     Chip,
@@ -20,7 +22,6 @@ from qpusched.chip import (
     CouplingGraph,
     DistanceMatrix,
     QubitSpec,
-    all_pairs_distances,
     dump_chip,
     generate_grid,
     load_chip,
@@ -193,33 +194,53 @@ class TestGenerateGrid:
         assert all(s.t2_us == 55.0 and s.readout_error == 0.03 for s in chip.specs)
 
 
+def scipy_hops(chip: Chip) -> np.ndarray:
+    """Independent oracle: scipy's unweighted shortest paths."""
+    n = chip.n_qubits
+    edges = np.array(chip.graph.edges, dtype=np.int64).reshape(-1, 2)
+    adj = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    return shortest_path(adj, directed=False, unweighted=True)
+
+
+@st.composite
+def connected_graph(draw):
+    """A random spanning tree plus random extra edges; n straddles 64-bit words."""
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129]))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        extra = draw(st.lists(pair, max_size=2 * n))
+        edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    perm = draw(st.permutations(range(n)))
+    return n, [(perm[a], perm[b]) for a, b in edges]
+
+
 class TestDistances:
     def test_path_graph(self):
-        chip = path_chip(3)
-        d = all_pairs_distances(chip)
-        assert d.d(0, 2) == 2
-        assert d.d(0, 1) == 1
+        hops = path_chip(3).distances.hops
+        assert hops[0, 2] == 2
+        assert hops[0, 1] == 1
 
     def test_self_distance_zero(self, grid5):
-        d = all_pairs_distances(grid5)
-        assert all(d.d(q, q) == 0 for q in range(grid5.n_qubits))
+        hops = grid5.distances.hops
+        assert all(hops[q, q] == 0 for q in range(grid5.n_qubits))
 
     def test_grid_corner_to_corner(self, grid5):
         # Manhattan distance oracle on the 5x5 lattice
-        assert all_pairs_distances(grid5).d(0, 24) == 8
+        assert grid5.distances.hops[0, 24] == 8
 
     def test_matches_networkx(self, grid5):
-        d = all_pairs_distances(grid5)
+        hops = grid5.distances.hops
         g = nx.Graph(grid5.graph.edges)
         for src, lengths in nx.all_pairs_shortest_path_length(g):
-            for dst, hops in lengths.items():
-                assert d.d(src, dst) == hops
+            for dst, d in lengths.items():
+                assert hops[src, dst] == d
 
     @given(rows=st.integers(1, 6), cols=st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
     def test_symmetry_and_triangle_inequality(self, rows, cols):
         chip = generate_grid(rows, cols)
-        h = all_pairs_distances(chip).hops.astype(np.int64)
+        h = chip.distances.hops.astype(np.int64)
         assert np.array_equal(h, h.T)
         assert np.all(np.diag(h) == 0)
         n = chip.n_qubits
@@ -235,15 +256,49 @@ class TestDistances:
             *connected_graphs(5),
         ]
         for n, edges in graphs:
-            hops = all_pairs_distances(uniform_chip(n, edges)).hops
+            hops = uniform_chip(n, edges).distances.hops
             g = nx.Graph(edges)
             g.add_nodes_from(range(n))
             for src, lengths in nx.all_pairs_shortest_path_length(g):
                 for dst, d in lengths.items():
                     assert hops[src, dst] == d, (n, edges, src, dst)
 
+    @given(graph=connected_graph())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_across_word_boundaries(self, graph):
+        n, edges = graph
+        chip = uniform_chip(n, edges)
+        assert np.array_equal(chip.distances.hops, scipy_hops(chip))
+
+    @pytest.mark.parametrize("n", [2, 64, 129, 300, 600])
+    def test_long_paths_use_every_bit_plane(self, n):
+        # diameters up to 599 need ten bit planes; a scrambled labelling
+        # spreads each level over several words
+        order = np.random.default_rng(n).permutation(n)
+        chip = uniform_chip(n, list(zip(order[:-1], order[1:])))
+        hops = chip.distances.hops
+        assert hops.max() == n - 1
+        assert np.array_equal(hops, scipy_hops(chip))
+
+    @pytest.mark.parametrize("chip", [
+        generate_grid(32, 32),
+        generate_grid(5, 13),
+        load_chip(json.dumps(heavy_hex_doc())),
+    ], ids=["grid32x32", "grid5x13", "heavy-hex"])
+    def test_matches_scipy_on_chips(self, chip):
+        assert np.array_equal(chip.distances.hops, scipy_hops(chip))
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (8, 8), (9, 15)])
+    def test_hops_int16_read_only_zero_diagonal(self, rows, cols):
+        hops = generate_grid(rows, cols).distances.hops
+        assert hops.dtype == np.int16
+        assert not hops.flags.writeable
+        assert not np.diag(hops).any()
+        with pytest.raises(ValueError, match="read-only"):
+            hops[0, 0] = 1
+
     def test_eccentricity(self, grid5):
-        ecc = all_pairs_distances(grid5).eccentricity
+        ecc = grid5.distances.eccentricity
         assert ecc[0] == 8       # corner
         assert ecc[12] == 4      # center
 
@@ -299,5 +354,5 @@ class TestTypes:
             Chip(name="x", graph=graph, specs=(QubitSpec(0, 100, 0.01),))
 
     def test_distance_matrix_equality(self, grid4):
-        a = DistanceMatrix(all_pairs_distances(grid4).hops.copy())
-        assert a == all_pairs_distances(grid4)
+        a = DistanceMatrix(grid4.distances.hops.copy())
+        assert a == grid4.distances

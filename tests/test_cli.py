@@ -312,6 +312,36 @@ class TestSweepErrors:
         assert [r["policy"] for r in read_rows(workdir / "sw" / "results.csv")] == ["fcfs", "fcfs"]
 
 
+class TestQubitDistBeyondChip:
+    """A qubit_dist reaching past the chip is a config error before anything runs."""
+
+    @pytest.fixture(params=[
+        {"kind": "int_uniform", "low": 2, "high": 20},
+        {"kind": "choice", "values": [2, 12]},
+    ], ids=["int_uniform", "choice"])
+    def config(self, workdir, request):
+        sweep_config(workdir, policy={"name": "fcfs"},
+                     workload={"lambda": 5.0, "horizon": 2.0, "qubit_dist": request.param})
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--config", "cfg.json"],
+        ["run", "--config", "cfg.json", "--out", "o"],
+        ["sweep", "--config", "cfg.json", "--policies", "fcfs", "--lambdas", "5", "--out", "o"],
+    ], ids=["validate", "run", "sweep"])
+    def test_exits_2_and_writes_nothing(self, config, workdir, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "qubit_dist reaches" in err and "the chip has 9" in err
+        assert "cell failed" not in err
+        assert not (workdir / "o").exists()
+
+    def test_support_up_to_the_chip_is_accepted(self, workdir):
+        sweep_config(workdir, policy={"name": "fcfs"},
+                     workload={"lambda": 5.0, "horizon": 2.0,
+                               "qubit_dist": {"kind": "choice", "values": [2, 9]}})
+        assert main(["validate", "--config", "cfg.json"]) == 0
+
+
 class TestValidate:
     def test_good_files(self, workdir):
         write_minimal_inputs(workdir)

@@ -86,6 +86,14 @@ class TestDistribution:
         d = Distribution("choice", values=(10, 20), weights=(0.0, 1.0))
         assert all(d.sample(rng) == 20 for _ in range(20))
 
+    @pytest.mark.parametrize("dist, lo, hi", [
+        (Distribution("int_uniform", low=3, high=7), 3, 7),
+        (Distribution("uniform", low=0.5, high=1.5), 0.5, 1.5),
+        (Distribution("choice", values=(12, 2, 5)), 2, 12),
+    ])
+    def test_support_bounds(self, dist, lo, hi):
+        assert (dist.support_min, dist.support_max) == (lo, hi)
+
     def test_round_trip(self):
         d = Distribution("choice", values=(1, 2, 3), weights=(1, 1, 2))
         assert Distribution.from_dict(d.to_dict()) == d
