@@ -37,7 +37,6 @@ from .metrics import (
     mean_region_ratio,
     pst_estimate,
     throughput,
-    utilization,
     weighted_turnaround,
 )
 from .scheduler import (

@@ -3,8 +3,9 @@
 Each dispatched group gets a connected region of exactly its demanded
 size. Regions of distinct groups may never touch: a free qubit adjacent
 to someone else's region is ineligible (it acts as a buffer), enforced as
-a candidate filter rather than by reserving qubits. ``buffer_mask`` is the
-one statement of that rule.
+a candidate filter rather than by reserving qubits. ``Occupancy.buffer_mask``
+is the one statement of that rule, and ``Occupancy.place`` refuses a region
+that breaks it.
 
 Placement of one group:
 
@@ -107,34 +108,53 @@ class GrowthResult:
 class Occupancy:
     """Mutable map from physical qubits to owning groups.
 
-    owner[q] is the owning group id, or -1 when free. One simulation owns
-    its Occupancy exclusively.
+    owner[q] is the owning group id, or -1 when free; near[q] counts the
+    owned neighbours of q. One simulation owns its Occupancy exclusively.
     """
 
     def __init__(self, chip: Chip):
         self.chip = chip
         self.owner = np.full(chip.n_qubits, -1, dtype=np.int32)
+        self.near = np.zeros(chip.n_qubits, dtype=np.intp)
         self.regions: dict[int, tuple[int, ...]] = {}
         self.roots: dict[int, int] = {}
+        self._counts: dict[int, np.ndarray] = {}  # per group: what it added to near
 
     def place(self, group_id: int, qubits: Iterable[int], root: int) -> None:
-        qs = sorted(int(q) for q in qubits)
+        """Give ``qubits`` to ``group_id``; they must be free and touch no
+        other group's region."""
+        qs = sorted(map(int, qubits))
         if group_id in self.regions:
             raise AllocationError(f"group {group_id} is already placed")
-        arr = np.array(qs, dtype=np.int64)
-        if np.any(self.owner[arr] >= 0):
+        arr = np.array(qs, dtype=np.intp)
+        if np.count_nonzero(self.owner[arr] >= 0):
             raise AllocationError("placement overlaps an owned qubit")
+        if np.count_nonzero(self.near[arr]):
+            raise AllocationError(f"group {group_id} touches another group's region")
         self.owner[arr] = group_id
+        counts = self._counts[group_id] = _neighbour_counts(self.chip, qs)
+        self.near += counts
         self.regions[group_id] = tuple(qs)
         self.roots[group_id] = int(root)
 
     def release(self, group_id: int) -> None:
         qs = self.regions.pop(group_id)
         self.roots.pop(group_id)
-        self.owner[np.array(qs, dtype=np.int64)] = -1
+        self.owner[np.array(qs, dtype=np.intp)] = -1
+        self.near -= self._counts.pop(group_id)
+
+    def buffer_mask(self) -> np.ndarray:
+        """Free qubits with an owned neighbour: buffers that no group may take."""
+        return (self.owner < 0) & (self.near > 0)
 
     def owned_count(self) -> int:
-        return int((self.owner >= 0).sum())
+        return sum(map(len, self.regions.values()))
+
+
+def _neighbour_counts(chip: Chip, qubits) -> np.ndarray:
+    """Per qubit, how many of its neighbours are in ``qubits``."""
+    nbrs = chip.graph.neighbors
+    return np.bincount([w for q in qubits for w in nbrs[q]], minlength=chip.n_qubits)
 
 
 def qubit_error(spec: QubitSpec, t_e_group: float, t_q_mode: str = "t2") -> float:
@@ -171,17 +191,6 @@ def region_ratio(chip: Chip, region: Iterable[int]) -> RegionStats:
         elif a_in or b_in:
             boundary += 1
     return RegionStats(r_i=r_i, r_a=r_i + boundary)
-
-
-def buffer_mask(chip: Chip, owner: np.ndarray) -> np.ndarray:
-    """Free qubits with an owned neighbor: buffers that no group may take.
-
-    ``owner`` maps each qubit to its owning group id, or -1 when free.
-    """
-    src, dst = chip.graph.arcs
-    mask = np.zeros(chip.n_qubits, dtype=bool)
-    mask[dst[owner[src] >= 0]] = True
-    return mask & (owner < 0)
 
 
 def _blockers(chip: Chip, occupancy: Occupancy, boundary: np.ndarray) -> frozenset[int]:
@@ -229,9 +238,8 @@ def _choose_root(
     The score is the summed hop distance to the roots of every group in
     ``occupancy``: running groups and those placed earlier in the pass.
     """
-    owner = occupancy.owner
-    buffer = buffer_mask(chip, owner)
-    elig = np.flatnonzero((owner < 0) & ~buffer)
+    buffer = occupancy.buffer_mask()
+    elig = np.flatnonzero((occupancy.owner < 0) & ~buffer)
     if not elig.size:
         return None, _blockers(chip, occupancy, buffer)
     dist = chip.distances
@@ -266,7 +274,7 @@ def grow_region(
     Greedy: every step adds the frontier candidate maximizing the
     post-addition r_i/r_a (exact comparison); ties prefer minimum E_Q,
     then the best next-step achievable ratio, then the lowest id. The
-    frontier never contains buffer qubits (see ``buffer_mask``).
+    frontier never contains buffer qubits (see ``Occupancy.buffer_mask``).
     Returns a stall naming the blocking groups when the root's open
     component (free, non-buffer qubits reachable from it) holds fewer
     than ``demand`` qubits; growth would take all of it and stop there.
@@ -282,21 +290,17 @@ def grow_region(
     degrees = chip.graph.degrees
     if owner[root] >= 0:
         raise AllocationError(f"root {root} is not free")
-    buffer = buffer_mask(chip, owner)
+    buffer = occupancy.buffer_mask()
     if buffer[root]:
         raise AllocationError(f"root {root} is adjacent to another group's region")
 
     open_ = (owner < 0) & ~buffer  # qubits the region may still take
     component = _short_component(chip, open_, root, demand)
     if component is not None:
-        src, dst = chip.graph.arcs
-        inside = np.zeros(n, dtype=bool)
-        inside[component] = True
-        near = np.zeros(n, dtype=bool)
-        near[dst[inside[src]]] = True
+        beside = _neighbour_counts(chip, component) > 0
         return GrowthResult(
             region=None, stats=None, steps=[],
-            blockers=_blockers(chip, occupancy, buffer & near),
+            blockers=_blockers(chip, occupancy, buffer & beside),
         )
 
     eq = _qubit_error_array(chip, t_e_group, t_q_mode)

@@ -115,11 +115,20 @@ def _build_workload(section: dict, chip: Chip, seed: int, lam_override: float | 
         path = Path(section["path"])
         if not path.exists():
             raise ConfigError(f"workload file not found: {path}")
-        return load_workload(path.read_bytes()), None
+        workload = load_workload(path.read_bytes())
+        _check_fits(workload, chip)
+        return workload, None
     lam = lam_override if lam_override is not None else section.get("lambda")
     if lam is None:
         raise ConfigError("workload section needs 'path' or 'lambda' (+ 'horizon')")
     return generate_poisson_workload(_workload_spec(section, chip, float(lam), seed)), float(lam)
+
+
+def _check_fits(workload: Workload, chip: Chip) -> None:
+    """Reject a workload with a job larger than the chip."""
+    big = next((j for j in workload.jobs if j.n > chip.n_qubits), None)
+    if big is not None:
+        raise ConfigError(f"job {big.id} demands {big.n} qubits; the chip has {chip.n_qubits}")
 
 
 def _workload_spec(section: dict, chip: Chip, lam: float, seed: int) -> WorkloadSpec:
@@ -393,6 +402,7 @@ def cmd_gen_workload(ns) -> int:
 
 def cmd_validate(ns) -> int:
     checked = 0
+    chip = None
     if ns.config:
         doc = _load_config_file(ns.config)
         cells = _resolve(doc, argparse.Namespace())
@@ -409,6 +419,8 @@ def cmd_validate(ns) -> int:
         if not path.exists():
             raise ConfigError(f"workload file not found: {path}")
         workload = load_workload(path.read_bytes())
+        if chip is not None:
+            _check_fits(workload, chip)
         print(f"workload OK: {ns.workload} ({len(workload)} jobs)")
         checked += 1
     if not checked:

@@ -12,9 +12,12 @@ All metrics are pure post-processing over the immutable trace:
                       final region of exp(-t_e/T_q) * (1 - readout_q)
   mean region ratio   average internal/total edge ratio over placements
 
-Occupancy over time is reconstructed here from the trace's dispatch
-intervals rather than read from engine internals, so utilization checks
-are an independent route over the same events.
+Occupancy over time is rebuilt from the trace's dispatch intervals, not
+read from engine internals: ``occupancy_timeline`` replays them through a
+fresh ``allocator.Occupancy``, whose ``place`` refuses overlapping or
+touching regions, so every report re-checks the buffer invariant.
+Intervals with ``end == start`` hold no qubit-time and are skipped. The
+benchmark's ``perfbench/check.py`` is the independent outside-in replay.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .allocator import buffer_mask
+from .allocator import Occupancy
 from .chip import Chip
 from .workload import service_demand
 
@@ -100,38 +103,36 @@ def occupancy_timeline(trace: "Trace", chip: Chip) -> list[tuple[float, float, i
     """Piecewise-constant (t0, t1, owned, buffer) spans rebuilt from intervals.
 
     Spans cover [first submission, last completion]; releases at a
-    breakpoint apply before placements at the same instant.
+    breakpoint apply before placements at the same instant. Regions are
+    placed with the roots of ``trace.allocations``; a region that overlaps
+    or touches another raises ``AllocationError``.
     """
     records = trace.completed_jobs()
     if not records:
         raise EmptyTraceError("empty trace")
     t_start = min(rec.job.t_sub for rec in records)
     t_end = max(rec.t_comp for rec in records)
+    roots = {rec.group_id: rec.root for rec in trace.allocations}
     changes: list[tuple[float, int, int]] = []  # (time, 0=release/1=place, interval idx)
     for idx, iv in enumerate(trace.intervals):
         if iv.end is None:
             raise EmptyTraceError(f"group {iv.group_id} interval never closed")
-        changes.append((iv.start, 1, idx))
-        changes.append((iv.end, 0, idx))
-    changes.sort(key=lambda c: (c[0], c[1], c[2]))
-    owner = np.full(chip.n_qubits, -1, dtype=np.int64)
+        if iv.end > iv.start:
+            changes.append((iv.start, 1, idx))
+            changes.append((iv.end, 0, idx))
+    changes.sort()
+    occ = Occupancy(chip)
     spans: list[tuple[float, float, int, int]] = []
     prev_t = t_start
-    pos = 0
-    while pos <= len(changes):
-        t = changes[pos][0] if pos < len(changes) else t_end
+    for t, action, idx in [*changes, (t_end, -1, -1)]:
         if t > prev_t:
-            owned = int((owner >= 0).sum())
-            buffer = int(buffer_mask(chip, owner).sum())
-            spans.append((prev_t, t, owned, buffer))
+            spans.append((prev_t, t, occ.owned_count(), int(np.count_nonzero(occ.buffer_mask()))))
             prev_t = t
-        if pos == len(changes):
-            break
-        _, action, idx = changes[pos]
-        iv = trace.intervals[idx]
-        arr = np.array(iv.region, dtype=np.int64)
-        owner[arr] = iv.group_id if action == 1 else -1
-        pos += 1
+        if action == 1:
+            iv = trace.intervals[idx]
+            occ.place(iv.group_id, iv.region, roots[iv.group_id])
+        elif action == 0:
+            occ.release(trace.intervals[idx].group_id)
     return spans
 
 
@@ -145,28 +146,6 @@ def busy_qubit_seconds(trace: "Trace") -> float:
                 raise EmptyTraceError(f"job {jid} has an open dispatch")
             terms.append(rec.job.n * (d.end - d.start))
     return math.fsum(terms)
-
-
-def _integrals(spans: list[tuple[float, float, int, int]]) -> tuple[float, float]:
-    """Integrals over the timeline of owned and of buffer qubits."""
-    owned = math.fsum(o * (t1 - t0) for t0, t1, o, _ in spans)
-    buffer = math.fsum(b * (t1 - t0) for t0, t1, _, b in spans)
-    return owned, buffer
-
-
-def busy_integral(trace: "Trace", chip: Chip) -> float:
-    """Timeline-side accounting: integral of owned qubits over the makespan."""
-    return _integrals(occupancy_timeline(trace, chip))[0]
-
-
-def utilization(trace: "Trace", chip: Chip) -> float:
-    """Owned-qubit time over total qubit time; buffer qubits count as idle."""
-    return busy_integral(trace, chip) / (chip.n_qubits * makespan(trace))
-
-
-def buffer_fraction(trace: "Trace", chip: Chip) -> float:
-    """Fraction of qubit time pinned as buffers next to running regions."""
-    return _integrals(occupancy_timeline(trace, chip))[1] / (chip.n_qubits * makespan(trace))
 
 
 def pst_estimate(record: "JobRecord", chip: Chip, t_q_mode: str = "t2") -> float:
@@ -203,12 +182,12 @@ def compute_report(trace: "Trace", chip: Chip, t_q_mode: str = "t2") -> MetricsR
     wt = {rec.job.id: weighted_turnaround(rec) for rec in records}
     pst = {rec.job.id: pst_estimate(rec, chip, t_q_mode) for rec in records}
     wt_values = np.array([wt[k] for k in sorted(wt)])
-    owned, buffer = _integrals(occupancy_timeline(trace, chip))  # one replay for both
+    spans = occupancy_timeline(trace, chip)
     qubit_time = chip.n_qubits * makespan(trace)
     return MetricsReport(
         throughput=throughput(trace),
-        utilization=owned / qubit_time,
-        buffer_fraction=buffer / qubit_time,
+        utilization=math.fsum(o * (t1 - t0) for t0, t1, o, _ in spans) / qubit_time,
+        buffer_fraction=math.fsum(b * (t1 - t0) for t0, t1, _, b in spans) / qubit_time,
         mean_wt=float(wt_values.mean()),
         median_wt=float(np.median(wt_values)),
         p95_wt=float(np.percentile(wt_values, 95)),

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from qpusched.chip import Chip, CouplingGraph, QubitSpec, generate_grid
+from qpusched.metrics import occupancy_timeline
 from qpusched.workload import Job
 
 
@@ -23,6 +25,11 @@ def uniform_chip(n_qubits: int, edges, t2=100.0, readout=0.01, name="test") -> C
 
 def path_chip(n: int) -> Chip:
     return uniform_chip(n, [(i, i + 1) for i in range(n - 1)], name=f"path-{n}")
+
+
+def timeline_qubit_seconds(trace, chip) -> float:
+    """Timeline-side accounting: integral of owned qubits over the makespan."""
+    return math.fsum(owned * (t1 - t0) for t0, t1, owned, _ in occupancy_timeline(trace, chip))
 
 
 def make_job(jid=0, n=2, shots=100, t_sub=0.0, t_e=0.001) -> Job:

@@ -20,7 +20,6 @@ from qpusched.allocator import (
     AllocationError,
     Occupancy,
     allocate,
-    buffer_mask,
     grow_region,
     qubit_error,
     region_ratio,
@@ -46,7 +45,13 @@ def singleton_group(gid, n, t_e=0.001, key=None):
 
 def draw_occupancy(data, chip=None, owner_ids=(0, 1, 2)):
     """A random occupancy by ``owner_ids`` of ``chip``, by default a grid or a
-    random connected chip (a random tree plus extra edges)."""
+    random connected chip (a random tree plus extra edges).
+
+    Regions need not be connected, but never touch: a qubit whose lower-id
+    neighbour belongs to another group is left free. A drawn subset of the
+    groups is then released again. Returns the chip, the final owner list
+    and the occupancy.
+    """
     if chip is None and data.draw(st.booleans(), label="grid"):
         chip = generate_grid(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)))
     elif chip is None:
@@ -59,10 +64,18 @@ def draw_occupancy(data, chip=None, owner_ids=(0, 1, 2)):
     owner = data.draw(
         st.lists(st.sampled_from([-1, -1, -1, *owner_ids]), min_size=n, max_size=n)
     )
+    for q in range(n):
+        if any(w < q and owner[w] not in (-1, owner[q]) for w in chip.graph.neighbors[q]):
+            owner[q] = -1
     occ = Occupancy(chip)
-    for g in sorted(set(owner) - {-1}):
+    groups = sorted(set(owner) - {-1})
+    for g in groups:
         qs = [q for q in range(n) if owner[q] == g]
         occ.place(g, qs, root=qs[0])
+    if groups:
+        for g in sorted(data.draw(st.sets(st.sampled_from(groups)), label="released")):
+            occ.release(g)
+            owner = [-1 if o == g else o for o in owner]
     return chip, owner, occ
 
 
@@ -129,6 +142,18 @@ def placed_roots(chip, groups):
     """Roots of the groups ``allocate`` places on an empty chip, in placement order."""
     outcome = allocate(chip, Occupancy(chip), groups)
     return [p.root for p in outcome.placed]
+
+
+class TestOccupancy:
+    def test_place_rejects_overlapping_and_touching_regions(self):
+        occ = Occupancy(path_chip(6))
+        occ.place(0, [0, 1], root=0)
+        with pytest.raises(AllocationError, match="overlaps"):
+            occ.place(1, [1, 2], root=2)
+        with pytest.raises(AllocationError, match="touches"):
+            occ.place(1, [2, 3], root=3)
+        occ.place(1, [3, 4], root=4)  # qubit 2 is the buffer between them
+        assert occ.buffer_mask().tolist() == [False, False, True, False, False, True]
 
 
 class TestSelectRoots:
@@ -263,7 +288,8 @@ class TestGrowRegion:
             adj[a].add(b)
             adj[b].add(a)
         buffers = {q for q in range(n) if owner[q] < 0 and any(owner[w] >= 0 for w in adj[q])}
-        assert set(np.flatnonzero(buffer_mask(chip, occ.owner)).tolist()) == buffers
+        assert set(np.flatnonzero(occ.buffer_mask()).tolist()) == buffers
+        assert occ.near.tolist() == [sum(owner[w] >= 0 for w in adj[q]) for q in range(n)]
 
         eligible = [q for q in range(n) if owner[q] < 0 and q not in buffers]
         if not eligible or len(eligible) == n:
@@ -289,7 +315,7 @@ class TestGrowRegion:
     def test_steps_on_and_off_agree(self, data):
         # recording the steps must not change the outcome
         chip, _, occ = draw_occupancy(data)
-        eligible = np.flatnonzero((occ.owner < 0) & ~buffer_mask(chip, occ.owner))
+        eligible = np.flatnonzero((occ.owner < 0) & ~occ.buffer_mask())
         if not eligible.size:
             return
         root = data.draw(st.sampled_from(eligible.tolist()))
@@ -469,6 +495,7 @@ def assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record
     assert replay.requeued == [] and replay.conflicts == []
     assert replay.placed == outcome.placed
     assert np.array_equal(fresh.owner, occ.owner)
+    assert np.array_equal(fresh.near, occ.near)
     assert fresh.roots == occ.roots
 
 

@@ -32,6 +32,14 @@ def write_minimal_inputs(tmp_path):
     )
 
 
+def write_oversized_inputs(tmp_path):
+    """A 3x3 chip and a workload file with one 12-qubit job."""
+    assert main(["gen-chip", "3", "3", "--out", "chip.json"]) == 0
+    (tmp_path / "big.jsonl").write_text(
+        '{"id": 0, "n": 12, "shots": 100, "t_sub": 0.0, "t_e_shot": 0.01}\n'
+    )
+
+
 class TestGenChip:
     def test_grid_file(self, workdir):
         assert main(["gen-chip", "5", "5", "--out", "chip.json"]) == 0
@@ -82,6 +90,14 @@ class TestRun:
         rc = main(["run", "--chip", "nope.json", "--policy", "fcfs"])
         assert rc == 2
         assert "nope.json" in capsys.readouterr().err
+
+    def test_oversized_workload_file_is_a_config_error(self, workdir, capsys):
+        write_oversized_inputs(workdir)
+        rc = main(["run", "--chip", "chip.json", "--workload", "big.jsonl",
+                   "--policy", "fcfs", "--out", "out"])
+        assert rc == 2
+        assert "job 0 demands 12 qubits; the chip has 9" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
 
     def test_no_policy(self, workdir, capsys):
         write_minimal_inputs(workdir)
@@ -357,6 +373,15 @@ class TestValidate:
         (workdir / "w.jsonl").write_text(json.dumps(doc) + "\n")
         assert main(["validate", "--workload", "w.jsonl"]) == 2
         assert f"{field} must be an integer" in capsys.readouterr().err
+
+    def test_oversized_workload_file(self, workdir, capsys):
+        write_oversized_inputs(workdir)
+        assert main(["validate", "--workload", "big.jsonl"]) == 0  # no chip to compare with
+        capsys.readouterr()
+        assert main(["validate", "--chip", "chip.json", "--workload", "big.jsonl"]) == 2
+        captured = capsys.readouterr()
+        assert "workload OK" not in captured.out
+        assert "job 0 demands 12 qubits; the chip has 9" in captured.err
 
     def test_nothing_given(self, workdir):
         assert main(["validate"]) == 2

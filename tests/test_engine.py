@@ -21,11 +21,11 @@ from qpusched.engine import (
     run,
 )
 from qpusched.merger import Group
-from qpusched.metrics import busy_integral, busy_qubit_seconds, occupancy_timeline
+from qpusched.metrics import busy_qubit_seconds, occupancy_timeline
 from qpusched.scheduler import Policy
 from qpusched.workload import Job, Workload, default_spec, generate_poisson_workload
 
-from conftest import make_job
+from conftest import make_job, timeline_qubit_seconds
 
 
 def simulate(jobs, policy="fcfs", rows=4, cols=4, horizon=None, **kwargs):
@@ -148,7 +148,7 @@ class TestConservation:
         # job-side sum must equal the merged-group interval integral: every
         # member owns its n qubits for exactly its group's residence time
         job_side = busy_qubit_seconds(trace)
-        timeline_side = busy_integral(trace, chip)
+        timeline_side = timeline_qubit_seconds(trace, chip)
         assert math.isclose(job_side, timeline_side, rel_tol=1e-12, abs_tol=1e-9)
 
     def test_pointwise_decomposition(self):

@@ -3,8 +3,9 @@
 Each scenario runs a seeded Poisson workload twice: with growth steps
 recorded, hashing ``Trace.to_jsonl()`` with its growth lines (``GOLDEN``),
 and with steps off, the engine's default, hashing ``Trace.to_jsonl()``
-(``GOLDEN_STEPS_OFF``). The allocator takes different code paths in the
-two cases, so both are pinned. A refactor of the scheduler, merger or
+(``GOLDEN_STEPS_OFF``). The two runs differ only in whether growth
+steps are logged; the allocator runs the same code either way. Both are
+pinned. A refactor of the scheduler, merger or
 allocator must leave every digest unchanged; a deliberate behaviour
 change updates the digests together with a CHANGES.md entry that
 explains it.

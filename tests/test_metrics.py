@@ -12,20 +12,17 @@ from qpusched.chip import generate_grid
 from qpusched.engine import MergeConfig, SimConfig, run
 from qpusched.metrics import (
     EmptyTraceError,
-    buffer_fraction,
-    busy_integral,
     busy_qubit_seconds,
     mean_region_ratio,
     occupancy_timeline,
     pst_estimate,
     throughput,
-    utilization,
     weighted_turnaround,
 )
 from qpusched.scheduler import Policy
 from qpusched.workload import Job, Workload, default_spec, generate_poisson_workload
 
-from conftest import make_job, uniform_chip
+from conftest import make_job, timeline_qubit_seconds, uniform_chip
 
 
 def simulate(jobs, rows=4, cols=4, policy="fcfs", **kwargs):
@@ -80,34 +77,43 @@ class TestThroughput:
 
 class TestUtilization:
     def test_full_chip_whole_makespan(self):
-        chip, trace, _ = simulate([make_job(0, n=16, shots=100, t_e=0.01)])
-        assert utilization(trace, chip) == pytest.approx(1.0)
-        assert buffer_fraction(trace, chip) == pytest.approx(0.0)
+        _, _, report = simulate([make_job(0, n=16, shots=100, t_e=0.01)])
+        assert report.utilization == pytest.approx(1.0)
+        assert report.buffer_fraction == pytest.approx(0.0)
 
     def test_half_chip_alone(self):
-        chip, trace, _ = simulate([make_job(0, n=8, shots=100, t_e=0.01)])
-        assert utilization(trace, chip) == pytest.approx(0.5)
+        _, _, report = simulate([make_job(0, n=8, shots=100, t_e=0.01)])
+        assert report.utilization == pytest.approx(0.5)
 
     def test_serial_idle_gap_hand_computed(self):
         # job0 busy [0, 1]; job1 submitted at 3, busy [3, 4]; makespan 4
         # integral = 16*1 + 16*1 = 32 over 16*4 -> 0.5
         jobs = [make_job(0, n=16, shots=100, t_e=0.01, t_sub=0.0),
                 make_job(1, n=16, shots=100, t_e=0.01, t_sub=3.0)]
-        chip, trace, _ = simulate(jobs, merge=MergeConfig(enabled=False))
-        assert utilization(trace, chip) == pytest.approx(0.5)
+        _, _, report = simulate(jobs, merge=MergeConfig(enabled=False))
+        assert report.utilization == pytest.approx(0.5)
 
     def test_buffer_fraction_positive_when_sharing(self):
         jobs = [make_job(0, n=4, shots=100, t_e=0.01),
                 make_job(1, n=4, shots=100, t_e=0.0101)]
-        chip, trace, _ = simulate(jobs, merge=MergeConfig(enabled=False))
-        assert buffer_fraction(trace, chip) > 0.0
+        _, _, report = simulate(jobs, merge=MergeConfig(enabled=False))
+        assert report.buffer_fraction > 0.0
+
+    def test_zero_length_dispatch_holds_no_qubit_time(self):
+        # 1e6 + 1e-12 == 1e6: job 0's dispatch starts and ends at one instant
+        jobs = [Job(0, 2, 1, 1e6, 1e-12), Job(1, 2, 100, 1e6 + 1, 1e-3)]
+        chip, trace, report = simulate(jobs, rows=3, cols=3)
+        assert trace.intervals[0].start == trace.intervals[0].end
+        assert report.utilization == pytest.approx(
+            busy_qubit_seconds(trace) / (chip.n_qubits * report.makespan))
+        assert report.utilization == pytest.approx(0.2 / (9 * 1.1))
 
     def test_conservation_identity(self):
         chip = generate_grid(4, 4)
         wl = generate_poisson_workload(default_spec(16, 3.0, 5.0, seed=11))
         trace, _ = run(SimConfig(chip=chip, workload=wl, policy=Policy("qsjf")))
         assert math.isclose(
-            busy_qubit_seconds(trace), busy_integral(trace, chip),
+            busy_qubit_seconds(trace), timeline_qubit_seconds(trace, chip),
             rel_tol=1e-12, abs_tol=1e-9,
         )
 
