@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -203,7 +204,7 @@ def _blockers(chip: Chip, occupancy: Occupancy, boundary: np.ndarray) -> frozens
     return frozenset(own[own >= 0].tolist() or occupancy.regions)
 
 
-def _short_component(chip: Chip, open_: np.ndarray, root: int, demand: int) -> list[int] | None:
+def _short_component(chip: Chip, open_: Sequence[bool], root: int, demand: int) -> list[int] | None:
     """The qubits reachable from ``root`` through ``open_``, if fewer than ``demand``.
 
     The search stops, returning None, once ``demand`` qubits are found.
@@ -217,17 +218,6 @@ def _short_component(chip: Chip, open_: np.ndarray, root: int, demand: int) -> l
                 seen.add(w)
                 stack.append(w)
     return list(seen) if len(seen) < demand else None
-
-
-def _best_ratio(r_i: np.ndarray, r_a: np.ndarray) -> np.ndarray:
-    """Ascending indices attaining the maximum r_i/r_a, compared exactly.
-
-    The float argmax finds a maximizer: distinct ratios with denominators
-    up to 2|E| never round to the same float64. Ties are then confirmed
-    by integer cross-multiplication.
-    """
-    m = int(np.argmax(r_i / r_a))
-    return np.flatnonzero(r_i * r_a[m] == r_i[m] * r_a)
 
 
 def _choose_root(
@@ -272,9 +262,11 @@ def grow_region(
     """Grow a connected region of ``demand`` qubits from ``root``.
 
     Greedy: every step adds the frontier candidate maximizing the
-    post-addition r_i/r_a (exact comparison); ties prefer minimum E_Q,
-    then the best next-step achievable ratio, then the lowest id. The
-    frontier never contains buffer qubits (see ``Occupancy.buffer_mask``).
+    post-addition r_i/r_a, compared exactly by integer cross-multiplication;
+    ties prefer minimum E_Q, then the best next-step achievable ratio, then
+    the lowest id. The frontier is a dict from each candidate to its links
+    into the region, so a step costs O(|frontier|), not O(n). It never
+    contains buffer qubits (see ``Occupancy.buffer_mask``).
     Returns a stall naming the blocking groups when the root's open
     component (free, non-buffer qubits reachable from it) holds fewer
     than ``demand`` qubits; growth would take all of it and stop there.
@@ -286,15 +278,13 @@ def grow_region(
     if not 1 <= demand <= n:
         raise AllocationError(f"demand {demand} outside 1..{n}")
     owner = occupancy.owner
-    indptr, indices = chip.graph.csr
-    degrees = chip.graph.degrees
     if owner[root] >= 0:
         raise AllocationError(f"root {root} is not free")
     buffer = occupancy.buffer_mask()
     if buffer[root]:
         raise AllocationError(f"root {root} is adjacent to another group's region")
 
-    open_ = (owner < 0) & ~buffer  # qubits the region may still take
+    open_ = ((owner < 0) & ~buffer).tolist()  # qubits the region may still take
     component = _short_component(chip, open_, root, demand)
     if component is not None:
         beside = _neighbour_counts(chip, component) > 0
@@ -303,52 +293,62 @@ def grow_region(
             blockers=_blockers(chip, occupancy, buffer & beside),
         )
 
-    eq = _qubit_error_array(chip, t_e_group, t_q_mode)
-    frontier = np.zeros(n, dtype=bool)
-    links = np.zeros(n, dtype=np.int64)  # per qubit: its neighbors inside the region
+    nbrs = chip.graph.neighbors
+    eq = None  # E_Q per qubit, computed at the first tie on the ratio
 
-    def join(q: int) -> None:
-        nbrs = indices[indptr[q]:indptr[q + 1]]
-        links[nbrs] += 1
-        open_[q] = frontier[q] = False
-        frontier[nbrs[open_[nbrs]]] = True
+    def join(front: dict[int, int], q: int) -> None:
+        for w in nbrs[q]:
+            if w in front:
+                front[w] += 1
+            elif open_[w]:
+                front[w] = 1
 
+    frontier: dict[int, int] = {}  # open qubit next to the region -> its links into it
     region = [root]
     r_i = 0
-    sum_deg = int(degrees[root])
-    join(root)
+    sum_deg = len(nbrs[root])
+    open_[root] = False
+    join(frontier, root)
     steps: list[GrowthStep] = []
 
     while len(region) < demand:
-        cand = np.flatnonzero(frontier)  # non-empty: the component holds demand qubits
-        ri_new = r_i + links[cand]
-        ra_new = (sum_deg + degrees[cand]) - ri_new
-        best = _best_ratio(ri_new, ra_new)
-        if best.size > 1:
-            errs = eq[cand[best]]
-            best = best[errs == errs.min()]
-        if best.size > 1 and len(region) + 1 < demand:
-            best = best[_lookahead_filter(
-                cand[best], ri_new[best], sum_deg, frontier, open_, links,
-                indptr, indices, degrees,
-            )]
-        chosen_i = int(best[0])
-        chosen = int(cand[chosen_i])
+        # never empty: the root's open component holds demand qubits
+        best = _best_candidates(frontier, r_i, sum_deg, nbrs)[0]
+        if len(best) > 1:
+            if eq is None:
+                eq = _qubit_error_array(chip, t_e_group, t_q_mode).tolist()
+            low = min(eq[c] for c in best)
+            best = [c for c in best if eq[c] == low]
+        if len(best) > 1 and len(region) + 1 < demand:
+            ahead = {}  # tied candidate -> best ratio its next frontier offers
+            for c in best:
+                nxt = frontier.copy()
+                del nxt[c]
+                join(nxt, c)
+                ahead[c] = _best_candidates(
+                    nxt, r_i + frontier[c], sum_deg + len(nbrs[c]), nbrs)[1:]
+            top_i, top_a = max(ahead.values(), key=lambda ra: Fraction(*ra))
+            best = [c for c in best if ahead[c][0] * top_a == top_i * ahead[c][1]]
+        chosen = min(best)
+        ri, deg = r_i + frontier[chosen], len(nbrs[chosen])
         if record_steps:
+            cand = sorted(frontier)
+            ri_new = [r_i + frontier[c] for c in cand]
             steps.append(
                 GrowthStep(
                     chosen=chosen,
-                    r_i=int(ri_new[chosen_i]),
-                    r_a=int(ra_new[chosen_i]),
-                    frontier=tuple(cand.tolist()),
-                    frontier_r_i=tuple(ri_new.tolist()),
-                    frontier_r_a=tuple(ra_new.tolist()),
+                    r_i=ri,
+                    r_a=sum_deg + deg - ri,
+                    frontier=tuple(cand),
+                    frontier_r_i=tuple(ri_new),
+                    frontier_r_a=tuple(sum_deg + len(nbrs[c]) - x for c, x in zip(cand, ri_new)),
                 )
             )
-        r_i = int(ri_new[chosen_i])
-        sum_deg += int(degrees[chosen])
+        r_i, sum_deg = ri, sum_deg + deg
+        del frontier[chosen]
         region.append(chosen)
-        join(chosen)
+        open_[chosen] = False
+        join(frontier, chosen)
 
     stats = RegionStats(r_i=r_i, r_a=sum_deg - r_i)
     return GrowthResult(
@@ -358,28 +358,25 @@ def grow_region(
     )
 
 
-def _lookahead_filter(
-    tied, ri_tied, sum_deg, frontier, open_, links, indptr, indices, degrees,
-) -> np.ndarray:
-    """Positions among ``tied`` candidates enabling the best next-step ratio."""
-    out_r = np.empty(len(tied), dtype=np.int64)
-    out_a = np.empty(len(tied), dtype=np.int64)
-    for j, c in enumerate(tied):
-        nbrs = indices[indptr[c]:indptr[c + 1]]
-        links[nbrs] += 1
-        nxt = frontier.copy()
-        nxt[c] = False
-        nxt[nbrs[open_[nbrs]]] = True
-        arr = np.flatnonzero(nxt)
-        if arr.size:
-            r2 = ri_tied[j] + links[arr]
-            a2 = (sum_deg + degrees[c] + degrees[arr]) - r2
-            m = int(np.argmax(r2 / a2))
-            out_r[j], out_a[j] = r2[m], a2[m]
-        else:
-            out_r[j], out_a[j] = -1, 1
-        links[nbrs] -= 1
-    return _best_ratio(out_r, out_a)
+def _best_candidates(
+    front: dict[int, int], r_i: int, sum_deg: int, nbrs
+) -> tuple[list[int], int, int]:
+    """Qubits of ``front`` whose addition maximizes r_i/r_a, and that (r_i, r_a).
+
+    ``front`` maps each candidate to its links into a region with ``r_i``
+    internal edges and degree sum ``sum_deg``. Ratios are compared exactly,
+    by integer cross-multiplication. An empty ``front`` gives ([], -1, 1).
+    """
+    best, best_i, best_a = [], -1, 1
+    for c, k in front.items():
+        ri = r_i + k
+        ra = sum_deg + len(nbrs[c]) - ri
+        d = ri * best_a - best_i * ra
+        if d > 0:
+            best, best_i, best_a = [c], ri, ra
+        elif d == 0:
+            best.append(c)
+    return best, best_i, best_a
 
 
 @dataclass(frozen=True)

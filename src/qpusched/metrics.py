@@ -82,12 +82,14 @@ def weighted_turnaround(record: "JobRecord") -> float:
 
 
 def makespan(trace: "Trace") -> float:
-    """Last completion minus first submission."""
+    """Last completion minus first submission; positive, since rates divide by it."""
     records = trace.completed_jobs()
     if not records:
         raise EmptyTraceError("empty trace")
     first_sub = min(rec.job.t_sub for rec in records)
     last_comp = max(rec.t_comp for rec in records)
+    if last_comp <= first_sub:
+        raise EmptyTraceError("trace spans zero time")
     return last_comp - first_sub
 
 

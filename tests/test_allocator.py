@@ -2,11 +2,13 @@
 
 Independent oracles: edge counts recomputed by brute force over the edge
 list, networkx connectivity checks, an exhaustive frontier enumeration
-replaying each recorded growth step, and a conflict-free replay of the
+replaying each recorded growth step, a from-scratch reference of the whole
+growth tie order (``reference_growth``), and a conflict-free replay of the
 groups that survived an ``allocate`` pass.
 """
 
 import math
+from fractions import Fraction
 from functools import cache
 
 import networkx as nx
@@ -25,7 +27,7 @@ from qpusched.allocator import (
     region_ratio,
     resolve_conflict,
 )
-from qpusched.chip import QubitSpec, generate_grid
+from qpusched.chip import Chip, CouplingGraph, QubitSpec, generate_grid
 from qpusched.merger import Group
 
 from conftest import make_job, path_chip, uniform_chip
@@ -43,6 +45,15 @@ def singleton_group(gid, n, t_e=0.001, key=None):
     return g
 
 
+def draw_connected_graph(data, min_n, max_n):
+    """(n, edges): a random tree on ``n`` vertices plus up to ``n`` extra edges."""
+    n = data.draw(st.integers(min_n, max_n))
+    edges = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    return n, sorted(edges)
+
+
 def draw_occupancy(data, chip=None, owner_ids=(0, 1, 2)):
     """A random occupancy by ``owner_ids`` of ``chip``, by default a grid or a
     random connected chip (a random tree plus extra edges).
@@ -55,11 +66,7 @@ def draw_occupancy(data, chip=None, owner_ids=(0, 1, 2)):
     if chip is None and data.draw(st.booleans(), label="grid"):
         chip = generate_grid(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)))
     elif chip is None:
-        n = data.draw(st.integers(2, 16))
-        edges = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        edges |= set(data.draw(st.lists(st.sampled_from(pairs), max_size=n)))
-        chip = uniform_chip(n, sorted(edges))
+        chip = uniform_chip(*draw_connected_graph(data, 2, 16))
     n = chip.n_qubits
     owner = data.draw(
         st.lists(st.sampled_from([-1, -1, -1, *owner_ids]), min_size=n, max_size=n)
@@ -277,6 +284,32 @@ class TestGrowRegion:
             assert chosen.r_i * best[1] == best[0] * chosen.r_a  # attains the max
             region.append(step.chosen)
 
+    def test_ratio_tie_logs_the_chosen_candidates_pair(self):
+        # root 1 takes 0 first; then 3 (3/6) and 2 (2/4) tie on the ratio,
+        # 3 entering the frontier first. The last step has no lookahead and
+        # E_Q ties on uniform specs, so the lowest id, 2, wins with its own pair.
+        chip = uniform_chip(6, [(0, 1), (0, 2), (0, 3), (1, 3), (3, 4), (3, 5)])
+        res = grow_region(chip, Occupancy(chip), root=1, demand=3, t_e_group=0.001, group_id=0)
+        last = res.steps[-1]
+        assert (last.chosen, last.r_i, last.r_a) == (2, 2, 4)
+        assert dict(zip(last.frontier, zip(last.frontier_r_i, last.frontier_r_a))) == {
+            2: (2, 4), 3: (3, 6)}
+        assert res.region.qubits == (0, 1, 2)
+        assert (res.stats.r_i, res.stats.r_a) == (2, 4)
+
+    def test_lookahead_skips_the_last_step(self):
+        # root 0 sits on the triangle 0-2-4 and the path 0-1-3; its three
+        # neighbours tie on the ratio and on E_Q. With a step to come, the
+        # lookahead prefers 2 (then 4 closes the triangle); on the last step
+        # it does not run and the lowest id, 1, wins.
+        chip = uniform_chip(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 4)])
+        grown = {
+            demand: grow_region(chip, Occupancy(chip), root=0, demand=demand,
+                                t_e_group=0.001, group_id=0).region.qubits
+            for demand in (2, 3)
+        }
+        assert grown == {2: (0, 1), 3: (0, 2, 4)}
+
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_buffers_and_stall_blockers_match_edge_scan(self, data):
@@ -466,6 +499,82 @@ def test_allocate_properties_random(rows, cols, demands):
 @cache
 def small_graphs():
     return [(n, edges) for n, graphs in enumerate_validated(6).items() for edges in graphs]
+
+
+def reference_growth(chip, occ, root, demand, t_e):
+    """The qubits, in the order taken, of the growth rule recomputed from scratch.
+
+    Every candidate is rescored with ``region_ratio``: the best exact ratio,
+    then the minimum E_Q, then (except at the last step) the best ratio the
+    next frontier offers, then the lowest id.
+    """
+    buffer = occ.buffer_mask()
+    open_ = {q for q in range(chip.n_qubits) if occ.owner[q] < 0 and not buffer[q]}
+    # the library's E_Q values: this oracle checks the order of the rule, not exp
+    eq = allocator._qubit_error_array(chip, t_e, "t2").tolist()
+
+    def frontier(region):
+        return sorted({w for q in region for w in chip.graph.neighbors[q] if w in open_}
+                      - set(region))
+
+    def best(region, cands):
+        """Candidates attaining the top post-addition ratio, and that ratio."""
+        ratio = {}
+        for c in cands:
+            stats = region_ratio(chip, region + [c])
+            ratio[c] = Fraction(stats.r_i, stats.r_a)
+        top = max(ratio.values(), default=Fraction(-1))
+        return [c for c in cands if ratio[c] == top], top
+
+    region = [root]
+    while len(region) < demand:
+        tied = best(region, frontier(region))[0]
+        low = min(eq[c] for c in tied)
+        tied = [c for c in tied if eq[c] == low]
+        if len(tied) > 1 and len(region) + 1 < demand:
+            ahead = {c: best(region + [c], frontier(region + [c]))[1] for c in tied}
+            tied = [c for c in tied if ahead[c] == max(ahead.values())]
+        region.append(min(tied))
+    return region
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_growth_tie_order_matches_reference_rule(data):
+    if data.draw(st.booleans(), label="enumerated"):
+        n, edges = data.draw(st.sampled_from(small_graphs()), label="graph")
+    else:
+        n, edges = draw_connected_graph(data, 7, 14)
+    if data.draw(st.booleans(), label="uniform"):
+        chip = uniform_chip(n, edges)  # E_Q always ties: the lookahead and the id decide
+    else:
+        specs = tuple(
+            QubitSpec(id=q, t2_us=data.draw(st.sampled_from([50.0, 100.0])),
+                      readout_error=data.draw(st.sampled_from([0.01, 0.02])))
+            for q in range(n)
+        )
+        chip = Chip("noisy", CouplingGraph(n, tuple(edges)), specs)
+    if data.draw(st.booleans(), label="occupied"):
+        chip, _, occ = draw_occupancy(data, chip, owner_ids=(90, 91))
+    else:
+        occ = Occupancy(chip)  # the whole chip open: long growths, more ties
+    open_ = np.flatnonzero((occ.owner < 0) & ~occ.buffer_mask()).tolist()
+    if not open_:
+        return
+    root = data.draw(st.sampled_from(open_), label="root")
+    g = nx.Graph()
+    g.add_nodes_from(open_)
+    g.add_edges_from((a, b) for a, b in chip.graph.edges if a in g and b in g)
+    demand = data.draw(st.integers(1, len(nx.node_connected_component(g, root))), label="demand")
+
+    want = reference_growth(chip, occ, root, demand, 0.001)
+    res = grow_region(chip, occ, root=root, demand=demand, t_e_group=0.001, group_id=7)
+    assert [step.chosen for step in res.steps] == want[1:]
+    for k, step in enumerate(res.steps, start=2):
+        stats = region_ratio(chip, want[:k])
+        assert (step.r_i, step.r_a) == (stats.r_i, stats.r_a)
+    assert res.region.qubits == tuple(sorted(want))
+    assert res.stats == region_ratio(chip, want)
 
 
 def copy_of(occ):

@@ -157,6 +157,17 @@ class TestRun:
                      "--policy", "fcfs", "--out", "o"]) == 2
         assert "error: empty trace" in capsys.readouterr().err
 
+    def test_zero_makespan_exits_2_and_writes_nothing(self, workdir, capsys):
+        # 1e6 + 1e-12 == 1e6: the only job completes at its submission instant
+        assert main(["gen-chip", "3", "3", "--out", "chip.json"]) == 0
+        (workdir / "zero.jsonl").write_text(
+            '{"id": 0, "n": 2, "shots": 1, "t_sub": 1e6, "t_e_shot": 1e-12}\n'
+        )
+        assert main(["run", "--chip", "chip.json", "--workload", "zero.jsonl",
+                     "--policy", "fcfs", "--out", "o"]) == 2
+        assert "error: trace spans zero time" in capsys.readouterr().err
+        assert not (workdir / "o").exists()
+
     def test_non_finite_metric_is_not_written(self, workdir, monkeypatch, capsys):
         write_minimal_inputs(workdir)
         real_run = cli.run_simulation

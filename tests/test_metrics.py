@@ -201,6 +201,12 @@ class TestReport:
         assert doubled.mean_wt == base.mean_wt
         assert doubled.wt_by_job == base.wt_by_job
 
+    def test_zero_makespan_is_an_empty_trace(self):
+        # 1e6 + 1e-12 == 1e6: the only job completes at its submission instant,
+        # so compute_report (inside run) has no time span to divide by
+        with pytest.raises(EmptyTraceError, match="trace spans zero time"):
+            simulate([Job(0, 2, 1, 1e6, 1e-12)], rows=3, cols=3)
+
     def test_report_dict_keys(self):
         chip, trace, report = simulate([make_job(0, n=4, shots=10, t_e=0.001)])
         doc = report.to_dict()
