@@ -10,10 +10,12 @@ that breaks it.
 Placement of one group:
 
 1. Root choice: among eligible qubits, maximize the summed hop distance
-   to the roots of already-placed and still-running groups, then (on
-   ties) the graph eccentricity; remaining ties go to the smallest error
-   score, then the lowest id. With no prior roots this reduces to pure
-   eccentricity maximization, pushing the first root to the chip rim.
+   to the roots of already-placed and still-running groups, the sum of
+   those roots' rows of the distance matrix; then (on ties) the graph
+   eccentricity; remaining ties go to the smallest error score, then the
+   lowest id. With no prior roots the sum is zero everywhere, so this
+   reduces to pure eccentricity maximization, pushing the first root to
+   the chip rim.
 2. Growth: starting from the root, repeatedly add the frontier qubit
    that maximizes the region's internal-to-total edge ratio r_i/r_a
    (compared exactly, by integer cross-multiplication). Ties prefer the
@@ -133,7 +135,9 @@ class Occupancy:
         if np.count_nonzero(self.near[arr]):
             raise AllocationError(f"group {group_id} touches another group's region")
         self.owner[arr] = group_id
-        counts = self._counts[group_id] = _neighbour_counts(self.chip, qs)
+        nbrs = self.chip.graph.neighbors
+        counts = self._counts[group_id] = np.bincount(
+            [w for q in qs for w in nbrs[q]], minlength=len(nbrs))
         self.near += counts
         self.regions[group_id] = tuple(qs)
         self.roots[group_id] = int(root)
@@ -150,12 +154,6 @@ class Occupancy:
 
     def owned_count(self) -> int:
         return sum(map(len, self.regions.values()))
-
-
-def _neighbour_counts(chip: Chip, qubits) -> np.ndarray:
-    """Per qubit, how many of its neighbours are in ``qubits``."""
-    nbrs = chip.graph.neighbors
-    return np.bincount([w for q in qubits for w in nbrs[q]], minlength=chip.n_qubits)
 
 
 def qubit_error(spec: QubitSpec, t_e_group: float, t_q_mode: str = "t2") -> float:
@@ -194,14 +192,15 @@ def region_ratio(chip: Chip, region: Iterable[int]) -> RegionStats:
     return RegionStats(r_i=r_i, r_a=r_i + boundary)
 
 
-def _blockers(chip: Chip, occupancy: Occupancy, boundary: np.ndarray) -> frozenset[int]:
+def _blockers(chip: Chip, occupancy: Occupancy, boundary: Iterable[int]) -> frozenset[int]:
     """Groups owning a qubit next to some qubit of ``boundary``.
 
     With none, every placed group is named.
     """
-    src, dst = chip.graph.arcs
-    own = occupancy.owner[dst[boundary[src]]]
-    return frozenset(own[own >= 0].tolist() or occupancy.regions)
+    nbrs = chip.graph.neighbors
+    owner = occupancy.owner.tolist()
+    own = {owner[w] for q in boundary for w in nbrs[q]} - {-1}
+    return frozenset(own or occupancy.regions)
 
 
 def _short_component(chip: Chip, open_: Sequence[bool], root: int, demand: int) -> list[int] | None:
@@ -225,19 +224,16 @@ def _choose_root(
 ) -> tuple[int | None, frozenset[int]]:
     """Best root for the next group, or (None, blockers) when none exists.
 
-    The score is the summed hop distance to the roots of every group in
-    ``occupancy``: running groups and those placed earlier in the pass.
+    The score is the sum of the distance rows of the roots of every group
+    in ``occupancy`` (running groups and those placed earlier in the pass),
+    read at the eligible qubits; with no roots the sum is zero.
     """
     buffer = occupancy.buffer_mask()
     elig = np.flatnonzero((occupancy.owner < 0) & ~buffer)
     if not elig.size:
-        return None, _blockers(chip, occupancy, buffer)
+        return None, _blockers(chip, occupancy, np.flatnonzero(buffer).tolist())
     dist = chip.distances
-    if occupancy.roots:
-        priors = np.array(sorted(occupancy.roots.values()), dtype=np.int64)
-        score = dist.hops[np.ix_(elig, priors)].sum(axis=1)
-    else:
-        score = np.zeros(elig.size, dtype=np.int64)
+    score = dist.hops[list(occupancy.roots.values())].sum(axis=0)[elig]
     ecc = dist.eccentricity[elig]
     keep = score == score.max()
     keep &= ecc == ecc[keep].max()
@@ -285,15 +281,17 @@ def grow_region(
         raise AllocationError(f"root {root} is adjacent to another group's region")
 
     open_ = ((owner < 0) & ~buffer).tolist()  # qubits the region may still take
+    nbrs = chip.graph.neighbors
     component = _short_component(chip, open_, root, demand)
     if component is not None:
-        beside = _neighbour_counts(chip, component) > 0
+        # a closed neighbour of an open qubit is free (regions touch no open
+        # qubit), so it is a buffer
+        boundary = {w for q in component for w in nbrs[q] if not open_[w]}
         return GrowthResult(
             region=None, stats=None, steps=[],
-            blockers=_blockers(chip, occupancy, buffer & beside),
+            blockers=_blockers(chip, occupancy, boundary),
         )
 
-    nbrs = chip.graph.neighbors
     eq = None  # E_Q per qubit, computed at the first tie on the ratio
 
     def join(front: dict[int, int], q: int) -> None:

@@ -125,12 +125,6 @@ class CouplingGraph:
         indptr, _ = self.csr
         return np.diff(indptr).astype(np.int64)
 
-    @cached_property
-    def arcs(self) -> np.ndarray:
-        """(2, 2m) array of directed arcs: every edge once in each direction."""
-        e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        return np.concatenate([e, e[:, ::-1]]).T
-
 
 def backend_name() -> str:
     """Identifier of the numeric backend; numpy is the only one."""

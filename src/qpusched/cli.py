@@ -81,30 +81,53 @@ def _load_config_file(path: str | None) -> dict:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return doc
+    return _typed(doc, dict, f"config {path}")
+
+
+_REQUIRED = object()
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+          list: "a list", dict: "an object"}
+
+
+def _field(section: dict, key: str, kind: type, default=_REQUIRED):
+    """``section[key]`` checked by ``_typed``, or ``default`` when absent or null."""
+    value = section.get(key)
+    if value is None and default is _REQUIRED:
+        raise ConfigError(f"missing key {key!r}")
+    return default if value is None else _typed(value, kind, key)
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` as a JSON ``kind``: bool takes only true and false, int an
+    integral finite number (4 or 4.0), float any number."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _build_chip(section: dict) -> Chip:
     if "path" in section:
-        path = Path(section["path"])
+        path = Path(_field(section, "path", str))
         if not path.exists():
             raise ConfigError(f"chip file not found: {path}")
         return load_chip(path.read_bytes())
     if "grid" in section:
-        g = section["grid"]
+        g = _field(section, "grid", dict)
         template = QubitSpec(
             id=0,
-            t2_us=float(g.get("t2_us", 100.0)),
-            readout_error=float(g.get("readout_error", 0.01)),
-            t1_us=float(g["t1_us"]) if g.get("t1_us") is not None else None,
+            t2_us=_field(g, "t2_us", float, 100.0),
+            readout_error=_field(g, "readout_error", float, 0.01),
+            t1_us=_field(g, "t1_us", float, None),
         )
         return generate_grid(
-            int(g["rows"]), int(g["cols"]),
+            _field(g, "rows", int), _field(g, "cols", int),
             spec_template=template,
-            noise_seed=g.get("noise_seed"),
-            name=g.get("name"),
+            noise_seed=_field(g, "noise_seed", int, None),
+            name=_field(g, "name", str, None),
         )
     raise ConfigError("chip section needs either 'path' or 'grid'")
 
@@ -112,16 +135,16 @@ def _build_chip(section: dict) -> Chip:
 def _build_workload(section: dict, chip: Chip, seed: int, lam_override: float | None) -> tuple[Workload, float | None]:
     """Returns the workload and the arrival rate it was drawn with (None for files)."""
     if "path" in section and lam_override is None:
-        path = Path(section["path"])
+        path = Path(_field(section, "path", str))
         if not path.exists():
             raise ConfigError(f"workload file not found: {path}")
         workload = load_workload(path.read_bytes())
         _check_fits(workload, chip)
         return workload, None
-    lam = lam_override if lam_override is not None else section.get("lambda")
+    lam = lam_override if lam_override is not None else _field(section, "lambda", float, None)
     if lam is None:
         raise ConfigError("workload section needs 'path' or 'lambda' (+ 'horizon')")
-    return generate_poisson_workload(_workload_spec(section, chip, float(lam), seed)), float(lam)
+    return generate_poisson_workload(_workload_spec(section, chip, lam, seed)), lam
 
 
 def _check_fits(workload: Workload, chip: Chip) -> None:
@@ -132,7 +155,7 @@ def _check_fits(workload: Workload, chip: Chip) -> None:
 
 
 def _workload_spec(section: dict, chip: Chip, lam: float, seed: int) -> WorkloadSpec:
-    horizon = float(section.get("horizon", 30.0))
+    horizon = _field(section, "horizon", float, 30.0)
     base = default_spec(chip.n_qubits, lam, horizon, seed)
     qubit_dist = Distribution.from_dict(section["qubit_dist"]) if "qubit_dist" in section else base.qubit_dist
     if qubit_dist.support_max > chip.n_qubits:
@@ -148,38 +171,32 @@ def _workload_spec(section: dict, chip: Chip, lam: float, seed: int) -> Workload
 
 
 def _build_policy(section: dict, name_override: str | None) -> Policy:
-    name = name_override or section.get("name")
+    name = name_override or _field(section, "name", str, None)
     if not name:
         raise ConfigError("no policy given; use --policy or the config's policy section")
     return Policy(
         name=name,
-        rr_quantum_shots=int(section.get("rr_quantum_shots", 100)),
-        mfq_levels=int(section.get("mfq_levels", 3)),
-        mfq_base_quantum_shots=int(section.get("mfq_base_quantum_shots", 100)),
-        mfq_aging_s=float(section.get("mfq_aging_s", 10.0)),
+        rr_quantum_shots=_field(section, "rr_quantum_shots", int, 100),
+        mfq_levels=_field(section, "mfq_levels", int, 3),
+        mfq_base_quantum_shots=_field(section, "mfq_base_quantum_shots", int, 100),
+        mfq_aging_s=_field(section, "mfq_aging_s", float, 10.0),
     )
 
 
 def _build_merge(section: dict, ns) -> MergeConfig:
-    enabled = section.get("enabled", True)
-    alpha = section.get("alpha", 1.5)
-    backfill = section.get("backfill", False)
-    by_total = section.get("by_total_time", False)
-    if getattr(ns, "no_merge", False):
-        enabled = False
-    if getattr(ns, "merge_alpha", None) is not None:
-        alpha = ns.merge_alpha
-    if getattr(ns, "backfill", False):
-        backfill = True
-    return MergeConfig(enabled=enabled, alpha=float(alpha), backfill=backfill, by_total_time=by_total)
+    alpha = getattr(ns, "merge_alpha", None)
+    return MergeConfig(
+        enabled=_field(section, "enabled", bool, True) and not getattr(ns, "no_merge", False),
+        alpha=_field(section, "alpha", float, 1.5) if alpha is None else alpha,
+        backfill=_field(section, "backfill", bool, False) or getattr(ns, "backfill", False),
+        by_total_time=_field(section, "by_total_time", bool, False),
+    )
 
 
 def _resolve_seeds(ns, doc: dict) -> list[int]:
     if getattr(ns, "seed", None):
         return list(ns.seed)
-    if doc.get("seeds"):
-        return [int(s) for s in doc["seeds"]]
-    return [_default_seed()]
+    return [_typed(s, int, "seeds") for s in _field(doc, "seeds", list, [])] or [_default_seed()]
 
 
 def _cell_row(policy_name: str, lam: float | None, seed: int, report) -> dict:
@@ -227,13 +244,13 @@ def _resolve(doc: dict, ns) -> _Cells:
     """Build the chip, merge rule and coherence mode, so that a bad config
     fails before anything is simulated. Flags absent from ``ns`` keep the
     config's values."""
-    t_q_mode = doc.get("t_q_mode", "t2")
+    t_q_mode = _field(doc, "t_q_mode", str, "t2")
     check_coherence_mode(t_q_mode)
     return _Cells(
-        chip=_build_chip(doc.get("chip", {})),
-        workload=dict(doc.get("workload", {})),
-        merge=_build_merge(doc.get("merge", {}), ns),
-        exclusive=getattr(ns, "exclusive", False) or bool(doc.get("exclusive", False)),
+        chip=_build_chip(_field(doc, "chip", dict, {})),
+        workload=dict(_field(doc, "workload", dict, {})),
+        merge=_build_merge(_field(doc, "merge", dict, {}), ns),
+        exclusive=_field(doc, "exclusive", bool, False) or getattr(ns, "exclusive", False),
         t_q_mode=t_q_mode,
     )
 
@@ -266,9 +283,9 @@ def cmd_run(ns) -> int:
     if ns.workload:
         doc["workload"] = {"path": ns.workload}
     seeds = _resolve_seeds(ns, doc)
-    out_dir = Path(ns.out or doc.get("output", {}).get("dir", "out"))
+    out_dir = Path(ns.out or _field(_field(doc, "output", dict, {}), "dir", str, "out"))
     cells = _resolve(doc, ns)
-    policy = _build_policy(doc.get("policy", {}), ns.policy)
+    policy = _build_policy(_field(doc, "policy", dict, {}), ns.policy)
     rows = []
     per_seed = []
     first_trace = None
@@ -338,9 +355,9 @@ def cmd_sweep(ns) -> int:
     if not lambdas:
         raise ConfigError("sweep needs at least one lambda")
     seeds = _resolve_seeds(ns, doc)
-    out_dir = Path(ns.out or doc.get("output", {}).get("dir", "out"))
+    out_dir = Path(ns.out or _field(_field(doc, "output", dict, {}), "dir", str, "out"))
     cells = _resolve(doc, ns)
-    policies = [_build_policy(doc.get("policy", {}), name) for name in names]
+    policies = [_build_policy(_field(doc, "policy", dict, {}), name) for name in names]
     for lam in lambdas:
         _workload_spec(cells.workload, cells.chip, lam, 0)  # rejects a bad rate up front
     grid = [(p, lam, seed) for p in policies for lam in lambdas for seed in seeds]
@@ -407,7 +424,8 @@ def cmd_validate(ns) -> int:
         doc = _load_config_file(ns.config)
         cells = _resolve(doc, argparse.Namespace())
         _build_workload(cells.workload, cells.chip, seed=0, lam_override=None)
-        _build_policy(doc.get("policy", {}), None)
+        _build_policy(_field(doc, "policy", dict, {}), None)
+        _resolve_seeds(argparse.Namespace(), doc)
         print(f"config OK: {ns.config}")
         checked += 1
     if ns.chip:

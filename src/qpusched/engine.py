@@ -407,12 +407,11 @@ class _Simulation:
                         shots_by_id=shots,
                         keys_by_id=keys,
                     )
-                else:
+                else:  # the prefix keeps order_queue's order: priority order
                     groups = [
                         Group.build(self._next_group_id + i, [j], shots, keys)
                         for i, j in enumerate(prefix)
                     ]
-                    groups.sort(key=lambda g: g.priority_key)
                 self._next_group_id += len(groups)
                 outcome = allocate(
                     self.chip,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -98,8 +99,10 @@ class Distribution:
     def __post_init__(self):
         numbers = [x for x in (self.low, self.high) if x is not None]
         numbers += [*(self.values or ()), *(self.weights or ())]
-        if not all(math.isfinite(x) for x in numbers):
-            raise WorkloadError(f"{self.kind} distribution has a non-finite parameter")
+        if not all(isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+                   for x in numbers):
+            raise WorkloadError(
+                f"{self.kind} distribution has a non-finite or non-numeric parameter")
         if self.kind in ("int_uniform", "uniform"):
             if self.low is None or self.high is None:
                 raise WorkloadError(f"{self.kind} distribution needs low and high")
@@ -151,13 +154,16 @@ class Distribution:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Distribution":
-        return cls(
-            kind=doc["kind"],
-            low=doc.get("low"),
-            high=doc.get("high"),
-            values=tuple(doc["values"]) if "values" in doc else None,
-            weights=tuple(doc["weights"]) if "weights" in doc else None,
-        )
+        try:
+            return cls(
+                kind=doc["kind"],
+                low=doc.get("low"),
+                high=doc.get("high"),
+                values=tuple(doc["values"]) if "values" in doc else None,
+                weights=tuple(doc["weights"]) if "weights" in doc else None,
+            )
+        except (KeyError, TypeError) as exc:
+            raise WorkloadError(f"malformed distribution {doc!r}: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,30 @@ class TestSelectRoots:
         chip = Chip("p", CouplingGraph(3, ((0, 1), (1, 2))), specs)
         assert placed_roots(chip, [singleton_group(0, n=1)]) == [2]
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_root_choice_matches_brute_force_rule(self, data):
+        # the largest hop sum to the current roots, then the largest
+        # eccentricity, then the smallest E_Q, then the lowest id; hops from
+        # networkx, not from chip.distances
+        if data.draw(st.booleans(), label="noisy"):
+            chip = generate_grid(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)),
+                                 noise_seed=data.draw(st.integers(0, 99)))
+            chip, _, occ = draw_occupancy(data, chip, owner_ids=(0, 1, 2, 3))
+        else:
+            chip, _, occ = draw_occupancy(data, owner_ids=(0, 1, 2, 3))
+        t_e = data.draw(st.sampled_from([1e-6, 1e-3, 0.1]), label="t_e")
+        eligible = np.flatnonzero((occ.owner < 0) & ~occ.buffer_mask()).tolist()
+        if not eligible:
+            return
+        g = nx.Graph(chip.graph.edges)
+        g.add_nodes_from(range(chip.n_qubits))
+        hops = dict(nx.all_pairs_shortest_path_length(g))
+        eq = allocator._qubit_error_array(chip, t_e, "t2")
+        want = min(eligible, key=lambda q: (
+            -sum(hops[q][r] for r in occ.roots.values()), -max(hops[q].values()), eq[q], q))
+        assert allocator._choose_root(chip, occ, t_e, "t2") == (want, frozenset())
+
 
 class TestGrowRegion:
     def test_demand_one_is_root(self):
@@ -325,7 +349,14 @@ class TestGrowRegion:
         assert occ.near.tolist() == [sum(owner[w] >= 0 for w in adj[q]) for q in range(n)]
 
         eligible = [q for q in range(n) if owner[q] < 0 and q not in buffers]
-        if not eligible or len(eligible) == n:
+        if not eligible:
+            # no root: the owners next to any buffer block, or every placed
+            # group when the chip is full
+            blockers = {owner[w] for q in buffers for w in adj[q] if owner[w] >= 0}
+            assert allocator._choose_root(chip, occ, 0.001, "t2") == (
+                None, blockers or set(owner) - {-1})
+            return
+        if len(eligible) == n:
             return
         root = eligible[0]
         component, stack = {root}, [root]

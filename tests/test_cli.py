@@ -369,6 +369,59 @@ class TestQubitDistBeyondChip:
         assert main(["validate", "--config", "cfg.json"]) == 0
 
 
+class TestConfigFieldTypes:
+    """Flags must be JSON booleans and counts integral and finite; a missing
+    key or a wrong type exits 2 before anything runs."""
+
+    @pytest.fixture(autouse=True)
+    def chip(self, workdir):
+        assert main(["gen-chip", "4", "4", "--out", "chip.json"]) == 0
+
+    @staticmethod
+    def write_config(workdir, **extra):
+        config = {"chip": {"path": "chip.json"}, "workload": {"lambda": 3.0, "horizon": 2.0},
+                  "policy": {"name": "fcfs"}, **extra}
+        (workdir / "cfg.json").write_text(json.dumps(config).replace('"INF"', "1e400"))
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"exclusive": "false"}, "exclusive must be true or false, got 'false'"),
+        ({"merge": {"enabled": "no"}}, "enabled must be true or false, got 'no'"),
+        ({"workload": {"lambda": 3.0, "horizon": 2.0, "qubit_dist": {"low": 2, "high": 4}}},
+         "malformed distribution"),
+        ({"chip": {"grid": {"rows": 4}}}, "missing key 'cols'"),
+        ({"workload": {"lambda": 3.0, "horizon": 2.0,
+                       "qubit_dist": {"kind": "int_uniform", "low": "a", "high": 4}}},
+         "non-numeric parameter"),
+        ({"policy": {"name": "rr", "rr_quantum_shots": "INF"}},
+         "rr_quantum_shots must be an integer, got inf"),
+        ({"seeds": ["INF"]}, "seeds must be an integer, got inf"),
+        ({"seeds": [1.5]}, "seeds must be an integer, got 1.5"),
+        ({"policy": {"name": "fcfs", "mfq_levels": "3"}}, "mfq_levels must be an integer, got '3'"),
+        ({"chip": {"path": 5}}, "path must be a string"),
+        ({"merge": []}, "merge must be an object"),
+    ], ids=["exclusive", "merge-enabled", "dist-kind", "grid-cols", "dist-low", "rr-quantum",
+            "seeds-inf", "seeds-fraction", "mfq-levels", "chip-path", "merge-section"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--config", "cfg.json"],
+        ["run", "--config", "cfg.json", "--out", "o"],
+        ["sweep", "--config", "cfg.json", "--policies", "fcfs", "--lambdas", "5", "--out", "o"],
+    ], ids=["validate", "run", "sweep"])
+    def test_exits_2_and_writes_nothing(self, workdir, capsys, extra, message, argv):
+        self.write_config(workdir, **extra)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "cell failed" not in err
+        assert not (workdir / "o").exists()
+
+    def test_booleans_and_integral_numbers_are_accepted(self, workdir):
+        self.write_config(workdir, chip={"grid": {"rows": 4.0, "cols": 4}}, exclusive=False,
+                          merge={"enabled": False, "alpha": 2}, seeds=[1.0])
+        assert main(["validate", "--config", "cfg.json"]) == 0
+        assert main(["run", "--config", "cfg.json", "--out", "o"]) == 0
+        meta = json.loads((workdir / "o" / "trace.jsonl").read_text().splitlines()[0])
+        assert (meta["exclusive"], meta["merge_enabled"], meta["seed"]) == (False, False, 1)
+
+
 class TestValidate:
     def test_good_files(self, workdir):
         write_minimal_inputs(workdir)

@@ -62,10 +62,20 @@ class TestDistribution:
         lambda: Distribution("int_uniform", -math.inf, 3),
         lambda: Distribution("choice", values=(1, math.inf)),
         lambda: Distribution("choice", values=(1, 2), weights=(1.0, math.nan)),
+        lambda: Distribution("int_uniform", "a", 3),
+        lambda: Distribution("uniform", True, 3),
+        lambda: Distribution("choice", values=("x",)),
     ])
     def test_non_finite_parameter_rejected(self, dist):
         with pytest.raises(WorkloadError, match="non-finite"):
             dist()
+
+    @pytest.mark.parametrize("doc", [
+        {"low": 2, "high": 4}, {"kind": "choice", "values": 5}, [2, 4], None,
+    ], ids=["no-kind", "values-not-a-list", "list", "null"])
+    def test_malformed_document_rejected(self, doc):
+        with pytest.raises(WorkloadError, match="malformed distribution"):
+            Distribution.from_dict(doc)
 
     def test_empty_support_rejected(self):
         with pytest.raises(WorkloadError, match="empty support"):
