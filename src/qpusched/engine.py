@@ -18,10 +18,18 @@ non-empty, else it is granted the next quantum (work conservation). A
 preempted merged group dissolves: each member returns to the queue with
 its own remaining shots, and members whose shots are already exhausted
 complete at the boundary.
+
+Shot ``k`` of a dispatch ends at ``_RunningGroup.boundary(k)``, the one
+place its time is computed; completion, quantum expiry and SRTF marks are
+pushed there. Shot counts binary-search the same boundaries and compare
+them with ``now`` without a tolerance. IEEE multiplication and addition
+are monotone, so the boundaries never decrease in ``k``, and a count
+agrees with the event times on the heap at any absolute time.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import heapq
 import itertools
@@ -77,8 +85,6 @@ class SimConfig:
 
 # event kind ranks; equal-time ties process in this order
 COMPLETE, ARRIVAL, BOUNDARY = 0, 1, 2
-
-_EPS = 1e-9
 
 
 @dataclass
@@ -192,12 +198,15 @@ class _RunningGroup:
     interval: GroupInterval
     preempt_pending: bool = False  # an SRTF boundary event is scheduled
 
+    def boundary(self, k: int) -> float:
+        """The time shot ``k`` of this dispatch ends; the only shot clock."""
+        return self.start + k * self.group.t_e_group
+
 
 def remaining_demand(running: _RunningGroup, now: float) -> float:
     """Seconds of execution a running group still needs: remaining shots x t_e."""
     t_e, shots = running.group.t_e_group, running.group.shots_group
-    done = int((now - running.start) / t_e + _EPS)
-    done = min(max(done, 0), shots)
+    done = bisect.bisect_right(range(1, shots + 1), now, key=running.boundary)
     return (shots - done) * t_e
 
 
@@ -300,7 +309,7 @@ class _Simulation:
             quantum = self.policy.quantum_shots_for_level(level)
         if quantum is not None and start_shot + quantum < rg.group.shots_group:
             end = start_shot + quantum
-            self._push(rg.start + end * rg.group.t_e_group, BOUNDARY, rg.group.id, end)
+            self._push(rg.boundary(end), BOUNDARY, rg.group.id, end)
 
     # -- group lifecycle ----------------------------------------------------
 
@@ -309,8 +318,7 @@ class _Simulation:
         rg = self.running.pop(gid)
         self.occupancy.release(gid)
         rg.interval.end = now
-        shots = rg.group.shots_group
-        done_shots = shots if preempt_at is None else min(preempt_at, shots)
+        done_shots = rg.group.shots_group if preempt_at is None else preempt_at
         requeued: list[int] = []
         completed: list[int] = []
         for member, entry in zip(rg.group.members, rg.group.member_shots):
@@ -344,7 +352,7 @@ class _Simulation:
         self.trace.intervals.append(interval)
         rg = _RunningGroup(group=group, start=now, interval=interval)
         self.running[group.id] = rg
-        self._push(now + group.shots_group * group.t_e_group, COMPLETE, group.id)
+        self._push(rg.boundary(group.shots_group), COMPLETE, group.id)
         self._start_quantum(rg, 0)
         for job in group.members:
             self.trace.jobs[job.id].dispatches.append(
@@ -381,12 +389,15 @@ class _Simulation:
                 st.mfq_level = 0
 
     def _pass(self, now: float) -> None:
-        if self.queue:
+        # exclusive mode starts nothing while a group runs, so it skips the
+        # ordering; MFQ aging waits for the next pass, where it sets the
+        # same levels, since t_wait only grows while a job is queued
+        if self.queue and not (self.config.exclusive and self.running):
             if self.policy.name == "mfq":
                 self._mfq_aging(now)
             ordered = order_queue(self.policy, self.queue, now, self.n_qubits, self.state)
             if self.config.exclusive:
-                prefix = [] if self.running else ordered[:1]
+                prefix = ordered[:1]
                 merging = False
             else:
                 free_cap = self.n_qubits - self.occupancy.owned_count()
@@ -443,16 +454,16 @@ class _Simulation:
         rg = self.running[gid]
         if rg.preempt_pending:
             return
-        t_e, shots = rg.group.t_e_group, rg.group.shots_group
-        k = math.ceil((now - rg.start) / t_e - _EPS)  # next shot boundary, float-guarded
-        # a freshly started group always executes at least one shot, otherwise
+        shots = rg.group.shots_group
+        # the next shot boundary at or after now, counted from shot 1: a
+        # freshly started group always executes at least one shot, otherwise
         # a mark at its own dispatch instant would preempt it with zero
         # progress and the pass could loop at one timestamp forever
-        k = min(max(k, 1), shots)
+        k = 1 + bisect.bisect_left(range(1, shots + 1), now, key=rg.boundary)
         if k >= shots:
             return  # would land at completion; let it finish
         rg.preempt_pending = True
-        self._push(rg.start + k * t_e, BOUNDARY, gid, k)
+        self._push(rg.boundary(k), BOUNDARY, gid, k)
 
 
 def run(config: SimConfig) -> tuple[Trace, MetricsReport]:

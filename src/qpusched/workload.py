@@ -110,6 +110,12 @@ class Distribution:
                 raise WorkloadError(
                     f"empty support: low={self.low} > high={self.high}"
                 )
+            if self.kind == "int_uniform" and not (
+                float(self.low).is_integer() and float(self.high).is_integer()
+            ):
+                raise WorkloadError(
+                    f"int_uniform bounds must be integers, got low={self.low}, high={self.high}"
+                )
         elif self.kind == "choice":
             if not self.values:
                 raise WorkloadError("choice distribution needs a non-empty values list")
@@ -183,10 +189,14 @@ class WorkloadSpec:
             raise WorkloadError(f"arrival rate must be finite and positive, got {self.arrival_rate}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise WorkloadError(f"horizon must be finite and positive, got {self.horizon}")
-        if self.qubit_dist.support_min < 1:
-            raise WorkloadError("qubit distribution support must be >= 1")
-        if self.shots_dist.support_min < 1:
-            raise WorkloadError("shots distribution support must be >= 1")
+        for name, dist in (("qubit", self.qubit_dist), ("shots", self.shots_dist)):
+            if dist.support_min < 1:
+                raise WorkloadError(f"{name} distribution support must be >= 1")
+            # generation truncates each draw with int(), so a value of 2.5 would become 2
+            if dist.kind == "choice" and not all(float(v).is_integer() for v in dist.values):
+                raise WorkloadError(
+                    f"{name} distribution values must be integers, got {list(dist.values)}"
+                )
         if self.t_e_dist.support_min <= 0:
             raise WorkloadError("t_e distribution support must be positive")
 

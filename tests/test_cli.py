@@ -399,8 +399,18 @@ class TestConfigFieldTypes:
         ({"policy": {"name": "fcfs", "mfq_levels": "3"}}, "mfq_levels must be an integer, got '3'"),
         ({"chip": {"path": 5}}, "path must be a string"),
         ({"merge": []}, "merge must be an object"),
+        ({"workload": {"lambda": 3.0, "horizon": 2.0,
+                       "qubit_dist": {"kind": "int_uniform", "low": 1.5, "high": 3.5}}},
+         "int_uniform bounds must be integers"),
+        ({"workload": {"lambda": 3.0, "horizon": 2.0,
+                       "qubit_dist": {"kind": "choice", "values": [2.5]}}},
+         "qubit distribution values must be integers"),
+        ({"workload": {"lambda": 3.0, "horizon": 2.0,
+                       "shots_dist": {"kind": "choice", "values": [100, 150.5]}}},
+         "shots distribution values must be integers"),
     ], ids=["exclusive", "merge-enabled", "dist-kind", "grid-cols", "dist-low", "rr-quantum",
-            "seeds-inf", "seeds-fraction", "mfq-levels", "chip-path", "merge-section"])
+            "seeds-inf", "seeds-fraction", "mfq-levels", "chip-path", "merge-section",
+            "int-uniform-fraction", "qubit-choice-fraction", "shots-choice-fraction"])
     @pytest.mark.parametrize("argv", [
         ["validate", "--config", "cfg.json"],
         ["run", "--config", "cfg.json", "--out", "o"],

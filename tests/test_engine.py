@@ -287,15 +287,69 @@ class TestRemainingDemand:
 
     def test_fresh_group(self):
         rg = self._rg()
-        assert remaining_demand(rg, 0.0) == pytest.approx(200 * 0.011)
+        assert remaining_demand(rg, 0.0) == 200 * 0.011
 
     def test_partial_progress(self):
         rg = self._rg()
-        assert remaining_demand(rg, 150 * 0.011) == pytest.approx(50 * 0.011)
+        assert remaining_demand(rg, 150 * 0.011) == 50 * 0.011
 
     def test_completed(self):
         rg = self._rg()
-        assert remaining_demand(rg, 200 * 0.011) == pytest.approx(0.0)
+        assert remaining_demand(rg, 200 * 0.011) == 0.0
+
+
+class TestShotClock:
+    """Shot counts agree exactly with the boundary times the heap holds, even
+    at a Unix-epoch scale start, where one ulp of ``now`` is 1.2e-7 s."""
+
+    START, T_E, SHOTS = 1e9 + 0.123, 0.0011, 500
+
+    def _rg(self):
+        g = Group.build(0, [make_job(0, shots=self.SHOTS, t_e=self.T_E)])
+        return _RunningGroup(group=g, start=self.START, interval=GroupInterval(0, self.START, ()))
+
+    def _pushed_shot(self, sim, now):
+        """The shot of the SRTF boundary ``_schedule_preempt`` pushes, or None."""
+        rg = sim.running[0]
+        rg.preempt_pending = False
+        sim.heap.clear()
+        sim._schedule_preempt(0, now)
+        if not sim.heap:
+            return None
+        (time, rank, gid, shot), = sim.heap
+        assert (time, rank, gid) == (rg.boundary(shot), engine.BOUNDARY, 0)
+        return shot
+
+    def _sim(self):
+        sim = engine._Simulation(SimConfig(
+            chip=generate_grid(2, 2), workload=Workload(jobs=(), horizon=1.0),
+            policy=Policy("srtf")))
+        sim.running[0] = self._rg()
+        return sim
+
+    def test_remaining_demand_at_every_boundary(self):
+        rg = self._rg()
+        for k in range(self.SHOTS + 1):
+            now = rg.boundary(k)
+            assert remaining_demand(rg, now) == (self.SHOTS - k) * self.T_E, k
+            if k:  # just before the boundary, shot k is still running
+                before = math.nextafter(now, -math.inf)
+                assert remaining_demand(rg, before) == (self.SHOTS - k + 1) * self.T_E, k
+
+    def test_preempt_lands_on_the_next_boundary(self):
+        sim = self._sim()
+        rg = sim.running[0]
+        for k in range(1, self.SHOTS):
+            now = rg.boundary(k)
+            assert self._pushed_shot(sim, now) == k, k
+            after = math.nextafter(now, math.inf)
+            assert self._pushed_shot(sim, after) == (k + 1 if k + 1 < self.SHOTS else None), k
+
+    def test_fresh_group_runs_one_shot_and_completion_is_not_preempted(self):
+        sim = self._sim()
+        rg = sim.running[0]
+        assert self._pushed_shot(sim, rg.start) == 1
+        assert self._pushed_shot(sim, rg.boundary(self.SHOTS)) is None
 
 
 class TestRequeueEligibility:

@@ -104,6 +104,17 @@ class TestDistribution:
     def test_support_bounds(self, dist, lo, hi):
         assert (dist.support_min, dist.support_max) == (lo, hi)
 
+    @pytest.mark.parametrize("low, high", [(1.5, 3.5), (2, 3.5), (1.5, 3)])
+    def test_int_uniform_rejects_non_integral_bounds(self, low, high):
+        # sampling truncates the bounds: 1.5..3.5 used to draw {1, 2, 3}
+        with pytest.raises(WorkloadError, match="int_uniform bounds must be integers"):
+            Distribution("int_uniform", low=low, high=high)
+
+    def test_int_uniform_accepts_integral_floats(self):
+        rng = np.random.default_rng(0)
+        d = Distribution("int_uniform", low=2.0, high=4)
+        assert {d.sample(rng) for _ in range(100)} == {2, 3, 4}
+
     def test_round_trip(self):
         d = Distribution("choice", values=(1, 2, 3), weights=(1, 1, 2))
         assert Distribution.from_dict(d.to_dict()) == d
@@ -131,6 +142,20 @@ class TestWorkloadSpec:
                 shots_dist=Distribution("int_uniform", low=1, high=2),
                 t_e_dist=Distribution("uniform", low=0.001, high=0.002),
             )
+
+    @pytest.mark.parametrize("field", ["qubit_dist", "shots_dist"])
+    def test_choice_values_must_be_integral(self, field):
+        # generation applies int() to each draw, so 2.5 used to become n = 2
+        dists = {"qubit_dist": Distribution("choice", values=(2, 3)),
+                 "shots_dist": Distribution("choice", values=(100, 200))}
+        dists[field] = Distribution("choice", values=(2.5,))
+        with pytest.raises(WorkloadError, match="values must be integers"):
+            WorkloadSpec(arrival_rate=1.0, horizon=1.0, **dists,
+                         t_e_dist=Distribution("uniform", low=0.001, high=0.002))
+        dists[field] = Distribution("choice", values=(2.0, 3))
+        spec = WorkloadSpec(arrival_rate=5.0, horizon=2.0, **dists,
+                            t_e_dist=Distribution("uniform", low=0.001, high=0.002))
+        assert {j.n for j in generate_poisson_workload(spec).jobs} <= {2, 3}
 
 
 class TestGeneration:
