@@ -32,12 +32,21 @@ Placement of one group:
    resumes at the evicted group: placements before it saw the same
    occupancy and are kept, those from it onward are released and redone.
    Running groups are never disturbed.
+   Within one pass the occupancy changes only when a group is placed or
+   placements are released, and the pass remembers what it learned until
+   then: the root candidates left by the hop-sum and eccentricity filters
+   (or the blockers when no qubit is eligible), and for each root that
+   stalled the size of its open component and its blockers. The search
+   stops only at the demand, so a smaller component was found in full, and
+   a later attempt at that root with a larger demand stalls the same way
+   without a search. Placing or releasing clears both. E_Q per qubit is
+   computed at most once per ``t_e_group`` in a pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -96,12 +105,17 @@ class GrowthStep:
 
 @dataclass
 class GrowthResult:
-    """Grown region (with its step log) or a stall naming the blockers."""
+    """Grown region (with its step log) or a stall naming the blockers.
+
+    A stall also gives ``component_size``, the number of open qubits the
+    root can reach, which is below the demand.
+    """
 
     region: Region | None
     stats: RegionStats | None
     steps: list[GrowthStep]
     blockers: frozenset[int] = frozenset()
+    component_size: int = 0
 
     @property
     def ok(self) -> bool:
@@ -219,29 +233,42 @@ def _short_component(chip: Chip, open_: Sequence[bool], root: int, demand: int) 
     return list(seen) if len(seen) < demand else None
 
 
-def _choose_root(
-    chip: Chip, occupancy: Occupancy, t_e_group: float, t_q_mode: str
-) -> tuple[int | None, frozenset[int]]:
-    """Best root for the next group, or (None, blockers) when none exists.
+def _root_candidates(chip: Chip, occupancy: Occupancy) -> tuple[np.ndarray, frozenset[int]]:
+    """Eligible qubits with the largest hop sum, then the largest eccentricity.
 
-    The score is the sum of the distance rows of the roots of every group
+    The hop sum is the sum of the distance rows of the roots of every group
     in ``occupancy`` (running groups and those placed earlier in the pass),
-    read at the eligible qubits; with no roots the sum is zero.
+    read at the eligible qubits; with no roots it is zero. With no eligible
+    qubit the array is empty and the blockers are named.
     """
     buffer = occupancy.buffer_mask()
     elig = np.flatnonzero((occupancy.owner < 0) & ~buffer)
     if not elig.size:
-        return None, _blockers(chip, occupancy, np.flatnonzero(buffer).tolist())
+        return elig, _blockers(chip, occupancy, np.flatnonzero(buffer).tolist())
     dist = chip.distances
     score = dist.hops[list(occupancy.roots.values())].sum(axis=0)[elig]
     ecc = dist.eccentricity[elig]
     keep = score == score.max()
     keep &= ecc == ecc[keep].max()
-    cands = elig[keep]
+    return elig[keep], frozenset()
+
+
+def _choose_root(
+    chip: Chip, cands: np.ndarray, t_e_group: float, t_q_mode: str,
+    errors: dict[float, np.ndarray],
+) -> int:
+    """The candidate with the smallest E_Q, then the lowest id.
+
+    ``cands`` is ascending. E_Q per qubit is computed at the first tie for
+    ``t_e_group`` and kept in ``errors``.
+    """
     if cands.size > 1:
-        eq = _qubit_error_array(chip, t_e_group, t_q_mode)[cands]
+        eq = errors.get(t_e_group)
+        if eq is None:
+            eq = errors[t_e_group] = _qubit_error_array(chip, t_e_group, t_q_mode)
+        eq = eq[cands]
         cands = cands[eq == eq.min()]
-    return int(cands.min()), frozenset()
+    return int(cands[0])
 
 
 def grow_region(
@@ -263,9 +290,10 @@ def grow_region(
     the lowest id. The frontier is a dict from each candidate to its links
     into the region, so a step costs O(|frontier|), not O(n). It never
     contains buffer qubits (see ``Occupancy.buffer_mask``).
-    Returns a stall naming the blocking groups when the root's open
-    component (free, non-buffer qubits reachable from it) holds fewer
-    than ``demand`` qubits; growth would take all of it and stop there.
+    Returns a stall naming the blocking groups and the component's size
+    when the root's open component (free, non-buffer qubits reachable
+    from it) holds fewer than ``demand`` qubits; growth would take all of
+    it and stop there.
     The stall is decided by a component search before any growth, so
     its step log is empty. ``record_steps`` only decides whether the
     growth steps are logged.
@@ -290,6 +318,7 @@ def grow_region(
         return GrowthResult(
             region=None, stats=None, steps=[],
             blockers=_blockers(chip, occupancy, boundary),
+            component_size=len(component),
         )
 
     eq = None  # E_Q per qubit, computed at the first tie on the ratio
@@ -422,11 +451,10 @@ class Placement:
 
 @dataclass
 class AllocationOutcome:
-    """Placements committed to the occupancy plus the jobs bounced back."""
+    """Placements committed to the occupancy plus the conflicts that bounced jobs back."""
 
     placed: list[Placement]
-    requeued: list[Job]
-    conflicts: list[dict] = field(default_factory=list)
+    conflicts: list[dict]
 
 
 def allocate(
@@ -446,26 +474,36 @@ def allocate(
     resumes at the evicted group: its placement and those after it are
     released, the earlier ones stay. The outcome is that of restarting
     the whole pass against the original occupancy after each eviction.
+    What the pass learns about the occupancy (the root candidates and the
+    stalled roots) is kept until a group is placed or released.
     """
     work = list(groups)
-    requeued: list[Job] = []
     conflicts: list[dict] = []
     placements: list[Placement] = []
+    errors: dict[float, np.ndarray] = {}  # E_Q per qubit, by t_e_group
+    cands = None  # root candidates on the current occupancy; if empty, no_root names the blockers
+    stalled: dict[int, GrowthResult] = {}  # root -> its stall on the current occupancy
     while len(placements) < len(work):
         group = work[len(placements)]
-        root, blockers = _choose_root(chip, occupancy, group.t_e_group, t_q_mode)
-        if root is not None:
-            result = grow_region(
-                chip, occupancy, root, group.demand, group.t_e_group,
-                group_id=group.id, t_q_mode=t_q_mode, record_steps=record_steps,
-            )
+        if cands is None:
+            cands, no_root = _root_candidates(chip, occupancy)
+        blockers = no_root
+        if cands.size:
+            root = _choose_root(chip, cands, group.t_e_group, t_q_mode, errors)
+            result = stalled.get(root)
+            if result is None or group.demand <= result.component_size:
+                result = grow_region(
+                    chip, occupancy, root, group.demand, group.t_e_group,
+                    group_id=group.id, t_q_mode=t_q_mode, record_steps=record_steps,
+                )
             if result.ok:
                 occupancy.place(group.id, result.region.qubits, root)
                 placements.append(Placement(group, result.region, root, result.stats, result.steps))
+                cands, stalled = None, {}
                 continue
+            stalled[root] = result
             blockers = result.blockers
         decision = resolve_conflict(group, blockers, {p.group.id: p.group for p in placements})
-        requeued.append(decision.job)
         conflicts.append(
             {
                 "stalled_group": group.id,
@@ -475,6 +513,8 @@ def allocate(
             }
         )
         k = next(i for i, g in enumerate(work) if g.id == decision.target_group_id)
+        if k < len(placements):
+            cands, stalled = None, {}
         for p in placements[k:]:
             occupancy.release(p.group.id)
         del placements[k:]
@@ -482,4 +522,4 @@ def allocate(
             del work[k]
         else:
             work[k] = work[k].without(decision.job.id)
-    return AllocationOutcome(placed=placements, requeued=requeued, conflicts=conflicts)
+    return AllocationOutcome(placed=placements, conflicts=conflicts)

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .allocator import Occupancy
+from .allocator import Occupancy, RegionStats
 from .chip import Chip
 from .workload import service_demand
 
@@ -171,10 +171,7 @@ def mean_region_ratio(trace: "Trace") -> float:
     """Mean internal/total edge ratio over all placements in the trace."""
     if not trace.allocations:
         raise EmptyTraceError("trace has no allocations")
-    ratios = []
-    for rec in trace.allocations:
-        ratios.append(1.0 if rec.r_a == 0 else rec.r_i / rec.r_a)
-    return float(np.mean(ratios))
+    return float(np.mean([RegionStats(rec.r_i, rec.r_a).ratio for rec in trace.allocations]))
 
 
 def compute_report(trace: "Trace", chip: Chip, t_q_mode: str = "t2") -> MetricsReport:

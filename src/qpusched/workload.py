@@ -192,7 +192,10 @@ class WorkloadSpec:
         for name, dist in (("qubit", self.qubit_dist), ("shots", self.shots_dist)):
             if dist.support_min < 1:
                 raise WorkloadError(f"{name} distribution support must be >= 1")
-            # generation truncates each draw with int(), so a value of 2.5 would become 2
+            # generation truncates each draw with int(): a uniform's high would
+            # never be drawn, and a choice value of 2.5 would become 2
+            if dist.kind == "uniform":
+                raise WorkloadError(f"{name} distribution must be int_uniform or choice, not uniform")
             if dist.kind == "choice" and not all(float(v).is_integer() for v in dist.values):
                 raise WorkloadError(
                     f"{name} distribution values must be integers, got {list(dist.values)}"

@@ -145,6 +145,11 @@ class TestQubitError:
         assert qubit_error(spec, 1e-4, "min_t1_t2") > qubit_error(spec, 1e-4, "t2")
 
 
+def requeued_ids(outcome):
+    """Ids of the jobs an ``allocate`` pass bounced back, in order."""
+    return [c["requeued_job"] for c in outcome.conflicts]
+
+
 def placed_roots(chip, groups):
     """Roots of the groups ``allocate`` places on an empty chip, in placement order."""
     outcome = allocate(chip, Occupancy(chip), groups)
@@ -193,7 +198,7 @@ class TestSelectRoots:
 
         monkeypatch.setattr(allocator, "resolve_conflict", recording_resolve)
         outcome = allocate(chip, occ, [singleton_group(0, n=1)])
-        assert outcome.placed == [] and [j.id for j in outcome.requeued] == [0]
+        assert outcome.placed == [] and requeued_ids(outcome) == [0]
         assert outcome.conflicts[0]["whole_group"]
         assert seen == [{7}]
 
@@ -230,7 +235,9 @@ class TestSelectRoots:
         eq = allocator._qubit_error_array(chip, t_e, "t2")
         want = min(eligible, key=lambda q: (
             -sum(hops[q][r] for r in occ.roots.values()), -max(hops[q].values()), eq[q], q))
-        assert allocator._choose_root(chip, occ, t_e, "t2") == (want, frozenset())
+        # a one-qubit group grows at any eligible root, so it is placed at the chosen one
+        outcome = allocate(chip, occ, [singleton_group(99, n=1, t_e=t_e)])
+        assert [p.root for p in outcome.placed] == [want]
 
 
 class TestGrowRegion:
@@ -353,8 +360,8 @@ class TestGrowRegion:
             # no root: the owners next to any buffer block, or every placed
             # group when the chip is full
             blockers = {owner[w] for q in buffers for w in adj[q] if owner[w] >= 0}
-            assert allocator._choose_root(chip, occ, 0.001, "t2") == (
-                None, blockers or set(owner) - {-1})
+            cands, no_root = allocator._root_candidates(chip, occ)
+            assert cands.size == 0 and no_root == (blockers or set(owner) - {-1})
             return
         if len(eligible) == n:
             return
@@ -373,6 +380,7 @@ class TestGrowRegion:
         res = grow_region(chip, occ, root=root, demand=n, t_e_group=0.001, group_id=7)
         assert res.region is None
         assert res.blockers == blockers
+        assert res.component_size == len(component)
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -437,7 +445,7 @@ class TestAllocate:
     def test_zero_groups(self):
         chip = generate_grid(2, 2)
         out = allocate(chip, Occupancy(chip), [])
-        assert out.placed == [] and out.requeued == []
+        assert out.placed == [] and out.conflicts == []
 
     def test_conflicting_groups_lower_priority_requeued(self):
         # 2x3 grid: demands 4 + 2 cannot coexist with a buffer between them
@@ -447,7 +455,7 @@ class TestAllocate:
         low = singleton_group(1, n=2, key=(2.0, 0.0, 1))
         out = allocate(chip, occ, [high, low])
         assert [p.group.id for p in out.placed] == [0]
-        assert [j.id for j in out.requeued] == [1]
+        assert requeued_ids(out) == [1]
         assert len(out.placed[0].region.qubits) == 4
 
     def test_stalled_better_priority_evicts_pass_blocker(self):
@@ -458,7 +466,7 @@ class TestAllocate:
         # high is placed first (priority order given), low stalls against it?
         out = allocate(chip, occ, [high, low])
         assert [p.group.id for p in out.placed] == [1]
-        assert [j.id for j in out.requeued] == [0]
+        assert requeued_ids(out) == [0]
 
     def test_running_group_immune(self):
         chip = generate_grid(2, 3)
@@ -467,7 +475,7 @@ class TestAllocate:
         want = singleton_group(0, n=2, key=(0.0, 0.0, 0))
         out = allocate(chip, occ, [want])
         assert out.placed == []
-        assert [j.id for j in out.requeued] == [0]
+        assert requeued_ids(out) == [0]
         assert 99 in occ.regions
 
     def test_buffer_invariant_after_allocate(self):
@@ -490,7 +498,7 @@ class TestAllocate:
         keys = {0: (1.0, 0.0, 0), 1: (2.0, 0.0, 1)}
         merged = Group.build(5, [make_job(0, n=2), make_job(1, n=2)], keys_by_id=keys)
         out = allocate(chip, occ, [merged])
-        assert [j.id for j in out.requeued] == [1]
+        assert requeued_ids(out) == [1]
         assert len(out.placed) == 1
         assert out.placed[0].group.demand == 2
 
@@ -507,7 +515,7 @@ def test_allocate_properties_random(rows, cols, demands):
     groups = [singleton_group(i, n=d, key=(float(i), 0.0, i)) for i, d in enumerate(demands)]
     out = allocate(chip, occ, groups)
     placed_jobs = {j.id for p in out.placed for j in p.group.members}
-    requeued_jobs = {j.id for j in out.requeued}
+    requeued_jobs = set(requeued_ids(out))
     assert placed_jobs | requeued_jobs == {g.id for g in groups}
     assert placed_jobs & requeued_jobs == set()
     for p in out.placed:
@@ -624,19 +632,34 @@ def assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record
     the pass started from must place the same regions from the same roots.
     """
     survivors = list(groups)
-    for job in outcome.requeued:
-        i = next(i for i, g in enumerate(survivors) if job in g.members)
+    for jid in requeued_ids(outcome):
+        i = next(i for i, g in enumerate(survivors) if jid in {j.id for j in g.members})
         if len(survivors[i].members) == 1:
             del survivors[i]
         else:
-            survivors[i] = survivors[i].without(job.id)
+            survivors[i] = survivors[i].without(jid)
     fresh = copy_of(before)
     replay = allocate(chip, fresh, survivors, record_steps=record_steps)
-    assert replay.requeued == [] and replay.conflicts == []
+    assert replay.conflicts == []
     assert replay.placed == outcome.placed
     assert np.array_equal(fresh.owner, occ.owner)
     assert np.array_equal(fresh.near, occ.near)
     assert fresh.roots == occ.roots
+
+
+def draw_groups(data, n, t_e_values=(0.001,)):
+    """Up to four groups of up to three jobs for an ``n``-qubit chip, in any
+    priority order; every job's per-shot time is drawn from ``t_e_values``."""
+    sizes = data.draw(st.lists(st.integers(1, min(n, 3)), min_size=1, max_size=4), label="members")
+    groups, jid = [], 0
+    for gid, size in enumerate(sizes):
+        jobs = [make_job(jid + i, n=data.draw(st.integers(1, max(1, min(3, n // size)))),
+                         t_e=data.draw(st.sampled_from(t_e_values)))
+                for i in range(size)]
+        keys = {j.id: (data.draw(st.floats(0, 10)), 0.0, j.id) for j in jobs}
+        groups.append(Group.build(gid, jobs, keys_by_id=keys))
+        jid += size
+    return data.draw(st.permutations(groups), label="order")  # any priority order
 
 
 @given(data=st.data())
@@ -644,15 +667,7 @@ def assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record
 def test_allocate_equals_conflict_free_pass_of_survivors(data):
     n, edges = data.draw(st.sampled_from(small_graphs()), label="graph")
     chip, _, occ = draw_occupancy(data, uniform_chip(n, edges), owner_ids=(90, 91))
-    sizes = data.draw(st.lists(st.integers(1, min(n, 3)), min_size=1, max_size=4), label="members")
-    groups, jid = [], 0
-    for gid, size in enumerate(sizes):
-        jobs = [make_job(jid + i, n=data.draw(st.integers(1, max(1, min(3, n // size)))))
-                for i in range(size)]
-        keys = {j.id: (data.draw(st.floats(0, 10)), 0.0, j.id) for j in jobs}
-        groups.append(Group.build(gid, jobs, keys_by_id=keys))
-        jid += size
-    groups = data.draw(st.permutations(groups), label="order")  # any priority order
+    groups = draw_groups(data, n)
     record_steps = data.draw(st.booleans(), label="record_steps")
     before = copy_of(occ)
     outcome = allocate(chip, occ, groups, record_steps=record_steps)
@@ -684,3 +699,121 @@ def test_evicting_an_earlier_blocker_resumes_at_it(monkeypatch):
     assert grown == [0, 1, 2, 2]
     assert [p.region.qubits for p in outcome.placed] == [(0,), (3, 4, 5, 6, 7, 8)]
     assert_matches_conflict_free_pass(chip, Occupancy(chip), [c, a, b], outcome, occ, False)
+
+
+def reference_allocate(chip, occ, groups, record_steps):
+    """``allocate`` without its per-pass memo: every attempt chooses its root
+    and searches from it afresh on the current occupancy."""
+    work, placements, conflicts = list(groups), [], []
+    while len(placements) < len(work):
+        group = work[len(placements)]
+        cands, blockers = allocator._root_candidates(chip, occ)
+        if cands.size:
+            root = allocator._choose_root(chip, cands, group.t_e_group, "t2", {})
+            result = grow_region(chip, occ, root, group.demand, group.t_e_group,
+                                 group_id=group.id, record_steps=record_steps)
+            if result.ok:
+                occ.place(group.id, result.region.qubits, root)
+                placements.append(
+                    allocator.Placement(group, result.region, root, result.stats, result.steps))
+                continue
+            blockers = result.blockers
+        decision = resolve_conflict(group, blockers, {p.group.id: p.group for p in placements})
+        conflicts.append({"stalled_group": group.id, "evicted_group": decision.target_group_id,
+                          "requeued_job": decision.job.id, "whole_group": decision.whole_group})
+        k = next(i for i, g in enumerate(work) if g.id == decision.target_group_id)
+        for p in placements[k:]:
+            occ.release(p.group.id)
+        del placements[k:]
+        if decision.whole_group:
+            del work[k]
+        else:
+            work[k] = work[k].without(decision.job.id)
+    return placements, conflicts
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_allocate_equals_memo_free_reference_pass(data):
+    # merged groups shed members against the running groups 90 and 91 and
+    # retry at the same root; stalls may also evict a group placed earlier
+    # in the pass, which releases placements and must clear the memo
+    if data.draw(st.booleans(), label="grid"):
+        chip = generate_grid(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)),
+                             noise_seed=data.draw(st.integers(0, 9)))
+    else:
+        chip = uniform_chip(*data.draw(st.sampled_from(small_graphs()), label="graph"))
+    chip, _, occ = draw_occupancy(data, chip, owner_ids=(90, 91))
+    groups = draw_groups(data, chip.n_qubits, t_e_values=(1e-4, 1e-3, 1e-2))
+    record_steps = data.draw(st.booleans(), label="record_steps")
+    ref = copy_of(occ)
+    outcome = allocate(chip, occ, groups, record_steps=record_steps)
+    placements, conflicts = reference_allocate(chip, ref, groups, record_steps)
+    assert outcome.placed == placements  # groups, regions, roots, stats and steps
+    assert outcome.conflicts == conflicts
+    assert np.array_equal(occ.owner, ref.owner) and np.array_equal(occ.near, ref.near)
+    assert (occ.regions, occ.roots) == (ref.regions, ref.roots)
+
+
+def test_stalled_root_is_searched_once_while_the_occupancy_holds(monkeypatch):
+    # path 0-...-7, qubit 3 running: root 7 reaches only {5, 6, 7}. The
+    # merged group of four two-qubit jobs stalls there at demand 8, and at
+    # 6 and 4 without a search; at 2 it is grown and placed. That changes
+    # the occupancy, so the next group's stall at root 0 is searched.
+    chip = path_chip(8)
+    occ = Occupancy(chip)
+    occ.place(99, [3], root=3)
+    keys = {i: (float(i), 0.0, i) for i in range(4)}
+    merged = Group.build(0, [make_job(i, n=2) for i in range(4)], keys_by_id=keys)
+    single = singleton_group(4, n=4, key=(9.0, 0.0, 4))
+    searched = []
+    real_grow = allocator.grow_region
+
+    def counting_grow(chip, occupancy, root, demand, *args, **kwargs):
+        result = real_grow(chip, occupancy, root, demand, *args, **kwargs)
+        searched.append((root, demand, result.ok))
+        return result
+
+    monkeypatch.setattr(allocator, "grow_region", counting_grow)
+    outcome = allocate(chip, occ, [merged, single], record_steps=False)
+    assert searched == [(7, 8, False), (7, 2, True), (0, 4, False)]
+    assert requeued_ids(outcome) == [3, 2, 1, 4]
+    assert [c["evicted_group"] for c in outcome.conflicts] == [0, 0, 0, 4]
+    assert [p.region.qubits for p in outcome.placed] == [(6, 7)]
+
+
+def test_release_forgets_the_stalls_before_it():
+    # noisy 4x3 grid: group 3 stalls twice against groups placed before it
+    # and evicts them, the second time at root 0, boxed in by groups 1 and 2.
+    # Releasing them frees root 0's component, and group 2 is then grown
+    # there; a stall remembered across the release would bounce it instead.
+    chip = generate_grid(4, 3, noise_seed=3)
+    jobs = [make_job(i, n=n, t_e=t_e) for i, (n, t_e) in
+            enumerate([(1, 1e-4), (2, 1e-4), (1, 1e-4), (1, 1e-3), (1, 1e-4), (1, 1e-4)])]
+    keys = dict(enumerate([(2.0, 0.0, 0), (1.0, 0.0, 1), *[(0.0, 0.0, i) for i in range(2, 6)]]))
+    groups = [Group.build(gid, members, keys_by_id=keys) for gid, members in
+              enumerate([jobs[:1], jobs[1:2], jobs[2:4], jobs[4:]])]
+    occ, ref = Occupancy(chip), Occupancy(chip)
+    outcome = allocate(chip, occ, groups, record_steps=False)
+    assert [(c["stalled_group"], c["evicted_group"]) for c in outcome.conflicts] == [(3, 0), (3, 1)]
+    assert [(p.group.id, p.root, p.region.qubits) for p in outcome.placed] == [
+        (2, 0, (0, 3)), (3, 11, (8, 11))]
+    assert (outcome.placed, outcome.conflicts) == reference_allocate(chip, ref, groups, False)
+
+
+def test_error_scores_once_per_duration_in_a_pass(monkeypatch):
+    # one-qubit groups never tie during growth, so every E_Q array comes
+    # from a root tie; the four corners of an empty grid tie first
+    chip = generate_grid(5, 5, noise_seed=3)
+    groups = [singleton_group(i, n=1, t_e=(1e-4, 1e-3)[i % 2], key=(float(i), 0.0, i))
+              for i in range(6)]
+    made = []
+    real_errors = allocator._qubit_error_array
+
+    def counting_errors(chip, t_e, t_q_mode):
+        made.append(t_e)
+        return real_errors(chip, t_e, t_q_mode)
+
+    monkeypatch.setattr(allocator, "_qubit_error_array", counting_errors)
+    assert placed_roots(chip, groups) == [4, 20, 0, 24, 2, 14]
+    assert sorted(made) == [1e-4, 1e-3]  # ties at both durations, one array each

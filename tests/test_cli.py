@@ -408,9 +408,16 @@ class TestConfigFieldTypes:
         ({"workload": {"lambda": 3.0, "horizon": 2.0,
                        "shots_dist": {"kind": "choice", "values": [100, 150.5]}}},
          "shots distribution values must be integers"),
+        ({"workload": {"lambda": 3.0, "horizon": 2.0,
+                       "qubit_dist": {"kind": "uniform", "low": 2, "high": 4}}},
+         "qubit distribution must be int_uniform or choice, not uniform"),
+        ({"workload": {"lambda": 3.0, "horizon": 2.0,
+                       "shots_dist": {"kind": "uniform", "low": 100, "high": 200}}},
+         "shots distribution must be int_uniform or choice, not uniform"),
     ], ids=["exclusive", "merge-enabled", "dist-kind", "grid-cols", "dist-low", "rr-quantum",
             "seeds-inf", "seeds-fraction", "mfq-levels", "chip-path", "merge-section",
-            "int-uniform-fraction", "qubit-choice-fraction", "shots-choice-fraction"])
+            "int-uniform-fraction", "qubit-choice-fraction", "shots-choice-fraction",
+            "qubit-uniform", "shots-uniform"])
     @pytest.mark.parametrize("argv", [
         ["validate", "--config", "cfg.json"],
         ["run", "--config", "cfg.json", "--out", "o"],

@@ -157,6 +157,17 @@ class TestWorkloadSpec:
                             t_e_dist=Distribution("uniform", low=0.001, high=0.002))
         assert {j.n for j in generate_poisson_workload(spec).jobs} <= {2, 3}
 
+    @pytest.mark.parametrize("field", ["qubit_dist", "shots_dist"])
+    def test_uniform_counts_rejected(self, field):
+        # generation applies int() to each draw, so a uniform's high was never drawn
+        dists = {"qubit_dist": Distribution("int_uniform", low=2, high=4),
+                 "shots_dist": Distribution("int_uniform", low=100, high=200)}
+        dists[field] = Distribution("uniform", low=2, high=4)
+        name = field.split("_")[0]
+        with pytest.raises(WorkloadError, match=f"{name} distribution must be int_uniform or choice"):
+            WorkloadSpec(arrival_rate=1.0, horizon=1.0, **dists,
+                         t_e_dist=Distribution("uniform", low=0.001, high=0.002))
+
 
 class TestGeneration:
     def test_deterministic_for_seed(self):
