@@ -9,11 +9,10 @@ from .allocator import (
     AllocationError,
     AllocationOutcome,
     Occupancy,
-    Region,
     RegionStats,
     allocate,
     grow_region,
-    qubit_error,
+    qubit_errors,
     region_ratio,
     resolve_conflict,
 )
@@ -29,7 +28,7 @@ from .chip import (
     load_chip,
 )
 from .engine import MergeConfig, SimConfig, SimulationError, Trace, run
-from .merger import Group, group_by_exec_time, group_service_demand, select_prefix
+from .merger import Group, group_by_exec_time, select_prefix
 from .metrics import (
     EmptyTraceError,
     MetricsReport,

@@ -19,19 +19,20 @@ Placement of one group:
 2. Growth: starting from the root, repeatedly add the frontier qubit
    that maximizes the region's internal-to-total edge ratio r_i/r_a
    (compared exactly, by integer cross-multiplication). Ties prefer the
-   smallest error score E_Q = (1 - exp(-t_e/T_Q)) * E_meas, then the
-   candidate whose addition enables the best next-step ratio, then the
-   lowest id.
+   smallest error score E_Q = (1 - exp(-t_e/T_Q)) * E_meas (``qubit_errors``,
+   the one statement of that formula), then the candidate whose addition
+   enables the best next-step ratio, then the lowest id. A grown region
+   is the tuple of its qubits in ascending order.
 3. Before growing, a component search from the root counts the open
    qubits (free, non-buffer) it can reach, stopping at the demand. A
    smaller component is a stall: growth would take all of it and stop,
    boxed in by the buffers next to it, whose owners are the blockers.
    Otherwise growth cannot run out of frontier before the region is full.
-   The lower-priority side of the conflict is bounced back to the queue
-   (merged groups shed only their lowest-priority member) and the pass
-   resumes at the evicted group: placements before it saw the same
-   occupancy and are kept, those from it onward are released and redone.
-   Running groups are never disturbed.
+   ``resolve_conflict`` names the losing group, the lower-priority side of
+   the conflict. Its worst member is bounced back to the queue (a merged
+   group sheds only that member) and the pass resumes at the loser:
+   placements before it saw the same occupancy and are kept, those from
+   it onward are released and redone. Running groups are never disturbed.
    Within one pass the occupancy changes only when a group is placed or
    placements are released, and the pass remembers what it learned until
    then: the root candidates left by the hop-sum and eccentricity filters
@@ -45,16 +46,14 @@ Placement of one group:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chip import Chip, QubitSpec
+from .chip import Chip
 from .merger import Group
-from .workload import Job
 
 
 class AllocationError(RuntimeError):
@@ -84,14 +83,6 @@ class RegionStats:
 
 
 @dataclass(frozen=True)
-class Region:
-    """Connected qubit set owned by one group."""
-
-    group_id: int
-    qubits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class GrowthStep:
     """One greedy growth decision, recorded for replay verification."""
 
@@ -105,13 +96,14 @@ class GrowthStep:
 
 @dataclass
 class GrowthResult:
-    """Grown region (with its step log) or a stall naming the blockers.
+    """Grown region (its sorted qubits, with the step log) or a stall
+    naming the blockers.
 
-    A stall also gives ``component_size``, the number of open qubits the
-    root can reach, which is below the demand.
+    A stall has ``region`` None and gives ``component_size``, the number of
+    open qubits the root can reach, which is below the demand.
     """
 
-    region: Region | None
+    region: tuple[int, ...] | None
     stats: RegionStats | None
     steps: list[GrowthStep]
     blockers: frozenset[int] = frozenset()
@@ -170,18 +162,13 @@ class Occupancy:
         return sum(map(len, self.regions.values()))
 
 
-def qubit_error(spec: QubitSpec, t_e_group: float, t_q_mode: str = "t2") -> float:
-    """Error score E_Q = (1 - exp(-t_e/T_Q)) * E_meas for tie-breaking.
+def qubit_errors(chip: Chip, t_e_group: float, t_q_mode: str) -> np.ndarray:
+    """Error score E_Q = (1 - exp(-t_e/T_Q)) * E_meas of every qubit, for
+    tie-breaking.
 
     t_e_group is in seconds; coherence times are stored in microseconds.
+    ``t_q_mode`` picks T_Q (see ``chip.COHERENCE_MODES``).
     """
-    if t_e_group < 0:
-        raise AllocationError(f"duration must be >= 0, got {t_e_group}")
-    t_us = t_e_group * 1e6
-    return (1.0 - math.exp(-t_us / spec.coherence_us(t_q_mode))) * spec.readout_error
-
-
-def _qubit_error_array(chip: Chip, t_e_group: float, t_q_mode: str) -> np.ndarray:
     t_us = t_e_group * 1e6
     coh = chip.coherence_array(t_q_mode)
     return (1.0 - np.exp(-t_us / coh)) * chip.readout_array
@@ -265,7 +252,7 @@ def _choose_root(
     if cands.size > 1:
         eq = errors.get(t_e_group)
         if eq is None:
-            eq = errors[t_e_group] = _qubit_error_array(chip, t_e_group, t_q_mode)
+            eq = errors[t_e_group] = qubit_errors(chip, t_e_group, t_q_mode)
         eq = eq[cands]
         cands = cands[eq == eq.min()]
     return int(cands[0])
@@ -278,9 +265,8 @@ def grow_region(
     demand: int,
     t_e_group: float,
     *,
-    group_id: int,
     t_q_mode: str = "t2",
-    record_steps: bool = True,
+    record_steps: bool = False,
 ) -> GrowthResult:
     """Grow a connected region of ``demand`` qubits from ``root``.
 
@@ -296,7 +282,7 @@ def grow_region(
     it and stop there.
     The stall is decided by a component search before any growth, so
     its step log is empty. ``record_steps`` only decides whether the
-    growth steps are logged.
+    growth steps are logged; logging sorts the frontier at every step.
     """
     n = chip.n_qubits
     if not 1 <= demand <= n:
@@ -343,7 +329,7 @@ def grow_region(
         best = _best_candidates(frontier, r_i, sum_deg, nbrs)[0]
         if len(best) > 1:
             if eq is None:
-                eq = _qubit_error_array(chip, t_e_group, t_q_mode).tolist()
+                eq = qubit_errors(chip, t_e_group, t_q_mode).tolist()
             low = min(eq[c] for c in best)
             best = [c for c in best if eq[c] == low]
         if len(best) > 1 and len(region) + 1 < demand:
@@ -378,11 +364,7 @@ def grow_region(
         join(frontier, chosen)
 
     stats = RegionStats(r_i=r_i, r_a=sum_deg - r_i)
-    return GrowthResult(
-        region=Region(group_id=group_id, qubits=tuple(sorted(region))),
-        stats=stats,
-        steps=steps,
-    )
+    return GrowthResult(region=tuple(sorted(region)), stats=stats, steps=steps)
 
 
 def _best_candidates(
@@ -406,44 +388,31 @@ def _best_candidates(
     return best, best_i, best_a
 
 
-@dataclass(frozen=True)
-class EvictionDecision:
-    """Outcome of a stall: which job leaves which group."""
-
-    target_group_id: int
-    job: Job
-    whole_group: bool
-
-
 def resolve_conflict(
     stalled: Group,
     blockers: Iterable[int],
     placed_this_pass: dict[int, Group],
-) -> EvictionDecision:
-    """Decide who yields when a growth stalls.
+) -> Group:
+    """The group that yields when a growth stalls.
 
     Candidates for eviction are the blockers placed in this pass; running
     groups are immune. The lowest-priority group among {stalled, worst
-    such blocker} loses: a singleton is requeued whole, a merged group
-    sheds only its lowest-priority member and retries with reduced
-    demand. With only running blockers the stalled side yields.
+    such blocker} loses. With only running blockers the stalled side
+    yields. The loser gives up its worst member: a singleton is requeued
+    whole, a merged group sheds that member and retries with reduced
+    demand.
     """
     pass_blockers = [placed_this_pass[b] for b in blockers if b in placed_this_pass]
     if pass_blockers:
         worst = max(pass_blockers, key=lambda g: g.priority_key)
-        loser = stalled if stalled.priority_key > worst.priority_key else worst
-    else:
-        loser = stalled
-    job = loser.worst_member()
-    return EvictionDecision(
-        target_group_id=loser.id, job=job, whole_group=len(loser.members) == 1
-    )
+        return stalled if stalled.priority_key > worst.priority_key else worst
+    return stalled
 
 
 @dataclass
 class Placement:
     group: Group
-    region: Region
+    region: tuple[int, ...]  # sorted qubits
     root: int
     stats: RegionStats
     steps: list[GrowthStep]
@@ -463,7 +432,7 @@ def allocate(
     groups: Sequence[Group],
     *,
     t_q_mode: str = "t2",
-    record_steps: bool = True,
+    record_steps: bool = False,
 ) -> AllocationOutcome:
     """Place every group or requeue the losers of irreconcilable conflicts.
 
@@ -494,32 +463,33 @@ def allocate(
             if result is None or group.demand <= result.component_size:
                 result = grow_region(
                     chip, occupancy, root, group.demand, group.t_e_group,
-                    group_id=group.id, t_q_mode=t_q_mode, record_steps=record_steps,
+                    t_q_mode=t_q_mode, record_steps=record_steps,
                 )
             if result.ok:
-                occupancy.place(group.id, result.region.qubits, root)
+                occupancy.place(group.id, result.region, root)
                 placements.append(Placement(group, result.region, root, result.stats, result.steps))
                 cands, stalled = None, {}
                 continue
             stalled[root] = result
             blockers = result.blockers
-        decision = resolve_conflict(group, blockers, {p.group.id: p.group for p in placements})
+        loser = resolve_conflict(group, blockers, {p.group.id: p.group for p in placements})
+        job, whole = loser.worst_member(), len(loser.members) == 1
         conflicts.append(
             {
                 "stalled_group": group.id,
-                "evicted_group": decision.target_group_id,
-                "requeued_job": decision.job.id,
-                "whole_group": decision.whole_group,
+                "evicted_group": loser.id,
+                "requeued_job": job.id,
+                "whole_group": whole,
             }
         )
-        k = next(i for i, g in enumerate(work) if g.id == decision.target_group_id)
+        k = next(i for i, g in enumerate(work) if g.id == loser.id)
         if k < len(placements):
             cands, stalled = None, {}
         for p in placements[k:]:
             occupancy.release(p.group.id)
         del placements[k:]
-        if decision.whole_group:
+        if whole:
             del work[k]
         else:
-            work[k] = work[k].without(decision.job.id)
+            work[k] = loser.without(job.id)
     return AllocationOutcome(placed=placements, conflicts=conflicts)

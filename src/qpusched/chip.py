@@ -24,6 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .jsontypes import typed
+
 
 class ChipError(ValueError):
     """Malformed or inconsistent chip description."""
@@ -240,7 +242,9 @@ def load_chip(source) -> Chip:
     """Parse and validate a chip file.
 
     ``source`` may be bytes, a JSON string, or a readable file object.
-    Raises ChipError for malformed documents or invariant violations.
+    Values follow ``jsontypes.typed``: qubit ids and edge endpoints are
+    integral, calibration values are numbers. Raises ChipError for
+    malformed documents or invariant violations.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -253,19 +257,23 @@ def load_chip(source) -> Chip:
     if not isinstance(doc, dict) or "qubits" not in doc or "edges" not in doc:
         raise ChipError("chip document must be an object with 'qubits' and 'edges'")
     try:
-        entries = sorted(doc["qubits"], key=lambda q: int(q["id"]))
-        specs = tuple(
-            QubitSpec(
-                id=int(q["id"]),
-                t2_us=float(q["t2_us"]),
-                readout_error=float(q["readout_error"]),
-                t1_us=float(q["t1_us"]) if q.get("t1_us") is not None else None,
+        records = [
+            (
+                typed(q["id"], int, "qubit id"),
+                typed(q["t2_us"], float, "t2_us"),
+                typed(q["readout_error"], float, "readout_error"),
+                None if q.get("t1_us") is None else typed(q["t1_us"], float, "t1_us"),
             )
-            for q in entries
+            for q in doc["qubits"]
+        ]
+        edges = tuple(
+            (typed(a, int, "edge endpoint"), typed(b, int, "edge endpoint"))
+            for a, b in doc["edges"]
         )
-    except (KeyError, TypeError) as exc:
-        raise ChipError(f"malformed qubit record: {exc}") from exc
-    graph = CouplingGraph(n_qubits=len(specs), edges=tuple(tuple(e) for e in doc["edges"]))
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: an edge that is not a pair
+        raise ChipError(f"malformed chip document: {exc}") from exc
+    specs = tuple(QubitSpec(*r) for r in sorted(records, key=lambda r: r[0]))
+    graph = CouplingGraph(n_qubits=len(specs), edges=edges)
     return Chip(name=str(doc.get("name", "chip")), graph=graph, specs=specs)
 
 

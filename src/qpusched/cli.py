@@ -36,6 +36,7 @@ from .chip import (
     Chip, ChipError, QubitSpec, check_coherence_mode, dump_chip, generate_grid, load_chip,
 )
 from .engine import MergeConfig, SimConfig, SimulationError, run as run_simulation
+from .jsontypes import typed
 from .scheduler import POLICY_NAMES, Policy
 from .workload import (
     Distribution,
@@ -85,8 +86,6 @@ def _load_config_file(path: str | None) -> dict:
 
 
 _REQUIRED = object()
-_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
-          list: "a list", dict: "an object"}
 
 
 def _field(section: dict, key: str, kind: type, default=_REQUIRED):
@@ -98,15 +97,11 @@ def _field(section: dict, key: str, kind: type, default=_REQUIRED):
 
 
 def _typed(value, kind: type, name: str):
-    """``value`` as a JSON ``kind``: bool takes only true and false, int an
-    integral finite number (4 or 4.0), float any number."""
-    if kind is int and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    elif kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is not kind:
-        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
-    return value
+    """``value`` as a JSON ``kind`` under ``jsontypes.typed``, else ConfigError."""
+    try:
+        return typed(value, kind, name)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_chip(section: dict) -> Chip:
@@ -345,6 +340,8 @@ def _worker_cell(args):
 
 
 def cmd_sweep(ns) -> int:
+    if ns.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {ns.jobs}")
     doc = _load_config_file(ns.config)
     if ns.chip:
         doc["chip"] = {"path": ns.chip}

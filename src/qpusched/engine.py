@@ -269,7 +269,7 @@ class _Simulation:
 
     def _on_arrivals(self, now: float, jobs: list[Job]) -> None:
         for job in jobs:
-            self.state.ensure(job)
+            self.state.add(job)
             self.trace.jobs[job.id] = JobRecord(job=job)
             self.queue.append(job)
             self.trace.log(now, "arrival", job=job.id, n=job.n, shots=job.shots)
@@ -347,7 +347,7 @@ class _Simulation:
 
     def _start_group(self, placement: Placement, now: float) -> None:
         group = placement.group
-        region = placement.region.qubits
+        region = placement.region
         interval = GroupInterval(group_id=group.id, start=now, region=region)
         self.trace.intervals.append(interval)
         rg = _RunningGroup(group=group, start=now, interval=interval)
@@ -384,7 +384,7 @@ class _Simulation:
 
     def _mfq_aging(self, now: float) -> None:
         for job in self.queue:
-            st = self.state.ensure(job)
+            st = self.state.jobs[job.id]
             if st.mfq_level > 0 and self.state.t_wait(job, now) > self.policy.mfq_aging_s:
                 st.mfq_level = 0
 

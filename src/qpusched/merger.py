@@ -13,8 +13,7 @@ are handed to the allocator in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .workload import Job, service_demand
@@ -27,36 +26,30 @@ class Group:
     member_shots holds the shot count each member still needs (equal to
     job.shots for fresh jobs, less after a preemption); member_keys holds
     each member's priority key under the active policy. The rest is
-    derived: the group runs for the longest member's per-shot duration
-    (t_e_group) and the largest member's shot count (shots_group), needs
-    the summed member qubits (demand), and takes the best (smallest)
-    member key as its priority_key.
+    derived once, when the group is made: the group runs for the longest
+    member's per-shot duration (t_e_group) and the largest member's shot
+    count (shots_group), needs the summed member qubits (demand), and
+    takes the best (smallest) member key as its priority_key. Equality
+    compares only the four fields above.
     """
 
     id: int
     members: tuple[Job, ...]
     member_shots: tuple[int, ...]
     member_keys: tuple[tuple, ...]
+    t_e_group: float = field(init=False, compare=False)
+    shots_group: int = field(init=False, compare=False)
+    demand: int = field(init=False, compare=False)
+    priority_key: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
             raise ValueError("a group needs at least one member")
-
-    @cached_property
-    def t_e_group(self) -> float:
-        return max(j.t_e_shot for j in self.members)
-
-    @cached_property
-    def shots_group(self) -> int:
-        return max(self.member_shots)
-
-    @cached_property
-    def demand(self) -> int:
-        return sum(j.n for j in self.members)
-
-    @cached_property
-    def priority_key(self) -> tuple:
-        return min(self.member_keys)
+        derive = object.__setattr__  # the dataclass is frozen
+        derive(self, "t_e_group", max(j.t_e_shot for j in self.members))
+        derive(self, "shots_group", max(self.member_shots))
+        derive(self, "demand", sum(j.n for j in self.members))
+        derive(self, "priority_key", min(self.member_keys))
 
     @classmethod
     def build(
@@ -157,8 +150,3 @@ def group_by_exec_time(
         groups.append(Group.build(next_id, bucket, shots_by_id, keys_by_id))
     groups.sort(key=lambda g: g.priority_key)
     return groups
-
-
-def group_service_demand(group: Group) -> float:
-    """Time the merged program occupies its region: shots_group * t_e_group."""
-    return group.shots_group * group.t_e_group

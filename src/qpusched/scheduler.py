@@ -18,6 +18,11 @@ Priority keys are tuples; SMALLER sorts first. Every key ends with
 Waiting time is wall time minus accumulated running time, so preempted
 jobs are not credited (or charged) for the time they actually ran.
 
+Per-job state (remaining shots, run time, MFQ level, ring position) lives
+in ``SchedulerState``. The engine registers each job with
+``SchedulerState.add`` when it arrives, and the keys read the state by job
+id, so keying a job that never arrived raises ``KeyError``.
+
 Preemption may only land between shots. ``preemption_decision`` makes
 SRTF's marks; the engine re-checks a mark at the running group's next
 shot boundary and preempts only if it still holds. RR and MFQ quanta are
@@ -80,7 +85,7 @@ class JobState:
 
 
 class SchedulerState:
-    """Per-job states plus the round-robin ring counter."""
+    """Per-job states, keyed by job id, plus the round-robin ring counter."""
 
     def __init__(self):
         self.jobs: dict[int, JobState] = {}
@@ -90,19 +95,16 @@ class SchedulerState:
         self._rr_counter += 1
         return self._rr_counter
 
-    def ensure(self, job: Job) -> JobState:
-        st = self.jobs.get(job.id)
-        if st is None:
-            st = JobState(remaining_shots=job.shots, rr_seq=self.next_rr_seq())
-            self.jobs[job.id] = st
+    def add(self, job: Job) -> JobState:
+        """Register an arriving job: all its shots remain, last in the ring."""
+        st = self.jobs[job.id] = JobState(remaining_shots=job.shots, rr_seq=self.next_rr_seq())
         return st
 
     def t_wait(self, job: Job, now: float) -> float:
-        st = self.ensure(job)
-        return max(0.0, now - job.t_sub - st.run_time)
+        return max(0.0, now - job.t_sub - self.jobs[job.id].run_time)
 
     def remaining_demand(self, job: Job) -> float:
-        return self.ensure(job).remaining_shots * job.t_e_shot
+        return self.jobs[job.id].remaining_shots * job.t_e_shot
 
 
 def eta(job: Job, n_qubits: int) -> float:
@@ -133,7 +135,7 @@ def priority_key(
 
     Ties always break by (t_sub, id).
     """
-    st = state.ensure(job)
+    st = state.jobs[job.id]
     name = policy.name
     if name == "fcfs":
         primary = job.t_sub

@@ -25,6 +25,8 @@ from numbers import Real
 
 import numpy as np
 
+from .jsontypes import typed
+
 
 class WorkloadError(ValueError):
     """Malformed or inconsistent workload description."""
@@ -241,18 +243,12 @@ def generate_poisson_workload(spec: WorkloadSpec) -> Workload:
     return Workload(jobs=tuple(jobs), horizon=spec.horizon)
 
 
-def _integral(doc: dict, key: str) -> int:
-    """The integral number under ``key`` (2 or 2.0); anything else is malformed."""
-    value = doc[key]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def load_workload(source) -> Workload:
-    """Parse a JSON-lines workload file; jobs come back sorted by t_sub."""
+    """Parse a JSON-lines workload file; jobs come back sorted by t_sub.
+
+    Values follow ``jsontypes.typed``: ``id``, ``n`` and ``shots`` are
+    integral, the times are numbers. A bad record raises WorkloadError.
+    """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
@@ -266,11 +262,11 @@ def load_workload(source) -> Workload:
             doc = json.loads(line)
             jobs.append(
                 Job(
-                    id=_integral(doc, "id"),
-                    n=_integral(doc, "n"),
-                    shots=_integral(doc, "shots"),
-                    t_sub=float(doc["t_sub"]),
-                    t_e_shot=float(doc["t_e_shot"]),
+                    id=typed(doc["id"], int, "id"),
+                    n=typed(doc["n"], int, "n"),
+                    shots=typed(doc["shots"], int, "shots"),
+                    t_sub=typed(doc["t_sub"], float, "t_sub"),
+                    t_e_shot=typed(doc["t_e_shot"], float, "t_e_shot"),
                 )
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:

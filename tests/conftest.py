@@ -5,6 +5,7 @@ import pytest
 
 from qpusched.chip import Chip, CouplingGraph, QubitSpec, generate_grid
 from qpusched.metrics import occupancy_timeline
+from qpusched.scheduler import SchedulerState
 from qpusched.workload import Job
 
 
@@ -34,6 +35,14 @@ def timeline_qubit_seconds(trace, chip) -> float:
 
 def make_job(jid=0, n=2, shots=100, t_sub=0.0, t_e=0.001) -> Job:
     return Job(id=jid, n=n, shots=shots, t_sub=t_sub, t_e_shot=t_e)
+
+
+def registered(jobs) -> SchedulerState:
+    """A SchedulerState with every job of ``jobs`` added, as at arrival."""
+    state = SchedulerState()
+    for job in jobs:
+        state.add(job)
+    return state
 
 
 def chip_json(chip_doc: dict) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qpusched.allocator import Occupancy, allocate, grow_region, qubit_error, region_ratio
+from qpusched.allocator import Occupancy, allocate, grow_region, qubit_errors, region_ratio
 from qpusched.chip import Chip, CouplingGraph, QubitSpec, generate_grid
 from qpusched.engine import MergeConfig, SimConfig, run
 from qpusched.merger import Group
@@ -25,7 +25,6 @@ from qpusched.metrics import busy_qubit_seconds
 from qpusched.scheduler import (
     POLICY_NAMES,
     Policy,
-    SchedulerState,
     order_queue,
     q_response_ratio,
     response_ratio,
@@ -38,7 +37,7 @@ from qpusched.workload import (
     generate_poisson_workload,
 )
 
-from conftest import timeline_qubit_seconds
+from conftest import registered, timeline_qubit_seconds
 from graphgen import enumerate_validated
 
 WORKERS = min(2, os.cpu_count() or 1)
@@ -111,8 +110,8 @@ def _criterion3_worker(graphs):
         occ = Occupancy(chip)
         for root in range(n):
             for demand in range(1, min(4, n) + 1):
-                res = grow_region(chip, occ, root, demand, 0.001, group_id=0)
-                if res.region is None or len(res.region.qubits) != demand:
+                res = grow_region(chip, occ, root, demand, 0.001, record_steps=True)
+                if res.region is None or len(res.region) != demand:
                     bad += 1
                     continue
                 growths += 1
@@ -273,14 +272,14 @@ def test_criterion_5_policy_reduction_identities():
                 for j in full
             ]
             now = 30.0 + float(rng.uniform(0, 10))
-            st_ = SchedulerState()
+            st_ = registered(full)
             assert order_queue(Policy("qhrrf"), full, now, n_chip, st_) == order_queue(
                 Policy("hrrf"), full, now, n_chip, st_
             )
             assert order_queue(Policy("qsjf"), full, now, n_chip, st_) == order_queue(
                 Policy("sjf"), full, now, n_chip, st_
             )
-            fcfs = order_queue(Policy("fcfs"), mixed, now, n_chip, SchedulerState())
+            fcfs = order_queue(Policy("fcfs"), mixed, now, n_chip, registered(mixed))
             assert fcfs == sorted(mixed, key=lambda j: (j.t_sub, j.id))
             probe = mixed[0]
             t_ser = probe.shots * probe.t_e_shot
@@ -300,8 +299,9 @@ def test_criterion_6_formula_point_checks():
         assert q_response_ratio(30.0, 10.0, 0.2) == 3.2
         assert response_ratio(30.0, 10.0) == 4.0
         spec = QubitSpec(id=0, t2_us=100.0, readout_error=0.02)
+        one_qubit = Chip("q", CouplingGraph(1, ()), (spec,))
         expected = (1.0 - math.exp(-1.0)) * 0.02
-        assert abs(qubit_error(spec, 100e-6) - expected) < 1e-12
+        assert abs(qubit_errors(one_qubit, 100e-6, "t2")[0] - expected) < 1e-12
 
 
 # --------------------------------------------------------------------------

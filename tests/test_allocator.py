@@ -23,7 +23,7 @@ from qpusched.allocator import (
     Occupancy,
     allocate,
     grow_region,
-    qubit_error,
+    qubit_errors,
     region_ratio,
     resolve_conflict,
 )
@@ -124,25 +124,33 @@ class TestRegionRatio:
         assert deg_sum - 2 * stats.r_i == boundary
 
 
+def chip_of_specs(*specs):
+    """A path chip with the given qubit calibrations."""
+    edges = tuple((q, q + 1) for q in range(len(specs) - 1))
+    return Chip("specs", CouplingGraph(len(specs), edges), specs)
+
+
 class TestQubitError:
     def test_zero_duration(self):
-        spec = QubitSpec(0, t2_us=100.0, readout_error=0.02)
-        assert qubit_error(spec, 0.0) == 0.0
+        chip = chip_of_specs(QubitSpec(0, t2_us=100.0, readout_error=0.02))
+        assert qubit_errors(chip, 0.0, "t2").tolist() == [0.0]
 
     def test_closed_form(self):
-        spec = QubitSpec(0, t2_us=100.0, readout_error=0.02)
-        expected = (1 - math.exp(-1)) * 0.02
-        assert qubit_error(spec, 100e-6) == pytest.approx(expected, abs=1e-12)
+        chip = chip_of_specs(QubitSpec(0, t2_us=100.0, readout_error=0.02),
+                             QubitSpec(1, t2_us=50.0, readout_error=0.01))
+        expected = [(1 - math.exp(-1)) * 0.02, (1 - math.exp(-2)) * 0.01]
+        assert qubit_errors(chip, 100e-6, "t2") == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_in_readout(self):
-        lo = QubitSpec(0, t2_us=100.0, readout_error=0.01)
-        hi = QubitSpec(1, t2_us=100.0, readout_error=0.02)
+        chip = chip_of_specs(QubitSpec(0, t2_us=100.0, readout_error=0.01),
+                             QubitSpec(1, t2_us=100.0, readout_error=0.02))
         for t_e in (1e-6, 1e-4, 1e-2):
-            assert qubit_error(lo, t_e) < qubit_error(hi, t_e)
+            lo, hi = qubit_errors(chip, t_e, "t2")
+            assert lo < hi
 
     def test_coherence_mode(self):
-        spec = QubitSpec(0, t2_us=100.0, readout_error=0.02, t1_us=50.0)
-        assert qubit_error(spec, 1e-4, "min_t1_t2") > qubit_error(spec, 1e-4, "t2")
+        chip = chip_of_specs(QubitSpec(0, t2_us=100.0, readout_error=0.02, t1_us=50.0))
+        assert qubit_errors(chip, 1e-4, "min_t1_t2")[0] > qubit_errors(chip, 1e-4, "t2")[0]
 
 
 def requeued_ids(outcome):
@@ -232,7 +240,7 @@ class TestSelectRoots:
         g = nx.Graph(chip.graph.edges)
         g.add_nodes_from(range(chip.n_qubits))
         hops = dict(nx.all_pairs_shortest_path_length(g))
-        eq = allocator._qubit_error_array(chip, t_e, "t2")
+        eq = allocator.qubit_errors(chip, t_e, "t2")
         want = min(eligible, key=lambda q: (
             -sum(hops[q][r] for r in occ.roots.values()), -max(hops[q].values()), eq[q], q))
         # a one-qubit group grows at any eligible root, so it is placed at the chosen one
@@ -243,18 +251,18 @@ class TestSelectRoots:
 class TestGrowRegion:
     def test_demand_one_is_root(self):
         chip = generate_grid(4, 4)
-        res = grow_region(chip, Occupancy(chip), root=5, demand=1, t_e_group=0.001, group_id=0)
-        assert res.region.qubits == (5,)
+        res = grow_region(chip, Occupancy(chip), root=5, demand=1, t_e_group=0.001)
+        assert res.region == (5,)
         assert res.stats.r_i == 0
         assert res.stats.ratio == 0.0
 
     def test_interior_demand_four_grows_square_not_line(self):
         chip = generate_grid(9, 9)
         root = 4 * 9 + 4  # dead center
-        res = grow_region(chip, Occupancy(chip), root=root, demand=4, t_e_group=0.001, group_id=0)
+        res = grow_region(chip, Occupancy(chip), root=root, demand=4, t_e_group=0.001)
         assert res.stats.ratio == pytest.approx(1 / 3)
-        rows = sorted({q // 9 for q in res.region.qubits})
-        cols = sorted({q % 9 for q in res.region.qubits})
+        rows = sorted({q // 9 for q in res.region})
+        cols = sorted({q % 9 for q in res.region})
         assert len(rows) == 2 and len(cols) == 2  # a 2x2 block, never a 1x4 line
 
     def test_stall_names_blockers(self):
@@ -262,7 +270,7 @@ class TestGrowRegion:
         chip = generate_grid(2, 4)
         occ = Occupancy(chip)
         occ.place(9, [0, 1, 4, 5], root=0)
-        res = grow_region(chip, occ, root=3, demand=3, t_e_group=0.001, group_id=1)
+        res = grow_region(chip, occ, root=3, demand=3, t_e_group=0.001, record_steps=True)
         assert res.region is None
         assert res.blockers == {9}
         # decided by the component search before any growth step
@@ -273,27 +281,27 @@ class TestGrowRegion:
         occ = Occupancy(chip)
         occ.place(9, [0, 1, 4, 5], root=0)
         with pytest.raises(AllocationError, match="not free"):
-            grow_region(chip, occ, root=0, demand=1, t_e_group=0.001, group_id=1)
+            grow_region(chip, occ, root=0, demand=1, t_e_group=0.001)
         with pytest.raises(AllocationError, match="adjacent"):
-            grow_region(chip, occ, root=2, demand=1, t_e_group=0.001, group_id=1)
+            grow_region(chip, occ, root=2, demand=1, t_e_group=0.001)
 
     def test_whole_chip_growth(self):
         chip = generate_grid(4, 4)
-        res = grow_region(chip, Occupancy(chip), root=0, demand=16, t_e_group=0.001, group_id=0)
-        assert res.region.qubits == tuple(range(16))
+        res = grow_region(chip, Occupancy(chip), root=0, demand=16, t_e_group=0.001)
+        assert res.region == tuple(range(16))
         assert res.stats.ratio == 1.0
 
     def test_region_connected_and_sized(self):
         chip = generate_grid(6, 6)
         for demand in (1, 3, 7, 12, 20):
             res = grow_region(chip, Occupancy(chip), root=14, demand=demand,
-                              t_e_group=0.001, group_id=0)
-            assert len(res.region.qubits) == demand
+                              t_e_group=0.001)
+            assert len(res.region) == demand
             sub = nx.Graph()
-            sub.add_nodes_from(res.region.qubits)
+            sub.add_nodes_from(res.region)
             sub.add_edges_from(
                 (a, b) for a, b in chip.graph.edges
-                if a in res.region.qubits and b in res.region.qubits
+                if a in res.region and b in res.region
             )
             assert nx.is_connected(sub)
 
@@ -301,7 +309,8 @@ class TestGrowRegion:
         # replay oracle: recompute every candidate's post-addition ratio by
         # brute force and require the recorded choice to attain the maximum
         chip = generate_grid(5, 5)
-        res = grow_region(chip, Occupancy(chip), root=12, demand=10, t_e_group=0.001, group_id=0)
+        res = grow_region(chip, Occupancy(chip), root=12, demand=10, t_e_group=0.001,
+                          record_steps=True)
         region = [12]
         for step in res.steps:
             best = None
@@ -320,12 +329,13 @@ class TestGrowRegion:
         # 3 entering the frontier first. The last step has no lookahead and
         # E_Q ties on uniform specs, so the lowest id, 2, wins with its own pair.
         chip = uniform_chip(6, [(0, 1), (0, 2), (0, 3), (1, 3), (3, 4), (3, 5)])
-        res = grow_region(chip, Occupancy(chip), root=1, demand=3, t_e_group=0.001, group_id=0)
+        res = grow_region(chip, Occupancy(chip), root=1, demand=3, t_e_group=0.001,
+                          record_steps=True)
         last = res.steps[-1]
         assert (last.chosen, last.r_i, last.r_a) == (2, 2, 4)
         assert dict(zip(last.frontier, zip(last.frontier_r_i, last.frontier_r_a))) == {
             2: (2, 4), 3: (3, 6)}
-        assert res.region.qubits == (0, 1, 2)
+        assert res.region == (0, 1, 2)
         assert (res.stats.r_i, res.stats.r_a) == (2, 4)
 
     def test_lookahead_skips_the_last_step(self):
@@ -336,7 +346,7 @@ class TestGrowRegion:
         chip = uniform_chip(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 4)])
         grown = {
             demand: grow_region(chip, Occupancy(chip), root=0, demand=demand,
-                                t_e_group=0.001, group_id=0).region.qubits
+                                t_e_group=0.001).region
             for demand in (2, 3)
         }
         assert grown == {2: (0, 1), 3: (0, 2, 4)}
@@ -377,7 +387,7 @@ class TestGrowRegion:
             for q in component for w in adj[q] if w in buffers
             for x in adj[w] if owner[x] >= 0
         }
-        res = grow_region(chip, occ, root=root, demand=n, t_e_group=0.001, group_id=7)
+        res = grow_region(chip, occ, root=root, demand=n, t_e_group=0.001)
         assert res.region is None
         assert res.blockers == blockers
         assert res.component_size == len(component)
@@ -393,8 +403,7 @@ class TestGrowRegion:
         root = data.draw(st.sampled_from(eligible.tolist()))
         demand = data.draw(st.integers(1, chip.n_qubits))
         on, off = (
-            grow_region(chip, occ, root=root, demand=demand, t_e_group=0.001,
-                        group_id=7, record_steps=steps)
+            grow_region(chip, occ, root=root, demand=demand, t_e_group=0.001, record_steps=steps)
             for steps in (True, False)
         )
         assert (off.ok, off.region, off.stats, off.blockers) == (
@@ -406,9 +415,7 @@ class TestResolveConflict:
     def test_pass_blocker_with_worse_priority_yields(self):
         stalled = singleton_group(0, n=2, key=(1.0, 0.0, 0))
         blocker = singleton_group(1, n=2, key=(5.0, 0.0, 1))
-        decision = resolve_conflict(stalled, {1}, {1: blocker})
-        assert decision.target_group_id == 1
-        assert decision.whole_group
+        assert resolve_conflict(stalled, {1}, {1: blocker}) is blocker
 
     def test_merged_blocker_sheds_worst_member(self):
         # the blocker's best member (3.0) is still worse than the stalled
@@ -416,21 +423,17 @@ class TestResolveConflict:
         keys = {0: (3.0, 0.0, 0), 1: (9.0, 0.0, 1), 2: (4.0, 0.0, 2)}
         blocker = Group.build(7, [make_job(i, n=2) for i in range(3)], keys_by_id=keys)
         stalled = singleton_group(8, n=2, key=(2.0, 0.0, 8))
-        decision = resolve_conflict(stalled, {7}, {7: blocker})
-        assert decision.target_group_id == 7
-        assert decision.job.id == 1  # worst member of the losing group
-        assert not decision.whole_group
+        assert resolve_conflict(stalled, {7}, {7: blocker}) is blocker
+        assert blocker.worst_member().id == 1  # the member allocate sheds
 
     def test_running_blockers_are_immune(self):
         stalled = singleton_group(0, n=2, key=(1.0, 0.0, 0))
-        decision = resolve_conflict(stalled, {42}, {})
-        assert decision.target_group_id == 0
+        assert resolve_conflict(stalled, {42}, {}) is stalled
 
     def test_stalled_with_worse_priority_yields(self):
         stalled = singleton_group(0, n=2, key=(9.0, 0.0, 0))
         blocker = singleton_group(1, n=2, key=(1.0, 0.0, 1))
-        decision = resolve_conflict(stalled, {1}, {1: blocker})
-        assert decision.target_group_id == 0
+        assert resolve_conflict(stalled, {1}, {1: blocker}) is stalled
 
 
 class TestAllocate:
@@ -456,7 +459,7 @@ class TestAllocate:
         out = allocate(chip, occ, [high, low])
         assert [p.group.id for p in out.placed] == [0]
         assert requeued_ids(out) == [1]
-        assert len(out.placed[0].region.qubits) == 4
+        assert len(out.placed[0].region) == 4
 
     def test_stalled_better_priority_evicts_pass_blocker(self):
         chip = generate_grid(2, 3)
@@ -519,16 +522,16 @@ def test_allocate_properties_random(rows, cols, demands):
     assert placed_jobs | requeued_jobs == {g.id for g in groups}
     assert placed_jobs & requeued_jobs == set()
     for p in out.placed:
-        assert len(p.region.qubits) == p.group.demand
+        assert len(p.region) == p.group.demand
         sub = nx.Graph()
-        sub.add_nodes_from(p.region.qubits)
+        sub.add_nodes_from(p.region)
         sub.add_edges_from(
             (a, b) for a, b in chip.graph.edges
-            if a in p.region.qubits and b in p.region.qubits
+            if a in p.region and b in p.region
         )
         assert nx.is_connected(sub)
         # recorded stats match a brute-force recount
-        stats = region_ratio(chip, p.region.qubits)
+        stats = region_ratio(chip, p.region)
         assert (stats.r_i, stats.r_a) == (p.stats.r_i, p.stats.r_a)
     for a, b in chip.graph.edges:
         oa, ob = occ.owner[a], occ.owner[b]
@@ -550,7 +553,7 @@ def reference_growth(chip, occ, root, demand, t_e):
     buffer = occ.buffer_mask()
     open_ = {q for q in range(chip.n_qubits) if occ.owner[q] < 0 and not buffer[q]}
     # the library's E_Q values: this oracle checks the order of the rule, not exp
-    eq = allocator._qubit_error_array(chip, t_e, "t2").tolist()
+    eq = allocator.qubit_errors(chip, t_e, "t2").tolist()
 
     def frontier(region):
         return sorted({w for q in region for w in chip.graph.neighbors[q] if w in open_}
@@ -607,12 +610,12 @@ def test_growth_tie_order_matches_reference_rule(data):
     demand = data.draw(st.integers(1, len(nx.node_connected_component(g, root))), label="demand")
 
     want = reference_growth(chip, occ, root, demand, 0.001)
-    res = grow_region(chip, occ, root=root, demand=demand, t_e_group=0.001, group_id=7)
+    res = grow_region(chip, occ, root=root, demand=demand, t_e_group=0.001, record_steps=True)
     assert [step.chosen for step in res.steps] == want[1:]
     for k, step in enumerate(res.steps, start=2):
         stats = region_ratio(chip, want[:k])
         assert (step.r_i, step.r_a) == (stats.r_i, stats.r_a)
-    assert res.region.qubits == tuple(sorted(want))
+    assert res.region == tuple(sorted(want))
     assert res.stats == region_ratio(chip, want)
 
 
@@ -686,9 +689,9 @@ def test_evicting_an_earlier_blocker_resumes_at_it(monkeypatch):
     grown = []
     real_grow = allocator.grow_region
 
-    def counting_grow(*args, **kwargs):
-        grown.append(kwargs["group_id"])
-        return real_grow(*args, **kwargs)
+    def counting_grow(chip, occupancy, root, demand, *args, **kwargs):
+        grown.append((root, demand))
+        return real_grow(chip, occupancy, root, demand, *args, **kwargs)
 
     monkeypatch.setattr(allocator, "grow_region", counting_grow)
     occ = Occupancy(chip)
@@ -696,8 +699,8 @@ def test_evicting_an_earlier_blocker_resumes_at_it(monkeypatch):
     assert outcome.conflicts == [
         {"stalled_group": 2, "evicted_group": 1, "requeued_job": 1, "whole_group": True}
     ]
-    assert grown == [0, 1, 2, 2]
-    assert [p.region.qubits for p in outcome.placed] == [(0,), (3, 4, 5, 6, 7, 8)]
+    assert grown == [(0, 1), (8, 1), (2, 6), (8, 6)]  # C, A, B, B again
+    assert [p.region for p in outcome.placed] == [(0,), (3, 4, 5, 6, 7, 8)]
     assert_matches_conflict_free_pass(chip, Occupancy(chip), [c, a, b], outcome, occ, False)
 
 
@@ -711,24 +714,25 @@ def reference_allocate(chip, occ, groups, record_steps):
         if cands.size:
             root = allocator._choose_root(chip, cands, group.t_e_group, "t2", {})
             result = grow_region(chip, occ, root, group.demand, group.t_e_group,
-                                 group_id=group.id, record_steps=record_steps)
+                                 record_steps=record_steps)
             if result.ok:
-                occ.place(group.id, result.region.qubits, root)
+                occ.place(group.id, result.region, root)
                 placements.append(
                     allocator.Placement(group, result.region, root, result.stats, result.steps))
                 continue
             blockers = result.blockers
-        decision = resolve_conflict(group, blockers, {p.group.id: p.group for p in placements})
-        conflicts.append({"stalled_group": group.id, "evicted_group": decision.target_group_id,
-                          "requeued_job": decision.job.id, "whole_group": decision.whole_group})
-        k = next(i for i, g in enumerate(work) if g.id == decision.target_group_id)
+        loser = resolve_conflict(group, blockers, {p.group.id: p.group for p in placements})
+        job = loser.worst_member()
+        conflicts.append({"stalled_group": group.id, "evicted_group": loser.id,
+                          "requeued_job": job.id, "whole_group": len(loser.members) == 1})
+        k = next(i for i, g in enumerate(work) if g.id == loser.id)
         for p in placements[k:]:
             occ.release(p.group.id)
         del placements[k:]
-        if decision.whole_group:
+        if len(loser.members) == 1:
             del work[k]
         else:
-            work[k] = work[k].without(decision.job.id)
+            work[k] = loser.without(job.id)
     return placements, conflicts
 
 
@@ -779,7 +783,7 @@ def test_stalled_root_is_searched_once_while_the_occupancy_holds(monkeypatch):
     assert searched == [(7, 8, False), (7, 2, True), (0, 4, False)]
     assert requeued_ids(outcome) == [3, 2, 1, 4]
     assert [c["evicted_group"] for c in outcome.conflicts] == [0, 0, 0, 4]
-    assert [p.region.qubits for p in outcome.placed] == [(6, 7)]
+    assert [p.region for p in outcome.placed] == [(6, 7)]
 
 
 def test_release_forgets_the_stalls_before_it():
@@ -796,7 +800,7 @@ def test_release_forgets_the_stalls_before_it():
     occ, ref = Occupancy(chip), Occupancy(chip)
     outcome = allocate(chip, occ, groups, record_steps=False)
     assert [(c["stalled_group"], c["evicted_group"]) for c in outcome.conflicts] == [(3, 0), (3, 1)]
-    assert [(p.group.id, p.root, p.region.qubits) for p in outcome.placed] == [
+    assert [(p.group.id, p.root, p.region) for p in outcome.placed] == [
         (2, 0, (0, 3)), (3, 11, (8, 11))]
     assert (outcome.placed, outcome.conflicts) == reference_allocate(chip, ref, groups, False)
 
@@ -808,12 +812,12 @@ def test_error_scores_once_per_duration_in_a_pass(monkeypatch):
     groups = [singleton_group(i, n=1, t_e=(1e-4, 1e-3)[i % 2], key=(float(i), 0.0, i))
               for i in range(6)]
     made = []
-    real_errors = allocator._qubit_error_array
+    real_errors = allocator.qubit_errors
 
     def counting_errors(chip, t_e, t_q_mode):
         made.append(t_e)
         return real_errors(chip, t_e, t_q_mode)
 
-    monkeypatch.setattr(allocator, "_qubit_error_array", counting_errors)
+    monkeypatch.setattr(allocator, "qubit_errors", counting_errors)
     assert placed_roots(chip, groups) == [4, 20, 0, 24, 2, 14]
     assert sorted(made) == [1e-4, 1e-3]  # ties at both durations, one array each

@@ -122,6 +122,50 @@ class TestLoadChip:
         with pytest.raises(ChipError, match="malformed"):
             load_chip(b"{not json")
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("qubits", 0, "id"), 0.9, "qubit id must be an integer, got 0.9"),
+        (("qubits", 0, "id"), True, "qubit id must be an integer, got True"),
+        (("qubits", 0, "id"), "0", "qubit id must be an integer, got '0'"),
+        (("edges", 0), [0, 1.7], "edge endpoint must be an integer, got 1.7"),
+        (("edges", 0), [0, "1"], "edge endpoint must be an integer, got '1'"),
+        (("edges", 0), [True, 1], "edge endpoint must be an integer, got True"),
+        (("qubits", 1, "t2_us"), True, "t2_us must be a number, got True"),
+        (("qubits", 1, "t2_us"), "120", "t2_us must be a number, got '120'"),
+        (("qubits", 1, "t1_us"), "60", "t1_us must be a number, got '60'"),
+        (("qubits", 0, "readout_error"), False, "readout_error must be a number, got False"),
+    ], ids=["id-fraction", "id-bool", "id-string", "edge-fraction", "edge-string",
+            "edge-bool", "t2-bool", "t2-string", "t1-string", "readout-bool"])
+    def test_values_follow_the_json_number_rule(self, path, value, message):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        *outer, last = path
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ChipError, match=message):
+            load_chip(json.dumps(doc))
+
+    def test_integer_beyond_any_float_is_not_finite(self):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["qubits"][0]["t2_us"] = 10**400
+        with pytest.raises(ChipError, match="t2 must be positive and finite, got inf"):
+            load_chip(json.dumps(doc))
+
+    @pytest.mark.parametrize("edge", [[0], [0, 1, 1], 1])
+    def test_edge_names_two_qubits(self, edge):
+        with pytest.raises(ChipError, match="malformed chip document"):
+            load_chip(json.dumps(dict(MINIMAL_DOC, edges=[edge])))
+
+    def test_integral_floats_and_int_calibration_accepted(self):
+        doc = json.loads(json.dumps(MINIMAL_DOC))
+        doc["qubits"][1]["id"] = 1.0
+        doc["qubits"][0]["t1_us"] = 90
+        doc["edges"] = [[0.0, 1.0]]
+        chip = load_chip(json.dumps(doc))
+        assert chip.graph.edges == ((0, 1),)
+        assert [s.id for s in chip.specs] == [0, 1]
+        assert chip.specs[0].t1_us == 90.0 and type(chip.specs[0].t1_us) is float
+
     def test_heavy_hex_156(self):
         doc = heavy_hex_doc()
         # independent count check: 8 rows of 16 plus 7 connector rows of 4

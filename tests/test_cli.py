@@ -267,6 +267,21 @@ class TestSweep:
         assert main(["sweep", "--config", "cfg.json", "--policies", "lifo",
                      "--lambdas", "5"]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, workdir, monkeypatch, capsys, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_sweep_cell", no_pool)
+        config = {"chip": {"grid": {"rows": 2, "cols": 2}},
+                  "workload": {"horizon": 1.0}}
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        assert main(["sweep", "--config", "cfg.json", "--policies", "fcfs",
+                     "--lambdas", "5", "--jobs", jobs, "--out", "sw"]) == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (workdir / "sw").exists()
+
 
 def sweep_config(workdir, **extra):
     config = {"chip": {"grid": {"rows": 3, "cols": 3}}, "workload": {"horizon": 2.0}, **extra}
@@ -447,6 +462,21 @@ class TestValidate:
     def test_bad_chip(self, workdir, capsys):
         (workdir / "bad.json").write_text('{"qubits": [], "edges": []}')
         assert main(["validate", "--chip", "bad.json"]) == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["qubits"][0].update(id=0.9), "qubit id must be an integer, got 0.9"),
+        (lambda doc: doc["edges"][0].__setitem__(1, 1.7), "edge endpoint must be an integer"),
+        (lambda doc: doc["qubits"][0].update(t2_us=True), "t2_us must be a number, got True"),
+    ], ids=["id-fraction", "edge-fraction", "t2-bool"])
+    def test_chip_breaking_the_json_number_rule(self, workdir, capsys, edit, message):
+        write_minimal_inputs(workdir)
+        doc = json.loads((workdir / "chip.json").read_text())
+        edit(doc)
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        assert main(["validate", "--chip", "bad.json"]) == 2
+        captured = capsys.readouterr()
+        assert "chip OK" not in captured.out
+        assert message in captured.err
 
     @pytest.mark.parametrize("field, value", [("n", 2.7), ("shots", 100.9)])
     def test_non_integral_workload(self, workdir, capsys, field, value):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpusched.merger import Group, group_by_exec_time, group_service_demand, select_prefix
+from qpusched.merger import Group, group_by_exec_time, select_prefix
 from qpusched.workload import Job, service_demand
 
 from conftest import make_job
@@ -77,6 +77,11 @@ class TestGrouping:
         assert [g.members[0].id for g in groups] == [1, 0]
 
 
+def group_service_demand(group):
+    """Time the merged program occupies its region: shots_group * t_e_group."""
+    return group.shots_group * group.t_e_group
+
+
 class TestGroupModel:
     def test_service_demand_singleton(self):
         g = Group.build(0, [make_job(0, shots=100, t_e=0.01)])
@@ -92,6 +97,15 @@ class TestGroupModel:
         two = Group.build(0, [make_job(0, shots=100, t_e=0.01),
                               make_job(1, shots=100, t_e=0.01)])
         assert group_service_demand(two) == group_service_demand(one)
+
+    def test_equality_reads_the_declared_fields(self):
+        jobs = [make_job(0, n=3, shots=100, t_e=0.010), make_job(1, n=5, shots=200, t_e=0.011)]
+        g = Group.build(0, jobs)
+        assert g == Group(0, tuple(jobs), (100, 200), ((0.0, 0), (0.0, 1)))
+        assert g != Group.build(1, jobs)
+        assert hash(g) == hash(Group.build(0, jobs))
+        with pytest.raises(TypeError):
+            Group(0, tuple(jobs), (100, 200), ((0.0, 0), (0.0, 1)), demand=8)
 
     def test_priority_is_best_member_key(self):
         keys = {0: (3.0, 0.0, 0), 1: (1.0, 0.0, 1), 2: (2.0, 0.0, 2)}
@@ -152,3 +166,33 @@ class TestGroupingProperties:
             return
         groups = group_by_exec_time(jobs, 1.0)
         assert all(len(g.members) == 1 for g in groups)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(1, 20), st.integers(1, 300), st.floats(1e-4, 0.05),
+                  st.integers(1, 1000), st.floats(-10.0, 10.0)),
+        min_size=1, max_size=8,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_derived_values_hold_through_build_and_without(rows, data):
+    # members with their remaining shots and keys; each drop leaves at least one
+    jobs = [Job(id=i, n=n, shots=shots, t_sub=0.0, t_e_shot=t_e)
+            for i, (n, shots, t_e, _, _) in enumerate(rows)]
+    remaining = {i: r[3] for i, r in enumerate(rows)}
+    keys = {i: (r[4], 0.0, i) for i, r in enumerate(rows)}
+    drops = data.draw(st.permutations(range(len(jobs))), label="drops")[:len(jobs) - 1]
+    drops = drops[:data.draw(st.integers(0, len(drops)), label="n_drops")]
+    g = Group.build(3, jobs, shots_by_id=remaining, keys_by_id=keys)
+    chain = [g]
+    for jid in drops:
+        chain.append(chain[-1].without(jid))
+    for g in chain:
+        ids = [j.id for j in g.members]
+        assert g.t_e_group == max(j.t_e_shot for j in g.members)
+        assert g.shots_group == max(remaining[i] for i in ids)
+        assert g.demand == sum(j.n for j in g.members)
+        assert g.priority_key == min(keys[i] for i in ids)
+        assert g == Group.build(3, g.members, shots_by_id=remaining, keys_by_id=keys)

@@ -21,7 +21,7 @@ from qpusched.scheduler import (
 )
 from qpusched.workload import Job, Workload
 
-from conftest import make_job
+from conftest import make_job, registered
 
 
 def job_with_demand(jid, n, t_e_total, t_sub=0.0, shots=10):
@@ -93,14 +93,14 @@ class TestPolicy:
 class TestOrdering:
     def test_fcfs_by_submission(self):
         jobs = [make_job(0, t_sub=3.0), make_job(1, t_sub=1.0), make_job(2, t_sub=2.0)]
-        ordered = order_queue(Policy("fcfs"), jobs, 5.0, 100, SchedulerState())
+        ordered = order_queue(Policy("fcfs"), jobs, 5.0, 100, registered(jobs))
         assert [j.id for j in ordered] == [1, 2, 0]
 
     def test_qsjf_vs_sjf(self):
         # A: small but long; B: big but short. QSJF prefers A, SJF prefers B.
         a = job_with_demand(0, n=10, t_e_total=10.0)
         b = job_with_demand(1, n=50, t_e_total=3.0)
-        st_ = SchedulerState()
+        st_ = registered([a, b])
         key_a = priority_key(Policy("qsjf"), a, 0.0, 100, st_)
         key_b = priority_key(Policy("qsjf"), b, 0.0, 100, st_)
         assert key_a[0] == pytest.approx(1.0)
@@ -112,7 +112,7 @@ class TestOrdering:
         # both waited 30s, t_ser 10s; the full-chip job outranks the small one
         a = job_with_demand(0, n=100, t_e_total=10.0)
         b = job_with_demand(1, n=20, t_e_total=10.0)
-        st_ = SchedulerState()
+        st_ = registered([a, b])
         key_a = priority_key(Policy("qhrrf"), a, 30.0, 100, st_)
         key_b = priority_key(Policy("qhrrf"), b, 30.0, 100, st_)
         assert key_a[0] == pytest.approx(-4.0)
@@ -123,7 +123,8 @@ class TestOrdering:
     def test_hrrf_prefers_waited(self):
         fresh = job_with_demand(0, n=2, t_e_total=10.0, t_sub=30.0)
         waited = job_with_demand(1, n=2, t_e_total=10.0, t_sub=0.0)
-        ordered = order_queue(Policy("hrrf"), [fresh, waited], 30.0, 100, SchedulerState())
+        ordered = order_queue(Policy("hrrf"), [fresh, waited], 30.0, 100,
+                              registered([fresh, waited]))
         assert [j.id for j in ordered] == [1, 0]
 
     def test_empty_queue(self):
@@ -133,14 +134,12 @@ class TestOrdering:
         a = make_job(3, n=4, shots=10, t_sub=1.0, t_e=0.1)
         b = make_job(7, n=4, shots=10, t_sub=1.0, t_e=0.1)
         for name in ("fcfs", "sjf", "qsjf", "srtf", "hrrf", "qhrrf", "mfq"):
-            ordered = order_queue(Policy(name), [b, a], 2.0, 100, SchedulerState())
+            ordered = order_queue(Policy(name), [b, a], 2.0, 100, registered([a, b]))
             assert [j.id for j in ordered] == [3, 7], name
 
     def test_rr_ring_order_follows_arrival_then_requeue(self):
         a, b = make_job(0, t_sub=0.0), make_job(1, t_sub=1.0)
-        st_ = SchedulerState()
-        st_.ensure(a)
-        st_.ensure(b)
+        st_ = registered([a, b])
         assert [j.id for j in order_queue(Policy("rr"), [b, a], 2.0, 100, st_)] == [0, 1]
         st_.jobs[0].rr_seq = st_.next_rr_seq()  # a consumed its quantum, to the back
         assert [j.id for j in order_queue(Policy("rr"), [b, a], 2.0, 100, st_)] == [1, 0]
@@ -148,8 +147,8 @@ class TestOrdering:
     def test_mfq_levels_order_before_arrival(self):
         a, b = make_job(0, t_sub=0.0), make_job(1, t_sub=1.0)
         st_ = SchedulerState()
-        st_.ensure(a).mfq_level = 1
-        st_.ensure(b)
+        st_.add(a).mfq_level = 1
+        st_.add(b)
         ordered = order_queue(Policy("mfq"), [a, b], 2.0, 100, st_)
         assert [j.id for j in ordered] == [1, 0]
 
@@ -176,7 +175,7 @@ class TestOrderingProperties:
     @given(queue_strategy, st.sampled_from(["fcfs", "sjf", "qsjf", "srtf", "rr", "mfq", "hrrf", "qhrrf"]))
     @settings(max_examples=120, deadline=None)
     def test_permutation_and_idempotence(self, jobs, name):
-        st_ = SchedulerState()
+        st_ = registered(jobs)
         now = 60.0
         ordered = order_queue(Policy(name), jobs, now, 64, st_)
         assert sorted(j.id for j in ordered) == sorted(j.id for j in jobs)
@@ -187,7 +186,7 @@ class TestOrderingProperties:
     def test_reduction_identities_at_full_chip(self, jobs):
         # with every n = N, the qubit-aware variants equal their parents
         jobs = [Job(j.id, 64, j.shots, j.t_sub, j.t_e_shot) for j in jobs]
-        st_ = SchedulerState()
+        st_ = registered(jobs)
         now = 60.0
         assert order_queue(Policy("qhrrf"), jobs, now, 64, st_) == order_queue(
             Policy("hrrf"), jobs, now, 64, st_
@@ -202,10 +201,8 @@ class TestOrderingProperties:
         # doubling every service demand leaves size-based orderings unchanged
         scaled = [Job(j.id, j.n, j.shots, j.t_sub, j.t_e_shot * 2.0) for j in jobs]
         for name in ("sjf", "qsjf", "srtf"):
-            st_ = SchedulerState()
-            a = [j.id for j in order_queue(Policy(name), jobs, 60.0, 64, st_)]
-            st2 = SchedulerState()
-            b = [j.id for j in order_queue(Policy(name), scaled, 60.0, 64, st2)]
+            a = [j.id for j in order_queue(Policy(name), jobs, 60.0, 64, registered(jobs))]
+            b = [j.id for j in order_queue(Policy(name), scaled, 60.0, 64, registered(scaled))]
             assert a == b
 
     @given(
@@ -225,23 +222,20 @@ class TestPreemptionDecision:
         # RR and MFQ preempt at quantum expiry in the engine, never here
         running = [RunningSnapshot(0, 5.0)]
         queue = [make_job(1, shots=1, t_e=0.001)]
-        st_ = SchedulerState()
-        st_.ensure(queue[0])
+        st_ = registered(queue)
         for name in ("fcfs", "sjf", "qsjf", "hrrf", "qhrrf", "rr", "mfq"):
             assert preemption_decision(Policy(name), running, queue, 1.0, st_) == set()
 
     def test_srtf_marks_on_shorter_arrival(self):
         running = [RunningSnapshot(0, 5.0)]
         short = make_job(1, shots=100, t_e=0.01)  # demand 1.0 < 5.0
-        st_ = SchedulerState()
-        st_.ensure(short)
+        st_ = registered([short])
         assert preemption_decision(Policy("srtf"), running, [short], 0.0, st_) == {0}
 
     def test_srtf_strictness(self):
         running = [RunningSnapshot(0, 1.0)]
         equal = make_job(1, shots=100, t_e=0.01)  # demand exactly 1.0
-        st_ = SchedulerState()
-        st_.ensure(equal)
+        st_ = registered([equal])
         assert preemption_decision(Policy("srtf"), running, [equal], 0.0, st_) == set()
 
     def test_rr_marks_only_when_queue_nonempty(self):
@@ -273,5 +267,23 @@ class TestWaitAccounting:
     def test_wait_excludes_run_time(self):
         job = make_job(0, t_sub=2.0)
         st_ = SchedulerState()
-        st_.ensure(job).run_time = 3.0
+        st_.add(job).run_time = 3.0
         assert st_.t_wait(job, 10.0) == pytest.approx(5.0)
+
+
+class TestRegistration:
+    def test_state_is_made_at_add(self):
+        a, b = make_job(0, shots=40), make_job(1, shots=60)
+        st_ = registered([a, b])
+        assert [(st_.jobs[j].remaining_shots, st_.jobs[j].rr_seq) for j in (0, 1)] == [
+            (40, 1), (60, 2)]
+
+    @pytest.mark.parametrize("name", ["fcfs", "sjf", "qsjf", "srtf", "rr", "mfq", "hrrf", "qhrrf"])
+    def test_unregistered_job_raises_key_error(self, name):
+        known, stranger = make_job(0), make_job(1)
+        st_ = registered([known])
+        with pytest.raises(KeyError):
+            priority_key(Policy(name), stranger, 1.0, 100, st_)
+        with pytest.raises(KeyError):
+            order_queue(Policy(name), [known, stranger], 1.0, 100, st_)
+        assert list(st_.jobs) == [0]  # nothing was made on the side

@@ -250,6 +250,22 @@ class TestWorkloadFiles:
         with pytest.raises(WorkloadError, match=f"{field} must be an integer"):
             load_workload(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("t_sub", "1.5", "t_sub must be a number, got '1.5'"),
+        ("t_sub", True, "t_sub must be a number, got True"),
+        ("t_e_shot", "0.01", "t_e_shot must be a number, got '0.01'"),
+        ("id", True, "id must be an integer, got True"),
+    ])
+    def test_values_follow_the_json_number_rule(self, field, value, message):
+        doc = {"id": 0, "n": 4, "shots": 100, "t_sub": 0.0, "t_e_shot": 0.01, field: value}
+        with pytest.raises(WorkloadError, match=message):
+            load_workload(json.dumps(doc))
+
+    def test_integer_beyond_any_float_is_not_finite(self):
+        doc = {"id": 0, "n": 4, "shots": 100, "t_sub": -10**400, "t_e_shot": 0.01}
+        with pytest.raises(WorkloadError, match="t_sub must be finite"):
+            load_workload(json.dumps(doc))
+
     def test_integral_float_count_accepted(self):
         wl = load_workload('{"id": 0, "n": 4.0, "shots": 100.0, "t_sub": 0, "t_e_shot": 0.01}\n')
         assert (wl.jobs[0].n, wl.jobs[0].shots) == (4, 100)
