@@ -42,6 +42,14 @@ Placement of one group:
    a later attempt at that root with a larger demand stalls the same way
    without a search. Placing or releasing clears both. E_Q per qubit is
    computed at most once per ``t_e_group`` in a pass.
+
+Across passes, the occupancy remembers placements on an idle chip. With no
+region placed, root choice and growth read only the chip, so the placement
+is a function of (demand, t_e_group, t_q_mode, record_steps). ``allocate``
+keeps each such placement on the ``Occupancy`` and reuses it the next time
+the chip is idle. A job preempted in exclusive mode then gets its region
+back without a second growth. The memo lives and dies with its occupancy,
+which belongs to one simulation.
 """
 
 from __future__ import annotations
@@ -119,6 +127,8 @@ class Occupancy:
 
     owner[q] is the owning group id, or -1 when free; near[q] counts the
     owned neighbours of q. One simulation owns its Occupancy exclusively.
+    ``idle`` is ``allocate``'s memo of placements made while no region was
+    placed: (demand, t_e_group, t_q_mode, record_steps) -> (root, growth).
     """
 
     def __init__(self, chip: Chip):
@@ -128,6 +138,7 @@ class Occupancy:
         self.regions: dict[int, tuple[int, ...]] = {}
         self.roots: dict[int, int] = {}
         self._counts: dict[int, np.ndarray] = {}  # per group: what it added to near
+        self.idle: dict[tuple, tuple[int, GrowthResult]] = {}
 
     def place(self, group_id: int, qubits: Iterable[int], root: int) -> None:
         """Give ``qubits`` to ``group_id``; they must be free and touch no
@@ -444,7 +455,9 @@ def allocate(
     released, the earlier ones stay. The outcome is that of restarting
     the whole pass against the original occupancy after each eviction.
     What the pass learns about the occupancy (the root candidates and the
-    stalled roots) is kept until a group is placed or released.
+    stalled roots) is kept until a group is placed or released. A
+    placement on an occupancy with no region is kept in ``occupancy.idle``
+    and reused whenever the occupancy is idle again.
     """
     work = list(groups)
     conflicts: list[dict] = []
@@ -454,17 +467,25 @@ def allocate(
     stalled: dict[int, GrowthResult] = {}  # root -> its stall on the current occupancy
     while len(placements) < len(work):
         group = work[len(placements)]
-        if cands is None:
-            cands, no_root = _root_candidates(chip, occupancy)
-        blockers = no_root
-        if cands.size:
-            root = _choose_root(chip, cands, group.t_e_group, t_q_mode, errors)
-            result = stalled.get(root)
-            if result is None or group.demand <= result.component_size:
-                result = grow_region(
-                    chip, occupancy, root, group.demand, group.t_e_group,
-                    t_q_mode=t_q_mode, record_steps=record_steps,
-                )
+        # with no region placed, root choice and growth read only the chip
+        idle = not occupancy.regions
+        idle_key = (group.demand, group.t_e_group, t_q_mode, record_steps)
+        root, result = occupancy.idle.get(idle_key, (-1, None)) if idle else (-1, None)
+        if result is None:
+            if cands is None:
+                cands, no_root = _root_candidates(chip, occupancy)
+            blockers = no_root
+            if cands.size:
+                root = _choose_root(chip, cands, group.t_e_group, t_q_mode, errors)
+                result = stalled.get(root)
+                if result is None or group.demand <= result.component_size:
+                    result = grow_region(
+                        chip, occupancy, root, group.demand, group.t_e_group,
+                        t_q_mode=t_q_mode, record_steps=record_steps,
+                    )
+                    if idle and result.ok:
+                        occupancy.idle[idle_key] = root, result
+        if result is not None:
             if result.ok:
                 occupancy.place(group.id, result.region, root)
                 placements.append(Placement(group, result.region, root, result.stats, result.steps))

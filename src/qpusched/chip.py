@@ -270,11 +270,12 @@ def load_chip(source) -> Chip:
             (typed(a, int, "edge endpoint"), typed(b, int, "edge endpoint"))
             for a, b in doc["edges"]
         )
+        name = typed(doc["name"], str, "name") if "name" in doc else "chip"
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: an edge that is not a pair
         raise ChipError(f"malformed chip document: {exc}") from exc
     specs = tuple(QubitSpec(*r) for r in sorted(records, key=lambda r: r[0]))
     graph = CouplingGraph(n_qubits=len(specs), edges=edges)
-    return Chip(name=str(doc.get("name", "chip")), graph=graph, specs=specs)
+    return Chip(name=name, graph=graph, specs=specs)
 
 
 def dump_chip(chip: Chip) -> dict:

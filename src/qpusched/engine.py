@@ -45,9 +45,9 @@ from .scheduler import (
     Policy,
     RunningSnapshot,
     SchedulerState,
+    WaitingQueue,
     order_queue,
     preemption_decision,
-    priority_key,
 )
 from .workload import Job, Workload
 
@@ -186,7 +186,8 @@ class Trace:
             for jid, rec in sorted(self.jobs.items())
         )
         docs = itertools.chain([{"type": "meta", **self.meta}], events, growth, jobs)
-        return "\n".join(json.dumps(doc, allow_nan=False) for doc in docs) + "\n"
+        encode = json.JSONEncoder(allow_nan=False).encode
+        return "\n".join(map(encode, docs)) + "\n"
 
 
 @dataclass
@@ -218,7 +219,7 @@ class _Simulation:
         self.policy = config.policy
         self.state = SchedulerState()
         self.occupancy = Occupancy(config.chip)
-        self.queue: list[Job] = []
+        self.queue = WaitingQueue(config.policy, self.n_qubits, self.state)
         self.running: dict[int, _RunningGroup] = {}
         self.heap: list[tuple] = []
         self.trace = Trace(
@@ -271,7 +272,7 @@ class _Simulation:
         for job in jobs:
             self.state.add(job)
             self.trace.jobs[job.id] = JobRecord(job=job)
-            self.queue.append(job)
+            self.queue.push(job, now)
             self.trace.log(now, "arrival", job=job.id, n=job.n, shots=job.shots)
         self._pass(now)
 
@@ -336,8 +337,8 @@ class _Simulation:
                 completed.append(member.id)
             else:
                 rec.preemptions += 1
-                self.queue.append(member)
                 st.rr_seq = self.state.next_rr_seq()
+                self.queue.push(member, now)
                 requeued.append(member.id)
         kind = "group_complete" if preempt_at is None else "preempt"
         self.trace.log(
@@ -383,10 +384,14 @@ class _Simulation:
     # -- the scheduling pass --------------------------------------------------
 
     def _mfq_aging(self, now: float) -> None:
+        aged = []
         for job in self.queue:
             st = self.state.jobs[job.id]
             if st.mfq_level > 0 and self.state.t_wait(job, now) > self.policy.mfq_aging_s:
                 st.mfq_level = 0
+                aged.append(job)
+        if aged:
+            self.queue.rekey(aged, now)
 
     def _pass(self, now: float) -> None:
         # exclusive mode starts nothing while a group runs, so it skips the
@@ -404,10 +409,7 @@ class _Simulation:
                 prefix = select_prefix(ordered, free_cap, self.config.merge.backfill)
                 merging = self.config.merge.enabled
             if prefix:
-                keys = {
-                    j.id: priority_key(self.policy, j, now, self.n_qubits, self.state)
-                    for j in prefix
-                }
+                keys = self.queue.keys  # the keys order_queue ordered by
                 shots = {j.id: self.state.jobs[j.id].remaining_shots for j in prefix}
                 if merging:
                     groups = group_by_exec_time(
@@ -439,7 +441,7 @@ class _Simulation:
                     self.trace.jobs[conflict["requeued_job"]].requeues += 1
                     self.trace.log(now, "requeue", **conflict)
                 if placed_ids:
-                    self.queue = [j for j in self.queue if j.id not in placed_ids]
+                    self.queue.remove(placed_ids)
         if self.policy.name == "srtf" and self.queue and self.running:
             snaps = [
                 RunningSnapshot(gid, remaining_demand(rg, now))

@@ -23,6 +23,13 @@ in ``SchedulerState``. The engine registers each job with
 ``SchedulerState.add`` when it arrives, and the keys read the state by job
 id, so keying a job that never arrived raises ``KeyError``.
 
+The engine keeps its waiting jobs in a ``WaitingQueue``. Every key but
+hrrf's and qhrrf's changes only when its job enters the queue, or when
+MFQ aging resets its level, so the queue computes it then and inserts the
+job in key order; a pass reads that order and those keys instead of
+re-keying the queue. hrrf and qhrrf keys grow with the time, so they are
+computed at every ordering.
+
 Preemption may only land between shots. ``preemption_decision`` makes
 SRTF's marks; the engine re-checks a mark at the running group's next
 shot boundary and preempts only if it still holds. RR and MFQ quanta are
@@ -32,13 +39,16 @@ boundaries too, with the same boundary event.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .jsontypes import typed
 from .workload import Job, service_demand
 
 POLICY_NAMES = ("fcfs", "sjf", "qsjf", "srtf", "rr", "mfq", "hrrf", "qhrrf")
+TIMED_POLICIES = ("hrrf", "qhrrf")  # keys that grow while a job waits
 
 
 @dataclass(frozen=True)
@@ -55,9 +65,13 @@ class Policy:
         object.__setattr__(self, "name", self.name.lower())
         if self.name not in POLICY_NAMES:
             raise ValueError(f"unknown policy {self.name!r}; expected one of {POLICY_NAMES}")
-        for attr in ("rr_quantum_shots", "mfq_levels", "mfq_base_quantum_shots", "mfq_aging_s"):
-            if not math.isfinite(getattr(self, attr)):
-                raise ValueError(f"{attr} must be finite, got {getattr(self, attr)}")
+        try:
+            for attr in ("rr_quantum_shots", "mfq_levels", "mfq_base_quantum_shots"):
+                object.__setattr__(self, attr, typed(getattr(self, attr), int, attr))
+        except TypeError as exc:
+            raise ValueError(str(exc)) from exc
+        if not math.isfinite(self.mfq_aging_s):
+            raise ValueError(f"mfq_aging_s must be finite, got {self.mfq_aging_s}")
         if self.rr_quantum_shots < 1:
             raise ValueError("rr quantum must be at least one shot")
         if self.mfq_levels < 2:
@@ -158,15 +172,81 @@ def priority_key(
     return (primary, job.t_sub, job.id)
 
 
+class WaitingQueue:
+    """The waiting jobs of one simulation, with their priority keys by id.
+
+    Keys that do not grow with the time are computed by ``push`` and keep
+    ``jobs`` in key order. hrrf and qhrrf keys are computed by ``ordered``,
+    which sorts in place: the previous order is nearly sorted already.
+    """
+
+    def __init__(self, policy: Policy, n_qubits: int, state: SchedulerState):
+        self.policy = policy
+        self.n_qubits = n_qubits
+        self.state = state
+        self.timed = policy.name in TIMED_POLICIES
+        self.jobs: list[Job] = []
+        self.keys: dict[int, tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self.jobs)
+
+    def __iter__(self):
+        return iter(self.jobs)
+
+    def _key(self, job: Job) -> tuple:
+        return self.keys[job.id]
+
+    def push(self, job: Job, now: float) -> None:
+        """Queue ``job``, keyed by its state now."""
+        if self.timed:
+            self.jobs.append(job)
+            return
+        self.keys[job.id] = priority_key(self.policy, job, now, self.n_qubits, self.state)
+        bisect.insort(self.jobs, job, key=self._key)
+
+    def remove(self, ids: set[int]) -> None:
+        """Take the jobs with ``ids`` out; a kept key finds its job by bisection."""
+        if self.timed:
+            self.jobs = [j for j in self.jobs if j.id not in ids]
+        else:
+            for jid in ids:
+                del self.jobs[bisect.bisect_left(self.jobs, self.keys[jid], key=self._key)]
+        for jid in ids:
+            del self.keys[jid]
+
+    def rekey(self, jobs: Sequence[Job], now: float) -> None:
+        """Move queued ``jobs``, whose keys changed, to their new places."""
+        self.remove({j.id for j in jobs})
+        for job in jobs:
+            self.push(job, now)
+
+    def ordered(self, now: float) -> list[Job]:
+        """The queue in priority order, as a new list."""
+        if self.timed:
+            for j in self.jobs:
+                self.keys[j.id] = priority_key(self.policy, j, now, self.n_qubits, self.state)
+            self.jobs.sort(key=self._key)
+        return list(self.jobs)
+
+
 def order_queue(
     policy: Policy,
-    queue: Sequence[Job],
+    queue: Sequence[Job] | WaitingQueue,
     now: float,
     n_qubits: int,
     state: SchedulerState,
 ) -> list[Job]:
-    """Queue sorted by priority; stable, does not mutate the input."""
-    return sorted(queue, key=lambda j: priority_key(policy, j, now, n_qubits, state))
+    """Queue sorted by priority, as a new list.
+
+    A ``WaitingQueue`` gives its kept order; any other sequence of jobs is
+    put into a fresh one first.
+    """
+    if not isinstance(queue, WaitingQueue):
+        jobs, queue = queue, WaitingQueue(policy, n_qubits, state)
+        for job in jobs:
+            queue.push(job, now)
+    return queue.ordered(now)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,11 @@ class Job:
     t_e_shot: float   # per-shot duration incl. init + measurement, seconds
 
     def __post_init__(self):
+        try:
+            for attr in ("id", "n", "shots"):  # counts are integral, stored as int
+                object.__setattr__(self, attr, typed(getattr(self, attr), int, attr))
+        except TypeError as exc:
+            raise WorkloadError(f"job {self.id!r}: {exc}") from exc
         if self.n < 1:
             raise WorkloadError(f"job {self.id}: qubit demand must be >= 1, got {self.n}")
         if self.shots < 1:

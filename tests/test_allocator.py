@@ -10,6 +10,7 @@ groups that survived an ``allocate`` pass.
 import math
 from fractions import Fraction
 from functools import cache
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -27,8 +28,11 @@ from qpusched.allocator import (
     region_ratio,
     resolve_conflict,
 )
-from qpusched.chip import Chip, CouplingGraph, QubitSpec, generate_grid
+from qpusched.chip import COHERENCE_MODES, Chip, CouplingGraph, QubitSpec, generate_grid
+from qpusched.engine import SimConfig, run
 from qpusched.merger import Group
+from qpusched.scheduler import Policy
+from qpusched.workload import default_spec, generate_poisson_workload
 
 from conftest import make_job, path_chip, uniform_chip
 from graphgen import enumerate_validated
@@ -821,3 +825,73 @@ def test_error_scores_once_per_duration_in_a_pass(monkeypatch):
     monkeypatch.setattr(allocator, "qubit_errors", counting_errors)
     assert placed_roots(chip, groups) == [4, 20, 0, 24, 2, 14]
     assert sorted(made) == [1e-4, 1e-3]  # ties at both durations, one array each
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_idle_chip_memo_hit_equals_a_fresh_allocate(data):
+    # a warm-up pass fills the occupancy's memo and is released; the
+    # same pass again, on the now idle occupancy, must place what a pass
+    # on a fresh Occupancy places, and skips a growth for every idle-chip
+    # placement whose (demand, t_e_group, t_q_mode, record_steps) it saw
+    n, edges = data.draw(st.sampled_from(small_graphs()), label="graph")
+    specs = tuple(
+        QubitSpec(id=q, t2_us=data.draw(st.sampled_from([50.0, 100.0])),
+                  readout_error=data.draw(st.sampled_from([0.01, 0.02])),
+                  t1_us=data.draw(st.sampled_from([None, 30.0, 200.0])))
+        for q in range(n)
+    )
+    chip = Chip("noisy", CouplingGraph(n, tuple(edges)), specs)
+    groups = draw_groups(data, n, t_e_values=(1e-4, 1e-3, 1e-2))
+    modes = st.sampled_from(COHERENCE_MODES)
+    warm_mode, mode = data.draw(modes, label="warm mode"), data.draw(modes, label="mode")
+    warm_steps, steps = data.draw(st.booleans()), data.draw(st.booleans())
+
+    occ, fresh_occ = Occupancy(chip), Occupancy(chip)
+    warm = allocate(chip, occ, groups, t_q_mode=warm_mode, record_steps=warm_steps)
+    for p in warm.placed:
+        occ.release(p.group.id)
+    memo = dict(occ.idle)
+    with mock.patch.object(allocator, "grow_region", wraps=allocator.grow_region) as grow:
+        hit = allocate(chip, occ, groups, t_q_mode=mode, record_steps=steps)
+        grown_hit = grow.call_count
+        fresh = allocate(chip, fresh_occ, groups, t_q_mode=mode, record_steps=steps)
+    assert hit.placed == fresh.placed  # groups, regions, roots, stats and steps
+    assert hit.conflicts == fresh.conflicts
+    assert np.array_equal(occ.owner, fresh_occ.owner) and np.array_equal(occ.near, fresh_occ.near)
+    assert occ.roots == fresh_occ.roots
+    same_settings = (warm_mode, warm_steps) == (mode, steps)
+    assert (grown_hit < grow.call_count - grown_hit) == bool(memo and same_settings)
+    assert all(key[2:] == (warm_mode, warm_steps) for key in memo)
+
+
+def test_memo_serves_only_an_idle_occupancy():
+    chip = generate_grid(4, 4)
+    occ = Occupancy(chip)
+    with mock.patch.object(allocator, "grow_region", wraps=allocator.grow_region) as grow:
+        first = allocate(chip, occ, [singleton_group(0, n=3)]).placed[0]
+        assert list(occ.idle) == [(3, 0.001, "t2", False)]
+        again = allocate(chip, occ, [singleton_group(1, n=3)]).placed[0]  # not idle: grown
+        occ.release(0)
+        occ.release(1)
+        hit = allocate(chip, occ, [singleton_group(2, n=3)]).placed[0]
+    assert grow.call_count == 2
+    assert (hit.root, hit.region, hit.stats) == (first.root, first.region, first.stats)
+    assert again.root != first.root
+
+
+def test_memo_lives_with_its_simulation():
+    # an exclusive round-robin run re-dispatches preempted jobs onto an
+    # idle chip; a second run of the same config in the same process must
+    # grow exactly as often as the first, so nothing outlives a simulation
+    chip = generate_grid(4, 4)
+    wl = generate_poisson_workload(default_spec(chip.n_qubits, 40.0, 0.5, seed=3))
+    cfg = SimConfig(chip=chip, workload=wl, policy=Policy("rr", rr_quantum_shots=50),
+                    exclusive=True)
+    counts = []
+    for _ in range(2):
+        with mock.patch.object(allocator, "grow_region", wraps=allocator.grow_region) as grow:
+            trace, _ = run(cfg)
+        counts.append(grow.call_count)
+    dispatches = sum(e["kind"] == "dispatch" for e in trace.events)
+    assert counts[0] == counts[1] == len(wl.jobs) < dispatches

@@ -145,6 +145,15 @@ class TestLoadChip:
         with pytest.raises(ChipError, match=message):
             load_chip(json.dumps(doc))
 
+    @pytest.mark.parametrize("name", [None, [1, 2], 7])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ChipError, match="name must be a string"):
+            load_chip(json.dumps(dict(MINIMAL_DOC, name=name)))
+
+    def test_absent_name_defaults_to_chip(self):
+        doc = {k: v for k, v in MINIMAL_DOC.items() if k != "name"}
+        assert load_chip(json.dumps(doc)).name == "chip"
+
     def test_integer_beyond_any_float_is_not_finite(self):
         doc = json.loads(json.dumps(MINIMAL_DOC))
         doc["qubits"][0]["t2_us"] = 10**400

@@ -467,7 +467,8 @@ class TestValidate:
         (lambda doc: doc["qubits"][0].update(id=0.9), "qubit id must be an integer, got 0.9"),
         (lambda doc: doc["edges"][0].__setitem__(1, 1.7), "edge endpoint must be an integer"),
         (lambda doc: doc["qubits"][0].update(t2_us=True), "t2_us must be a number, got True"),
-    ], ids=["id-fraction", "edge-fraction", "t2-bool"])
+        (lambda doc: doc.update(name=None), "name must be a string, got None"),
+    ], ids=["id-fraction", "edge-fraction", "t2-bool", "name-null"])
     def test_chip_breaking_the_json_number_rule(self, workdir, capsys, edit, message):
         write_minimal_inputs(workdir)
         doc = json.loads((workdir / "chip.json").read_text())

@@ -1,17 +1,20 @@
 """Policy formulas, queue orderings, and preemption-mark tests."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpusched import engine
 from qpusched.chip import generate_grid
 from qpusched.engine import MergeConfig, SimConfig, run
 from qpusched.scheduler import (
     Policy,
     RunningSnapshot,
     SchedulerState,
+    WaitingQueue,
     eta,
     order_queue,
     preemption_decision,
@@ -287,3 +290,89 @@ class TestRegistration:
         with pytest.raises(KeyError):
             order_queue(Policy(name), [known, stranger], 1.0, 100, st_)
         assert list(st_.jobs) == [0]  # nothing was made on the side
+
+
+class TestIntegralCounts:
+    @pytest.mark.parametrize("field", ["rr_quantum_shots", "mfq_levels", "mfq_base_quantum_shots"])
+    @pytest.mark.parametrize("value", [1.5, True, "3"])
+    def test_counts_must_be_integral(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Policy("mfq", **{field: value})
+
+    def test_integral_float_is_stored_as_int(self):
+        p = Policy("mfq", rr_quantum_shots=5.0, mfq_levels=3.0, mfq_base_quantum_shots=20.0)
+        assert (p.rr_quantum_shots, p.mfq_levels, p.mfq_base_quantum_shots) == (5, 3, 20)
+        assert all(type(v) is int for v in (p.rr_quantum_shots, p.mfq_levels,
+                                             p.mfq_base_quantum_shots))
+
+
+def sorted_order_checker(seen):
+    """A stand-in for ``engine.order_queue`` that checks each pass's order
+    against ``sorted(queue, key=priority_key)`` and the keys the pass
+    reuses against ``priority_key``; ``seen`` collects the queue lengths."""
+    real = engine.order_queue
+
+    def checking(policy, queue, now, n_qubits, state):
+        got = real(policy, queue, now, n_qubits, state)
+        key = lambda j: priority_key(policy, j, now, n_qubits, state)  # noqa: E731
+        want = sorted(queue, key=key)
+        assert got == want
+        assert all(queue.keys[j.id] == key(j) for j in got)
+        seen.append(len(queue))
+        return got
+
+    return checking
+
+
+def contended_config(name, exclusive, rows, quantum, levels, aging_s, merge=MergeConfig()):
+    jobs, t = [], 0.0
+    for i, (n, shots, gap, t_e) in enumerate(rows):
+        t += gap
+        jobs.append(Job(id=i, n=n, shots=shots, t_sub=t, t_e_shot=t_e))
+    policy = Policy(name, rr_quantum_shots=quantum, mfq_levels=levels,
+                    mfq_base_quantum_shots=quantum, mfq_aging_s=aging_s)
+    return SimConfig(chip=generate_grid(3, 3), workload=Workload(tuple(jobs), horizon=t + 1),
+                     policy=policy, exclusive=exclusive, merge=merge)
+
+
+class TestKeptOrder:
+    """The engine's queue keeps its order between passes; each pass must
+    read the order a full sort gives, after preemptions, demotions and
+    MFQ aging re-key queued jobs."""
+
+    @given(
+        name=st.sampled_from(["fcfs", "sjf", "qsjf", "srtf", "rr", "mfq", "hrrf", "qhrrf"]),
+        exclusive=st.booleans(),
+        rows=st.lists(
+            st.tuples(st.integers(1, 5), st.integers(1, 40), st.sampled_from([0.0, 0.002, 0.01]),
+                      st.sampled_from([1e-3, 2e-3, 5e-3])),
+            min_size=1, max_size=14),
+        quantum=st.integers(1, 8),
+        levels=st.integers(2, 4),
+        aging_s=st.sampled_from([0.005, 0.02, 10.0]),
+        merge=st.sampled_from([MergeConfig(), MergeConfig(enabled=False),
+                               MergeConfig(backfill=True)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_each_pass_reads_the_sorted_queue(self, name, exclusive, rows, quantum, levels,
+                                              aging_s, merge):
+        seen = []
+        cfg = contended_config(name, exclusive, rows, quantum, levels, aging_s, merge)
+        with mock.patch.object(engine, "order_queue", sorted_order_checker(seen)):
+            run(cfg)
+        assert seen
+
+    @pytest.mark.parametrize("exclusive", [False, True])
+    def test_mfq_scenario_preempts_demotes_and_ages(self, exclusive):
+        # one long job and a stream of short ones on a 3x3 chip: quanta of
+        # two shots preempt and demote, and a 5 ms aging threshold resets
+        # the levels of waiting jobs, which the queue must re-key
+        rows = [(5, 40, 0.0, 1e-3)] + [(4, 6, 0.002, 2e-3)] * 10
+        cfg = contended_config("mfq", exclusive, rows, quantum=2, levels=3, aging_s=0.005)
+        seen = []
+        with mock.patch.object(engine, "order_queue", sorted_order_checker(seen)), \
+                mock.patch.object(WaitingQueue, "rekey", autospec=True,
+                                  side_effect=WaitingQueue.rekey) as rekey:
+            trace, _ = run(cfg)
+        assert any(e["kind"] == "preempt" for e in trace.events)
+        assert rekey.called and max(seen) > 1

@@ -55,6 +55,18 @@ class TestJob:
         with pytest.raises(WorkloadError, match="t_e_shot"):
             Job(0, 2, 10, 0.0, t_e_shot)
 
+    @pytest.mark.parametrize("field", ["id", "n", "shots"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_counts_must_be_integral(self, field, value):
+        kwargs = {**dict(id=0, n=2, shots=10, t_sub=0.0, t_e_shot=0.01), field: value}
+        with pytest.raises(WorkloadError, match=f"{field} must be an integer"):
+            Job(**kwargs)
+
+    def test_integral_float_counts_are_stored_as_int(self):
+        job = Job(id=1.0, n=3.0, shots=10.0, t_sub=0.0, t_e_shot=0.01)
+        assert (job.id, job.n, job.shots) == (1, 3, 10)
+        assert all(type(v) is int for v in (job.id, job.n, job.shots))
+
 
 class TestDistribution:
     @pytest.mark.parametrize("dist", [
