@@ -169,13 +169,10 @@ def _build_policy(section: dict, name_override: str | None) -> Policy:
     name = name_override or _field(section, "name", str, None)
     if not name:
         raise ConfigError("no policy given; use --policy or the config's policy section")
-    return Policy(
-        name=name,
-        rr_quantum_shots=_field(section, "rr_quantum_shots", int, 100),
-        mfq_levels=_field(section, "mfq_levels", int, 3),
-        mfq_base_quantum_shots=_field(section, "mfq_base_quantum_shots", int, 100),
-        mfq_aging_s=_field(section, "mfq_aging_s", float, 10.0),
-    )
+    # Policy checks its counts and holds their defaults
+    counts = {k: section[k] for k in ("rr_quantum_shots", "mfq_levels", "mfq_base_quantum_shots")
+              if section.get(k) is not None}
+    return Policy(name=name, mfq_aging_s=_field(section, "mfq_aging_s", float, 10.0), **counts)
 
 
 def _build_merge(section: dict, ns) -> MergeConfig:

@@ -10,6 +10,7 @@ checks belong to the objects built from the values.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
           list: "a list", dict: "an object"}
@@ -18,11 +19,15 @@ _KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a s
 def typed(value, kind: type, name: str):
     """``value`` as a JSON ``kind``, else ``TypeError`` naming ``name``.
 
-    bool takes only true and false, int an integral number (4 or 4.0),
-    float any number, an integer too large for a float becoming infinite;
-    the other kinds take only their own type.
+    bool takes only true and false, int an integral number (4 or 4.0; from
+    Python callers also any ``numbers.Integral`` but bool, such as a numpy
+    integer), float any number, an integer too large for a float becoming
+    infinite; the other kinds take only their own type.
     """
-    if kind is int and isinstance(value, float) and value.is_integer():
+    if kind is int and (
+        (isinstance(value, Integral) and not isinstance(value, bool))
+        or (isinstance(value, float) and value.is_integer())
+    ):
         value = int(value)
     elif kind is float and type(value) is int:
         try:

@@ -206,12 +206,8 @@ class WaitingQueue:
         bisect.insort(self.jobs, job, key=self._key)
 
     def remove(self, ids: set[int]) -> None:
-        """Take the jobs with ``ids`` out; a kept key finds its job by bisection."""
-        if self.timed:
-            self.jobs = [j for j in self.jobs if j.id not in ids]
-        else:
-            for jid in ids:
-                del self.jobs[bisect.bisect_left(self.jobs, self.keys[jid], key=self._key)]
+        """Take the jobs with ``ids`` out, keeping the others' order."""
+        self.jobs = [j for j in self.jobs if j.id not in ids]
         for jid in ids:
             del self.keys[jid]
 

@@ -252,7 +252,8 @@ def load_workload(source) -> Workload:
     """Parse a JSON-lines workload file; jobs come back sorted by t_sub.
 
     Values follow ``jsontypes.typed``: ``id``, ``n`` and ``shots`` are
-    integral, the times are numbers. A bad record raises WorkloadError.
+    integral (``Job`` checks them), the times are numbers. A bad record
+    raises WorkloadError naming its line.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -267,14 +268,14 @@ def load_workload(source) -> Workload:
             doc = json.loads(line)
             jobs.append(
                 Job(
-                    id=typed(doc["id"], int, "id"),
-                    n=typed(doc["n"], int, "n"),
-                    shots=typed(doc["shots"], int, "shots"),
+                    id=doc["id"],
+                    n=doc["n"],
+                    shots=doc["shots"],
                     t_sub=typed(doc["t_sub"], float, "t_sub"),
                     t_e_shot=typed(doc["t_e_shot"], float, "t_e_shot"),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, WorkloadError) as exc:
             raise WorkloadError(f"malformed workload record on line {lineno}: {exc}") from exc
     jobs.sort(key=lambda j: (j.t_sub, j.id))
     horizon = max((j.t_sub for j in jobs), default=0.0)

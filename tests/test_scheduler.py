@@ -3,6 +3,7 @@
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -304,6 +305,11 @@ class TestIntegralCounts:
         assert (p.rr_quantum_shots, p.mfq_levels, p.mfq_base_quantum_shots) == (5, 3, 20)
         assert all(type(v) is int for v in (p.rr_quantum_shots, p.mfq_levels,
                                              p.mfq_base_quantum_shots))
+
+    def test_numpy_integer_is_stored_as_int(self):
+        p = Policy("mfq", rr_quantum_shots=np.int64(5), mfq_levels=np.int32(3))
+        assert (p.rr_quantum_shots, p.mfq_levels) == (5, 3)
+        assert type(p.rr_quantum_shots) is int and type(p.mfq_levels) is int
 
 
 def sorted_order_checker(seen):

@@ -67,6 +67,11 @@ class TestJob:
         assert (job.id, job.n, job.shots) == (1, 3, 10)
         assert all(type(v) is int for v in (job.id, job.n, job.shots))
 
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        job = Job(id=np.int64(1), n=np.int32(3), shots=np.uint16(10), t_sub=0.0, t_e_shot=0.01)
+        assert (job.id, job.n, job.shots) == (1, 3, 10)
+        assert all(type(v) is int for v in (job.id, job.n, job.shots))
+
 
 class TestDistribution:
     @pytest.mark.parametrize("dist", [
@@ -244,8 +249,12 @@ class TestWorkloadFiles:
         assert [j.id for j in wl.jobs] == [1, 0]
 
     def test_invariant_violation_rejected(self):
-        with pytest.raises(WorkloadError):
-            load_workload('{"id": 0, "n": 0, "shots": 10, "t_sub": 0, "t_e_shot": 0.01}\n')
+        text = (
+            '{"id": 0, "n": 2, "shots": 10, "t_sub": 0, "t_e_shot": 0.01}\n'
+            '{"id": 1, "n": 0, "shots": 10, "t_sub": 0, "t_e_shot": 0.01}\n'
+        )
+        with pytest.raises(WorkloadError, match="line 2: job 1: qubit demand must be >= 1"):
+            load_workload(text)
 
     def test_malformed_record(self):
         with pytest.raises(WorkloadError, match="line 1"):
