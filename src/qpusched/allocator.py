@@ -33,23 +33,23 @@ Placement of one group:
    group sheds only that member) and the pass resumes at the loser:
    placements before it saw the same occupancy and are kept, those from
    it onward are released and redone. Running groups are never disturbed.
-   Within one pass the occupancy changes only when a group is placed or
-   placements are released, and the pass remembers what it learned until
-   then: the root candidates left by the hop-sum and eccentricity filters
-   (or the blockers when no qubit is eligible), and for each root that
-   stalled the size of its open component and its blockers. The search
-   stops only at the demand, so a smaller component was found in full, and
-   a later attempt at that root with a larger demand stalls the same way
-   without a search. Placing or releasing clears both. E_Q per qubit is
-   computed at most once per ``t_e_group`` in a pass.
 
-Across passes, the occupancy remembers placements on an idle chip. With no
-region placed, root choice and growth read only the chip, so the placement
-is a function of (demand, t_e_group, t_q_mode, record_steps). ``allocate``
-keeps each such placement on the ``Occupancy`` and reuses it the next time
-the chip is idle. A job preempted in exclusive mode then gets its region
-back without a second growth. The memo lives and dies with its occupancy,
-which belongs to one simulation.
+Root choice and growth are functions of the chip and the occupancy, so
+what ``allocate`` learns about an occupancy is kept on it, in its
+``AllocationMemo``, until ``Occupancy.place`` or ``Occupancy.release``
+changes it: the root candidates left by the hop-sum and eccentricity
+filters (or the blockers when no qubit is eligible), for each root that
+stalled the size of its open component and its blockers, and each growth
+by (demand, t_e_group, t_q_mode, record_steps). The component search stops
+only at the demand, so a smaller component was found in full, and a later
+attempt at that root with a larger demand stalls the same way without a
+search, in the same pass or a later one. The memo of the empty occupancy
+is kept for good: a job preempted in exclusive mode gets its region back
+without a second growth. The memo lives and dies with its occupancy, which
+belongs to one simulation. E_Q per qubit does not depend on the occupancy;
+it is computed at most once per ``t_e_group`` in a pass and not kept
+longer, since a memo across passes would grow with the number of distinct
+durations.
 """
 
 from __future__ import annotations
@@ -122,13 +122,30 @@ class GrowthResult:
         return self.region is not None
 
 
+class AllocationMemo:
+    """What ``allocate`` has learned about one state of an occupancy.
+
+    ``candidates`` is ``_root_candidates``' result, or None before the first
+    root choice; ``stalls`` maps a root to its stall; ``placements`` maps
+    (demand, t_e_group, t_q_mode, record_steps) to a growth and its root.
+    """
+
+    __slots__ = ("candidates", "stalls", "placements")
+
+    def __init__(self):
+        self.candidates: tuple[np.ndarray, frozenset[int]] | None = None
+        self.stalls: dict[int, GrowthResult] = {}
+        self.placements: dict[tuple, tuple[int, GrowthResult]] = {}
+
+
 class Occupancy:
     """Mutable map from physical qubits to owning groups.
 
     owner[q] is the owning group id, or -1 when free; near[q] counts the
     owned neighbours of q. One simulation owns its Occupancy exclusively.
-    ``idle`` is ``allocate``'s memo of placements made while no region was
-    placed: (demand, t_e_group, t_q_mode, record_steps) -> (root, growth).
+    ``memo`` is ``allocate``'s memo of the current state. Only ``place`` and
+    ``release`` replace it: with a fresh one, or with the memo of the empty
+    occupancy, kept for good, when no region is left.
     """
 
     def __init__(self, chip: Chip):
@@ -138,14 +155,17 @@ class Occupancy:
         self.regions: dict[int, tuple[int, ...]] = {}
         self.roots: dict[int, int] = {}
         self._counts: dict[int, np.ndarray] = {}  # per group: what it added to near
-        self.idle: dict[tuple, tuple[int, GrowthResult]] = {}
+        self.memo = self._idle_memo = AllocationMemo()
 
     def place(self, group_id: int, qubits: Iterable[int], root: int) -> None:
-        """Give ``qubits`` to ``group_id``; they must be free and touch no
-        other group's region."""
+        """Give ``qubits`` to ``group_id``: distinct qubits of the chip, at
+        least one, all free and touching no other group's region."""
         qs = sorted(map(int, qubits))
         if group_id in self.regions:
             raise AllocationError(f"group {group_id} is already placed")
+        if not qs or qs[0] < 0 or qs[-1] >= len(self.owner) or len(set(qs)) < len(qs):
+            raise AllocationError(
+                f"group {group_id}: region {qs} is not a nonempty set of distinct qubits of the chip")
         arr = np.array(qs, dtype=np.intp)
         if np.count_nonzero(self.owner[arr] >= 0):
             raise AllocationError("placement overlaps an owned qubit")
@@ -158,12 +178,14 @@ class Occupancy:
         self.near += counts
         self.regions[group_id] = tuple(qs)
         self.roots[group_id] = int(root)
+        self.memo = AllocationMemo()
 
     def release(self, group_id: int) -> None:
         qs = self.regions.pop(group_id)
         self.roots.pop(group_id)
         self.owner[np.array(qs, dtype=np.intp)] = -1
         self.near -= self._counts.pop(group_id)
+        self.memo = AllocationMemo() if self.regions else self._idle_memo
 
     def buffer_mask(self) -> np.ndarray:
         """Free qubits with an owned neighbour: buffers that no group may take."""
@@ -454,44 +476,40 @@ def allocate(
     resumes at the evicted group: its placement and those after it are
     released, the earlier ones stay. The outcome is that of restarting
     the whole pass against the original occupancy after each eviction.
-    What the pass learns about the occupancy (the root candidates and the
-    stalled roots) is kept until a group is placed or released. A
-    placement on an occupancy with no region is kept in ``occupancy.idle``
-    and reused whenever the occupancy is idle again.
+    Every attempt reads and extends ``occupancy.memo``, what is known about
+    the current occupancy (root candidates, stalled roots and growths),
+    which ``place`` and ``release`` replace when they change it.
     """
     work = list(groups)
     conflicts: list[dict] = []
     placements: list[Placement] = []
     errors: dict[float, np.ndarray] = {}  # E_Q per qubit, by t_e_group
-    cands = None  # root candidates on the current occupancy; if empty, no_root names the blockers
-    stalled: dict[int, GrowthResult] = {}  # root -> its stall on the current occupancy
     while len(placements) < len(work):
         group = work[len(placements)]
-        # with no region placed, root choice and growth read only the chip
-        idle = not occupancy.regions
-        idle_key = (group.demand, group.t_e_group, t_q_mode, record_steps)
-        root, result = occupancy.idle.get(idle_key, (-1, None)) if idle else (-1, None)
+        memo = occupancy.memo
+        key = (group.demand, group.t_e_group, t_q_mode, record_steps)
+        root, result = memo.placements.get(key, (-1, None))
         if result is None:
-            if cands is None:
-                cands, no_root = _root_candidates(chip, occupancy)
-            blockers = no_root
+            if memo.candidates is None:
+                memo.candidates = _root_candidates(chip, occupancy)
+            cands, blockers = memo.candidates
             if cands.size:
                 root = _choose_root(chip, cands, group.t_e_group, t_q_mode, errors)
-                result = stalled.get(root)
+                result = memo.stalls.get(root)
                 if result is None or group.demand <= result.component_size:
                     result = grow_region(
                         chip, occupancy, root, group.demand, group.t_e_group,
                         t_q_mode=t_q_mode, record_steps=record_steps,
                     )
-                    if idle and result.ok:
-                        occupancy.idle[idle_key] = root, result
+                    if result.ok:
+                        memo.placements[key] = root, result
+                    else:
+                        memo.stalls[root] = result
         if result is not None:
             if result.ok:
                 occupancy.place(group.id, result.region, root)
                 placements.append(Placement(group, result.region, root, result.stats, result.steps))
-                cands, stalled = None, {}
                 continue
-            stalled[root] = result
             blockers = result.blockers
         loser = resolve_conflict(group, blockers, {p.group.id: p.group for p in placements})
         job, whole = loser.worst_member(), len(loser.members) == 1
@@ -504,8 +522,6 @@ def allocate(
             }
         )
         k = next(i for i, g in enumerate(work) if g.id == loser.id)
-        if k < len(placements):
-            cands, stalled = None, {}
         for p in placements[k:]:
             occupancy.release(p.group.id)
         del placements[k:]

@@ -43,7 +43,6 @@ from .merger import Group, group_by_exec_time, select_prefix
 from .metrics import MetricsReport, compute_report
 from .scheduler import (
     Policy,
-    RunningSnapshot,
     SchedulerState,
     WaitingQueue,
     order_queue,
@@ -284,8 +283,8 @@ class _Simulation:
             return
         if self.policy.name == "srtf":
             rg.preempt_pending = False
-            snap = RunningSnapshot(gid, remaining_demand(rg, now))
-            if gid not in preemption_decision(self.policy, [snap], self.queue, now, self.state):
+            running = {gid: remaining_demand(rg, now)}
+            if gid not in preemption_decision(self.policy, running, self.queue, now, self.state):
                 return  # the motivating job got served in the meantime
         else:
             if self.policy.name == "mfq":
@@ -443,12 +442,9 @@ class _Simulation:
                 if placed_ids:
                     self.queue.remove(placed_ids)
         if self.policy.name == "srtf" and self.queue and self.running:
-            snaps = [
-                RunningSnapshot(gid, remaining_demand(rg, now))
-                for gid, rg in sorted(self.running.items())
-            ]
+            running = {gid: remaining_demand(rg, now) for gid, rg in self.running.items()}
             for gid in sorted(
-                preemption_decision(self.policy, snaps, self.queue, now, self.state)
+                preemption_decision(self.policy, running, self.queue, now, self.state)
             ):
                 self._schedule_preempt(gid, now)
 

@@ -138,18 +138,6 @@ def occupancy_timeline(trace: "Trace", chip: Chip) -> list[tuple[float, float, i
     return spans
 
 
-def busy_qubit_seconds(trace: "Trace") -> float:
-    """Job-side accounting: sum over jobs of qubits x owned time."""
-    terms = []
-    for jid in sorted(trace.jobs):
-        rec = trace.jobs[jid]
-        for d in rec.dispatches:
-            if d.end is None:
-                raise EmptyTraceError(f"job {jid} has an open dispatch")
-            terms.append(rec.job.n * (d.end - d.start))
-    return math.fsum(terms)
-
-
 def pst_estimate(record: "JobRecord", chip: Chip, t_q_mode: str = "t2") -> float:
     """Per-trial success proxy over the job's final region.
 
@@ -160,10 +148,11 @@ def pst_estimate(record: "JobRecord", chip: Chip, t_q_mode: str = "t2") -> float
         raise EmptyTraceError(f"job {record.job.id} has not completed")
     final = record.dispatches[-1]
     t_us = final.t_e_group * 1e6
+    region = list(final.region)
     value = 1.0
-    for q in final.region:
-        spec = chip.specs[q]
-        value *= math.exp(-t_us / spec.coherence_us(t_q_mode)) * (1.0 - spec.readout_error)
+    for coh, readout in zip(chip.coherence_array(t_q_mode)[region].tolist(),
+                            chip.readout_array[region].tolist()):
+        value *= math.exp(-t_us / coh) * (1.0 - readout)
     return value
 
 
@@ -182,9 +171,10 @@ def compute_report(trace: "Trace", chip: Chip, t_q_mode: str = "t2") -> MetricsR
     pst = {rec.job.id: pst_estimate(rec, chip, t_q_mode) for rec in records}
     wt_values = np.array([wt[k] for k in sorted(wt)])
     spans = occupancy_timeline(trace, chip)
-    qubit_time = chip.n_qubits * makespan(trace)
+    duration = makespan(trace)
+    qubit_time = chip.n_qubits * duration
     return MetricsReport(
-        throughput=throughput(trace),
+        throughput=len(records) / duration,
         utilization=math.fsum(o * (t1 - t0) for t0, t1, o, _ in spans) / qubit_time,
         buffer_fraction=math.fsum(b * (t1 - t0) for t0, t1, _, b in spans) / qubit_time,
         mean_wt=float(wt_values.mean()),
@@ -192,7 +182,7 @@ def compute_report(trace: "Trace", chip: Chip, t_q_mode: str = "t2") -> MetricsR
         p95_wt=float(np.percentile(wt_values, 95)),
         mean_pst=float(np.mean([pst[k] for k in sorted(pst)])),
         mean_region_ratio=mean_region_ratio(trace),
-        makespan=makespan(trace),
+        makespan=duration,
         n_jobs=len(records),
         wt_by_job=wt,
         pst_by_job=pst,

@@ -42,7 +42,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from .jsontypes import typed
 from .workload import Job, service_demand
@@ -245,24 +245,17 @@ def order_queue(
     return queue.ordered(now)
 
 
-@dataclass(frozen=True)
-class RunningSnapshot:
-    """What preemption_decision needs to know about a running group."""
-
-    group_id: int
-    remaining_demand: float
-
-
 def preemption_decision(
     policy: Policy,
-    running: Iterable[RunningSnapshot],
+    running: Mapping[int, float],
     queue: Sequence[Job],
     now: float,
     state: SchedulerState,
 ) -> set[int]:
     """Group ids to preempt at their next shot boundary.
 
-    Only SRTF marks groups here: those whose remaining demand is strictly
+    ``running`` maps each running group's id to its remaining demand. Only
+    SRTF marks groups here: those whose remaining demand is strictly
     above some queued job's remaining service demand. All other policies
     return the empty set; RR and MFQ preempt at quantum expiry in the
     engine, when the queue is non-empty. The engine calls this both to
@@ -271,4 +264,4 @@ def preemption_decision(
     if policy.name != "srtf" or not queue:
         return set()
     shortest = min(state.remaining_demand(j) for j in queue)
-    return {snap.group_id for snap in running if shortest < snap.remaining_demand}
+    return {gid for gid, demand in running.items() if shortest < demand}

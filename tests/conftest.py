@@ -4,7 +4,7 @@ import math
 import pytest
 
 from qpusched.chip import Chip, CouplingGraph, QubitSpec, generate_grid
-from qpusched.metrics import occupancy_timeline
+from qpusched.metrics import EmptyTraceError, occupancy_timeline
 from qpusched.scheduler import SchedulerState
 from qpusched.workload import Job
 
@@ -26,6 +26,18 @@ def uniform_chip(n_qubits: int, edges, t2=100.0, readout=0.01, name="test") -> C
 
 def path_chip(n: int) -> Chip:
     return uniform_chip(n, [(i, i + 1) for i in range(n - 1)], name=f"path-{n}")
+
+
+def busy_qubit_seconds(trace) -> float:
+    """Job-side accounting: sum over jobs of qubits x owned time."""
+    terms = []
+    for jid in sorted(trace.jobs):
+        rec = trace.jobs[jid]
+        for d in rec.dispatches:
+            if d.end is None:
+                raise EmptyTraceError(f"job {jid} has an open dispatch")
+            terms.append(rec.job.n * (d.end - d.start))
+    return math.fsum(terms)
 
 
 def timeline_qubit_seconds(trace, chip) -> float:

@@ -21,7 +21,6 @@ from qpusched.allocator import Occupancy, allocate, grow_region, qubit_errors, r
 from qpusched.chip import Chip, CouplingGraph, QubitSpec, generate_grid
 from qpusched.engine import MergeConfig, SimConfig, run
 from qpusched.merger import Group
-from qpusched.metrics import busy_qubit_seconds
 from qpusched.scheduler import (
     POLICY_NAMES,
     Policy,
@@ -37,7 +36,7 @@ from qpusched.workload import (
     generate_poisson_workload,
 )
 
-from conftest import registered, timeline_qubit_seconds
+from conftest import busy_qubit_seconds, registered, timeline_qubit_seconds
 from graphgen import enumerate_validated
 
 WORKERS = min(2, os.cpu_count() or 1)

@@ -179,6 +179,14 @@ class TestOccupancy:
         occ.place(1, [3, 4], root=4)  # qubit 2 is the buffer between them
         assert occ.buffer_mask().tolist() == [False, False, True, False, False, True]
 
+    @pytest.mark.parametrize("qubits, root", [([-1], -1), ([0, 0, 1], 0), ([], 0), ([8, 9], 9)],
+                             ids=["negative", "repeated", "empty", "past-the-chip"])
+    def test_place_rejects_what_is_not_a_set_of_chip_qubits(self, qubits, root):
+        occ = Occupancy(generate_grid(3, 3))
+        with pytest.raises(AllocationError, match="not a nonempty set of distinct qubits"):
+            occ.place(5, qubits, root=root)
+        assert not occ.regions and (occ.owner == -1).all() and not occ.near.any()
+
 
 class TestSelectRoots:
     # root choice is interleaved with growth: each root sees the regions
@@ -654,12 +662,13 @@ def assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record
     assert fresh.roots == occ.roots
 
 
-def draw_groups(data, n, t_e_values=(0.001,)):
+def draw_groups(data, n, t_e_values=(0.001,), first_gid=0):
     """Up to four groups of up to three jobs for an ``n``-qubit chip, in any
-    priority order; every job's per-shot time is drawn from ``t_e_values``."""
+    priority order; every job's per-shot time is drawn from ``t_e_values``.
+    Group ids count up from ``first_gid``."""
     sizes = data.draw(st.lists(st.integers(1, min(n, 3)), min_size=1, max_size=4), label="members")
     groups, jid = [], 0
-    for gid, size in enumerate(sizes):
+    for gid, size in enumerate(sizes, start=first_gid):
         jobs = [make_job(jid + i, n=data.draw(st.integers(1, max(1, min(3, n // size)))),
                          t_e=data.draw(st.sampled_from(t_e_values)))
                 for i in range(size)]
@@ -709,8 +718,8 @@ def test_evicting_an_earlier_blocker_resumes_at_it(monkeypatch):
 
 
 def reference_allocate(chip, occ, groups, record_steps):
-    """``allocate`` without its per-pass memo: every attempt chooses its root
-    and searches from it afresh on the current occupancy."""
+    """``allocate`` without its memo: every attempt chooses its root and
+    searches from it afresh on the current occupancy."""
     work, placements, conflicts = list(groups), [], []
     while len(placements) < len(work):
         group = work[len(placements)]
@@ -745,22 +754,32 @@ def reference_allocate(chip, occ, groups, record_steps):
 def test_allocate_equals_memo_free_reference_pass(data):
     # merged groups shed members against the running groups 90 and 91 and
     # retry at the same root; stalls may also evict a group placed earlier
-    # in the pass, which releases placements and must clear the memo
+    # in the pass, which releases placements and must replace the memo. One
+    # occupancy serves two or three passes in a row, with a drawn subset of
+    # its regions released between them, sometimes all of them: what a pass
+    # learned may be reused only while the occupancy holds
     if data.draw(st.booleans(), label="grid"):
         chip = generate_grid(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)),
                              noise_seed=data.draw(st.integers(0, 9)))
     else:
         chip = uniform_chip(*data.draw(st.sampled_from(small_graphs()), label="graph"))
     chip, _, occ = draw_occupancy(data, chip, owner_ids=(90, 91))
-    groups = draw_groups(data, chip.n_qubits, t_e_values=(1e-4, 1e-3, 1e-2))
-    record_steps = data.draw(st.booleans(), label="record_steps")
-    ref = copy_of(occ)
-    outcome = allocate(chip, occ, groups, record_steps=record_steps)
-    placements, conflicts = reference_allocate(chip, ref, groups, record_steps)
-    assert outcome.placed == placements  # groups, regions, roots, stats and steps
-    assert outcome.conflicts == conflicts
-    assert np.array_equal(occ.owner, ref.owner) and np.array_equal(occ.near, ref.near)
-    assert (occ.regions, occ.roots) == (ref.regions, ref.roots)
+    for call in range(data.draw(st.integers(2, 3), label="calls")):
+        placed = sorted(occ.regions)
+        if call and placed:
+            idle = data.draw(st.booleans(), label="release all")
+            for gid in placed if idle else data.draw(st.sets(st.sampled_from(placed))):
+                occ.release(gid)
+        groups = draw_groups(data, chip.n_qubits, t_e_values=(1e-4, 1e-3, 1e-2),
+                             first_gid=10 * call)
+        record_steps = data.draw(st.booleans(), label="record_steps")
+        ref = copy_of(occ)
+        outcome = allocate(chip, occ, groups, record_steps=record_steps)
+        placements, conflicts = reference_allocate(chip, ref, groups, record_steps)
+        assert outcome.placed == placements  # groups, regions, roots, stats and steps
+        assert outcome.conflicts == conflicts
+        assert np.array_equal(occ.owner, ref.owner) and np.array_equal(occ.near, ref.near)
+        assert (occ.regions, occ.roots) == (ref.regions, ref.roots)
 
 
 def test_stalled_root_is_searched_once_while_the_occupancy_holds(monkeypatch):
@@ -788,6 +807,34 @@ def test_stalled_root_is_searched_once_while_the_occupancy_holds(monkeypatch):
     assert requeued_ids(outcome) == [3, 2, 1, 4]
     assert [c["evicted_group"] for c in outcome.conflicts] == [0, 0, 0, 4]
     assert [p.region for p in outcome.placed] == [(6, 7)]
+
+
+def test_a_later_pass_on_the_same_occupancy_skips_a_known_stall(monkeypatch):
+    # path 0-...-7, qubit 3 running: root 7 reaches only {5, 6, 7}. A
+    # four-qubit job stalls there and is requeued, which leaves the
+    # occupancy as it was, so the next pass's five-qubit job stalls at the
+    # same root without a search. Releasing the running group changes the
+    # occupancy, and a six-qubit job is then grown from the rim.
+    chip = path_chip(8)
+    occ = Occupancy(chip)
+    occ.place(99, [3], root=3)
+    searched = []
+    real_grow = allocator.grow_region
+
+    def counting_grow(chip, occupancy, root, demand, *args, **kwargs):
+        result = real_grow(chip, occupancy, root, demand, *args, **kwargs)
+        searched.append((root, demand, result.ok))
+        return result
+
+    monkeypatch.setattr(allocator, "grow_region", counting_grow)
+    outcomes = [allocate(chip, occ, [singleton_group(0, n=4)]),
+                allocate(chip, occ, [singleton_group(1, n=5)])]
+    assert [requeued_ids(o) for o in outcomes] == [[0], [1]]
+    assert searched == [(7, 4, False)]
+    occ.release(99)
+    assert [p.region for p in allocate(chip, occ, [singleton_group(2, n=6)]).placed] == [
+        (0, 1, 2, 3, 4, 5)]
+    assert searched == [(7, 4, False), (0, 6, True)]
 
 
 def test_release_forgets_the_stalls_before_it():
@@ -851,17 +898,25 @@ def test_idle_chip_memo_hit_equals_a_fresh_allocate(data):
     warm = allocate(chip, occ, groups, t_q_mode=warm_mode, record_steps=warm_steps)
     for p in warm.placed:
         occ.release(p.group.id)
-    memo = dict(occ.idle)
-    with mock.patch.object(allocator, "grow_region", wraps=allocator.grow_region) as grow:
+    memo = dict(occ.memo.placements)
+    grown = []  # whether each growth succeeded; a stall skipped by the memo is no placement
+    real_grow = allocator.grow_region
+
+    def counting_grow(*args, **kwargs):
+        result = real_grow(*args, **kwargs)
+        grown.append(result.ok)
+        return result
+
+    with mock.patch.object(allocator, "grow_region", counting_grow):
         hit = allocate(chip, occ, groups, t_q_mode=mode, record_steps=steps)
-        grown_hit = grow.call_count
+        grown_hit = sum(grown)
         fresh = allocate(chip, fresh_occ, groups, t_q_mode=mode, record_steps=steps)
     assert hit.placed == fresh.placed  # groups, regions, roots, stats and steps
     assert hit.conflicts == fresh.conflicts
     assert np.array_equal(occ.owner, fresh_occ.owner) and np.array_equal(occ.near, fresh_occ.near)
     assert occ.roots == fresh_occ.roots
     same_settings = (warm_mode, warm_steps) == (mode, steps)
-    assert (grown_hit < grow.call_count - grown_hit) == bool(memo and same_settings)
+    assert (grown_hit < sum(grown) - grown_hit) == bool(memo and same_settings)
     assert all(key[2:] == (warm_mode, warm_steps) for key in memo)
 
 
@@ -870,10 +925,11 @@ def test_memo_serves_only_an_idle_occupancy():
     occ = Occupancy(chip)
     with mock.patch.object(allocator, "grow_region", wraps=allocator.grow_region) as grow:
         first = allocate(chip, occ, [singleton_group(0, n=3)]).placed[0]
-        assert list(occ.idle) == [(3, 0.001, "t2", False)]
+        assert not occ.memo.placements  # placing replaced the memo
         again = allocate(chip, occ, [singleton_group(1, n=3)]).placed[0]  # not idle: grown
         occ.release(0)
         occ.release(1)
+        assert list(occ.memo.placements) == [(3, 0.001, "t2", False)]
         hit = allocate(chip, occ, [singleton_group(2, n=3)]).placed[0]
     assert grow.call_count == 2
     assert (hit.root, hit.region, hit.stats) == (first.root, first.region, first.stats)

@@ -21,11 +21,11 @@ from qpusched.engine import (
     run,
 )
 from qpusched.merger import Group
-from qpusched.metrics import busy_qubit_seconds, occupancy_timeline
+from qpusched.metrics import occupancy_timeline
 from qpusched.scheduler import Policy
 from qpusched.workload import Job, Workload, default_spec, generate_poisson_workload
 
-from conftest import make_job, timeline_qubit_seconds
+from conftest import busy_qubit_seconds, make_job, timeline_qubit_seconds
 
 
 def simulate(jobs, policy="fcfs", rows=4, cols=4, horizon=None, **kwargs):
@@ -184,7 +184,7 @@ class TestPreemption:
 
         def recording_decision(policy, running, queue, now, state):
             marked = real_decision(policy, running, queue, now, state)
-            decisions.append((now, sorted(s.group_id for s in running), marked))
+            decisions.append((now, sorted(running), marked))
             return marked
 
         monkeypatch.setattr(engine, "preemption_decision", recording_decision)

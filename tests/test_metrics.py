@@ -12,7 +12,6 @@ from qpusched.chip import generate_grid
 from qpusched.engine import MergeConfig, SimConfig, run
 from qpusched.metrics import (
     EmptyTraceError,
-    busy_qubit_seconds,
     mean_region_ratio,
     occupancy_timeline,
     pst_estimate,
@@ -22,7 +21,7 @@ from qpusched.metrics import (
 from qpusched.scheduler import Policy
 from qpusched.workload import Job, Workload, default_spec, generate_poisson_workload
 
-from conftest import make_job, timeline_qubit_seconds, uniform_chip
+from conftest import busy_qubit_seconds, make_job, timeline_qubit_seconds, uniform_chip
 
 
 def simulate(jobs, rows=4, cols=4, policy="fcfs", **kwargs):

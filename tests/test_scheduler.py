@@ -13,7 +13,6 @@ from qpusched.chip import generate_grid
 from qpusched.engine import MergeConfig, SimConfig, run
 from qpusched.scheduler import (
     Policy,
-    RunningSnapshot,
     SchedulerState,
     WaitingQueue,
     eta,
@@ -224,20 +223,20 @@ class TestOrderingProperties:
 class TestPreemptionDecision:
     def test_non_preemptive_policies_never_mark(self):
         # RR and MFQ preempt at quantum expiry in the engine, never here
-        running = [RunningSnapshot(0, 5.0)]
+        running = {0: 5.0}
         queue = [make_job(1, shots=1, t_e=0.001)]
         st_ = registered(queue)
         for name in ("fcfs", "sjf", "qsjf", "hrrf", "qhrrf", "rr", "mfq"):
             assert preemption_decision(Policy(name), running, queue, 1.0, st_) == set()
 
     def test_srtf_marks_on_shorter_arrival(self):
-        running = [RunningSnapshot(0, 5.0)]
+        running = {0: 5.0}
         short = make_job(1, shots=100, t_e=0.01)  # demand 1.0 < 5.0
         st_ = registered([short])
         assert preemption_decision(Policy("srtf"), running, [short], 0.0, st_) == {0}
 
     def test_srtf_strictness(self):
-        running = [RunningSnapshot(0, 1.0)]
+        running = {0: 1.0}
         equal = make_job(1, shots=100, t_e=0.01)  # demand exactly 1.0
         st_ = registered([equal])
         assert preemption_decision(Policy("srtf"), running, [equal], 0.0, st_) == set()
