@@ -13,7 +13,6 @@ from .allocator import (
     allocate,
     grow_region,
     qubit_errors,
-    region_ratio,
     resolve_conflict,
 )
 from .chip import (

@@ -159,13 +159,17 @@ class Occupancy:
 
     def place(self, group_id: int, qubits: Iterable[int], root: int) -> None:
         """Give ``qubits`` to ``group_id``: distinct qubits of the chip, at
-        least one, all free and touching no other group's region."""
+        least one, all free and touching no other group's region, rooted at
+        one of them."""
         qs = sorted(map(int, qubits))
+        root = int(root)
         if group_id in self.regions:
             raise AllocationError(f"group {group_id} is already placed")
         if not qs or qs[0] < 0 or qs[-1] >= len(self.owner) or len(set(qs)) < len(qs):
             raise AllocationError(
                 f"group {group_id}: region {qs} is not a nonempty set of distinct qubits of the chip")
+        if root not in qs:
+            raise AllocationError(f"group {group_id}: root {root} is not in its region {qs}")
         arr = np.array(qs, dtype=np.intp)
         if np.count_nonzero(self.owner[arr] >= 0):
             raise AllocationError("placement overlaps an owned qubit")
@@ -177,7 +181,7 @@ class Occupancy:
             [w for q in qs for w in nbrs[q]], minlength=len(nbrs))
         self.near += counts
         self.regions[group_id] = tuple(qs)
-        self.roots[group_id] = int(root)
+        self.roots[group_id] = root
         self.memo = AllocationMemo()
 
     def release(self, group_id: int) -> None:
@@ -205,25 +209,6 @@ def qubit_errors(chip: Chip, t_e_group: float, t_q_mode: str) -> np.ndarray:
     t_us = t_e_group * 1e6
     coh = chip.coherence_array(t_q_mode)
     return (1.0 - np.exp(-t_us / coh)) * chip.readout_array
-
-
-def region_ratio(chip: Chip, region: Iterable[int]) -> RegionStats:
-    """Internal and incident edge counts of an arbitrary qubit set."""
-    qubits = {int(q) for q in region}
-    if not qubits:
-        raise AllocationError("empty region")
-    if any(q < 0 or q >= chip.n_qubits for q in qubits):
-        raise AllocationError("region qubit outside the chip")
-    r_i = 0
-    boundary = 0
-    for a, b in chip.graph.edges:
-        a_in = a in qubits
-        b_in = b in qubits
-        if a_in and b_in:
-            r_i += 1
-        elif a_in or b_in:
-            boundary += 1
-    return RegionStats(r_i=r_i, r_a=r_i + boundary)
 
 
 def _blockers(chip: Chip, occupancy: Occupancy, boundary: Iterable[int]) -> frozenset[int]:

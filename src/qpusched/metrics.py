@@ -12,10 +12,13 @@ All metrics are pure post-processing over the immutable trace:
                       final region of exp(-t_e/T_q) * (1 - readout_q)
   mean region ratio   average internal/total edge ratio over placements
 
-Occupancy over time is rebuilt from the trace's dispatch intervals, not
-read from engine internals: ``occupancy_timeline`` replays them through a
-fresh ``allocator.Occupancy``, whose ``place`` refuses overlapping or
-touching regions, so every report re-checks the buffer invariant.
+Utilization and buffer fraction integrate piecewise-constant
+(t0, t1, owned, buffer) occupancy spans. ``engine.run`` passes the spans
+its own occupancy went through, which refused an overlapping or touching
+region at every dispatch. Without spans, as for a parsed or hand-built
+trace, ``occupancy_timeline`` rebuilds them by replaying the trace's
+dispatch intervals through a fresh ``allocator.Occupancy``, whose
+``place`` re-checks the buffer invariant; both give the same list.
 Intervals with ``end == start`` hold no qubit-time and are skipped. The
 benchmark's ``perfbench/check.py`` is the independent outside-in replay.
 """
@@ -163,14 +166,27 @@ def mean_region_ratio(trace: "Trace") -> float:
     return float(np.mean([RegionStats(rec.r_i, rec.r_a).ratio for rec in trace.allocations]))
 
 
-def compute_report(trace: "Trace", chip: Chip, t_q_mode: str = "t2") -> MetricsReport:
+def compute_report(
+    trace: "Trace",
+    chip: Chip,
+    t_q_mode: str = "t2",
+    spans: list[tuple[float, float, int, int]] | None = None,
+) -> MetricsReport:
+    """Score a completed trace.
+
+    ``spans`` are the occupancy spans the simulation recorded (see
+    ``engine.run``); when they are None, the trace is replayed through
+    ``occupancy_timeline``, which re-checks regions, buffers and roots.
+    Either way the same spans are integrated with ``math.fsum``.
+    """
     records = trace.completed_jobs()
     if not records:
         raise EmptyTraceError("empty trace")
     wt = {rec.job.id: weighted_turnaround(rec) for rec in records}
     pst = {rec.job.id: pst_estimate(rec, chip, t_q_mode) for rec in records}
     wt_values = np.array([wt[k] for k in sorted(wt)])
-    spans = occupancy_timeline(trace, chip)
+    if spans is None:
+        spans = occupancy_timeline(trace, chip)
     duration = makespan(trace)
     qubit_time = chip.n_qubits * duration
     return MetricsReport(

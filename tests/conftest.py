@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qpusched.allocator import AllocationError, RegionStats
 from qpusched.chip import Chip, CouplingGraph, QubitSpec, generate_grid
 from qpusched.metrics import EmptyTraceError, occupancy_timeline
 from qpusched.scheduler import SchedulerState
@@ -43,6 +44,26 @@ def busy_qubit_seconds(trace) -> float:
 def timeline_qubit_seconds(trace, chip) -> float:
     """Timeline-side accounting: integral of owned qubits over the makespan."""
     return math.fsum(owned * (t1 - t0) for t0, t1, owned, _ in occupancy_timeline(trace, chip))
+
+
+def region_ratio(chip: Chip, region) -> RegionStats:
+    """Internal and incident edge counts of an arbitrary qubit set, by a
+    scan of every edge: the oracle for the allocator's incremental counts."""
+    qubits = {int(q) for q in region}
+    if not qubits:
+        raise AllocationError("empty region")
+    if any(q < 0 or q >= chip.n_qubits for q in qubits):
+        raise AllocationError("region qubit outside the chip")
+    r_i = 0
+    boundary = 0
+    for a, b in chip.graph.edges:
+        a_in = a in qubits
+        b_in = b in qubits
+        if a_in and b_in:
+            r_i += 1
+        elif a_in or b_in:
+            boundary += 1
+    return RegionStats(r_i=r_i, r_a=r_i + boundary)
 
 
 def make_job(jid=0, n=2, shots=100, t_sub=0.0, t_e=0.001) -> Job:

@@ -7,6 +7,7 @@ isomorphism checks. Counts are validated against the known sequence
 1, 1, 2, 6, 21, 112, 853, 11117 for n = 1..8 before use.
 """
 
+from functools import cache
 from itertools import combinations
 
 import networkx as nx
@@ -61,3 +62,9 @@ def enumerate_validated(max_n: int):
             f"vertices, expected {CONNECTED_COUNTS[n]}"
         )
     return per_n
+
+
+@cache
+def small_graphs() -> list[tuple[int, tuple]]:
+    """(n, edges) of every connected graph with 1..6 vertices, validated."""
+    return [(n, edges) for n, graphs in enumerate_validated(6).items() for edges in graphs]

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from qpusched.allocator import Occupancy, allocate, grow_region, qubit_errors, region_ratio
+from qpusched.allocator import Occupancy, allocate, grow_region, qubit_errors
 from qpusched.chip import Chip, CouplingGraph, QubitSpec, generate_grid
 from qpusched.engine import MergeConfig, SimConfig, run
+from qpusched.metrics import compute_report
 from qpusched.merger import Group
 from qpusched.scheduler import (
     POLICY_NAMES,
@@ -36,7 +37,7 @@ from qpusched.workload import (
     generate_poisson_workload,
 )
 
-from conftest import busy_qubit_seconds, registered, timeline_qubit_seconds
+from conftest import busy_qubit_seconds, region_ratio, registered, timeline_qubit_seconds
 from graphgen import enumerate_validated
 
 WORKERS = min(2, os.cpu_count() or 1)
@@ -183,8 +184,10 @@ def _occupancy_violations(trace, chip):
     """Count intervals whose region is disconnected or of the wrong size.
 
     Buffers between concurrent regions are checked in library code:
-    ``Occupancy.place`` refuses a touching region, both in the engine and
-    in the metrics replay that ``run`` performs.
+    ``Occupancy.place`` refuses a touching region in the engine at every
+    dispatch, and again when ``_criterion4_cell`` re-scores the trace with
+    ``compute_report`` without spans, which replays the recorded intervals
+    through a fresh ``Occupancy``.
     """
     demand_of = {}
     for rec in trace.allocations:
@@ -222,13 +225,15 @@ def _criterion4_cell(i):
         workload=wl,
         policy=Policy(policy, rr_quantum_shots=100, mfq_base_quantum_shots=100),
     )
-    trace, _ = run(cfg)
+    trace, report = run(cfg)
     violations = _occupancy_violations(trace, chip)
+    # the replay re-places every interval and must score what the run saw
+    rescored = compute_report(trace, chip, t_q_mode=cfg.t_q_mode) == report
     job_side = busy_qubit_seconds(trace)
     timeline_side = timeline_qubit_seconds(trace, chip)
     conserved = math.isclose(job_side, timeline_side, rel_tol=1e-12, abs_tol=1e-9)
     shots_ok = all(rec.executed_shots == rec.job.shots for rec in trace.jobs.values())
-    return violations, conserved, shots_ok
+    return violations, conserved, shots_ok, rescored
 
 
 @pytest.fixture(scope="module")
@@ -240,9 +245,10 @@ def invariant_runs():
 def test_criterion_4_buffer_invariant_suite(invariant_runs):
     with criterion(4, "buffer/connectivity invariants over 200 random simulations"):
         assert len(invariant_runs) == 200
-        total_violations = sum(v for v, _, _ in invariant_runs)
+        total_violations = sum(v for v, _, _, _ in invariant_runs)
         assert total_violations == 0
-        assert all(shots_ok for _, _, shots_ok in invariant_runs)
+        assert all(shots_ok for _, _, shots_ok, _ in invariant_runs)
+        assert all(rescored for _, _, _, rescored in invariant_runs)
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +315,7 @@ def test_criterion_6_formula_point_checks():
 
 def test_criterion_7_conservation_and_determinism(invariant_runs):
     with criterion(7, "work conservation and byte-identical determinism"):
-        assert all(conserved for _, conserved, _ in invariant_runs)
+        assert all(conserved for _, conserved, _, _ in invariant_runs)
         chip = generate_grid(5, 5)
         for policy in ("fcfs", "srtf", "rr", "mfq", "qsjf", "qhrrf"):
             wl = generate_poisson_workload(default_spec(25, 4.0, 3.0, seed=77))

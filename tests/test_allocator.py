@@ -9,7 +9,6 @@ groups that survived an ``allocate`` pass.
 
 import math
 from fractions import Fraction
-from functools import cache
 from unittest import mock
 
 import networkx as nx
@@ -25,7 +24,6 @@ from qpusched.allocator import (
     allocate,
     grow_region,
     qubit_errors,
-    region_ratio,
     resolve_conflict,
 )
 from qpusched.chip import COHERENCE_MODES, Chip, CouplingGraph, QubitSpec, generate_grid
@@ -34,8 +32,8 @@ from qpusched.merger import Group
 from qpusched.scheduler import Policy
 from qpusched.workload import default_spec, generate_poisson_workload
 
-from conftest import make_job, path_chip, uniform_chip
-from graphgen import enumerate_validated
+from conftest import make_job, path_chip, region_ratio, uniform_chip
+from graphgen import small_graphs
 
 
 def grid_region(rows_cols, cols, cells):
@@ -186,6 +184,16 @@ class TestOccupancy:
         with pytest.raises(AllocationError, match="not a nonempty set of distinct qubits"):
             occ.place(5, qubits, root=root)
         assert not occ.regions and (occ.owner == -1).all() and not occ.near.any()
+
+    def test_place_rejects_a_root_outside_its_region(self):
+        # root choice sums the hop rows of occupancy.roots, so a stray root
+        # would skew every later choice
+        occ = Occupancy(generate_grid(3, 3))
+        with pytest.raises(AllocationError, match="root 8 is not in its region"):
+            occ.place(5, [0], root=8)
+        assert not occ.regions and not occ.roots and (occ.owner == -1).all()
+        occ.place(5, [0, 1], root=np.int64(1))
+        assert occ.roots == {5: 1}
 
 
 class TestSelectRoots:
@@ -548,11 +556,6 @@ def test_allocate_properties_random(rows, cols, demands):
     for a, b in chip.graph.edges:
         oa, ob = occ.owner[a], occ.owner[b]
         assert not (oa >= 0 and ob >= 0 and oa != ob)
-
-
-@cache
-def small_graphs():
-    return [(n, edges) for n, graphs in enumerate_validated(6).items() for edges in graphs]
 
 
 def reference_growth(chip, occ, root, demand, t_e):

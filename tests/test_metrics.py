@@ -4,24 +4,33 @@ Oracles: hand-computed two-job serial traces, closed-form products for the
 success-probability estimate, and exact rational means for region ratios.
 """
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qpusched.chip import generate_grid
+from qpusched import engine, metrics
+from qpusched.allocator import AllocationError
+from qpusched.chip import COHERENCE_MODES, QubitSpec, generate_grid
 from qpusched.engine import MergeConfig, SimConfig, run
 from qpusched.metrics import (
     EmptyTraceError,
+    compute_report,
     mean_region_ratio,
     occupancy_timeline,
     pst_estimate,
     throughput,
     weighted_turnaround,
 )
-from qpusched.scheduler import Policy
+from qpusched.scheduler import POLICY_NAMES, Policy
 from qpusched.workload import Job, Workload, default_spec, generate_poisson_workload
 
 from conftest import busy_qubit_seconds, make_job, timeline_qubit_seconds, uniform_chip
+from graphgen import small_graphs
+from test_golden import CHIPS, MODES, _scenarios
+from test_time_shift import SRTF_SCENARIOS
 
 
 def simulate(jobs, rows=4, cols=4, policy="fcfs", **kwargs):
@@ -215,3 +224,114 @@ class TestReport:
             assert key in doc
         full = report.to_dict(include_per_job=True)
         assert "wt_by_job" in full and "pst_by_job" in full
+
+
+def recorded_spans(config):
+    """The occupancy spans the engine recorded while simulating ``config``,
+    and the trace it wrote."""
+    sim = engine._Simulation(config)
+    trace = sim.run()
+    return sim.spans, trace
+
+
+def stream_config(chip_name, policy, mode, rate, horizon, seed, shift=0.0):
+    """A seeded Poisson stream on a golden chip and mode, moved by ``shift`` s."""
+    chip = CHIPS[chip_name]
+    merge, exclusive = MODES[mode]
+    wl = generate_poisson_workload(default_spec(chip.n_qubits, rate, horizon, seed=seed))
+    wl = Workload(
+        jobs=tuple(dataclasses.replace(j, t_sub=j.t_sub + shift) for j in wl.jobs),
+        horizon=wl.horizon + shift,
+    )
+    return SimConfig(
+        chip=chip,
+        workload=wl,
+        policy=Policy(policy, rr_quantum_shots=50, mfq_base_quantum_shots=50),
+        merge=merge,
+        exclusive=exclusive,
+    )
+
+
+class TestRecordedSpans:
+    """``run`` integrates the spans its engine recorded; replaying the trace
+    through ``occupancy_timeline`` must rebuild exactly the same list."""
+
+    @pytest.mark.parametrize("scenario", list(_scenarios()), ids="-".join)
+    def test_golden_scenarios(self, scenario):
+        config = stream_config(*scenario, rate=10.0, horizon=2.0, seed=5)
+        spans, trace = recorded_spans(config)
+        assert spans == occupancy_timeline(trace, config.chip)
+
+    @pytest.mark.parametrize("chip_name, mode", SRTF_SCENARIOS, ids="-".join)
+    def test_time_shift_scenarios_at_epoch_scale(self, chip_name, mode):
+        config = stream_config(chip_name, "srtf", mode, rate=20.0, horizon=1.25, seed=3, shift=1e9)
+        spans, trace = recorded_spans(config)
+        assert spans == occupancy_timeline(trace, config.chip)
+
+    def test_zero_length_dispatches_split_no_span(self):
+        # 1e6 + 0.05 + 1e-12 == 1e6 + 0.05: jobs 1 and 2 start and end at one
+        # instant, job 1 beside the running job 0, job 2 on an idle chip
+        jobs = [Job(0, 2, 100, 1e6, 1e-3), Job(1, 2, 1, 1e6 + 0.05, 1e-12),
+                Job(2, 2, 1, 1e6 + 0.5, 1e-12), Job(3, 2, 100, 1e6 + 1, 1e-3)]
+        chip = generate_grid(3, 3)
+        config = SimConfig(chip=chip, workload=Workload(jobs=tuple(jobs), horizon=1e6 + 2),
+                           policy=Policy("fcfs"))
+        spans, trace = recorded_spans(config)
+        zero = [iv for iv in trace.intervals if iv.start == iv.end]
+        assert [iv.group_id for iv in zero] == [1, 2]
+        assert spans == occupancy_timeline(trace, chip)
+        assert [(t0, t1, o) for t0, t1, o, _ in spans] == [
+            (1e6, 1e6 + 0.1, 2), (1e6 + 0.1, 1e6 + 1, 0), (1e6 + 1, 1e6 + 1.1, 2)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_enumerated_graphs_every_policy_and_mode(self, data):
+        n, edges = data.draw(st.sampled_from(small_graphs()), label="graph")
+        base = data.draw(st.sampled_from([0.0, 1e6]), label="base")
+        job = st.tuples(
+            st.integers(1, n),
+            st.integers(1, 30),
+            st.sampled_from([0.0, 0.01, 0.02, 0.05]),
+            st.sampled_from([1e-12, 1e-4, 1e-3]),
+        )
+        drawn = data.draw(st.lists(job, min_size=1, max_size=8), label="jobs")
+        drawn.sort(key=lambda d: d[2])
+        jobs = tuple(Job(i, k, shots, base + t, t_e) for i, (k, shots, t, t_e) in enumerate(drawn))
+        merge, exclusive = MODES[data.draw(st.sampled_from(sorted(MODES)), label="mode")]
+        config = SimConfig(
+            chip=uniform_chip(n, edges),
+            workload=Workload(jobs=jobs, horizon=base + 1.0),
+            policy=Policy(data.draw(st.sampled_from(POLICY_NAMES), label="policy"),
+                          rr_quantum_shots=3, mfq_base_quantum_shots=2),
+            merge=merge,
+            exclusive=exclusive,
+        )
+        spans, trace = recorded_spans(config)
+        assert spans == occupancy_timeline(trace, config.chip)
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("t_q_mode", COHERENCE_MODES)
+    def test_run_scores_without_replay_what_the_replay_scores(self, monkeypatch, policy, t_q_mode):
+        def refuse(*args):
+            raise AssertionError("run replayed its own trace")
+
+        chip = generate_grid(6, 6, QubitSpec(id=0, t2_us=100.0, readout_error=0.01, t1_us=60.0),
+                             noise_seed=2)
+        config = SimConfig(
+            chip=chip,
+            workload=generate_poisson_workload(default_spec(chip.n_qubits, 10.0, 1.0, seed=7)),
+            policy=Policy(policy, rr_quantum_shots=50, mfq_base_quantum_shots=50),
+            t_q_mode=t_q_mode,
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "occupancy_timeline", refuse)
+            trace, report = run(config)
+        replayed = compute_report(trace, config.chip, t_q_mode)
+        assert dataclasses.asdict(report) == dataclasses.asdict(replayed)
+
+    def test_replay_rejects_a_root_outside_its_region(self):
+        chip, trace, _ = simulate([make_job(0, n=2, shots=10, t_e=0.001)], rows=3, cols=3)
+        record = trace.allocations[0]
+        record.root = next(q for q in range(chip.n_qubits) if q not in record.region)
+        with pytest.raises(AllocationError, match="is not in its region"):
+            compute_report(trace, chip)
