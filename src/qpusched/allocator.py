@@ -22,7 +22,11 @@ Placement of one group:
    smallest error score E_Q = (1 - exp(-t_e/T_Q)) * E_meas (``qubit_errors``,
    the one statement of that formula), then the candidate whose addition
    enables the best next-step ratio, then the lowest id. A grown region
-   is the tuple of its qubits in ascending order.
+   is the tuple of its qubits in ascending order. A step does not score
+   every frontier qubit: candidates with two or more links into the region
+   are scored one by one, and those with one link are bucketed by degree,
+   since only the lowest-degree bucket can hold the best one-link ratio
+   and all its members tie (see ``grow_region``).
 3. Before growing, a component search from the root counts the open
    qubits (free, non-buffer) it can reach, stopping at the demand. A
    smaller component is a stall: growth would take all of it and stop,
@@ -45,11 +49,14 @@ only at the demand, so a smaller component was found in full, and a later
 attempt at that root with a larger demand stalls the same way without a
 search, in the same pass or a later one. The memo of the empty occupancy
 is kept for good: a job preempted in exclusive mode gets its region back
-without a second growth. The memo lives and dies with its occupancy, which
-belongs to one simulation. E_Q per qubit does not depend on the occupancy;
-it is computed at most once per ``t_e_group`` in a pass and not kept
-longer, since a memo across passes would grow with the number of distinct
-durations.
+without a second growth. The memo also keeps the state's open mask (free,
+non-buffer qubits), which root choice computes and every growth on that
+state copies. The memo lives and dies with its occupancy, which belongs to
+one simulation. E_Q per qubit does not depend on the occupancy: a pass
+keeps one list of it per ``t_e_group``, made at the first tie of root
+choice or growth and read by both, so it is computed at most once per
+per-shot duration in a pass. It is not kept longer, since a memo across
+passes would grow with the number of distinct durations.
 """
 
 from __future__ import annotations
@@ -125,14 +132,18 @@ class GrowthResult:
 class AllocationMemo:
     """What ``allocate`` has learned about one state of an occupancy.
 
+    ``open`` is the open mask (free, non-buffer qubits) as a list of bools,
+    or None before the first root choice or growth, which read it and never
+    write it.
     ``candidates`` is ``_root_candidates``' result, or None before the first
     root choice; ``stalls`` maps a root to its stall; ``placements`` maps
     (demand, t_e_group, t_q_mode, record_steps) to a growth and its root.
     """
 
-    __slots__ = ("candidates", "stalls", "placements")
+    __slots__ = ("open", "candidates", "stalls", "placements")
 
     def __init__(self):
+        self.open: list[bool] | None = None
         self.candidates: tuple[np.ndarray, frozenset[int]] | None = None
         self.stalls: dict[int, GrowthResult] = {}
         self.placements: dict[tuple, tuple[int, GrowthResult]] = {}
@@ -211,6 +222,28 @@ def qubit_errors(chip: Chip, t_e_group: float, t_q_mode: str) -> np.ndarray:
     return (1.0 - np.exp(-t_us / coh)) * chip.readout_array
 
 
+def _error_list(
+    chip: Chip, t_e_group: float, t_q_mode: str, errors: dict[float, list[float]]
+) -> list[float]:
+    """E_Q per qubit at ``t_e_group``, as Python floats, computed once and kept in ``errors``."""
+    eq = errors.get(t_e_group)
+    if eq is None:
+        eq = errors[t_e_group] = qubit_errors(chip, t_e_group, t_q_mode).tolist()
+    return eq
+
+
+def _open_qubits(occupancy: Occupancy) -> list[bool]:
+    """The open mask (free, non-buffer qubits) of the occupancy's current state.
+
+    It is made once per state, here or by ``_root_candidates``, and kept on
+    ``occupancy.memo``; callers must not change it.
+    """
+    memo = occupancy.memo
+    if memo.open is None:
+        memo.open = ((occupancy.owner < 0) & ~occupancy.buffer_mask()).tolist()
+    return memo.open
+
+
 def _blockers(chip: Chip, occupancy: Occupancy, boundary: Iterable[int]) -> frozenset[int]:
     """Groups owning a qubit next to some qubit of ``boundary``.
 
@@ -247,7 +280,11 @@ def _root_candidates(chip: Chip, occupancy: Occupancy) -> tuple[np.ndarray, froz
     qubit the array is empty and the blockers are named.
     """
     buffer = occupancy.buffer_mask()
-    elig = np.flatnonzero((occupancy.owner < 0) & ~buffer)
+    open_ = (occupancy.owner < 0) & ~buffer
+    memo = occupancy.memo
+    if memo.open is None:
+        memo.open = open_.tolist()  # what a growth from the chosen root reads next
+    elig = np.flatnonzero(open_)
     if not elig.size:
         return elig, _blockers(chip, occupancy, np.flatnonzero(buffer).tolist())
     dist = chip.distances
@@ -260,19 +297,16 @@ def _root_candidates(chip: Chip, occupancy: Occupancy) -> tuple[np.ndarray, froz
 
 def _choose_root(
     chip: Chip, cands: np.ndarray, t_e_group: float, t_q_mode: str,
-    errors: dict[float, np.ndarray],
+    errors: dict[float, list[float]],
 ) -> int:
     """The candidate with the smallest E_Q, then the lowest id.
 
-    ``cands`` is ascending. E_Q per qubit is computed at the first tie for
-    ``t_e_group`` and kept in ``errors``.
+    ``cands`` is ascending. E_Q per qubit is read from ``errors`` (see
+    ``_error_list``) at the first tie.
     """
     if cands.size > 1:
-        eq = errors.get(t_e_group)
-        if eq is None:
-            eq = errors[t_e_group] = qubit_errors(chip, t_e_group, t_q_mode)
-        eq = eq[cands]
-        cands = cands[eq == eq.min()]
+        # min keeps the first of equal keys: the lowest id
+        return min(cands.tolist(), key=_error_list(chip, t_e_group, t_q_mode, errors).__getitem__)
     return int(cands[0])
 
 
@@ -285,6 +319,7 @@ def grow_region(
     *,
     t_q_mode: str = "t2",
     record_steps: bool = False,
+    errors: dict[float, list[float]] | None = None,
 ) -> GrowthResult:
     """Grow a connected region of ``demand`` qubits from ``root``.
 
@@ -292,8 +327,17 @@ def grow_region(
     post-addition r_i/r_a, compared exactly by integer cross-multiplication;
     ties prefer minimum E_Q, then the best next-step achievable ratio, then
     the lowest id. The frontier is a dict from each candidate to its links
-    into the region, so a step costs O(|frontier|), not O(n). It never
-    contains buffer qubits (see ``Occupancy.buffer_mask``).
+    into the region, indexed in two tiers: candidates with two or more
+    links, which a step scores one by one, and candidates with one link,
+    bucketed by degree. A one-link candidate's ratio
+    (r_i+1)/(sum_deg-r_i+deg-1) falls strictly as its degree rises, and the
+    members of a bucket tie exactly, so only the lowest-degree bucket is
+    scored, once. The frontier never contains buffer qubits (see
+    ``Occupancy.buffer_mask``): it is filled from the open mask that
+    ``occupancy.memo`` keeps for the occupancy's state (``_open_qubits``),
+    which each growth copies. E_Q per qubit is read at the first tie from
+    ``errors``, the pass's lists by ``t_e_group`` (see ``_error_list``);
+    a call without it computes its own.
     Returns a stall naming the blocking groups and the component's size
     when the root's open component (free, non-buffer qubits reachable
     from it) holds fewer than ``demand`` qubits; growth would take all of
@@ -305,14 +349,12 @@ def grow_region(
     n = chip.n_qubits
     if not 1 <= demand <= n:
         raise AllocationError(f"demand {demand} outside 1..{n}")
-    owner = occupancy.owner
-    if owner[root] >= 0:
-        raise AllocationError(f"root {root} is not free")
-    buffer = occupancy.buffer_mask()
-    if buffer[root]:
+    open_ = _open_qubits(occupancy)
+    if not open_[root]:
+        if occupancy.owner[root] >= 0:
+            raise AllocationError(f"root {root} is not free")
         raise AllocationError(f"root {root} is adjacent to another group's region")
 
-    open_ = ((owner < 0) & ~buffer).tolist()  # qubits the region may still take
     nbrs = chip.graph.neighbors
     component = _short_component(chip, open_, root, demand)
     if component is not None:
@@ -325,29 +367,57 @@ def grow_region(
             component_size=len(component),
         )
 
-    eq = None  # E_Q per qubit, computed at the first tie on the ratio
-
-    def join(front: dict[int, int], q: int) -> None:
-        for w in nbrs[q]:
-            if w in front:
-                front[w] += 1
-            elif open_[w]:
-                front[w] = 1
-
+    if errors is None:
+        errors = {}
+    deg = chip.graph.degree
+    # per qubit: 0 (False) closed, 1 (True) open, 1 + k open with k links into the region
+    state = open_.copy()
     frontier: dict[int, int] = {}  # open qubit next to the region -> its links into it
+    multi: dict[int, int] = {}  # the candidates of frontier with two or more links
+    ones: dict[int, set[int]] = {}  # degree -> the candidates of that degree with one link
     region = [root]
     r_i = 0
-    sum_deg = len(nbrs[root])
-    open_[root] = False
-    join(frontier, root)
+    sum_deg = deg[root]
+    state[root] = False
+    chosen = root
     steps: list[GrowthStep] = []
 
-    while len(region) < demand:
+    while True:
+        for w in nbrs[chosen]:  # the frontier gains the open neighbours of chosen
+            s = state[w]
+            if s:
+                state[w] = s + 1
+                if s == 1:
+                    frontier[w] = 1
+                    bucket = ones.get(deg[w])
+                    if bucket is None:
+                        ones[deg[w]] = {w}
+                    else:
+                        bucket.add(w)
+                else:
+                    frontier[w] = multi[w] = s
+                    if s == 2:
+                        bucket = ones[deg[w]]
+                        bucket.remove(w)
+                        if not bucket:
+                            del ones[deg[w]]
+        if len(region) == demand:
+            break
         # never empty: the root's open component holds demand qubits
-        best = _best_candidates(frontier, r_i, sum_deg, nbrs)[0]
+        if multi:
+            best, top_i, top_a = _best_candidates(multi, r_i, sum_deg, deg)
+        else:
+            best, top_i, top_a = [], -1, 1
+        if ones:
+            d = min(ones)
+            one_i, one_a = r_i + 1, sum_deg + d - r_i - 1
+            cmp = one_i * top_a - top_i * one_a
+            if cmp > 0:
+                best = list(ones[d])
+            elif cmp == 0:
+                best.extend(ones[d])
         if len(best) > 1:
-            if eq is None:
-                eq = qubit_errors(chip, t_e_group, t_q_mode).tolist()
+            eq = _error_list(chip, t_e_group, t_q_mode, errors)
             low = min(eq[c] for c in best)
             best = [c for c in best if eq[c] == low]
         if len(best) > 1 and len(region) + 1 < demand:
@@ -355,49 +425,60 @@ def grow_region(
             for c in best:
                 nxt = frontier.copy()
                 del nxt[c]
-                join(nxt, c)
-                ahead[c] = _best_candidates(
-                    nxt, r_i + frontier[c], sum_deg + len(nbrs[c]), nbrs)[1:]
+                for w in nbrs[c]:
+                    if w in nxt:
+                        nxt[w] += 1
+                    elif state[w]:
+                        nxt[w] = 1
+                ahead[c] = _best_candidates(nxt, r_i + frontier[c], sum_deg + deg[c], deg)[1:]
             top_i, top_a = max(ahead.values(), key=lambda ra: Fraction(*ra))
             best = [c for c in best if ahead[c][0] * top_a == top_i * ahead[c][1]]
         chosen = min(best)
-        ri, deg = r_i + frontier[chosen], len(nbrs[chosen])
         if record_steps:
+            ri = r_i + frontier[chosen]
             cand = sorted(frontier)
             ri_new = [r_i + frontier[c] for c in cand]
             steps.append(
                 GrowthStep(
                     chosen=chosen,
                     r_i=ri,
-                    r_a=sum_deg + deg - ri,
+                    r_a=sum_deg + deg[chosen] - ri,
                     frontier=tuple(cand),
                     frontier_r_i=tuple(ri_new),
-                    frontier_r_a=tuple(sum_deg + len(nbrs[c]) - x for c, x in zip(cand, ri_new)),
+                    frontier_r_a=tuple(sum_deg + deg[c] - x for c, x in zip(cand, ri_new)),
                 )
             )
-        r_i, sum_deg = ri, sum_deg + deg
-        del frontier[chosen]
+        k = frontier.pop(chosen)
+        state[chosen] = False
+        if k > 1:
+            del multi[chosen]
+        else:
+            bucket = ones[deg[chosen]]
+            bucket.remove(chosen)
+            if not bucket:
+                del ones[deg[chosen]]
+        r_i += k
+        sum_deg += deg[chosen]
         region.append(chosen)
-        open_[chosen] = False
-        join(frontier, chosen)
 
     stats = RegionStats(r_i=r_i, r_a=sum_deg - r_i)
     return GrowthResult(region=tuple(sorted(region)), stats=stats, steps=steps)
 
 
 def _best_candidates(
-    front: dict[int, int], r_i: int, sum_deg: int, nbrs
+    front: dict[int, int], r_i: int, sum_deg: int, deg: Sequence[int]
 ) -> tuple[list[int], int, int]:
     """Qubits of ``front`` whose addition maximizes r_i/r_a, and that (r_i, r_a).
 
     ``front`` maps each candidate to its links into a region with ``r_i``
-    internal edges and degree sum ``sum_deg``. Ratios are compared exactly,
-    by integer cross-multiplication. An empty ``front`` gives ([], -1, 1).
+    internal edges and degree sum ``sum_deg``; ``deg`` gives each qubit's
+    degree. Ratios are compared exactly, by integer cross-multiplication.
+    An empty ``front`` gives ([], -1, 1).
     """
     best, best_i, best_a = [], -1, 1
     for c, k in front.items():
         ri = r_i + k
-        ra = sum_deg + len(nbrs[c]) - ri
+        ra = sum_deg + deg[c] - ri
         d = ri * best_a - best_i * ra
         if d > 0:
             best, best_i, best_a = [c], ri, ra
@@ -468,7 +549,7 @@ def allocate(
     work = list(groups)
     conflicts: list[dict] = []
     placements: list[Placement] = []
-    errors: dict[float, np.ndarray] = {}  # E_Q per qubit, by t_e_group
+    errors: dict[float, list[float]] = {}  # E_Q per qubit, by t_e_group
     while len(placements) < len(work):
         group = work[len(placements)]
         memo = occupancy.memo
@@ -484,7 +565,7 @@ def allocate(
                 if result is None or group.demand <= result.component_size:
                     result = grow_region(
                         chip, occupancy, root, group.demand, group.t_e_group,
-                        t_q_mode=t_q_mode, record_steps=record_steps,
+                        t_q_mode=t_q_mode, record_steps=record_steps, errors=errors,
                     )
                     if result.ok:
                         memo.placements[key] = root, result

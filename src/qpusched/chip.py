@@ -123,9 +123,13 @@ class CouplingGraph:
         return indptr, indices
 
     @cached_property
+    def degree(self) -> tuple[int, ...]:
+        """Each qubit's number of neighbours, as Python ints for per-qubit loops."""
+        return tuple(map(len, self.neighbors))
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        indptr, _ = self.csr
-        return np.diff(indptr).astype(np.int64)
+        return np.array(self.degree, dtype=np.int64)
 
 
 def backend_name() -> str:

@@ -14,6 +14,8 @@ are handed to the allocator in that order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .workload import Job, service_demand
@@ -46,9 +48,9 @@ class Group:
         if not self.members:
             raise ValueError("a group needs at least one member")
         derive = object.__setattr__  # the dataclass is frozen
-        derive(self, "t_e_group", max(j.t_e_shot for j in self.members))
+        derive(self, "t_e_group", max(map(attrgetter("t_e_shot"), self.members)))
         derive(self, "shots_group", max(self.member_shots))
-        derive(self, "demand", sum(j.n for j in self.members))
+        derive(self, "demand", sum(map(attrgetter("n"), self.members)))
         derive(self, "priority_key", min(self.member_keys))
 
     @classmethod
@@ -71,21 +73,21 @@ class Group:
 
     def worst_member(self) -> Job:
         """The lowest-priority member (largest key); requeue target on conflicts."""
-        idx = max(range(len(self.members)), key=lambda i: self.member_keys[i])
-        return self.members[idx]
+        keys = self.member_keys
+        return self.members[keys.index(max(keys))]  # the first of equal keys
 
     def without(self, job_id: int) -> "Group":
         """A copy of the group with one member removed."""
-        keep = [i for i, j in enumerate(self.members) if j.id != job_id]
-        if len(keep) == len(self.members):
+        keep = [j.id != job_id for j in self.members]
+        if all(keep):
             raise ValueError(f"job {job_id} is not a member of group {self.id}")
-        if not keep:
+        if not any(keep):
             raise ValueError("cannot remove the last member of a group")
         return Group(
             id=self.id,
-            members=tuple(self.members[i] for i in keep),
-            member_shots=tuple(self.member_shots[i] for i in keep),
-            member_keys=tuple(self.member_keys[i] for i in keep),
+            members=tuple(compress(self.members, keep)),
+            member_shots=tuple(compress(self.member_shots, keep)),
+            member_keys=tuple(compress(self.member_keys, keep)),
         )
 
 

@@ -358,6 +358,20 @@ class TestGrowRegion:
         assert res.region == (0, 1, 2)
         assert (res.stats.r_i, res.stats.r_a) == (2, 4)
 
+    def test_ratio_tie_across_link_tiers(self):
+        # from root 8, after 4 and 3, the two-link 0 (degree 5) and the
+        # one-link 6 and 7 (degree 2) tie at 1/2. E_Q ties on uniform specs;
+        # the lookahead prefers 6 or 7 (5/9 next) to 0 (6/11 next), and 6 has
+        # the lower id. 0 then joins last, once it has three links.
+        chip = uniform_chip(9, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 8), (1, 2), (1, 6),
+                                (3, 4), (3, 6), (3, 7), (3, 8), (4, 8), (5, 7)])
+        res = grow_region(chip, Occupancy(chip), root=8, demand=8, t_e_group=0.001,
+                          record_steps=True)
+        tie = res.steps[2]
+        assert dict(zip(tie.frontier, zip(tie.frontier_r_i, tie.frontier_r_a))) == {
+            0: (5, 10), 6: (4, 8), 7: (4, 8)}
+        assert [step.chosen for step in res.steps] == [4, 3, 6, 7, 5, 0, 1]
+
     def test_lookahead_skips_the_last_step(self):
         # root 0 sits on the triangle 0-2-4 and the path 0-1-3; its three
         # neighbours tie on the ratio and on E_Q. With a step to come, the
@@ -561,38 +575,127 @@ def test_allocate_properties_random(rows, cols, demands):
 def reference_growth(chip, occ, root, demand, t_e):
     """The qubits, in the order taken, of the growth rule recomputed from scratch.
 
-    Every candidate is rescored with ``region_ratio``: the best exact ratio,
-    then the minimum E_Q, then (except at the last step) the best ratio the
-    next frontier offers, then the lowest id.
+    At every step the frontier is found again from the region, and every
+    candidate is rescored from the region's edge counts, themselves
+    recounted from the adjacency sets: the best exact ratio, then the
+    minimum E_Q, then (except at the last step) the best ratio the next
+    frontier offers, then the lowest id.
     """
     buffer = occ.buffer_mask()
     open_ = {q for q in range(chip.n_qubits) if occ.owner[q] < 0 and not buffer[q]}
+    adj = [set(ws) for ws in chip.graph.neighbors]
     # the library's E_Q values: this oracle checks the order of the rule, not exp
     eq = allocator.qubit_errors(chip, t_e, "t2").tolist()
 
-    def frontier(region):
-        return sorted({w for q in region for w in chip.graph.neighbors[q] if w in open_}
-                      - set(region))
-
-    def best(region, cands):
-        """Candidates attaining the top post-addition ratio, and that ratio."""
+    def best(region):
+        """Frontier candidates attaining the top post-addition ratio, and that ratio."""
+        inside = set(region)
+        cands = sorted({w for q in region for w in adj[q] if w in open_} - inside)
+        r_i = sum(len(adj[q] & inside) for q in region) // 2
+        sum_deg = sum(len(adj[q]) for q in region)
         ratio = {}
         for c in cands:
-            stats = region_ratio(chip, region + [c])
-            ratio[c] = Fraction(stats.r_i, stats.r_a)
+            ri = r_i + len(adj[c] & inside)
+            ratio[c] = Fraction(ri, sum_deg + len(adj[c]) - ri)
         top = max(ratio.values(), default=Fraction(-1))
         return [c for c in cands if ratio[c] == top], top
 
     region = [root]
     while len(region) < demand:
-        tied = best(region, frontier(region))[0]
+        tied = best(region)[0]
         low = min(eq[c] for c in tied)
         tied = [c for c in tied if eq[c] == low]
         if len(tied) > 1 and len(region) + 1 < demand:
-            ahead = {c: best(region + [c], frontier(region + [c]))[1] for c in tied}
+            ahead = {c: best(region + [c])[1] for c in tied}
             tied = [c for c in tied if ahead[c] == max(ahead.values())]
         region.append(min(tied))
     return region
+
+
+def heavy_hex_chip(rows, width, noise_seed=None):
+    """A heavy-hex lattice: ``rows`` lines of ``width`` qubits, and between
+    lines r and r+1 a bridge qubit under every fourth column, starting at
+    column 0 below even lines and at column 2 below odd ones. Degrees are 1
+    to 3. Uniform calibration, or jittered as ``generate_grid`` does."""
+    edges = [(r * width + c, r * width + c + 1) for r in range(rows) for c in range(width - 1)]
+    n = rows * width
+    for r in range(rows - 1):
+        for c in range(2 * (r % 2), width, 4):
+            edges += [(r * width + c, n), (n, (r + 1) * width + c)]
+            n += 1
+    template = generate_grid(n, 1, noise_seed=noise_seed).specs
+    return Chip("heavy-hex", CouplingGraph(n, tuple(edges)), template)
+
+
+def draw_wide_chip(data):
+    """A chip where a growth's frontier is wide or skewed in degree: a grid
+    up to 12x12, a heavy-hex lattice, a star of paths or one long path;
+    uniform (E_Q always ties) or noisy."""
+    noise = data.draw(st.one_of(st.none(), st.integers(0, 99)), label="noise seed")
+    kind = data.draw(st.sampled_from(["grid", "heavy-hex", "star", "path"]), label="kind")
+    if kind == "grid":
+        side = st.sampled_from(range(2, 13))  # uniform: integers() favours small sides
+        return generate_grid(data.draw(side), data.draw(side), noise_seed=noise)
+    if kind == "heavy-hex":
+        return heavy_hex_chip(data.draw(st.sampled_from(range(2, 6))),
+                              data.draw(st.sampled_from(range(3, 16))), noise)
+    if kind == "star":  # a hub with arms of one to three qubits
+        arms = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=30), label="arms")
+        edges, n = [], 1
+        for length in arms:
+            edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+            n += length
+    else:
+        n = data.draw(st.integers(2, 60), label="path length")
+        edges = [(i, i + 1) for i in range(n - 1)]
+    specs = generate_grid(n, 1, noise_seed=noise).specs
+    return Chip(kind, CouplingGraph(n, tuple(edges)), specs)
+
+
+def draw_blocks(data, chip, owner_ids=(90, 91, 92)):
+    """An occupancy of ``chip`` by up to three compact regions, each the
+    qubits within one or two hops of a drawn centre; a region that would
+    overlap or touch an earlier one is left out."""
+    occ = Occupancy(chip)
+    nbrs = chip.graph.neighbors
+    for gid in owner_ids[:data.draw(st.integers(1, len(owner_ids)), label="blocks")]:
+        ball = {data.draw(st.integers(0, chip.n_qubits - 1), label="centre")}
+        for _ in range(data.draw(st.integers(0, 2), label="radius")):
+            ball |= {w for q in ball for w in nbrs[q]}
+        if all(occ.owner[q] < 0 and occ.near[q] == 0 for q in ball):
+            occ.place(gid, ball, root=min(ball))
+    return occ
+
+
+def check_growth_against_reference(data, chip, occ):
+    """Draw a root and a demand its open component can hold; the growth,
+    with its steps logged or not, must follow ``reference_growth``."""
+    open_ = np.flatnonzero((occ.owner < 0) & ~occ.buffer_mask()).tolist()
+    if not open_:
+        return
+    root = data.draw(st.sampled_from(open_), label="root")
+    g = nx.Graph()
+    g.add_nodes_from(open_)
+    g.add_edges_from((a, b) for a, b in chip.graph.edges if a in g and b in g)
+    size = len(nx.node_connected_component(g, root))
+    # often the whole component, or a half or a quarter: long growths, wide frontiers
+    demand = data.draw(
+        st.integers(1, size) | st.sampled_from([size, (size + 1) // 2, (size + 3) // 4]),
+        label="demand")
+    record_steps = data.draw(st.booleans(), label="record_steps")
+
+    want = reference_growth(chip, occ, root, demand, 0.001)
+    res = grow_region(chip, occ, root=root, demand=demand, t_e_group=0.001,
+                      record_steps=record_steps)
+    assert res.region == tuple(sorted(want))
+    assert res.stats == region_ratio(chip, want)
+    if not record_steps:
+        assert res.steps == []
+        return
+    assert [step.chosen for step in res.steps] == want[1:]
+    for k, step in enumerate(res.steps, start=2):
+        stats = region_ratio(chip, want[:k])
+        assert (step.r_i, step.r_a) == (stats.r_i, stats.r_a)
 
 
 @given(data=st.data())
@@ -615,23 +718,17 @@ def test_growth_tie_order_matches_reference_rule(data):
         chip, _, occ = draw_occupancy(data, chip, owner_ids=(90, 91))
     else:
         occ = Occupancy(chip)  # the whole chip open: long growths, more ties
-    open_ = np.flatnonzero((occ.owner < 0) & ~occ.buffer_mask()).tolist()
-    if not open_:
-        return
-    root = data.draw(st.sampled_from(open_), label="root")
-    g = nx.Graph()
-    g.add_nodes_from(open_)
-    g.add_edges_from((a, b) for a, b in chip.graph.edges if a in g and b in g)
-    demand = data.draw(st.integers(1, len(nx.node_connected_component(g, root))), label="demand")
+    check_growth_against_reference(data, chip, occ)
 
-    want = reference_growth(chip, occ, root, demand, 0.001)
-    res = grow_region(chip, occ, root=root, demand=demand, t_e_group=0.001, record_steps=True)
-    assert [step.chosen for step in res.steps] == want[1:]
-    for k, step in enumerate(res.steps, start=2):
-        stats = region_ratio(chip, want[:k])
-        assert (step.r_i, step.r_a) == (stats.r_i, stats.r_a)
-    assert res.region == tuple(sorted(want))
-    assert res.stats == region_ratio(chip, want)
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_wide_growth_tie_order_matches_reference_rule(data):
+    # wide frontiers and skewed degrees: many one-link candidates of mixed
+    # degree (hubs, heavy-hex bridges, grid rims) compete with multi-link ones
+    chip = draw_wide_chip(data)
+    occ = draw_blocks(data, chip) if data.draw(st.booleans(), label="occupied") else Occupancy(chip)
+    check_growth_against_reference(data, chip, occ)
 
 
 def copy_of(occ):
@@ -859,12 +956,71 @@ def test_release_forgets_the_stalls_before_it():
     assert (outcome.placed, outcome.conflicts) == reference_allocate(chip, ref, groups, False)
 
 
+def fresh_open_mask(occ):
+    return ((occ.owner < 0) & ~occ.buffer_mask()).tolist()
+
+
+def test_place_and_release_replace_the_open_mask():
+    chip = generate_grid(4, 4)
+    occ = Occupancy(chip)
+    idle = allocator._open_qubits(occ)
+    assert idle == [True] * 16 and allocator._open_qubits(occ) is idle
+    occ.place(0, [0, 1], root=0)
+    assert occ.memo.open is None
+    first = allocator._open_qubits(occ)
+    assert first == fresh_open_mask(occ) and first.count(True) == 16 - 5
+    occ.place(1, [15], root=15)
+    assert occ.memo.open is None
+    assert allocator._open_qubits(occ) == fresh_open_mask(occ)
+    occ.release(1)
+    assert occ.memo.open is None  # equal to the state after the first place, but a new memo
+    assert allocator._open_qubits(occ) == first
+    occ.release(0)
+    assert occ.memo.open is idle == [True] * 16  # the idle memo keeps its mask
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_growths_share_the_open_mask_and_never_change_it(data):
+    # passes and releases in any order on one occupancy: every growth reads
+    # the mask of the state it runs on, and leaves it as it was; the idle
+    # memo's mask is always the fresh mask of the empty chip
+    n, edges = data.draw(st.sampled_from(small_graphs()), label="graph")
+    chip = uniform_chip(n, edges)
+    occ = Occupancy(chip)
+    idle = occ.memo
+    real_grow = allocator.grow_region
+    grown = []
+
+    def checking_grow(chip, occupancy, *args, **kwargs):
+        mask = allocator._open_qubits(occupancy)
+        assert mask == fresh_open_mask(occupancy)
+        before = list(mask)
+        result = real_grow(chip, occupancy, *args, **kwargs)
+        assert occupancy.memo.open is mask and mask == before
+        grown.append(mask)
+        return result
+
+    with mock.patch.object(allocator, "grow_region", checking_grow):
+        for call in range(data.draw(st.integers(1, 4), label="calls")):
+            placed = sorted(occ.regions)
+            if placed and data.draw(st.booleans(), label="release"):
+                for gid in data.draw(st.sets(st.sampled_from(placed)), label="released"):
+                    occ.release(gid)
+            allocate(chip, occ, draw_groups(data, n, first_gid=10 * call))
+            assert (occ.memo is idle) == (not occ.regions)
+            if idle.open is not None:
+                assert idle.open == [True] * n
+    assert grown
+
+
 def test_error_scores_once_per_duration_in_a_pass(monkeypatch):
-    # one-qubit groups never tie during growth, so every E_Q array comes
-    # from a root tie; the four corners of an empty grid tie first
+    # the four corners of an empty grid tie first at root choice. One-qubit
+    # groups never tie during growth; a three-qubit group grown from a
+    # corner ties on the ratio at its first step (both neighbours have one
+    # link and degree 3). Root choice and growth share one E_Q list per
+    # duration, whichever of them needs it first
     chip = generate_grid(5, 5, noise_seed=3)
-    groups = [singleton_group(i, n=1, t_e=(1e-4, 1e-3)[i % 2], key=(float(i), 0.0, i))
-              for i in range(6)]
     made = []
     real_errors = allocator.qubit_errors
 
@@ -873,8 +1029,20 @@ def test_error_scores_once_per_duration_in_a_pass(monkeypatch):
         return real_errors(chip, t_e, t_q_mode)
 
     monkeypatch.setattr(allocator, "qubit_errors", counting_errors)
-    assert placed_roots(chip, groups) == [4, 20, 0, 24, 2, 14]
-    assert sorted(made) == [1e-4, 1e-3]  # ties at both durations, one array each
+    for n, count in ((1, 6), (3, 4)):
+        made.clear()
+        groups = [singleton_group(i, n=n, t_e=(1e-4, 1e-3)[i % 2], key=(float(i), 0.0, i))
+                  for i in range(count)]
+        outcome = allocate(chip, Occupancy(chip), groups, record_steps=True)
+        growth_ties = {
+            p.group.t_e_group for p in outcome.placed for step in p.steps
+            if sum(ri * step.r_a == step.r_i * ra
+                   for ri, ra in zip(step.frontier_r_i, step.frontier_r_a)) > 1
+        }
+        assert sorted(growth_ties) == ([] if n == 1 else [1e-4, 1e-3])
+        if n == 1:
+            assert [p.root for p in outcome.placed] == [4, 20, 0, 24, 2, 14]
+        assert sorted(made) == [1e-4, 1e-3]  # ties at both durations, one list each
 
 
 @given(data=st.data())
