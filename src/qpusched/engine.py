@@ -27,11 +27,10 @@ are monotone, so the boundaries never decrease in ``k``, and a count
 agrees with the event times on the heap at any absolute time.
 
 The engine records the occupancy it held as the (t0, t1, owned, buffer)
-spans that ``run`` scores. It samples the occupancy when the clock leaves
-an instant where a dispatch of nonzero length started or ended, so the
-changes within one instant (a pass's placements and evictions, dispatches
-that start and end there) collapse as they do in the trace replay of
-``metrics.occupancy_timeline``, and the two span lists are equal.
+spans that ``run`` scores: it feeds its ``Occupancy`` to a
+``metrics.OccupancyTimeline`` and calls ``leave`` whenever the clock
+leaves an instant, the one sampling rule that the trace replay of
+``metrics.occupancy_timeline`` uses too.
 """
 
 from __future__ import annotations
@@ -44,12 +43,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .allocator import Occupancy, Placement, allocate
 from .chip import Chip, check_coherence_mode
 from .merger import Group, group_by_exec_time, select_prefix
-from .metrics import MetricsReport, compute_report
+from .metrics import MetricsReport, OccupancyTimeline, compute_report
 from .scheduler import (
     Policy,
     SchedulerState,
@@ -243,11 +240,7 @@ class _Simulation:
             }
         )
         self._next_group_id = 0
-        # occupancy samples (instant left, owned, buffer), taken where a
-        # dispatch of nonzero length started or ended
-        self._samples: list[tuple[float, int, int]] = []
-        self._span_break = False  # such a dispatch ended at the current instant
-        self._started: list[_RunningGroup] = []  # dispatches started at the current instant
+        self.timeline = OccupancyTimeline(self.occupancy)
         self.spans: list[tuple[float, float, int, int]] = []
 
     # -- event machinery ---------------------------------------------------
@@ -267,8 +260,7 @@ class _Simulation:
         while self.heap:
             time, rank, key, payload = heapq.heappop(self.heap)
             if time != now:
-                if self._span_break or self._started:
-                    self._leave(now)
+                self.timeline.leave(now)
                 now = time
             if rank == ARRIVAL:
                 # drain simultaneous arrivals so one pass sees them all
@@ -282,38 +274,13 @@ class _Simulation:
                     self._pass(time)
             else:
                 self._on_boundary(time, key, payload)
-        self._leave(now)
+        self.timeline.leave(now)
         incomplete = [jid for jid, rec in self.trace.jobs.items() if rec.t_comp is None]
         if incomplete or len(self.trace.jobs) != len(self.config.workload.jobs):
             raise SimulationError(f"simulation drained with incomplete jobs: {incomplete}")
         if self.trace.jobs:
-            self.spans = self._occupancy_spans()
+            self.spans = self.timeline.spans(self.trace)
         return self.trace
-
-    def _leave(self, now: float) -> None:
-        """The clock leaves ``now``: sample the occupancy if a dispatch of
-        nonzero length started or ended there. A dispatch that started and
-        ended at ``now`` held no qubit-time and is not counted."""
-        if self._span_break or any(rg.interval.end is None for rg in self._started):
-            occ = self.occupancy
-            self._samples.append(
-                (now, occ.owned_count(), int(np.count_nonzero(occ.buffer_mask()))))
-        self._span_break = False
-        self._started.clear()
-
-    def _occupancy_spans(self) -> list[tuple[float, float, int, int]]:
-        """Piecewise-constant (t0, t1, owned, buffer) spans of the occupancy
-        the run held over [first submission, last completion]: the spans
-        ``metrics.occupancy_timeline`` rebuilds from the trace."""
-        records = self.trace.jobs.values()
-        t_start = min(rec.job.t_sub for rec in records)
-        t_end = max(rec.t_comp for rec in records)
-        samples = self._samples
-        if not samples or samples[0][0] > t_start:
-            samples = [(t_start, 0, 0), *samples]  # the chip is idle until the first dispatch
-        ends = [t for t, _, _ in samples[1:]] + [t_end]
-        return [(t0, t1, owned, buffer)
-                for (t0, owned, buffer), t1 in zip(samples, ends) if t1 > t0]
 
     def _on_arrivals(self, now: float, jobs: list[Job]) -> None:
         for job in jobs:
@@ -366,8 +333,6 @@ class _Simulation:
         rg = self.running.pop(gid)
         self.occupancy.release(gid)
         rg.interval.end = now
-        if rg.start < now:
-            self._span_break = True
         done_shots = rg.group.shots_group if preempt_at is None else preempt_at
         requeued: list[int] = []
         completed: list[int] = []
@@ -402,7 +367,6 @@ class _Simulation:
         self.trace.intervals.append(interval)
         rg = _RunningGroup(group=group, start=now, interval=interval)
         self.running[group.id] = rg
-        self._started.append(rg)
         self._push(rg.boundary(group.shots_group), COMPLETE, group.id)
         self._start_quantum(rg, 0)
         for job in group.members:

@@ -13,18 +13,25 @@ All metrics are pure post-processing over the immutable trace:
   mean region ratio   average internal/total edge ratio over placements
 
 Utilization and buffer fraction integrate piecewise-constant
-(t0, t1, owned, buffer) occupancy spans. ``engine.run`` passes the spans
-its own occupancy went through, which refused an overlapping or touching
+(t0, t1, owned, buffer) occupancy spans over [first submission, last
+completion]. One rule makes them, ``OccupancyTimeline``: as the clock
+leaves an instant, it samples the owned and buffer counts of an
+``allocator.Occupancy`` if the set of placed groups changed since the
+last sample. Group ids are unique per dispatch, so that set changes
+across an instant exactly where a dispatch of nonzero length started or
+ended; a dispatch that starts and ends at one instant, or a group placed
+and evicted within a pass, leaves no trace. ``engine.run`` feeds the
+timeline its own occupancy, which refused an overlapping or touching
 region at every dispatch. Without spans, as for a parsed or hand-built
-trace, ``occupancy_timeline`` rebuilds them by replaying the trace's
-dispatch intervals through a fresh ``allocator.Occupancy``, whose
-``place`` re-checks the buffer invariant; both give the same list.
-Intervals with ``end == start`` hold no qubit-time and are skipped. The
-benchmark's ``perfbench/check.py`` is the independent outside-in replay.
+trace, ``occupancy_timeline`` feeds it a fresh ``Occupancy`` replaying
+the trace's dispatch intervals, whose ``place`` re-checks the buffer
+invariant. The benchmark's ``perfbench/check.py`` is the independent
+outside-in replay.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -59,21 +66,15 @@ class MetricsReport:
     pst_by_job: dict[int, float]
 
     def to_dict(self, include_per_job: bool = False) -> dict:
-        out = {
-            "throughput": self.throughput,
-            "utilization": self.utilization,
-            "buffer_fraction": self.buffer_fraction,
-            "mean_wt": self.mean_wt,
-            "median_wt": self.median_wt,
-            "p95_wt": self.p95_wt,
-            "mean_pst": self.mean_pst,
-            "mean_region_ratio": self.mean_region_ratio,
-            "makespan": self.makespan,
-            "n_jobs": self.n_jobs,
-        }
-        if include_per_job:
-            out["wt_by_job"] = {str(k): v for k, v in sorted(self.wt_by_job.items())}
-            out["pst_by_job"] = {str(k): v for k, v in sorted(self.pst_by_job.items())}
+        """The fields in declaration order; the per-job maps, keyed by
+        string job id, only with ``include_per_job``."""
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, dict):
+                out[f.name] = value
+            elif include_per_job:
+                out[f.name] = {str(k): v for k, v in sorted(value.items())}
         return out
 
 
@@ -84,13 +85,17 @@ def weighted_turnaround(record: "JobRecord") -> float:
     return (record.t_comp - record.job.t_sub) / service_demand(record.job)
 
 
-def makespan(trace: "Trace") -> float:
-    """Last completion minus first submission; positive, since rates divide by it."""
+def _window(trace: "Trace") -> tuple[float, float]:
+    """(first submission, last completion) over the completed jobs."""
     records = trace.completed_jobs()
     if not records:
         raise EmptyTraceError("empty trace")
-    first_sub = min(rec.job.t_sub for rec in records)
-    last_comp = max(rec.t_comp for rec in records)
+    return min(rec.job.t_sub for rec in records), max(rec.t_comp for rec in records)
+
+
+def makespan(trace: "Trace") -> float:
+    """Last completion minus first submission; positive, since rates divide by it."""
+    first_sub, last_comp = _window(trace)
     if last_comp <= first_sub:
         raise EmptyTraceError("trace spans zero time")
     return last_comp - first_sub
@@ -104,19 +109,47 @@ def throughput(trace: "Trace") -> float:
     return len(records) / makespan(trace)
 
 
+class OccupancyTimeline:
+    """Samples of an occupancy, taken as the clock leaves each instant.
+
+    ``leave(t)`` samples (t, owned, buffer) when the set of placed group
+    ids differs from the one at the last sample, so placements and
+    releases that cancel within an instant split no span.
+    """
+
+    def __init__(self, occupancy: Occupancy):
+        self.occupancy = occupancy
+        self._placed: set[int] = set()  # the placed group ids at the last sample
+        self._samples: list[tuple[float, int, int]] = []
+
+    def leave(self, t: float) -> None:
+        occ = self.occupancy
+        if occ.regions.keys() != self._placed:
+            self._placed = set(occ.regions)
+            self._samples.append(
+                (t, occ.owned_count(), int(np.count_nonzero(occ.buffer_mask()))))
+
+    def spans(self, trace: "Trace") -> list[tuple[float, float, int, int]]:
+        """Piecewise-constant (t0, t1, owned, buffer) spans over [first
+        submission, last completion], idle until the first sample; spans
+        of zero length are dropped."""
+        t_start, t_end = _window(trace)
+        samples = self._samples
+        if not samples or samples[0][0] > t_start:
+            samples = [(t_start, 0, 0), *samples]
+        ends = [t for t, _, _ in samples[1:]] + [t_end]
+        return [(t0, t1, owned, buffer)
+                for (t0, owned, buffer), t1 in zip(samples, ends) if t1 > t0]
+
+
 def occupancy_timeline(trace: "Trace", chip: Chip) -> list[tuple[float, float, int, int]]:
     """Piecewise-constant (t0, t1, owned, buffer) spans rebuilt from intervals.
 
-    Spans cover [first submission, last completion]; releases at a
-    breakpoint apply before placements at the same instant. Regions are
-    placed with the roots of ``trace.allocations``; a region that overlaps
-    or touches another raises ``AllocationError``.
+    Intervals of nonzero length are replayed through a fresh ``Occupancy``
+    and an ``OccupancyTimeline``; releases at an instant apply before
+    placements. Regions are placed with the roots of ``trace.allocations``;
+    a region that overlaps or touches another raises ``AllocationError``.
     """
-    records = trace.completed_jobs()
-    if not records:
-        raise EmptyTraceError("empty trace")
-    t_start = min(rec.job.t_sub for rec in records)
-    t_end = max(rec.t_comp for rec in records)
     roots = {rec.group_id: rec.root for rec in trace.allocations}
     changes: list[tuple[float, int, int]] = []  # (time, 0=release/1=place, interval idx)
     for idx, iv in enumerate(trace.intervals):
@@ -127,18 +160,19 @@ def occupancy_timeline(trace: "Trace", chip: Chip) -> list[tuple[float, float, i
             changes.append((iv.end, 0, idx))
     changes.sort()
     occ = Occupancy(chip)
-    spans: list[tuple[float, float, int, int]] = []
-    prev_t = t_start
-    for t, action, idx in [*changes, (t_end, -1, -1)]:
-        if t > prev_t:
-            spans.append((prev_t, t, occ.owned_count(), int(np.count_nonzero(occ.buffer_mask()))))
-            prev_t = t
-        if action == 1:
-            iv = trace.intervals[idx]
+    timeline = OccupancyTimeline(occ)
+    now = None
+    for t, action, idx in changes:
+        if t != now:
+            timeline.leave(now)
+            now = t
+        iv = trace.intervals[idx]
+        if action:
             occ.place(iv.group_id, iv.region, roots[iv.group_id])
-        elif action == 0:
-            occ.release(trace.intervals[idx].group_id)
-    return spans
+        else:
+            occ.release(iv.group_id)
+    timeline.leave(now)
+    return timeline.spans(trace)
 
 
 def pst_estimate(record: "JobRecord", chip: Chip, t_q_mode: str = "t2") -> float:

@@ -228,20 +228,15 @@ class WaitingQueue:
 
 def order_queue(
     policy: Policy,
-    queue: Sequence[Job] | WaitingQueue,
+    queue: WaitingQueue,
     now: float,
     n_qubits: int,
     state: SchedulerState,
 ) -> list[Job]:
-    """Queue sorted by priority, as a new list.
+    """Queue sorted by priority, as a new list: the queue's kept order.
 
-    A ``WaitingQueue`` gives its kept order; any other sequence of jobs is
-    put into a fresh one first.
+    The queue was made with this policy, chip size and state.
     """
-    if not isinstance(queue, WaitingQueue):
-        jobs, queue = queue, WaitingQueue(policy, n_qubits, state)
-        for job in jobs:
-            queue.push(job, now)
     return queue.ordered(now)
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from qpusched.allocator import AllocationError, RegionStats
 from qpusched.chip import Chip, CouplingGraph, QubitSpec, generate_grid
-from qpusched.metrics import EmptyTraceError, occupancy_timeline
-from qpusched.scheduler import SchedulerState
+from qpusched.metrics import EmptyTraceError
+from qpusched.scheduler import SchedulerState, WaitingQueue, order_queue
 from qpusched.workload import Job
 
 
@@ -41,9 +41,34 @@ def busy_qubit_seconds(trace) -> float:
     return math.fsum(terms)
 
 
+def reference_spans(trace, chip) -> list[tuple[float, float, int, int]]:
+    """The (t0, t1, owned, buffer) spans of a trace by brute force, with
+    neither ``Occupancy`` nor ``OccupancyTimeline``: the window [first
+    submission, last completion] is cut at every distinct start and end of
+    an interval of nonzero length; a piece owns the regions of the
+    intervals covering it, and a buffer is a free qubit with an owned
+    neighbour."""
+    records = trace.completed_jobs()
+    if not records:
+        raise EmptyTraceError("empty trace")
+    if any(iv.end is None for iv in trace.intervals):
+        raise EmptyTraceError("an interval never closed")
+    held = [iv for iv in trace.intervals if iv.end > iv.start]
+    cuts = sorted({min(rec.job.t_sub for rec in records), max(rec.t_comp for rec in records)}
+                  | {iv.start for iv in held} | {iv.end for iv in held})
+    nbrs = chip.graph.neighbors
+    spans = []
+    for t0, t1 in zip(cuts, cuts[1:]):
+        owned = {q for iv in held if iv.start <= t0 and t1 <= iv.end for q in iv.region}
+        buffer = sum(1 for q in range(chip.n_qubits)
+                     if q not in owned and any(w in owned for w in nbrs[q]))
+        spans.append((t0, t1, len(owned), buffer))
+    return spans
+
+
 def timeline_qubit_seconds(trace, chip) -> float:
     """Timeline-side accounting: integral of owned qubits over the makespan."""
-    return math.fsum(owned * (t1 - t0) for t0, t1, owned, _ in occupancy_timeline(trace, chip))
+    return math.fsum(owned * (t1 - t0) for t0, t1, owned, _ in reference_spans(trace, chip))
 
 
 def region_ratio(chip: Chip, region) -> RegionStats:
@@ -76,6 +101,14 @@ def registered(jobs) -> SchedulerState:
     for job in jobs:
         state.add(job)
     return state
+
+
+def order_jobs(policy, jobs, now, n_qubits, state) -> list:
+    """``order_queue`` over a fresh ``WaitingQueue`` with ``jobs`` pushed at ``now``."""
+    queue = WaitingQueue(policy, n_qubits, state)
+    for job in jobs:
+        queue.push(job, now)
+    return order_queue(policy, queue, now, n_qubits, state)
 
 
 def chip_json(chip_doc: dict) -> str:

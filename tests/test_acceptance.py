@@ -25,7 +25,6 @@ from qpusched.merger import Group
 from qpusched.scheduler import (
     POLICY_NAMES,
     Policy,
-    order_queue,
     q_response_ratio,
     response_ratio,
 )
@@ -37,7 +36,13 @@ from qpusched.workload import (
     generate_poisson_workload,
 )
 
-from conftest import busy_qubit_seconds, region_ratio, registered, timeline_qubit_seconds
+from conftest import (
+    busy_qubit_seconds,
+    order_jobs,
+    region_ratio,
+    registered,
+    timeline_qubit_seconds,
+)
 from graphgen import enumerate_validated
 
 WORKERS = min(2, os.cpu_count() or 1)
@@ -278,13 +283,13 @@ def test_criterion_5_policy_reduction_identities():
             ]
             now = 30.0 + float(rng.uniform(0, 10))
             st_ = registered(full)
-            assert order_queue(Policy("qhrrf"), full, now, n_chip, st_) == order_queue(
+            assert order_jobs(Policy("qhrrf"), full, now, n_chip, st_) == order_jobs(
                 Policy("hrrf"), full, now, n_chip, st_
             )
-            assert order_queue(Policy("qsjf"), full, now, n_chip, st_) == order_queue(
+            assert order_jobs(Policy("qsjf"), full, now, n_chip, st_) == order_jobs(
                 Policy("sjf"), full, now, n_chip, st_
             )
-            fcfs = order_queue(Policy("fcfs"), mixed, now, n_chip, registered(mixed))
+            fcfs = order_jobs(Policy("fcfs"), mixed, now, n_chip, registered(mixed))
             assert fcfs == sorted(mixed, key=lambda j: (j.t_sub, j.id))
             probe = mixed[0]
             t_ser = probe.shots * probe.t_e_shot

@@ -27,7 +27,13 @@ from qpusched.metrics import (
 from qpusched.scheduler import POLICY_NAMES, Policy
 from qpusched.workload import Job, Workload, default_spec, generate_poisson_workload
 
-from conftest import busy_qubit_seconds, make_job, timeline_qubit_seconds, uniform_chip
+from conftest import (
+    busy_qubit_seconds,
+    make_job,
+    reference_spans,
+    timeline_qubit_seconds,
+    uniform_chip,
+)
 from graphgen import small_graphs
 from test_golden import CHIPS, MODES, _scenarios
 from test_time_shift import SRTF_SCENARIOS
@@ -253,20 +259,21 @@ def stream_config(chip_name, policy, mode, rate, horizon, seed, shift=0.0):
 
 
 class TestRecordedSpans:
-    """``run`` integrates the spans its engine recorded; replaying the trace
+    """``run`` integrates the spans its engine recorded. They must equal the
+    brute-force ``reference_spans`` of the trace, and replaying the trace
     through ``occupancy_timeline`` must rebuild exactly the same list."""
 
     @pytest.mark.parametrize("scenario", list(_scenarios()), ids="-".join)
     def test_golden_scenarios(self, scenario):
         config = stream_config(*scenario, rate=10.0, horizon=2.0, seed=5)
         spans, trace = recorded_spans(config)
-        assert spans == occupancy_timeline(trace, config.chip)
+        assert spans == reference_spans(trace, config.chip) == occupancy_timeline(trace, config.chip)
 
     @pytest.mark.parametrize("chip_name, mode", SRTF_SCENARIOS, ids="-".join)
     def test_time_shift_scenarios_at_epoch_scale(self, chip_name, mode):
         config = stream_config(chip_name, "srtf", mode, rate=20.0, horizon=1.25, seed=3, shift=1e9)
         spans, trace = recorded_spans(config)
-        assert spans == occupancy_timeline(trace, config.chip)
+        assert spans == reference_spans(trace, config.chip) == occupancy_timeline(trace, config.chip)
 
     def test_zero_length_dispatches_split_no_span(self):
         # 1e6 + 0.05 + 1e-12 == 1e6 + 0.05: jobs 1 and 2 start and end at one
@@ -279,9 +286,37 @@ class TestRecordedSpans:
         spans, trace = recorded_spans(config)
         zero = [iv for iv in trace.intervals if iv.start == iv.end]
         assert [iv.group_id for iv in zero] == [1, 2]
-        assert spans == occupancy_timeline(trace, chip)
+        assert spans == reference_spans(trace, chip) == occupancy_timeline(trace, chip)
         assert [(t0, t1, o) for t0, t1, o, _ in spans] == [
             (1e6, 1e6 + 0.1, 2), (1e6 + 0.1, 1e6 + 1, 0), (1e6 + 1, 1e6 + 1.1, 2)]
+
+    def test_idle_spans_open_and_close_the_window(self):
+        # 1e6 + 1e-12 == 1e6: jobs 0 and 2 start and end at their submission
+        # instants, the first submission and the last completion
+        jobs = [Job(0, 2, 1, 1e6, 1e-12), Job(1, 2, 100, 1e6 + 1, 1e-3),
+                Job(2, 2, 1, 1e6 + 2, 1e-12)]
+        chip = generate_grid(3, 3)
+        config = SimConfig(chip=chip, workload=Workload(jobs=tuple(jobs), horizon=1e6 + 3),
+                           policy=Policy("fcfs"))
+        spans, trace = recorded_spans(config)
+        assert spans == reference_spans(trace, chip) == occupancy_timeline(trace, chip)
+        assert [(t0, t1, o) for t0, t1, o, _ in spans] == [
+            (1e6, 1e6 + 1, 0), (1e6 + 1, 1e6 + 1.1, 2), (1e6 + 1.1, 1e6 + 2, 0)]
+
+    def test_same_size_swap_at_one_instant_splits_the_span(self):
+        # exclusive mode: job 1 takes job 0's region at the instant it is
+        # released, so the counts match across the split
+        jobs = [make_job(0, n=4, shots=100, t_e=0.01), make_job(1, n=4, shots=100, t_e=0.01)]
+        chip = generate_grid(4, 4)
+        config = SimConfig(chip=chip, workload=Workload(jobs=tuple(jobs), horizon=1.0),
+                           policy=Policy("fcfs"), exclusive=True)
+        spans, trace = recorded_spans(config)
+        (a, b) = trace.intervals
+        assert a.region == b.region and a.end == b.start
+        buffer = spans[0][3]
+        assert buffer > 0
+        assert spans == [(0.0, a.end, 4, buffer), (b.start, b.end, 4, buffer)]
+        assert spans == reference_spans(trace, chip) == occupancy_timeline(trace, chip)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -307,7 +342,7 @@ class TestRecordedSpans:
             exclusive=exclusive,
         )
         spans, trace = recorded_spans(config)
-        assert spans == occupancy_timeline(trace, config.chip)
+        assert spans == reference_spans(trace, config.chip) == occupancy_timeline(trace, config.chip)
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     @pytest.mark.parametrize("t_q_mode", COHERENCE_MODES)

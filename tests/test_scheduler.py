@@ -16,7 +16,6 @@ from qpusched.scheduler import (
     SchedulerState,
     WaitingQueue,
     eta,
-    order_queue,
     preemption_decision,
     priority_key,
     q_response_ratio,
@@ -24,7 +23,7 @@ from qpusched.scheduler import (
 )
 from qpusched.workload import Job, Workload
 
-from conftest import make_job, registered
+from conftest import make_job, order_jobs, registered
 
 
 def job_with_demand(jid, n, t_e_total, t_sub=0.0, shots=10):
@@ -96,7 +95,7 @@ class TestPolicy:
 class TestOrdering:
     def test_fcfs_by_submission(self):
         jobs = [make_job(0, t_sub=3.0), make_job(1, t_sub=1.0), make_job(2, t_sub=2.0)]
-        ordered = order_queue(Policy("fcfs"), jobs, 5.0, 100, registered(jobs))
+        ordered = order_jobs(Policy("fcfs"), jobs, 5.0, 100, registered(jobs))
         assert [j.id for j in ordered] == [1, 2, 0]
 
     def test_qsjf_vs_sjf(self):
@@ -108,8 +107,8 @@ class TestOrdering:
         key_b = priority_key(Policy("qsjf"), b, 0.0, 100, st_)
         assert key_a[0] == pytest.approx(1.0)
         assert key_b[0] == pytest.approx(1.5)
-        assert [j.id for j in order_queue(Policy("qsjf"), [a, b], 0.0, 100, st_)] == [0, 1]
-        assert [j.id for j in order_queue(Policy("sjf"), [a, b], 0.0, 100, st_)] == [1, 0]
+        assert [j.id for j in order_jobs(Policy("qsjf"), [a, b], 0.0, 100, st_)] == [0, 1]
+        assert [j.id for j in order_jobs(Policy("sjf"), [a, b], 0.0, 100, st_)] == [1, 0]
 
     def test_qhrrf_example(self):
         # both waited 30s, t_ser 10s; the full-chip job outranks the small one
@@ -120,39 +119,39 @@ class TestOrdering:
         key_b = priority_key(Policy("qhrrf"), b, 30.0, 100, st_)
         assert key_a[0] == pytest.approx(-4.0)
         assert key_b[0] == pytest.approx(-3.2)
-        ordered = order_queue(Policy("qhrrf"), [b, a], 30.0, 100, st_)
+        ordered = order_jobs(Policy("qhrrf"), [b, a], 30.0, 100, st_)
         assert [j.id for j in ordered] == [0, 1]
 
     def test_hrrf_prefers_waited(self):
         fresh = job_with_demand(0, n=2, t_e_total=10.0, t_sub=30.0)
         waited = job_with_demand(1, n=2, t_e_total=10.0, t_sub=0.0)
-        ordered = order_queue(Policy("hrrf"), [fresh, waited], 30.0, 100,
-                              registered([fresh, waited]))
+        ordered = order_jobs(Policy("hrrf"), [fresh, waited], 30.0, 100,
+                             registered([fresh, waited]))
         assert [j.id for j in ordered] == [1, 0]
 
     def test_empty_queue(self):
-        assert order_queue(Policy("fcfs"), [], 0.0, 100, SchedulerState()) == []
+        assert order_jobs(Policy("fcfs"), [], 0.0, 100, SchedulerState()) == []
 
     def test_tie_break_by_id(self):
         a = make_job(3, n=4, shots=10, t_sub=1.0, t_e=0.1)
         b = make_job(7, n=4, shots=10, t_sub=1.0, t_e=0.1)
         for name in ("fcfs", "sjf", "qsjf", "srtf", "hrrf", "qhrrf", "mfq"):
-            ordered = order_queue(Policy(name), [b, a], 2.0, 100, registered([a, b]))
+            ordered = order_jobs(Policy(name), [b, a], 2.0, 100, registered([a, b]))
             assert [j.id for j in ordered] == [3, 7], name
 
     def test_rr_ring_order_follows_arrival_then_requeue(self):
         a, b = make_job(0, t_sub=0.0), make_job(1, t_sub=1.0)
         st_ = registered([a, b])
-        assert [j.id for j in order_queue(Policy("rr"), [b, a], 2.0, 100, st_)] == [0, 1]
+        assert [j.id for j in order_jobs(Policy("rr"), [b, a], 2.0, 100, st_)] == [0, 1]
         st_.jobs[0].rr_seq = st_.next_rr_seq()  # a consumed its quantum, to the back
-        assert [j.id for j in order_queue(Policy("rr"), [b, a], 2.0, 100, st_)] == [1, 0]
+        assert [j.id for j in order_jobs(Policy("rr"), [b, a], 2.0, 100, st_)] == [1, 0]
 
     def test_mfq_levels_order_before_arrival(self):
         a, b = make_job(0, t_sub=0.0), make_job(1, t_sub=1.0)
         st_ = SchedulerState()
         st_.add(a).mfq_level = 1
         st_.add(b)
-        ordered = order_queue(Policy("mfq"), [a, b], 2.0, 100, st_)
+        ordered = order_jobs(Policy("mfq"), [a, b], 2.0, 100, st_)
         assert [j.id for j in ordered] == [1, 0]
 
 
@@ -180,9 +179,9 @@ class TestOrderingProperties:
     def test_permutation_and_idempotence(self, jobs, name):
         st_ = registered(jobs)
         now = 60.0
-        ordered = order_queue(Policy(name), jobs, now, 64, st_)
+        ordered = order_jobs(Policy(name), jobs, now, 64, st_)
         assert sorted(j.id for j in ordered) == sorted(j.id for j in jobs)
-        assert order_queue(Policy(name), ordered, now, 64, st_) == ordered
+        assert order_jobs(Policy(name), ordered, now, 64, st_) == ordered
 
     @given(queue_strategy)
     @settings(max_examples=80, deadline=None)
@@ -191,10 +190,10 @@ class TestOrderingProperties:
         jobs = [Job(j.id, 64, j.shots, j.t_sub, j.t_e_shot) for j in jobs]
         st_ = registered(jobs)
         now = 60.0
-        assert order_queue(Policy("qhrrf"), jobs, now, 64, st_) == order_queue(
+        assert order_jobs(Policy("qhrrf"), jobs, now, 64, st_) == order_jobs(
             Policy("hrrf"), jobs, now, 64, st_
         )
-        assert order_queue(Policy("qsjf"), jobs, now, 64, st_) == order_queue(
+        assert order_jobs(Policy("qsjf"), jobs, now, 64, st_) == order_jobs(
             Policy("sjf"), jobs, now, 64, st_
         )
 
@@ -204,8 +203,8 @@ class TestOrderingProperties:
         # doubling every service demand leaves size-based orderings unchanged
         scaled = [Job(j.id, j.n, j.shots, j.t_sub, j.t_e_shot * 2.0) for j in jobs]
         for name in ("sjf", "qsjf", "srtf"):
-            a = [j.id for j in order_queue(Policy(name), jobs, 60.0, 64, registered(jobs))]
-            b = [j.id for j in order_queue(Policy(name), scaled, 60.0, 64, registered(scaled))]
+            a = [j.id for j in order_jobs(Policy(name), jobs, 60.0, 64, registered(jobs))]
+            b = [j.id for j in order_jobs(Policy(name), scaled, 60.0, 64, registered(scaled))]
             assert a == b
 
     @given(
@@ -288,7 +287,7 @@ class TestRegistration:
         with pytest.raises(KeyError):
             priority_key(Policy(name), stranger, 1.0, 100, st_)
         with pytest.raises(KeyError):
-            order_queue(Policy(name), [known, stranger], 1.0, 100, st_)
+            order_jobs(Policy(name), [known, stranger], 1.0, 100, st_)
         assert list(st_.jobs) == [0]  # nothing was made on the side
 
 
