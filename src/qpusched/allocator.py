@@ -30,45 +30,47 @@ Placement of one group:
 3. Before growing, a component search from the root counts the open
    qubits (free, non-buffer) it can reach, stopping at the demand. A
    smaller component is a stall: growth would take all of it and stop,
-   boxed in by the buffers next to it, whose owners are the blockers.
-   Otherwise growth cannot run out of frontier before the region is full.
-   ``resolve_conflict`` names the losing group, the lower-priority side of
-   the conflict. Its worst member is bounced back to the queue (a merged
-   group sheds only that member) and the pass resumes at the loser:
-   placements before it saw the same occupancy and are kept, those from
-   it onward are released and redone. Running groups are never disturbed.
+   boxed in by the buffers next to it. Otherwise growth cannot run out of
+   frontier before the region is full. A stall, or a state with no
+   eligible root, is a conflict, and the stalled group yields
+   (``resolve_conflict``): its worst member is bounced back to the queue,
+   and a merged group retries without it. Groups are placed in priority
+   order and running groups are never disturbed, so the stalled group is
+   always the lower-priority side, and no placement is ever undone.
 
 Root choice and growth are functions of the chip and the occupancy, so
 what ``allocate`` learns about an occupancy is kept on it, in its
 ``AllocationMemo``, until ``Occupancy.place`` or ``Occupancy.release``
 changes it: the root candidates left by the hop-sum and eccentricity
-filters (or the blockers when no qubit is eligible), for each root that
-stalled the size of its open component and its blockers, and each growth
-by (demand, t_e_group, t_q_mode, record_steps). The component search stops
-only at the demand, so a smaller component was found in full, and a later
-attempt at that root with a larger demand stalls the same way without a
-search, in the same pass or a later one. The memo of the empty occupancy
-is kept for good: a job preempted in exclusive mode gets its region back
-without a second growth. The memo also keeps the state's open mask (free,
-non-buffer qubits), which root choice computes and every growth on that
-state copies. The memo lives and dies with its occupancy, which belongs to
-one simulation. E_Q per qubit does not depend on the occupancy: a pass
-keeps one list of it per ``t_e_group``, made at the first tie of root
-choice or growth and read by both, so it is computed at most once per
-per-shot duration in a pass. It is not kept longer, since a memo across
-passes would grow with the number of distinct durations.
+filters, for each root that stalled the size of its open component, and
+each growth by (demand, t_e_group, t_q_mode, record_steps). The component
+search stops only at the demand, so a smaller component was found in
+full, and a later attempt at that root with a larger demand stalls the
+same way without a search, in the same pass or a later one. The memo of
+the empty occupancy is kept for good: a job preempted in exclusive mode
+gets its region back without a second growth. The memo also keeps the
+state's open mask (free, non-buffer qubits), which root choice computes
+and every growth on that state copies. The memo lives and dies with its
+occupancy, which belongs to one simulation. E_Q per qubit does not
+depend on the occupancy: a pass keeps one list of it per ``t_e_group``,
+made at the first tie of root choice or growth and read by both, so it
+is computed at most once per per-shot duration in a pass. It is not kept
+longer, since a memo across passes would grow with the number of
+distinct durations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .chip import Chip
 from .merger import Group
+from .workload import Job
 
 
 class AllocationError(RuntimeError):
@@ -111,8 +113,7 @@ class GrowthStep:
 
 @dataclass
 class GrowthResult:
-    """Grown region (its sorted qubits, with the step log) or a stall
-    naming the blockers.
+    """Grown region (its sorted qubits, with the step log) or a stall.
 
     A stall has ``region`` None and gives ``component_size``, the number of
     open qubits the root can reach, which is below the demand.
@@ -121,7 +122,6 @@ class GrowthResult:
     region: tuple[int, ...] | None
     stats: RegionStats | None
     steps: list[GrowthStep]
-    blockers: frozenset[int] = frozenset()
     component_size: int = 0
 
     @property
@@ -136,16 +136,17 @@ class AllocationMemo:
     or None before the first root choice or growth, which read it and never
     write it.
     ``candidates`` is ``_root_candidates``' result, or None before the first
-    root choice; ``stalls`` maps a root to its stall; ``placements`` maps
-    (demand, t_e_group, t_q_mode, record_steps) to a growth and its root.
+    root choice; ``stalls`` maps a root that stalled to the size of its open
+    component; ``placements`` maps (demand, t_e_group, t_q_mode,
+    record_steps) to a growth and its root.
     """
 
     __slots__ = ("open", "candidates", "stalls", "placements")
 
     def __init__(self):
         self.open: list[bool] | None = None
-        self.candidates: tuple[np.ndarray, frozenset[int]] | None = None
-        self.stalls: dict[int, GrowthResult] = {}
+        self.candidates: np.ndarray | None = None
+        self.stalls: dict[int, int] = {}
         self.placements: dict[tuple, tuple[int, GrowthResult]] = {}
 
 
@@ -244,21 +245,10 @@ def _open_qubits(occupancy: Occupancy) -> list[bool]:
     return memo.open
 
 
-def _blockers(chip: Chip, occupancy: Occupancy, boundary: Iterable[int]) -> frozenset[int]:
-    """Groups owning a qubit next to some qubit of ``boundary``.
+def _short_component(chip: Chip, open_: Sequence[bool], root: int, demand: int) -> int:
+    """How many qubits are reachable from ``root`` through ``open_``, counted up to ``demand``.
 
-    With none, every placed group is named.
-    """
-    nbrs = chip.graph.neighbors
-    owner = occupancy.owner.tolist()
-    own = {owner[w] for q in boundary for w in nbrs[q]} - {-1}
-    return frozenset(own or occupancy.regions)
-
-
-def _short_component(chip: Chip, open_: Sequence[bool], root: int, demand: int) -> list[int] | None:
-    """The qubits reachable from ``root`` through ``open_``, if fewer than ``demand``.
-
-    The search stops, returning None, once ``demand`` qubits are found.
+    The search stops once ``demand`` qubits are found.
     """
     nbrs = chip.graph.neighbors
     seen = {root}
@@ -268,31 +258,30 @@ def _short_component(chip: Chip, open_: Sequence[bool], root: int, demand: int) 
             if open_[w] and w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return list(seen) if len(seen) < demand else None
+    return len(seen)
 
 
-def _root_candidates(chip: Chip, occupancy: Occupancy) -> tuple[np.ndarray, frozenset[int]]:
+def _root_candidates(chip: Chip, occupancy: Occupancy) -> np.ndarray:
     """Eligible qubits with the largest hop sum, then the largest eccentricity.
 
     The hop sum is the sum of the distance rows of the roots of every group
     in ``occupancy`` (running groups and those placed earlier in the pass),
     read at the eligible qubits; with no roots it is zero. With no eligible
-    qubit the array is empty and the blockers are named.
+    qubit the array is empty.
     """
-    buffer = occupancy.buffer_mask()
-    open_ = (occupancy.owner < 0) & ~buffer
+    open_ = (occupancy.owner < 0) & ~occupancy.buffer_mask()
     memo = occupancy.memo
     if memo.open is None:
         memo.open = open_.tolist()  # what a growth from the chosen root reads next
     elig = np.flatnonzero(open_)
     if not elig.size:
-        return elig, _blockers(chip, occupancy, np.flatnonzero(buffer).tolist())
+        return elig
     dist = chip.distances
     score = dist.hops[list(occupancy.roots.values())].sum(axis=0)[elig]
     ecc = dist.eccentricity[elig]
     keep = score == score.max()
     keep &= ecc == ecc[keep].max()
-    return elig[keep], frozenset()
+    return elig[keep]
 
 
 def _choose_root(
@@ -338,10 +327,9 @@ def grow_region(
     which each growth copies. E_Q per qubit is read at the first tie from
     ``errors``, the pass's lists by ``t_e_group`` (see ``_error_list``);
     a call without it computes its own.
-    Returns a stall naming the blocking groups and the component's size
-    when the root's open component (free, non-buffer qubits reachable
-    from it) holds fewer than ``demand`` qubits; growth would take all of
-    it and stop there.
+    Returns a stall giving the component's size when the root's open
+    component (free, non-buffer qubits reachable from it) holds fewer than
+    ``demand`` qubits; growth would take all of it and stop there.
     The stall is decided by a component search before any growth, so
     its step log is empty. ``record_steps`` only decides whether the
     growth steps are logged; logging sorts the frontier at every step.
@@ -355,20 +343,13 @@ def grow_region(
             raise AllocationError(f"root {root} is not free")
         raise AllocationError(f"root {root} is adjacent to another group's region")
 
-    nbrs = chip.graph.neighbors
-    component = _short_component(chip, open_, root, demand)
-    if component is not None:
-        # a closed neighbour of an open qubit is free (regions touch no open
-        # qubit), so it is a buffer
-        boundary = {w for q in component for w in nbrs[q] if not open_[w]}
-        return GrowthResult(
-            region=None, stats=None, steps=[],
-            blockers=_blockers(chip, occupancy, boundary),
-            component_size=len(component),
-        )
+    size = _short_component(chip, open_, root, demand)
+    if size < demand:
+        return GrowthResult(region=None, stats=None, steps=[], component_size=size)
 
     if errors is None:
         errors = {}
+    nbrs = chip.graph.neighbors
     deg = chip.graph.degree
     # per qubit: 0 (False) closed, 1 (True) open, 1 + k open with k links into the region
     state = open_.copy()
@@ -487,25 +468,17 @@ def _best_candidates(
     return best, best_i, best_a
 
 
-def resolve_conflict(
-    stalled: Group,
-    blockers: Iterable[int],
-    placed_this_pass: dict[int, Group],
-) -> Group:
-    """The group that yields when a growth stalls.
+def resolve_conflict(stalled: Group) -> Job:
+    """The member that goes back to the queue when ``stalled`` cannot be placed.
 
-    Candidates for eviction are the blockers placed in this pass; running
-    groups are immune. The lowest-priority group among {stalled, worst
-    such blocker} loses. With only running blockers the stalled side
-    yields. The loser gives up its worst member: a singleton is requeued
+    The stalled group yields its worst member: a singleton is requeued
     whole, a merged group sheds that member and retries with reduced
-    demand.
+    demand. The stalled side is always the lower-priority one:
+    ``allocate`` places groups in priority order, so every group placed
+    before it in the pass has a better key, and running groups are never
+    disturbed.
     """
-    pass_blockers = [placed_this_pass[b] for b in blockers if b in placed_this_pass]
-    if pass_blockers:
-        worst = max(pass_blockers, key=lambda g: g.priority_key)
-        return stalled if stalled.priority_key > worst.priority_key else worst
-    return stalled
+    return stalled.worst_member()
 
 
 @dataclass
@@ -533,66 +506,57 @@ def allocate(
     t_q_mode: str = "t2",
     record_steps: bool = False,
 ) -> AllocationOutcome:
-    """Place every group or requeue the losers of irreconcilable conflicts.
+    """Place every group, or requeue members of those that cannot be placed.
 
-    Groups are processed in priority order, roots interleaved with
-    growth, and placed directly into ``occupancy``. On a stall the
-    conflict is resolved and the evicted job leaves the pass. A group's
-    placement depends only on the groups placed before it, so the pass
-    resumes at the evicted group: its placement and those after it are
-    released, the earlier ones stay. The outcome is that of restarting
-    the whole pass against the original occupancy after each eviction.
-    Every attempt reads and extends ``occupancy.memo``, what is known about
-    the current occupancy (root candidates, stalled roots and growths),
-    which ``place`` and ``release`` replace when they change it.
+    Groups are processed in priority order (a stable sort by
+    ``priority_key``), roots interleaved with growth, and placed directly
+    into ``occupancy``. A group that stalls, or finds no eligible root,
+    yields its worst member (``resolve_conflict``): a merged group retries
+    without it, a singleton leaves the pass. A group's placement depends
+    only on the groups placed before it, so no placement is undone, and
+    each conflict names the stalled group as the evicted one. Every
+    attempt reads and extends ``occupancy.memo``, what is known about the
+    current occupancy (root candidates, stalled roots and growths), which
+    ``place`` replaces when it changes it.
     """
-    work = list(groups)
     conflicts: list[dict] = []
     placements: list[Placement] = []
     errors: dict[float, list[float]] = {}  # E_Q per qubit, by t_e_group
-    while len(placements) < len(work):
-        group = work[len(placements)]
-        memo = occupancy.memo
-        key = (group.demand, group.t_e_group, t_q_mode, record_steps)
-        root, result = memo.placements.get(key, (-1, None))
-        if result is None:
-            if memo.candidates is None:
-                memo.candidates = _root_candidates(chip, occupancy)
-            cands, blockers = memo.candidates
-            if cands.size:
-                root = _choose_root(chip, cands, group.t_e_group, t_q_mode, errors)
-                result = memo.stalls.get(root)
-                if result is None or group.demand <= result.component_size:
-                    result = grow_region(
-                        chip, occupancy, root, group.demand, group.t_e_group,
-                        t_q_mode=t_q_mode, record_steps=record_steps, errors=errors,
-                    )
-                    if result.ok:
-                        memo.placements[key] = root, result
-                    else:
-                        memo.stalls[root] = result
-        if result is not None:
-            if result.ok:
+    for group in sorted(groups, key=attrgetter("priority_key")):
+        while True:  # until the group, or what is left of it, is placed or gone
+            memo = occupancy.memo
+            key = (group.demand, group.t_e_group, t_q_mode, record_steps)
+            root, result = memo.placements.get(key, (-1, None))
+            if result is None:
+                if memo.candidates is None:
+                    memo.candidates = _root_candidates(chip, occupancy)
+                cands = memo.candidates
+                if cands.size:
+                    root = _choose_root(chip, cands, group.t_e_group, t_q_mode, errors)
+                    size = memo.stalls.get(root)
+                    if size is None or group.demand <= size:
+                        result = grow_region(
+                            chip, occupancy, root, group.demand, group.t_e_group,
+                            t_q_mode=t_q_mode, record_steps=record_steps, errors=errors,
+                        )
+                        if result.ok:
+                            memo.placements[key] = root, result
+                        else:
+                            memo.stalls[root] = result.component_size
+            if result is not None and result.ok:
                 occupancy.place(group.id, result.region, root)
                 placements.append(Placement(group, result.region, root, result.stats, result.steps))
-                continue
-            blockers = result.blockers
-        loser = resolve_conflict(group, blockers, {p.group.id: p.group for p in placements})
-        job, whole = loser.worst_member(), len(loser.members) == 1
-        conflicts.append(
-            {
-                "stalled_group": group.id,
-                "evicted_group": loser.id,
-                "requeued_job": job.id,
-                "whole_group": whole,
-            }
-        )
-        k = next(i for i, g in enumerate(work) if g.id == loser.id)
-        for p in placements[k:]:
-            occupancy.release(p.group.id)
-        del placements[k:]
-        if whole:
-            del work[k]
-        else:
-            work[k] = loser.without(job.id)
+                break
+            job, whole = resolve_conflict(group), len(group.members) == 1
+            conflicts.append(
+                {
+                    "stalled_group": group.id,
+                    "evicted_group": group.id,
+                    "requeued_job": job.id,
+                    "whole_group": whole,
+                }
+            )
+            if whole:
+                break
+            group = group.without(job.id)
     return AllocationOutcome(placed=placements, conflicts=conflicts)

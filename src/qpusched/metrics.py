@@ -19,14 +19,13 @@ leaves an instant, it samples the owned and buffer counts of an
 ``allocator.Occupancy`` if the set of placed groups changed since the
 last sample. Group ids are unique per dispatch, so that set changes
 across an instant exactly where a dispatch of nonzero length started or
-ended; a dispatch that starts and ends at one instant, or a group placed
-and evicted within a pass, leaves no trace. ``engine.run`` feeds the
-timeline its own occupancy, which refused an overlapping or touching
-region at every dispatch. Without spans, as for a parsed or hand-built
-trace, ``occupancy_timeline`` feeds it a fresh ``Occupancy`` replaying
-the trace's dispatch intervals, whose ``place`` re-checks the buffer
-invariant. The benchmark's ``perfbench/check.py`` is the independent
-outside-in replay.
+ended; a dispatch that starts and ends at one instant leaves no trace.
+``engine.run`` feeds the timeline its own occupancy, which refused an
+overlapping or touching region at every dispatch. Without spans, as for
+a parsed or hand-built trace, ``occupancy_timeline`` feeds it a fresh
+``Occupancy`` replaying the trace's dispatch intervals, whose ``place``
+re-checks the buffer invariant. The benchmark's ``perfbench/check.py``
+is the independent outside-in replay.
 """
 
 from __future__ import annotations

@@ -158,7 +158,7 @@ def priority_key(
     elif name == "qsjf":
         primary = eta(job, n_qubits) * service_demand(job)
     elif name == "srtf":
-        primary = st.remaining_shots * job.t_e_shot
+        primary = state.remaining_demand(job)
     elif name == "rr":
         primary = st.rr_seq
     elif name == "mfq":

@@ -220,15 +220,17 @@ class TestSelectRoots:
         seen = []
         real_resolve = allocator.resolve_conflict
 
-        def recording_resolve(stalled, blockers, *args):
-            seen.append(set(blockers))
-            return real_resolve(stalled, blockers, *args)
+        def recording_resolve(stalled):
+            seen.append(stalled.id)
+            return real_resolve(stalled)
 
         monkeypatch.setattr(allocator, "resolve_conflict", recording_resolve)
-        outcome = allocate(chip, occ, [singleton_group(0, n=1)])
-        assert outcome.placed == [] and requeued_ids(outcome) == [0]
-        assert outcome.conflicts[0]["whole_group"]
-        assert seen == [{7}]
+        keys = {1: (1.0, 0.0, 1), 2: (2.0, 0.0, 2)}
+        merged = Group.build(1, [make_job(1, n=1), make_job(2, n=1)], keys_by_id=keys)
+        outcome = allocate(chip, occ, [singleton_group(0, n=1, key=(0.0, 0.0, 0)), merged])
+        assert outcome.placed == [] and requeued_ids(outcome) == [0, 2, 1]
+        assert [c["whole_group"] for c in outcome.conflicts] == [True, False, True]
+        assert seen == [0, 1, 1]  # one call per conflict, for the stalled group
 
     def test_error_score_breaks_ties(self):
         # path of 3: both endpoints have eccentricity 2; noisier qubit 0 loses
@@ -285,14 +287,14 @@ class TestGrowRegion:
         cols = sorted({q % 9 for q in res.region})
         assert len(rows) == 2 and len(cols) == 2  # a 2x2 block, never a 1x4 line
 
-    def test_stall_names_blockers(self):
+    def test_stall_counts_its_open_component(self):
         # 2x4 grid, left 2x2 owned: only {3, 7} are non-buffer, demand 3 stalls
         chip = generate_grid(2, 4)
         occ = Occupancy(chip)
         occ.place(9, [0, 1, 4, 5], root=0)
         res = grow_region(chip, occ, root=3, demand=3, t_e_group=0.001, record_steps=True)
         assert res.region is None
-        assert res.blockers == {9}
+        assert res.component_size == 2
         # decided by the component search before any growth step
         assert res.steps == []
 
@@ -387,7 +389,7 @@ class TestGrowRegion:
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_buffers_and_stall_blockers_match_edge_scan(self, data):
+    def test_buffers_and_stalls_match_edge_scan(self, data):
         # brute-force oracle over chip.graph.edges
         chip, owner, occ = draw_occupancy(data)
         n = chip.n_qubits
@@ -401,11 +403,7 @@ class TestGrowRegion:
 
         eligible = [q for q in range(n) if owner[q] < 0 and q not in buffers]
         if not eligible:
-            # no root: the owners next to any buffer block, or every placed
-            # group when the chip is full
-            blockers = {owner[w] for q in buffers for w in adj[q] if owner[w] >= 0}
-            cands, no_root = allocator._root_candidates(chip, occ)
-            assert cands.size == 0 and no_root == (blockers or set(owner) - {-1})
+            assert allocator._root_candidates(chip, occ).size == 0
             return
         if len(eligible) == n:
             return
@@ -416,14 +414,8 @@ class TestGrowRegion:
                 if w in eligible and w not in component:
                     component.add(w)
                     stack.append(w)
-        blockers = {
-            owner[x]
-            for q in component for w in adj[q] if w in buffers
-            for x in adj[w] if owner[x] >= 0
-        }
         res = grow_region(chip, occ, root=root, demand=n, t_e_group=0.001)
         assert res.region is None
-        assert res.blockers == blockers
         assert res.component_size == len(component)
 
     @given(data=st.data())
@@ -440,34 +432,22 @@ class TestGrowRegion:
             grow_region(chip, occ, root=root, demand=demand, t_e_group=0.001, record_steps=steps)
             for steps in (True, False)
         )
-        assert (off.ok, off.region, off.stats, off.blockers) == (
-            on.ok, on.region, on.stats, on.blockers)
+        assert (off.ok, off.region, off.stats, off.component_size) == (
+            on.ok, on.region, on.stats, on.component_size)
         assert off.steps == []
 
 
 class TestResolveConflict:
-    def test_pass_blocker_with_worse_priority_yields(self):
-        stalled = singleton_group(0, n=2, key=(1.0, 0.0, 0))
-        blocker = singleton_group(1, n=2, key=(5.0, 0.0, 1))
-        assert resolve_conflict(stalled, {1}, {1: blocker}) is blocker
-
-    def test_merged_blocker_sheds_worst_member(self):
-        # the blocker's best member (3.0) is still worse than the stalled
-        # group (2.0), so the blocker loses and sheds its worst member
-        keys = {0: (3.0, 0.0, 0), 1: (9.0, 0.0, 1), 2: (4.0, 0.0, 2)}
-        blocker = Group.build(7, [make_job(i, n=2) for i in range(3)], keys_by_id=keys)
-        stalled = singleton_group(8, n=2, key=(2.0, 0.0, 8))
-        assert resolve_conflict(stalled, {7}, {7: blocker}) is blocker
-        assert blocker.worst_member().id == 1  # the member allocate sheds
-
-    def test_running_blockers_are_immune(self):
-        stalled = singleton_group(0, n=2, key=(1.0, 0.0, 0))
-        assert resolve_conflict(stalled, {42}, {}) is stalled
-
+    # allocate places groups in priority order, so the stalled group is the
+    # lower-priority side of every conflict, and it yields
     def test_stalled_with_worse_priority_yields(self):
         stalled = singleton_group(0, n=2, key=(9.0, 0.0, 0))
-        blocker = singleton_group(1, n=2, key=(1.0, 0.0, 1))
-        assert resolve_conflict(stalled, {1}, {1: blocker}) is stalled
+        assert resolve_conflict(stalled) is stalled.members[0]
+
+    def test_merged_group_sheds_its_largest_key_member(self):
+        keys = {0: (3.0, 0.0, 0), 1: (9.0, 0.0, 1), 2: (4.0, 0.0, 2)}
+        merged = Group.build(7, [make_job(i, n=2) for i in range(3)], keys_by_id=keys)
+        assert resolve_conflict(merged).id == 1
 
 
 class TestAllocate:
@@ -495,15 +475,18 @@ class TestAllocate:
         assert requeued_ids(out) == [1]
         assert len(out.placed[0].region) == 4
 
-    def test_stalled_better_priority_evicts_pass_blocker(self):
+    def test_lower_priority_group_given_first_is_placed_second(self):
+        # 2x3 grid: high takes {0, 3}, and low stalls on {2, 5} behind the
+        # buffer, whichever of them is passed first
         chip = generate_grid(2, 3)
-        occ = Occupancy(chip)
         low = singleton_group(0, n=4, key=(2.0, 0.0, 0))
         high = singleton_group(1, n=2, key=(1.0, 0.0, 1))
-        # high is placed first (priority order given), low stalls against it?
-        out = allocate(chip, occ, [high, low])
-        assert [p.group.id for p in out.placed] == [1]
-        assert requeued_ids(out) == [0]
+        out = allocate(chip, Occupancy(chip), [low, high])
+        assert [(p.group.id, p.region) for p in out.placed] == [(1, (0, 3))]
+        assert out.conflicts == [
+            {"stalled_group": 0, "evicted_group": 0, "requeued_job": 0, "whole_group": True}
+        ]
+        assert out == allocate(chip, Occupancy(chip), [high, low])
 
     def test_running_group_immune(self):
         chip = generate_grid(2, 3)
@@ -790,11 +773,10 @@ def test_allocate_equals_conflict_free_pass_of_survivors(data):
     assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record_steps)
 
 
-def test_evicting_an_earlier_blocker_resumes_at_it(monkeypatch):
-    # path 0-...-8: C takes qubit 0 and A qubit 8; B then finds only 2..6
-    # between their buffers, five qubits for a demand of six. A, placed
-    # before B but with a worse key, is the one evicted; the pass resumes
-    # at A's slot, so C is grown once and B regrows from the far end.
+def test_out_of_order_groups_are_placed_in_priority_order(monkeypatch):
+    # path 0-...-8, groups passed as [C, A, B] with keys C < B < A: C takes
+    # qubit 0, B grows six qubits from the far end, and A finds no root
+    # between the buffers. Nothing is grown for A and nothing is released.
     chip = path_chip(9)
     c = singleton_group(0, n=1, key=(0.0, 0.0, 0))
     a = singleton_group(1, n=1, key=(5.0, 0.0, 1))
@@ -807,57 +789,50 @@ def test_evicting_an_earlier_blocker_resumes_at_it(monkeypatch):
         return real_grow(chip, occupancy, root, demand, *args, **kwargs)
 
     monkeypatch.setattr(allocator, "grow_region", counting_grow)
-    occ = Occupancy(chip)
-    outcome = allocate(chip, occ, [c, a, b], record_steps=False)
+    outcome = allocate(chip, Occupancy(chip), [c, a, b], record_steps=False)
     assert outcome.conflicts == [
-        {"stalled_group": 2, "evicted_group": 1, "requeued_job": 1, "whole_group": True}
+        {"stalled_group": 1, "evicted_group": 1, "requeued_job": 1, "whole_group": True}
     ]
-    assert grown == [(0, 1), (8, 1), (2, 6), (8, 6)]  # C, A, B, B again
+    assert grown == [(0, 1), (8, 6)]  # C, B
     assert [p.region for p in outcome.placed] == [(0,), (3, 4, 5, 6, 7, 8)]
-    assert_matches_conflict_free_pass(chip, Occupancy(chip), [c, a, b], outcome, occ, False)
+    assert outcome == allocate(chip, Occupancy(chip), [c, b, a], record_steps=False)
 
 
 def reference_allocate(chip, occ, groups, record_steps):
     """``allocate`` without its memo: every attempt chooses its root and
-    searches from it afresh on the current occupancy."""
-    work, placements, conflicts = list(groups), [], []
-    while len(placements) < len(work):
-        group = work[len(placements)]
-        cands, blockers = allocator._root_candidates(chip, occ)
-        if cands.size:
-            root = allocator._choose_root(chip, cands, group.t_e_group, "t2", {})
-            result = grow_region(chip, occ, root, group.demand, group.t_e_group,
-                                 record_steps=record_steps)
-            if result.ok:
-                occ.place(group.id, result.region, root)
-                placements.append(
-                    allocator.Placement(group, result.region, root, result.stats, result.steps))
-                continue
-            blockers = result.blockers
-        loser = resolve_conflict(group, blockers, {p.group.id: p.group for p in placements})
-        job = loser.worst_member()
-        conflicts.append({"stalled_group": group.id, "evicted_group": loser.id,
-                          "requeued_job": job.id, "whole_group": len(loser.members) == 1})
-        k = next(i for i, g in enumerate(work) if g.id == loser.id)
-        for p in placements[k:]:
-            occ.release(p.group.id)
-        del placements[k:]
-        if len(loser.members) == 1:
-            del work[k]
-        else:
-            work[k] = loser.without(job.id)
+    searches from it afresh on the current occupancy. Groups go in priority
+    order; one that cannot be placed sheds its worst member and retries,
+    and leaves the pass with its last one."""
+    placements, conflicts = [], []
+    for group in sorted(groups, key=lambda g: g.priority_key):
+        while True:
+            cands = allocator._root_candidates(chip, occ)
+            if cands.size:
+                root = allocator._choose_root(chip, cands, group.t_e_group, "t2", {})
+                result = grow_region(chip, occ, root, group.demand, group.t_e_group,
+                                     record_steps=record_steps)
+                if result.ok:
+                    occ.place(group.id, result.region, root)
+                    placements.append(allocator.Placement(
+                        group, result.region, root, result.stats, result.steps))
+                    break
+            job, whole = group.worst_member(), len(group.members) == 1
+            conflicts.append({"stalled_group": group.id, "evicted_group": group.id,
+                              "requeued_job": job.id, "whole_group": whole})
+            if whole:
+                break
+            group = group.without(job.id)
     return placements, conflicts
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_allocate_equals_memo_free_reference_pass(data):
-    # merged groups shed members against the running groups 90 and 91 and
-    # retry at the same root; stalls may also evict a group placed earlier
-    # in the pass, which releases placements and must replace the memo. One
-    # occupancy serves two or three passes in a row, with a drawn subset of
-    # its regions released between them, sometimes all of them: what a pass
-    # learned may be reused only while the occupancy holds
+    # merged groups shed members against the running groups 90 and 91, and
+    # against the groups placed before them in the pass, and retry at the
+    # same root. One occupancy serves two or three passes in a row, with a
+    # drawn subset of its regions released between them, sometimes all of
+    # them: what a pass learned may be reused only while the occupancy holds
     if data.draw(st.booleans(), label="grid"):
         chip = generate_grid(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)),
                              noise_seed=data.draw(st.integers(0, 9)))
@@ -880,6 +855,31 @@ def test_allocate_equals_memo_free_reference_pass(data):
         assert outcome.conflicts == conflicts
         assert np.array_equal(occ.owner, ref.owner) and np.array_equal(occ.near, ref.near)
         assert (occ.regions, occ.roots) == (ref.regions, ref.roots)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_input_order_does_not_change_the_outcome(data):
+    # draw_groups passes the groups in any order; allocate places them in
+    # priority order, so the outcome is that of the sorted groups, and
+    # every conflict is settled by the stalled group itself
+    if data.draw(st.booleans(), label="grid"):
+        chip = generate_grid(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5)),
+                             noise_seed=data.draw(st.integers(0, 9)))
+    else:
+        chip = uniform_chip(*data.draw(st.sampled_from(small_graphs()), label="graph"))
+    chip, _, occ = draw_occupancy(data, chip, owner_ids=(90, 91))
+    groups = draw_groups(data, chip.n_qubits, t_e_values=(1e-4, 1e-3, 1e-2))
+    record_steps = data.draw(st.booleans(), label="record_steps")
+    ordered = copy_of(occ)
+    outcome = allocate(chip, occ, groups, record_steps=record_steps)
+    want = allocate(chip, ordered, sorted(groups, key=lambda g: g.priority_key),
+                    record_steps=record_steps)
+    assert outcome.placed == want.placed  # groups, regions, roots, stats and steps
+    assert outcome.conflicts == want.conflicts
+    assert np.array_equal(occ.owner, ordered.owner) and np.array_equal(occ.near, ordered.near)
+    assert (occ.regions, occ.roots) == (ordered.regions, ordered.roots)
+    assert all(c["evicted_group"] == c["stalled_group"] for c in outcome.conflicts)
 
 
 def test_stalled_root_is_searched_once_while_the_occupancy_holds(monkeypatch):
@@ -938,22 +938,23 @@ def test_a_later_pass_on_the_same_occupancy_skips_a_known_stall(monkeypatch):
 
 
 def test_release_forgets_the_stalls_before_it():
-    # noisy 4x3 grid: group 3 stalls twice against groups placed before it
-    # and evicts them, the second time at root 0, boxed in by groups 1 and 2.
-    # Releasing them frees root 0's component, and group 2 is then grown
-    # there; a stall remembered across the release would bounce it instead.
-    chip = generate_grid(4, 3, noise_seed=3)
-    jobs = [make_job(i, n=n, t_e=t_e) for i, (n, t_e) in
-            enumerate([(1, 1e-4), (2, 1e-4), (1, 1e-4), (1, 1e-3), (1, 1e-4), (1, 1e-4)])]
-    keys = dict(enumerate([(2.0, 0.0, 0), (1.0, 0.0, 1), *[(0.0, 0.0, i) for i in range(2, 6)]]))
-    groups = [Group.build(gid, members, keys_by_id=keys) for gid, members in
-              enumerate([jobs[:1], jobs[1:2], jobs[2:4], jobs[4:]])]
-    occ, ref = Occupancy(chip), Occupancy(chip)
-    outcome = allocate(chip, occ, groups, record_steps=False)
-    assert [(c["stalled_group"], c["evicted_group"]) for c in outcome.conflicts] == [(3, 0), (3, 1)]
-    assert [(p.group.id, p.root, p.region) for p in outcome.placed] == [
-        (2, 0, (0, 3)), (3, 11, (8, 11))]
-    assert (outcome.placed, outcome.conflicts) == reference_allocate(chip, ref, groups, False)
+    # path 0-...-8, qubits 0 and 5 running: root 8 reaches only {7, 8}, so
+    # a three-qubit job stalls there. Releasing group 98 frees qubits 2..8,
+    # root 8 is still the farthest from the roots, and the next pass grows
+    # a three-qubit job there; a stall remembered across the release would
+    # bounce it instead.
+    chip = path_chip(9)
+    occ = Occupancy(chip)
+    occ.place(99, [0], root=0)
+    occ.place(98, [5], root=5)
+    first = allocate(chip, occ, [singleton_group(0, n=3)])
+    assert requeued_ids(first) == [0] and occ.memo.stalls == {8: 2}
+    occ.release(98)
+    ref = copy_of(occ)
+    groups = [singleton_group(1, n=3)]
+    second = allocate(chip, occ, groups)
+    assert [(p.root, p.region) for p in second.placed] == [(8, (6, 7, 8))]
+    assert (second.placed, second.conflicts) == reference_allocate(chip, ref, groups, False)
 
 
 def fresh_open_mask(occ):
