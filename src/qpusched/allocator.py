@@ -62,7 +62,6 @@ distinct durations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -412,7 +411,10 @@ def grow_region(
                     elif state[w]:
                         nxt[w] = 1
                 ahead[c] = _best_candidates(nxt, r_i + frontier[c], sum_deg + deg[c], deg)[1:]
-            top_i, top_a = max(ahead.values(), key=lambda ra: Fraction(*ra))
+            top_i, top_a = -1, 1
+            for ri, ra in ahead.values():
+                if ri * top_a > top_i * ra:
+                    top_i, top_a = ri, ra
             best = [c for c in best if ahead[c][0] * top_a == top_i * ahead[c][1]]
         chosen = min(best)
         if record_steps:
@@ -492,7 +494,10 @@ class Placement:
 
 @dataclass
 class AllocationOutcome:
-    """Placements committed to the occupancy plus the conflicts that bounced jobs back."""
+    """Placements committed to the occupancy, and one conflict record per
+    group that stalled: ``{"group": id, "requeued": [job ids, in shedding
+    order], "placed": bool}``, ``placed`` saying whether what was left of
+    the group was placed in the pass."""
 
     placed: list[Placement]
     conflicts: list[dict]
@@ -511,10 +516,12 @@ def allocate(
     Groups are processed in priority order (a stable sort by
     ``priority_key``), roots interleaved with growth, and placed directly
     into ``occupancy``. A group that stalls, or finds no eligible root,
-    yields its worst member (``resolve_conflict``): a merged group retries
-    without it, a singleton leaves the pass. A group's placement depends
-    only on the groups placed before it, so no placement is undone, and
-    each conflict names the stalled group as the evicted one. Every
+    yields its worst member (``resolve_conflict``, called once per
+    conflict): a merged group retries without it, a singleton leaves the
+    pass. A group's placement depends only on the groups placed before it,
+    so no placement is undone. Each group that stalled at least once gets
+    one conflict record, listing the members it shed in order and whether
+    the rest of it was placed (see ``AllocationOutcome``). Every
     attempt reads and extends ``occupancy.memo``, what is known about the
     current occupancy (root candidates, stalled roots and growths), which
     ``place`` replaces when it changes it.
@@ -523,6 +530,7 @@ def allocate(
     placements: list[Placement] = []
     errors: dict[float, list[float]] = {}  # E_Q per qubit, by t_e_group
     for group in sorted(groups, key=attrgetter("priority_key")):
+        requeued: list[int] = []
         while True:  # until the group, or what is left of it, is placed or gone
             memo = occupancy.memo
             key = (group.demand, group.t_e_group, t_q_mode, record_steps)
@@ -543,20 +551,17 @@ def allocate(
                             memo.placements[key] = root, result
                         else:
                             memo.stalls[root] = result.component_size
-            if result is not None and result.ok:
+            placed = result is not None and result.ok
+            if placed:
                 occupancy.place(group.id, result.region, root)
                 placements.append(Placement(group, result.region, root, result.stats, result.steps))
-                break
-            job, whole = resolve_conflict(group), len(group.members) == 1
-            conflicts.append(
-                {
-                    "stalled_group": group.id,
-                    "evicted_group": group.id,
-                    "requeued_job": job.id,
-                    "whole_group": whole,
-                }
-            )
-            if whole:
-                break
-            group = group.without(job.id)
+            else:
+                job = resolve_conflict(group)
+                requeued.append(job.id)
+                if len(group.members) > 1:
+                    group = group.without(job.id)
+                    continue
+            if requeued:
+                conflicts.append({"group": group.id, "requeued": requeued, "placed": placed})
+            break
     return AllocationOutcome(placed=placements, conflicts=conflicts)

@@ -31,6 +31,14 @@ spans that ``run`` scores: it feeds its ``Occupancy`` to a
 ``metrics.OccupancyTimeline`` and calls ``leave`` whenever the clock
 leaves an instant, the one sampling rule that the trace replay of
 ``metrics.occupancy_timeline`` uses too.
+
+The trace writes each fact once. A pass logs one ``requeue`` event per
+group that stalled, the conflict record of ``allocator.allocate``: the
+group, the members it shed in order, and whether the rest of it was
+placed; each shed member's ``requeues`` count rises by one. A job's
+dispatch history is kept in memory (``JobRecord.dispatches``) but not
+written: ``Trace.from_jsonl`` rebuilds it from the ``dispatch``,
+``preempt`` and ``group_complete`` events.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .allocator import Occupancy, Placement, allocate
+from .allocator import GrowthStep, Occupancy, Placement, allocate
 from .chip import Chip, check_coherence_mode
 from .merger import Group, group_by_exec_time, select_prefix
 from .metrics import MetricsReport, OccupancyTimeline, compute_report
@@ -59,6 +67,14 @@ from .workload import Job, Workload
 
 class SimulationError(RuntimeError):
     """Invalid simulation input or internal inconsistency."""
+
+
+class TraceFormatError(ValueError):
+    """Text that ``Trace.from_jsonl`` cannot read as a trace."""
+
+
+def _reject_constant(token: str):
+    raise TraceFormatError(f"non-finite number {token} in trace")
 
 
 @dataclass(frozen=True)
@@ -151,8 +167,9 @@ class Trace:
 
     def to_jsonl(self) -> str:
         """Serialize the trace as JSON lines: meta, events, growth steps of
-        the allocations that recorded them, then job summaries. A
-        non-finite number raises ``ValueError``."""
+        the allocations that recorded them, then job summaries without
+        their dispatch history, which the events hold. A non-finite number
+        raises ``ValueError``."""
         events = ({"type": "event", **ev} for ev in self.events)
         growth = (
             {
@@ -176,23 +193,78 @@ class Trace:
                 "preemptions": rec.preemptions,
                 "requeues": rec.requeues,
                 "executed_shots": rec.executed_shots,
-                "dispatches": [
-                    {
-                        "start": d.start,
-                        "end": d.end,
-                        "group": d.group_id,
-                        "t_e_group": d.t_e_group,
-                        "shots_executed": d.shots_executed,
-                        "region": list(d.region),
-                    }
-                    for d in rec.dispatches
-                ],
             }
             for jid, rec in sorted(self.jobs.items())
         )
         docs = itertools.chain([{"type": "meta", **self.meta}], events, growth, jobs)
         encode = json.JSONEncoder(allow_nan=False).encode
         return "\n".join(map(encode, docs)) + "\n"
+
+    @classmethod
+    def from_jsonl(cls, text: str) -> "Trace":
+        """The trace that ``to_jsonl`` wrote as ``text``; its exact inverse.
+
+        The meta line, the events and the job summaries are read as
+        written. The dispatch records, ``intervals`` and ``allocations``
+        are rebuilt from the events: a ``dispatch`` event opens an interval
+        and a record for each member, with the group's region and per-shot
+        time, and the ``preempt`` or ``group_complete`` event of that group
+        closes them at its time; a member executed ``min(shots_done,
+        remaining)`` shots, ``remaining`` being its shots left at the
+        dispatch. An allocation's steps come from its group's ``growth``
+        line, and are None without one. Raises ``TraceFormatError`` for a
+        ``NaN``, ``Infinity`` or ``-Infinity`` token, a first line that is
+        not the meta line, a line of unknown type, an end of a group that
+        is not running, or a dispatch that never ends.
+        """
+        decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+        docs = [decode(line) for line in text.splitlines()]
+        if not docs or docs[0].pop("type", None) != "meta":
+            raise TraceFormatError("a trace starts with its meta line")
+        trace = cls(docs[0])
+        steps: dict[int, list[GrowthStep]] = {}
+        for doc in docs[1:]:
+            kind = doc.pop("type", None)
+            if kind == "event":
+                trace.events.append(doc)
+            elif kind == "growth":
+                steps[doc["group"]] = [
+                    GrowthStep(**{k: tuple(v) if isinstance(v, list) else v for k, v in s.items()})
+                    for s in doc["steps"]
+                ]
+            elif kind == "job":
+                job = Job(doc["id"], doc["n"], doc["shots"], doc["t_sub"], doc["t_e_shot"])
+                trace.jobs[job.id] = JobRecord(
+                    job, doc["t_comp"], doc["preemptions"], doc["requeues"], doc["executed_shots"])
+            else:
+                raise TraceFormatError(f"unknown trace line type {kind!r}")
+        left = {jid: rec.job.shots for jid, rec in trace.jobs.items()}  # shots not yet executed
+        running: dict[int, tuple[GroupInterval, list[tuple[int, DispatchRecord]]]] = {}
+        for ev in trace.events:
+            kind, time = ev["kind"], ev["time"]
+            if kind == "dispatch":
+                gid, region, t_e = ev["group"], tuple(ev["region"]), ev["t_e_group"]
+                interval = GroupInterval(gid, time, region)
+                trace.intervals.append(interval)
+                trace.allocations.append(AllocationRecord(
+                    time, gid, ev["root"], region, ev["r_i"], ev["r_a"], t_e,
+                    tuple(ev["members"]), steps.get(gid)))
+                records = [(jid, DispatchRecord(time, gid, region, t_e)) for jid in ev["members"]]
+                for jid, d in records:
+                    trace.jobs[jid].dispatches.append(d)
+                running[gid] = interval, records
+            elif kind in ("preempt", "group_complete"):
+                if ev["group"] not in running:
+                    raise TraceFormatError(f"{kind} of group {ev['group']}, which is not running")
+                interval, records = running.pop(ev["group"])
+                interval.end = time
+                for jid, d in records:
+                    d.end = time
+                    d.shots_executed = min(ev["shots_done"], left[jid])
+                    left[jid] -= d.shots_executed
+        if running:
+            raise TraceFormatError(f"the dispatch of group {min(running)} never ends")
+        return trace
 
 
 @dataclass
@@ -237,6 +309,9 @@ class _Simulation:
                 "exclusive": config.exclusive,
                 "merge_enabled": config.merge.enabled,
                 "merge_alpha": config.merge.alpha,
+                "t_q_mode": config.t_q_mode,
+                "backfill": config.merge.backfill,
+                "by_total_time": config.merge.by_total_time,
             }
         )
         self._next_group_id = 0
@@ -451,8 +526,9 @@ class _Simulation:
                 for p in outcome.placed:
                     self._start_group(p, now)
                     placed_ids.update(j.id for j in p.group.members)
-                for conflict in outcome.conflicts:
-                    self.trace.jobs[conflict["requeued_job"]].requeues += 1
+                for conflict in outcome.conflicts:  # one per stalled group
+                    for jid in conflict["requeued"]:
+                        self.trace.jobs[jid].requeues += 1
                     self.trace.log(now, "requeue", **conflict)
                 if placed_ids:
                     self.queue.remove(placed_ids)

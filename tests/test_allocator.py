@@ -157,7 +157,7 @@ class TestQubitError:
 
 def requeued_ids(outcome):
     """Ids of the jobs an ``allocate`` pass bounced back, in order."""
-    return [c["requeued_job"] for c in outcome.conflicts]
+    return [jid for c in outcome.conflicts for jid in c["requeued"]]
 
 
 def placed_roots(chip, groups):
@@ -229,7 +229,10 @@ class TestSelectRoots:
         merged = Group.build(1, [make_job(1, n=1), make_job(2, n=1)], keys_by_id=keys)
         outcome = allocate(chip, occ, [singleton_group(0, n=1, key=(0.0, 0.0, 0)), merged])
         assert outcome.placed == [] and requeued_ids(outcome) == [0, 2, 1]
-        assert [c["whole_group"] for c in outcome.conflicts] == [True, False, True]
+        assert outcome.conflicts == [  # both groups leave the pass with their last member
+            {"group": 0, "requeued": [0], "placed": False},
+            {"group": 1, "requeued": [2, 1], "placed": False},
+        ]
         assert seen == [0, 1, 1]  # one call per conflict, for the stalled group
 
     def test_error_score_breaks_ties(self):
@@ -483,9 +486,7 @@ class TestAllocate:
         high = singleton_group(1, n=2, key=(1.0, 0.0, 1))
         out = allocate(chip, Occupancy(chip), [low, high])
         assert [(p.group.id, p.region) for p in out.placed] == [(1, (0, 3))]
-        assert out.conflicts == [
-            {"stalled_group": 0, "evicted_group": 0, "requeued_job": 0, "whole_group": True}
-        ]
+        assert out.conflicts == [{"group": 0, "requeued": [0], "placed": False}]
         assert out == allocate(chip, Occupancy(chip), [high, low])
 
     def test_running_group_immune(self):
@@ -518,7 +519,7 @@ class TestAllocate:
         keys = {0: (1.0, 0.0, 0), 1: (2.0, 0.0, 1)}
         merged = Group.build(5, [make_job(0, n=2), make_job(1, n=2)], keys_by_id=keys)
         out = allocate(chip, occ, [merged])
-        assert requeued_ids(out) == [1]
+        assert out.conflicts == [{"group": 5, "requeued": [1], "placed": True}]
         assert len(out.placed) == 1
         assert out.placed[0].group.demand == 2
 
@@ -790,9 +791,7 @@ def test_out_of_order_groups_are_placed_in_priority_order(monkeypatch):
 
     monkeypatch.setattr(allocator, "grow_region", counting_grow)
     outcome = allocate(chip, Occupancy(chip), [c, a, b], record_steps=False)
-    assert outcome.conflicts == [
-        {"stalled_group": 1, "evicted_group": 1, "requeued_job": 1, "whole_group": True}
-    ]
+    assert outcome.conflicts == [{"group": 1, "requeued": [1], "placed": False}]
     assert grown == [(0, 1), (8, 6)]  # C, B
     assert [p.region for p in outcome.placed] == [(0,), (3, 4, 5, 6, 7, 8)]
     assert outcome == allocate(chip, Occupancy(chip), [c, b, a], record_steps=False)
@@ -802,9 +801,12 @@ def reference_allocate(chip, occ, groups, record_steps):
     """``allocate`` without its memo: every attempt chooses its root and
     searches from it afresh on the current occupancy. Groups go in priority
     order; one that cannot be placed sheds its worst member and retries,
-    and leaves the pass with its last one."""
+    and leaves the pass with its last one. Each group that shed members
+    has one conflict record: the members it shed, in order, and whether
+    the rest of it was placed."""
     placements, conflicts = [], []
     for group in sorted(groups, key=lambda g: g.priority_key):
+        shed = []
         while True:
             cands = allocator._root_candidates(chip, occ)
             if cands.size:
@@ -815,11 +817,13 @@ def reference_allocate(chip, occ, groups, record_steps):
                     occ.place(group.id, result.region, root)
                     placements.append(allocator.Placement(
                         group, result.region, root, result.stats, result.steps))
+                    if shed:
+                        conflicts.append({"group": group.id, "requeued": shed, "placed": True})
                     break
-            job, whole = group.worst_member(), len(group.members) == 1
-            conflicts.append({"stalled_group": group.id, "evicted_group": group.id,
-                              "requeued_job": job.id, "whole_group": whole})
-            if whole:
+            job = group.worst_member()
+            shed.append(job.id)
+            if len(group.members) == 1:
+                conflicts.append({"group": group.id, "requeued": shed, "placed": False})
                 break
             group = group.without(job.id)
     return placements, conflicts
@@ -879,7 +883,8 @@ def test_input_order_does_not_change_the_outcome(data):
     assert outcome.conflicts == want.conflicts
     assert np.array_equal(occ.owner, ordered.owner) and np.array_equal(occ.near, ordered.near)
     assert (occ.regions, occ.roots) == (ordered.regions, ordered.roots)
-    assert all(c["evicted_group"] == c["stalled_group"] for c in outcome.conflicts)
+    members = {g.id: {j.id for j in g.members} for g in groups}
+    assert all(set(c["requeued"]) <= members[c["group"]] for c in outcome.conflicts)
 
 
 def test_stalled_root_is_searched_once_while_the_occupancy_holds(monkeypatch):
@@ -904,8 +909,8 @@ def test_stalled_root_is_searched_once_while_the_occupancy_holds(monkeypatch):
     monkeypatch.setattr(allocator, "grow_region", counting_grow)
     outcome = allocate(chip, occ, [merged, single], record_steps=False)
     assert searched == [(7, 8, False), (7, 2, True), (0, 4, False)]
-    assert requeued_ids(outcome) == [3, 2, 1, 4]
-    assert [c["evicted_group"] for c in outcome.conflicts] == [0, 0, 0, 4]
+    assert outcome.conflicts == [{"group": 0, "requeued": [3, 2, 1], "placed": True},
+                                 {"group": 4, "requeued": [4], "placed": False}]
     assert [p.region for p in outcome.placed] == [(6, 7)]
 
 

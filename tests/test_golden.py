@@ -1,21 +1,31 @@
 """Golden trace digests: the simulator's output is pinned byte for byte.
 
 Each scenario runs a seeded Poisson workload twice: with growth steps
-recorded, hashing ``Trace.to_jsonl()`` with its growth lines (``GOLDEN``),
-and with steps off, the engine's default, hashing ``Trace.to_jsonl()``
-(``GOLDEN_STEPS_OFF``). The two runs differ only in whether growth
-steps are logged; the allocator runs the same code either way. Both are
-pinned. A refactor of the scheduler, merger or
-allocator must leave every digest unchanged; a deliberate behaviour
-change updates the digests together with a CHANGES.md entry that
-explains it.
+recorded, so that the trace has growth lines, and with steps off, the
+engine's default. The two runs differ only in whether growth steps are
+logged; the allocator runs the same code either way. Both are pinned
+twice:
+
+- ``GOLDEN_JSONL`` holds the sha256 of ``Trace.to_jsonl()``.
+- ``GOLDEN`` (steps on) and ``GOLDEN_STEPS_OFF`` hold the digests pinned
+  before each fact of the trace was written once. They are checked on
+  ``legacy_jsonl(Trace.from_jsonl(text))``, the old format written from
+  the trace read back, which shows that the reader rebuilds what the
+  writer dropped and that the runs did not change.
+
+A refactor of the scheduler, merger or allocator must leave every digest
+unchanged; a deliberate behaviour change updates the digests together
+with a CHANGES.md entry that explains it.
 
 Matrix: all 8 policies on a noise-seeded 8x8 grid under merge, no-merge,
 backfill and exclusive, plus all 8 policies with merge on a ternary
 tree, where buffers cut the chip into branches and stalls are common.
 """
 
+import dataclasses
+import functools
 import hashlib
+import json
 
 import pytest
 
@@ -26,12 +36,16 @@ from qpusched import (
     Policy,
     QubitSpec,
     SimConfig,
+    Trace,
+    compute_report,
     default_spec,
     generate_grid,
     generate_poisson_workload,
     run,
 )
 from qpusched.scheduler import POLICY_NAMES
+
+from legacy_trace import legacy_jsonl
 
 MODES = {
     "merge": (MergeConfig(enabled=True), False),
@@ -143,6 +157,90 @@ GOLDEN_STEPS_OFF = {
 }
 
 
+GOLDEN_JSONL = {  # (chip, policy, mode, growth steps recorded) -> sha256 of to_jsonl()
+    ("grid8", "fcfs", "merge", True): "638b3e368005fd4ab65f339f728bc72141effd380676584bd52722327e797bef",
+    ("grid8", "sjf", "merge", True): "74caa4ff1978e9e22f2e3c34625dc4a5ae6ae9c93a1b803502f0fe926f46c6d0",
+    ("grid8", "qsjf", "merge", True): "6bac4f716158fd190cd039d834da9df4962e623a894a4f5c692e98ad02b8d8a6",
+    ("grid8", "srtf", "merge", True): "6650702b165cf969c2a9ba2f76be2abcd3c3bf6bec6a2c9dbd560b6b98fbd32c",
+    ("grid8", "rr", "merge", True): "de44558071f50d229061a36aed8c851f2bb8c5fe7a1f24647d712bb46b5337c8",
+    ("grid8", "mfq", "merge", True): "09c3a8bc6ad300dfd6816164a38ee122ed19360058fe6f787dbb7080eae05445",
+    ("grid8", "hrrf", "merge", True): "ea3e732b707aad68316872e1ed8b0077ae5d62da6bb4850acb8e65b098c8c9d7",
+    ("grid8", "qhrrf", "merge", True): "4b2b12bf828d79a491d018deb251d220c9a14c099093a41df2b461567f5daaae",
+    ("grid8", "fcfs", "nomerge", True): "4e372aae332eff24b8f0ab6cddf0359853dff8b66dc4640701e52b465ef705e6",
+    ("grid8", "sjf", "nomerge", True): "cbec0345d49b06de9139806f86a30d8421a0daca0c3cc374aa248d94fcd3d24b",
+    ("grid8", "qsjf", "nomerge", True): "bf2ec63e6b1059f7217a9be4b361f5270e5b9ab209cf27f7d7ac9b4205511f2f",
+    ("grid8", "srtf", "nomerge", True): "6f213bc7795f8f27ceac927a7fa1fa40f52c2dfb6ad061358a12aee622e5cd06",
+    ("grid8", "rr", "nomerge", True): "44aadf4bbabb6a1ceb4a40060270142c08f6112572f357d2498e43e945eeed9c",
+    ("grid8", "mfq", "nomerge", True): "b67d0ffc93ec5fca3a122742c1e12ca31da97d1835c478bd856d7d7c0da4478a",
+    ("grid8", "hrrf", "nomerge", True): "03ab55c4e434b6e895112b2899d871cb64f70ce98cb6264fc3d73a82a894e3db",
+    ("grid8", "qhrrf", "nomerge", True): "e668492cd2f834573027d79b20b2a5218b8f691e9576c9c8a0fdc6d6a8c23bff",
+    ("grid8", "fcfs", "backfill", True): "01114ec0cb16371c19c9375b29921afb5b2180c79ad5c403c00e92d5ad1c9dbf",
+    ("grid8", "sjf", "backfill", True): "4bd22aad92d7ceb7db8b03db7cef21235920a6b77ab66af60ea3b566cee5e224",
+    ("grid8", "qsjf", "backfill", True): "70153ef6a101b8c7169f89c9a787e50f205675ad8befb1e0d1cca14797b8edca",
+    ("grid8", "srtf", "backfill", True): "09d905047c9e8e9aec13d97fc044a5a93a66f894fb0a43a4030c687250e1e70f",
+    ("grid8", "rr", "backfill", True): "0030d32ca22ccd0db9f86f6b296c70ceb27830afca1a841ed1e03a89907a9e1e",
+    ("grid8", "mfq", "backfill", True): "994d7710c3a308ea85a7fb15e20c5e0f4cc23556e7fefdccc83941bf71fcec43",
+    ("grid8", "hrrf", "backfill", True): "3d6df1f9c5cbed1cf06c6014852bd1bbe07ed98b1dcff4d215b1a35734cb29d3",
+    ("grid8", "qhrrf", "backfill", True): "73c2fdf96fbff18561b84ac821bb5f7fbb77f303ba4838fead9fca48aaa3dfcf",
+    ("grid8", "fcfs", "exclusive", True): "f3b0386f76abb72c8c55c097950619f8ecc6a4e635c0b9ff5c2cc37785667306",
+    ("grid8", "sjf", "exclusive", True): "4110df563ea4715d88a27b0238149ca92fe84740ca54c45c0407fdb5eb3313c5",
+    ("grid8", "qsjf", "exclusive", True): "e0e2dc9f8c753422b26d21aff0a0e56c4d31bde761ab5ad140dbfd6f3ef409ab",
+    ("grid8", "srtf", "exclusive", True): "48f186733d6864eafb2adc1697e1ddd43b6ec3e76ef2748f67525f50fc43453d",
+    ("grid8", "rr", "exclusive", True): "8189f0397e489ebe3da3ce7fdebb4678f81d3448ee556d50de789dac6aaebc19",
+    ("grid8", "mfq", "exclusive", True): "3073d14623587a68491afaf685bfe959b9d80e8a6d5540f5195c23e45c06de5b",
+    ("grid8", "hrrf", "exclusive", True): "a5d5b0cd1b032f80cc785d9b7126c889bc91c245776d088b1a1ddd55caeec669",
+    ("grid8", "qhrrf", "exclusive", True): "8d162043b2f051e96dff45c6905bd15bf4e9e1a1013cd0709c8aca507614c7bb",
+    ("tree40", "fcfs", "merge", True): "be5d286cc6bbc96bb1aac0e2c7b0b0961e035996079f3e29368150f21972394e",
+    ("tree40", "sjf", "merge", True): "6108c452d45d1fe3a5bf6a8e4436e1e19cef87fa02419cefeddb6d0507e4740e",
+    ("tree40", "qsjf", "merge", True): "0e34efaf0a80fcda2c5b4935076c1c3f52f3b83703cbc6779f1922d2747b0917",
+    ("tree40", "srtf", "merge", True): "bd7b6bcf43fd07ae6987f9673f135281f586dd26b9e8a668f0af322f261849ed",
+    ("tree40", "rr", "merge", True): "98a12e1797683be8e0a714de9c9b12b7b4acca2950cfcd4a8861f2221eba9d93",
+    ("tree40", "mfq", "merge", True): "f228dca6fbd56365f4c00ad62e9d0d390cb36ecb8faae925e0f5d2e56f339518",
+    ("tree40", "hrrf", "merge", True): "5614387add3d828ef5a8edadbca3964353ced7af9f2c4bc13f64c779fc0137f4",
+    ("tree40", "qhrrf", "merge", True): "e42319b838254dc0c32e1307604dae0aa97ba3894db2fb3254e1af43e9b738bd",
+    ("grid8", "fcfs", "merge", False): "1dfa38e4365ebbef85eca2a67912dfa57ea0f2d3a379a67ed0656ad747b7f058",
+    ("grid8", "sjf", "merge", False): "dac63dad1422447487c0eba48d1b74604cdf77ce1364a8978c2d66e84b42ab3d",
+    ("grid8", "qsjf", "merge", False): "5da5dda2e7d9485542ea999029c16337844648d29b9b8f6a0ed174370e342561",
+    ("grid8", "srtf", "merge", False): "d9695d05fde446954a19da418457b3847971af79b6c06ff76e9719c3c5acd719",
+    ("grid8", "rr", "merge", False): "997dc5961e6002b99dbc9554d177dcc9709977a8ae5e007c19a3b1bbefa4d068",
+    ("grid8", "mfq", "merge", False): "7103e59ab8e8e45ba23d4c5100b0b8ec07301bfe4e096dc2efd967b3fe78feb8",
+    ("grid8", "hrrf", "merge", False): "82823a38f697837d43da84548c502393db272a10768721deab2218207d892d43",
+    ("grid8", "qhrrf", "merge", False): "fca01bf1bfc0dd02d61bab5723553976d60398fe8ed1a22227fc97b5448f2560",
+    ("grid8", "fcfs", "nomerge", False): "a13c672bf6c40f853a63b4a61ec1d483a98db175e826f1f295a8c41003d0098e",
+    ("grid8", "sjf", "nomerge", False): "08f84b0473e5831b64aa0972749a5ef67635948a82d9dbff299fdfb1ad34e9c3",
+    ("grid8", "qsjf", "nomerge", False): "1aace24c95355346bea51fef3fde95cedd8aac81f481976c91d403735a795a48",
+    ("grid8", "srtf", "nomerge", False): "af678f2e753081dde793ca188eb0024fd9888ba3fd2ab46a610c2ca0dad093b9",
+    ("grid8", "rr", "nomerge", False): "d2cb3c31d50dd181243a781a74022a0c3d7801a4b4663707ab8269011b9d624a",
+    ("grid8", "mfq", "nomerge", False): "1cf0e00feb7c8e3343c92ecaa92edb27ed32bd7639bd2efa063a77f7710a114f",
+    ("grid8", "hrrf", "nomerge", False): "055169f97094bbca3995e0785ecf2d8ca2a9520526f12e9bba4d27491fca1df0",
+    ("grid8", "qhrrf", "nomerge", False): "2e31ca759a6ccc86343e67158902f1f08b0f0e9db3b99230e60b42719bffe348",
+    ("grid8", "fcfs", "backfill", False): "21d299699f89b886ebedff654a3e4af52e2fbd518de65b389229bd8f739998c2",
+    ("grid8", "sjf", "backfill", False): "06c532ae2724470b1f9bc3694270760af3ada09e5892c4090a17e6fda28784a4",
+    ("grid8", "qsjf", "backfill", False): "fc00de6b36670068c50d561c3db28ee897642511289df8d6f1cc8292984e4f26",
+    ("grid8", "srtf", "backfill", False): "9629780c8d09ffa559c124d0a750f82b7cfd68f00ca0b8b09c4f06cfcc3df5a0",
+    ("grid8", "rr", "backfill", False): "3570a47262935d7a6e86b6777f689578d56c9d18f5a658772cdbaff6282aabc5",
+    ("grid8", "mfq", "backfill", False): "6d75f5e7a6867508ac8b333e30c648ea65f5bfb98457d139ac1e9af7f399b871",
+    ("grid8", "hrrf", "backfill", False): "0c13c8bec5680b89d45f046f4a698c767be82b0c14d8ed87996894c92878d953",
+    ("grid8", "qhrrf", "backfill", False): "966a84407abcce8607b52517aa760ac1ab20a3ce969eb1c993b7896a86aa26ac",
+    ("grid8", "fcfs", "exclusive", False): "0c079115c315c3a65a82bd3ab9ed2f8c054cccd032842010a2b7fb2f54dcc1aa",
+    ("grid8", "sjf", "exclusive", False): "040d1b1ac6cc10db282e288ff819865d3e3ca51294bfb8d8a0b335f05625b317",
+    ("grid8", "qsjf", "exclusive", False): "76045256b3a79e5bac8d9f710afbbe46e917a37db8fec6d56b6b00361dcae0c8",
+    ("grid8", "srtf", "exclusive", False): "5533c64608854ca9195cbdfb64016759ed4312df47452d63b64312e58f2cd04d",
+    ("grid8", "rr", "exclusive", False): "fe975ceaba7a45bb273204c1c0b2ff5759421dad4907c24c5e5121527a5187a7",
+    ("grid8", "mfq", "exclusive", False): "e70a58badbe55f94c6f08983e3b37b83286718fc5b8b280eeb23a23637a93bf0",
+    ("grid8", "hrrf", "exclusive", False): "cc8291df6eea29b2c908959f239f19264613f22988259e9ec8bd9fbd630988b6",
+    ("grid8", "qhrrf", "exclusive", False): "fa05ad09960a64d28bce4dbb30c0c2c6a884f6e2cb679e5204dbf689bc194307",
+    ("tree40", "fcfs", "merge", False): "2866110244f4ccbc3a027ce951b2c9219880aef4a046b1d302151b49195971f7",
+    ("tree40", "sjf", "merge", False): "858f37c72599c80702cf7aba377107638a7f2825386cdd7923e6298d992b10be",
+    ("tree40", "qsjf", "merge", False): "8092937867ac659760d8d057a2bd25b4156a301311a9777e2f01e9da70976bd5",
+    ("tree40", "srtf", "merge", False): "ff5c751067479c8e3a86adfa6cfd854eb12a8dbb23a98b9edde331e275a21bdd",
+    ("tree40", "rr", "merge", False): "93f14db71545ad516e8716160056fb27d60c0c0ec6ab485f90086c74a2f69582",
+    ("tree40", "mfq", "merge", False): "f0efed4d211f0e7f940ff8e7bc1518364949c14842ad3d7b389588efcc2d86ea",
+    ("tree40", "hrrf", "merge", False): "7e45debb832e65c44087df24a0426b596c144aa5eb0fb5ff0dc062fe6eecef5a",
+    ("tree40", "qhrrf", "merge", False): "60a29f1758467c7cbe18d6fdd56248045cfb50b556ce9a7d52b25e119531f281",
+}
+
+
 def _scenarios():
     for mode in MODES:
         for policy in POLICY_NAMES:
@@ -151,20 +249,37 @@ def _scenarios():
         yield "tree40", policy, "merge"
 
 
-def trace_digest(chip_name: str, policy: str, mode: str, steps: bool = True) -> str:
+def golden_config(chip_name: str, policy: str, mode: str, steps: bool = True,
+                  t_q_mode: str = "t2") -> SimConfig:
     chip = CHIPS[chip_name]
     merge, exclusive = MODES[mode]
     workload = generate_poisson_workload(default_spec(chip.n_qubits, 10.0, 2.0, seed=5))
-    config = SimConfig(
+    return SimConfig(
         chip=chip,
         workload=workload,
         policy=Policy(policy, rr_quantum_shots=50, mfq_base_quantum_shots=50),
         merge=merge,
         exclusive=exclusive,
+        t_q_mode=t_q_mode,
         record_growth_steps=steps,
     )
-    trace, _ = run(config)
-    return hashlib.sha256(trace.to_jsonl().encode()).hexdigest()
+
+
+@functools.cache
+def golden_run(chip_name: str, policy: str, mode: str, steps: bool = True):
+    """(``to_jsonl()`` text, metrics report) of a golden scenario."""
+    trace, report = run(golden_config(chip_name, policy, mode, steps))
+    return trace.to_jsonl(), report
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def trace_digest(chip_name: str, policy: str, mode: str, steps: bool = True) -> str:
+    """Digest of the legacy format written from the scenario's trace read back."""
+    text, _ = golden_run(chip_name, policy, mode, steps)
+    return sha256(legacy_jsonl(Trace.from_jsonl(text)))
 
 
 @pytest.mark.parametrize("scenario", list(_scenarios()), ids="-".join)
@@ -175,3 +290,41 @@ def test_trace_digest(scenario):
 @pytest.mark.parametrize("scenario", list(_scenarios()), ids="-".join)
 def test_trace_digest_steps_off(scenario):
     assert trace_digest(*scenario, steps=False) == GOLDEN_STEPS_OFF[scenario]
+
+
+@pytest.mark.parametrize("steps", [True, False], ids=["steps", "steps_off"])
+@pytest.mark.parametrize("scenario", list(_scenarios()), ids="-".join)
+def test_jsonl_digest(scenario, steps):
+    text, _ = golden_run(*scenario, steps)
+    assert sha256(text) == GOLDEN_JSONL[(*scenario, steps)]
+
+
+def report_bits(report) -> str:
+    """Every field of a report, floats by repr, so equal text is equal bits."""
+    return json.dumps(report.to_dict(include_per_job=True))
+
+
+def assert_rescores(text: str, report, chip: Chip) -> None:
+    """The trace file alone re-scores to the run's report, through the replay."""
+    meta = json.loads(text.splitlines()[0])
+    rescored = compute_report(Trace.from_jsonl(text), chip, t_q_mode=meta["t_q_mode"])
+    assert report_bits(rescored) == report_bits(report)
+
+
+@pytest.mark.parametrize("scenario", list(_scenarios()), ids="-".join)
+def test_trace_file_rescores_to_the_run_report(scenario):
+    assert_rescores(*golden_run(*scenario, False), CHIPS[scenario[0]])
+
+
+def test_trace_file_rescores_under_min_t1_t2():
+    # pst reads T_Q, so a file that did not record t_q_mode would re-score
+    # it under the default and miss
+    chip = generate_grid(8, 8, QubitSpec(0, t2_us=100.0, readout_error=0.01, t1_us=60.0),
+                         noise_seed=7)
+    config = dataclasses.replace(golden_config("grid8", "qhrrf", "merge", steps=False),
+                                 chip=chip, t_q_mode="min_t1_t2")
+    trace, report = run(config)
+    text = trace.to_jsonl()
+    assert json.loads(text.splitlines()[0])["t_q_mode"] == "min_t1_t2"
+    assert report != run(dataclasses.replace(config, t_q_mode="t2"))[1]
+    assert_rescores(text, report, chip)
