@@ -43,25 +43,37 @@ what ``allocate`` learns about an occupancy is kept on it, in its
 ``AllocationMemo``, until ``Occupancy.place`` or ``Occupancy.release``
 changes it: the root candidates left by the hop-sum and eccentricity
 filters, for each root that stalled the size of its open component, and
-each growth by (demand, t_e_group, t_q_mode, record_steps). The component
-search stops only at the demand, so a smaller component was found in
-full, and a later attempt at that root with a larger demand stalls the
-same way without a search, in the same pass or a later one. The memo of
-the empty occupancy is kept for good: a job preempted in exclusive mode
-gets its region back without a second growth. The memo also keeps the
-state's open mask (free, non-buffer qubits), which root choice computes
-and every growth on that state copies. The memo lives and dies with its
-occupancy, which belongs to one simulation. E_Q per qubit does not
-depend on the occupancy: a pass keeps one list of it per ``t_e_group``,
-made at the first tie of root choice or growth and read by both, so it
-is computed at most once per per-shot duration in a pass. It is not kept
-longer, since a memo across passes would grow with the number of
-distinct durations.
+each growth with its certificate. The component search stops only at the
+demand, so a smaller component was found in full, and a later attempt at
+that root with a larger demand stalls the same way without a search, in
+the same pass or a later one. The memo of the empty occupancy is kept for
+good: a job preempted in exclusive mode gets its region back without a
+second growth. The memo also keeps the state's open mask (free,
+non-buffer qubits), which root choice computes and every growth on that
+state copies. The memo lives and dies with its occupancy, which belongs
+to one simulation.
+
+Root choice and growth read E_Q only through comparisons: each E_Q
+decision keeps, of some tied candidates, those of lowest E_Q. A growth's
+certificate lists these decisions, each as (tied candidates, kept), the
+root choice first. Every other decision is an exact ratio comparison, the
+lookahead or the lowest id, none of which reads E_Q, so where every
+decision keeps the same qubits the root, region, stats and steps are the
+same. A growth is therefore kept by (demand, t_q_mode, record_steps) and
+serves every per-shot duration at which its certificate holds: a
+duration seen before is a dict lookup (a preempted job comes back with
+its own), and a new one takes the first growth of that demand whose
+decisions re-evaluate the same, computing E_Q only at the qubits the
+certificate names. E_Q per qubit does not depend on the occupancy: a
+pass keeps one list of it per ``t_e_group``, made at the first tie of
+root choice or growth and read by both, so it is computed at most once
+per per-shot duration in a pass. It is not kept longer, since a memo
+across passes would grow with the number of distinct durations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -110,18 +122,25 @@ class GrowthStep:
     frontier_r_a: tuple[int, ...]
 
 
+# An E_Q decision: tied candidates, and those of them that were kept (see ``_lowest_error``)
+Tie = tuple[list[int], list[int]]
+
+
 @dataclass
 class GrowthResult:
     """Grown region (its sorted qubits, with the step log) or a stall.
 
     A stall has ``region`` None and gives ``component_size``, the number of
     open qubits the root can reach, which is below the demand.
+    ``ties`` lists the growth's E_Q decisions in the order they were made;
+    a stall made none.
     """
 
     region: tuple[int, ...] | None
     stats: RegionStats | None
     steps: list[GrowthStep]
     component_size: int = 0
+    ties: list[Tie] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -136,16 +155,21 @@ class AllocationMemo:
     write it.
     ``candidates`` is ``_root_candidates``' result, or None before the first
     root choice; ``stalls`` maps a root that stalled to the size of its open
-    component; ``placements`` maps (demand, t_e_group, t_q_mode,
-    record_steps) to a growth and its root.
+    component. ``growths`` maps (demand, t_q_mode, record_steps) to every
+    growth made on this state, in order, each as (certificate, root,
+    growth): the certificate lists the E_Q decisions of its root choice and
+    growth. ``placements`` maps (demand, t_e_group, t_q_mode, record_steps)
+    to the root and growth that serve that duration, grown at it or
+    certified for it.
     """
 
-    __slots__ = ("open", "candidates", "stalls", "placements")
+    __slots__ = ("open", "candidates", "stalls", "growths", "placements")
 
     def __init__(self):
         self.open: list[bool] | None = None
         self.candidates: np.ndarray | None = None
         self.stalls: dict[int, int] = {}
+        self.growths: dict[tuple, list[tuple[list[Tie], int, GrowthResult]]] = {}
         self.placements: dict[tuple, tuple[int, GrowthResult]] = {}
 
 
@@ -210,16 +234,22 @@ class Occupancy:
         return sum(map(len, self.regions.values()))
 
 
-def qubit_errors(chip: Chip, t_e_group: float, t_q_mode: str) -> np.ndarray:
-    """Error score E_Q = (1 - exp(-t_e/T_Q)) * E_meas of every qubit, for
-    tie-breaking.
+def qubit_errors(
+    chip: Chip, t_e_group: float, t_q_mode: str, qubits: Sequence[int] | None = None
+) -> np.ndarray:
+    """Error score E_Q = (1 - exp(-t_e/T_Q)) * E_meas of every qubit, or of
+    ``qubits`` only, in their order, for tie-breaking.
 
     t_e_group is in seconds; coherence times are stored in microseconds.
-    ``t_q_mode`` picks T_Q (see ``chip.COHERENCE_MODES``).
+    ``t_q_mode`` picks T_Q (see ``chip.COHERENCE_MODES``). The formula is
+    applied elementwise, so a subset equals the full array at its indices
+    bit for bit.
     """
     t_us = t_e_group * 1e6
-    coh = chip.coherence_array(t_q_mode)
-    return (1.0 - np.exp(-t_us / coh)) * chip.readout_array
+    coh, readout = chip.coherence_array(t_q_mode), chip.readout_array
+    if qubits is not None:
+        coh, readout = coh[qubits], readout[qubits]
+    return (1.0 - np.exp(-t_us / coh)) * readout
 
 
 def _error_list(
@@ -230,6 +260,35 @@ def _error_list(
     if eq is None:
         eq = errors[t_e_group] = qubit_errors(chip, t_e_group, t_q_mode).tolist()
     return eq
+
+
+def _lowest_error(eq: Sequence[float] | dict[int, float], tied: list[int]) -> list[int]:
+    """The qubits of ``tied``, in order, whose E_Q (``eq[q]``) is lowest.
+
+    This is the one E_Q decision of root choice and growth, and of the
+    check that a certificate holds (``_certified``).
+    """
+    low = min(map(eq.__getitem__, tied))
+    return [c for c in tied if eq[c] == low]
+
+
+def _certified(
+    chip: Chip, ties: list[Tie], t_e_group: float, t_q_mode: str,
+    errors: dict[float, list[float]],
+) -> bool:
+    """Whether every E_Q decision of a certificate keeps the same qubits at ``t_e_group``.
+
+    E_Q is read from the pass's list for that duration when ``errors`` has
+    one (see ``_error_list``), and is otherwise computed at the qubits the
+    decisions compare, and nowhere else.
+    """
+    if not ties:
+        return True
+    eq = errors.get(t_e_group)
+    if eq is None:
+        qubits = [c for tied, _ in ties for c in tied]
+        eq = dict(zip(qubits, qubit_errors(chip, t_e_group, t_q_mode, qubits).tolist()))
+    return all(_lowest_error(eq, tied) == kept for tied, kept in ties)
 
 
 def _open_qubits(occupancy: Occupancy) -> list[bool]:
@@ -286,16 +345,18 @@ def _root_candidates(chip: Chip, occupancy: Occupancy) -> np.ndarray:
 def _choose_root(
     chip: Chip, cands: np.ndarray, t_e_group: float, t_q_mode: str,
     errors: dict[float, list[float]],
-) -> int:
-    """The candidate with the smallest E_Q, then the lowest id.
+) -> tuple[int, list[Tie]]:
+    """The candidate with the smallest E_Q, then the lowest id, and the E_Q
+    decision that chose it (none for a single candidate).
 
     ``cands`` is ascending. E_Q per qubit is read from ``errors`` (see
     ``_error_list``) at the first tie.
     """
     if cands.size > 1:
-        # min keeps the first of equal keys: the lowest id
-        return min(cands.tolist(), key=_error_list(chip, t_e_group, t_q_mode, errors).__getitem__)
-    return int(cands[0])
+        tied = cands.tolist()
+        kept = _lowest_error(_error_list(chip, t_e_group, t_q_mode, errors), tied)
+        return kept[0], [(tied, kept)]
+    return int(cands[0]), []
 
 
 def grow_region(
@@ -325,7 +386,8 @@ def grow_region(
     ``occupancy.memo`` keeps for the occupancy's state (``_open_qubits``),
     which each growth copies. E_Q per qubit is read at the first tie from
     ``errors``, the pass's lists by ``t_e_group`` (see ``_error_list``);
-    a call without it computes its own.
+    a call without it computes its own. Each E_Q tie-break is one E_Q
+    decision (``_lowest_error``), listed in the result's ``ties``.
     Returns a stall giving the component's size when the root's open
     component (free, non-buffer qubits reachable from it) holds fewer than
     ``demand`` qubits; growth would take all of it and stop there.
@@ -361,6 +423,7 @@ def grow_region(
     state[root] = False
     chosen = root
     steps: list[GrowthStep] = []
+    ties: list[Tie] = []
 
     while True:
         for w in nbrs[chosen]:  # the frontier gains the open neighbours of chosen
@@ -397,9 +460,9 @@ def grow_region(
             elif cmp == 0:
                 best.extend(ones[d])
         if len(best) > 1:
-            eq = _error_list(chip, t_e_group, t_q_mode, errors)
-            low = min(eq[c] for c in best)
-            best = [c for c in best if eq[c] == low]
+            kept = _lowest_error(_error_list(chip, t_e_group, t_q_mode, errors), best)
+            ties.append((best, kept))
+            best = kept
         if len(best) > 1 and len(region) + 1 < demand:
             ahead = {}  # tied candidate -> best ratio its next frontier offers
             for c in best:
@@ -445,7 +508,7 @@ def grow_region(
         region.append(chosen)
 
     stats = RegionStats(r_i=r_i, r_a=sum_deg - r_i)
-    return GrowthResult(region=tuple(sorted(region)), stats=stats, steps=steps)
+    return GrowthResult(region=tuple(sorted(region)), stats=stats, steps=steps, ties=ties)
 
 
 def _best_candidates(
@@ -468,6 +531,24 @@ def _best_candidates(
         elif d == 0:
             best.append(c)
     return best, best_i, best_a
+
+
+def _certified_growth(
+    chip: Chip, memo: AllocationMemo, key: tuple, errors: dict[float, list[float]]
+) -> tuple[int, GrowthResult | None]:
+    """The root and growth of the first growth in ``memo`` whose certificate
+    holds at ``key`` = (demand, t_e_group, t_q_mode, record_steps), kept
+    under ``key``; (-1, None) when there is none.
+
+    Only growths of the same demand, ``t_q_mode`` and ``record_steps`` are
+    tried.
+    """
+    demand, t_e_group, t_q_mode, record_steps = key
+    for ties, root, result in memo.growths.get((demand, t_q_mode, record_steps), ()):
+        if _certified(chip, ties, t_e_group, t_q_mode, errors):
+            memo.placements[key] = root, result
+            return root, result
+    return -1, None
 
 
 def resolve_conflict(stalled: Group) -> Job:
@@ -524,7 +605,9 @@ def allocate(
     the rest of it was placed (see ``AllocationOutcome``). Every
     attempt reads and extends ``occupancy.memo``, what is known about the
     current occupancy (root candidates, stalled roots and growths), which
-    ``place`` replaces when it changes it.
+    ``place`` replaces when it changes it. A group grows only when no
+    growth of its demand on this state holds a certificate for its
+    ``t_e_group`` (see the module docstring).
     """
     conflicts: list[dict] = []
     placements: list[Placement] = []
@@ -534,13 +617,15 @@ def allocate(
         while True:  # until the group, or what is left of it, is placed or gone
             memo = occupancy.memo
             key = (group.demand, group.t_e_group, t_q_mode, record_steps)
-            root, result = memo.placements.get(key, (-1, None))
+            root, result = -1, None
+            if memo.growths:  # a state that was grown on: in practice only the idle chip
+                root, result = memo.placements.get(key) or _certified_growth(chip, memo, key, errors)
             if result is None:
                 if memo.candidates is None:
                     memo.candidates = _root_candidates(chip, occupancy)
                 cands = memo.candidates
                 if cands.size:
-                    root = _choose_root(chip, cands, group.t_e_group, t_q_mode, errors)
+                    root, ties = _choose_root(chip, cands, group.t_e_group, t_q_mode, errors)
                     size = memo.stalls.get(root)
                     if size is None or group.demand <= size:
                         result = grow_region(
@@ -549,6 +634,9 @@ def allocate(
                         )
                         if result.ok:
                             memo.placements[key] = root, result
+                            memo.growths.setdefault(
+                                (group.demand, t_q_mode, record_steps), []
+                            ).append((ties + result.ties, root, result))
                         else:
                             memo.stalls[root] = result.component_size
             placed = result is not None and result.ok

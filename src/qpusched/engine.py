@@ -212,11 +212,24 @@ class Trace:
         closes them at its time; a member executed ``min(shots_done,
         remaining)`` shots, ``remaining`` being its shots left at the
         dispatch. An allocation's steps come from its group's ``growth``
-        line, and are None without one. Raises ``TraceFormatError`` for a
-        ``NaN``, ``Infinity`` or ``-Infinity`` token, a first line that is
-        not the meta line, a line of unknown type, an end of a group that
-        is not running, or a dispatch that never ends.
+        line, and are None without one. Raises ``TraceFormatError``, and no
+        other error, for text that is not such a trace: a line that is not
+        JSON, a ``NaN``, ``Infinity`` or ``-Infinity`` token, a first line
+        that is not the meta line, a line that is not an object, a line of
+        unknown type, a missing field or one of the wrong type, an event of
+        a job without its ``job`` line, an end of a group that is not
+        running, or a dispatch that never ends.
         """
+        try:
+            return cls._read(text)
+        except TraceFormatError:
+            raise
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise TraceFormatError(f"malformed trace: {exc!r}") from exc
+
+    @classmethod
+    def _read(cls, text: str) -> "Trace":
+        """``from_jsonl``'s reader, which lets a malformed field raise what it may."""
         decode = json.JSONDecoder(parse_constant=_reject_constant).decode
         docs = [decode(line) for line in text.splitlines()]
         if not docs or docs[0].pop("type", None) != "meta":

@@ -8,6 +8,7 @@ groups that survived an ``allocate`` pass.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -27,10 +28,10 @@ from qpusched.allocator import (
     resolve_conflict,
 )
 from qpusched.chip import COHERENCE_MODES, Chip, CouplingGraph, QubitSpec, generate_grid
-from qpusched.engine import SimConfig, run
+from qpusched.engine import MergeConfig, SimConfig, run
 from qpusched.merger import Group
-from qpusched.scheduler import Policy
-from qpusched.workload import default_spec, generate_poisson_workload
+from qpusched.scheduler import POLICY_NAMES, Policy
+from qpusched.workload import Job, Workload, default_spec, generate_poisson_workload
 
 from conftest import make_job, path_chip, region_ratio, uniform_chip
 from graphgen import small_graphs
@@ -797,7 +798,7 @@ def test_out_of_order_groups_are_placed_in_priority_order(monkeypatch):
     assert outcome == allocate(chip, Occupancy(chip), [c, b, a], record_steps=False)
 
 
-def reference_allocate(chip, occ, groups, record_steps):
+def reference_allocate(chip, occ, groups, record_steps, t_q_mode="t2"):
     """``allocate`` without its memo: every attempt chooses its root and
     searches from it afresh on the current occupancy. Groups go in priority
     order; one that cannot be placed sheds its worst member and retries,
@@ -810,9 +811,9 @@ def reference_allocate(chip, occ, groups, record_steps):
         while True:
             cands = allocator._root_candidates(chip, occ)
             if cands.size:
-                root = allocator._choose_root(chip, cands, group.t_e_group, "t2", {})
+                root, _ = allocator._choose_root(chip, cands, group.t_e_group, t_q_mode, {})
                 result = grow_region(chip, occ, root, group.demand, group.t_e_group,
-                                     record_steps=record_steps)
+                                     t_q_mode=t_q_mode, record_steps=record_steps)
                 if result.ok:
                     occ.place(group.id, result.region, root)
                     placements.append(allocator.Placement(
@@ -1025,14 +1026,15 @@ def test_error_scores_once_per_duration_in_a_pass(monkeypatch):
     # groups never tie during growth; a three-qubit group grown from a
     # corner ties on the ratio at its first step (both neighbours have one
     # link and degree 3). Root choice and growth share one E_Q list per
-    # duration, whichever of them needs it first
+    # duration, whichever of them needs it first. A certificate check reads
+    # E_Q at the qubits it names: those calls are counted apart
     chip = generate_grid(5, 5, noise_seed=3)
-    made = []
+    made, subsets = [], []
     real_errors = allocator.qubit_errors
 
-    def counting_errors(chip, t_e, t_q_mode):
-        made.append(t_e)
-        return real_errors(chip, t_e, t_q_mode)
+    def counting_errors(chip, t_e, t_q_mode, qubits=None):
+        (made if qubits is None else subsets).append(t_e)
+        return real_errors(chip, t_e, t_q_mode, qubits)
 
     monkeypatch.setattr(allocator, "qubit_errors", counting_errors)
     for n, count in ((1, 6), (3, 4)):
@@ -1049,6 +1051,16 @@ def test_error_scores_once_per_duration_in_a_pass(monkeypatch):
         if n == 1:
             assert [p.root for p in outcome.placed] == [4, 20, 0, 24, 2, 14]
         assert sorted(made) == [1e-4, 1e-3]  # ties at both durations, one list each
+        assert subsets == []  # each group is placed on a new state: no growth to certify
+    # the idle memo holds a growth made at 1e-4: at 2e-4 its certificate is
+    # checked at its own qubits, holds, and no full list is made
+    occ = Occupancy(chip)
+    made.clear()
+    first = allocate(chip, occ, [singleton_group(0, n=3, t_e=1e-4)]).placed[0]
+    occ.release(0)
+    hit = allocate(chip, occ, [singleton_group(1, n=3, t_e=2e-4)]).placed[0]
+    assert (made, subsets) == ([1e-4], [2e-4])
+    assert (hit.root, hit.region, hit.stats) == (first.root, first.region, first.stats)
 
 
 @given(data=st.data())
@@ -1057,7 +1069,8 @@ def test_idle_chip_memo_hit_equals_a_fresh_allocate(data):
     # a warm-up pass fills the occupancy's memo and is released; the
     # same pass again, on the now idle occupancy, must place what a pass
     # on a fresh Occupancy places, and skips a growth for every idle-chip
-    # placement whose (demand, t_e_group, t_q_mode, record_steps) it saw
+    # placement whose (demand, t_e_group) it saw, but only with the same
+    # t_q_mode and record_steps
     n, edges = data.draw(st.sampled_from(small_graphs()), label="graph")
     specs = tuple(
         QubitSpec(id=q, t2_us=data.draw(st.sampled_from([50.0, 100.0])),
@@ -1075,7 +1088,7 @@ def test_idle_chip_memo_hit_equals_a_fresh_allocate(data):
     warm = allocate(chip, occ, groups, t_q_mode=warm_mode, record_steps=warm_steps)
     for p in warm.placed:
         occ.release(p.group.id)
-    memo = dict(occ.memo.placements)
+    memo = {key: list(grown) for key, grown in occ.memo.growths.items()}
     grown = []  # whether each growth succeeded; a stall skipped by the memo is no placement
     real_grow = allocator.grow_region
 
@@ -1094,29 +1107,40 @@ def test_idle_chip_memo_hit_equals_a_fresh_allocate(data):
     assert occ.roots == fresh_occ.roots
     same_settings = (warm_mode, warm_steps) == (mode, steps)
     assert (grown_hit < sum(grown) - grown_hit) == bool(memo and same_settings)
-    assert all(key[2:] == (warm_mode, warm_steps) for key in memo)
+    assert all(key[1:] == (warm_mode, warm_steps) for key in memo)  # (demand, mode, steps)
+    assert all(len(grown) == 1 for grown in memo.values())  # a pass on an idle chip grows once
 
 
 def test_memo_serves_only_an_idle_occupancy():
+    # a uniform chip: every E_Q comparison ties at any duration, so the idle
+    # chip's one growth of demand 3 serves every later group of that demand
     chip = generate_grid(4, 4)
     occ = Occupancy(chip)
+    idle = occ.memo
     with mock.patch.object(allocator, "grow_region", wraps=allocator.grow_region) as grow:
         first = allocate(chip, occ, [singleton_group(0, n=3)]).placed[0]
-        assert not occ.memo.placements  # placing replaced the memo
+        assert not occ.memo.placements and not occ.memo.growths  # placing replaced the memo
         again = allocate(chip, occ, [singleton_group(1, n=3)]).placed[0]  # not idle: grown
         occ.release(0)
         occ.release(1)
-        assert list(occ.memo.placements) == [(3, 0.001, "t2", False)]
+        assert occ.memo is idle and list(idle.growths) == [(3, "t2", False)]
         hit = allocate(chip, occ, [singleton_group(2, n=3)]).placed[0]
+        occ.release(2)
+        certified = allocate(chip, occ, [singleton_group(3, n=3, t_e=0.002)]).placed[0]
     assert grow.call_count == 2
-    assert (hit.root, hit.region, hit.stats) == (first.root, first.region, first.stats)
+    for p in (hit, certified):
+        assert (p.root, p.region, p.stats) == (first.root, first.region, first.stats)
     assert again.root != first.root
+    assert list(idle.placements) == [(3, 0.001, "t2", False), (3, 0.002, "t2", False)]
+    assert len(idle.growths[3, "t2", False]) == 1
 
 
 def test_memo_lives_with_its_simulation():
     # an exclusive round-robin run re-dispatches preempted jobs onto an
     # idle chip; a second run of the same config in the same process must
-    # grow exactly as often as the first, so nothing outlives a simulation
+    # grow exactly as often as the first, so nothing outlives a simulation.
+    # Every E_Q comparison ties on this uniform chip, so each demand is
+    # grown once and serves every duration
     chip = generate_grid(4, 4)
     wl = generate_poisson_workload(default_spec(chip.n_qubits, 40.0, 0.5, seed=3))
     cfg = SimConfig(chip=chip, workload=wl, policy=Policy("rr", rr_quantum_shots=50),
@@ -1127,4 +1151,129 @@ def test_memo_lives_with_its_simulation():
             trace, _ = run(cfg)
         counts.append(grow.call_count)
     dispatches = sum(e["kind"] == "dispatch" for e in trace.events)
-    assert counts[0] == counts[1] == len(wl.jobs) < dispatches
+    assert counts[0] == counts[1] == len({j.n for j in wl.jobs}) < len(wl.jobs) < dispatches
+
+
+def draw_noisy_chip(data):
+    """A small graph or grid whose qubits draw T2, T1 and readout error from
+    a few values: equal specs tie in E_Q at every duration, and distinct ones
+    swap order as the duration moves, E_Q tending to t*E_meas/T_Q for short
+    durations and to E_meas, whatever T_Q, for long ones. An idle chip of two
+    or more qubits has two roots of largest eccentricity, the ends of a
+    longest shortest path, so only the one-qubit chip gives a certificate
+    without E_Q decisions."""
+    kind = data.draw(st.sampled_from(["grid"] * 5 + ["graph"] * 4 + ["one qubit"]), label="kind")
+    if kind == "grid":
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 5))
+        n, edges = rows * cols, generate_grid(rows, cols).graph.edges
+    elif kind == "graph":
+        n, edges = data.draw(st.sampled_from(small_graphs()), label="graph")
+    else:
+        n, edges = 1, ()
+    specs = tuple(
+        QubitSpec(id=q, t2_us=data.draw(st.sampled_from([20.0, 50.0, 100.0])),
+                  readout_error=data.draw(st.sampled_from([0.01, 0.02, 0.04])),
+                  t1_us=data.draw(st.sampled_from([None, 10.0, 200.0])))
+        for q in range(n)
+    )
+    return Chip("noisy", CouplingGraph(n, tuple(edges)), specs)
+
+
+# per-shot durations from 1e-7 s to 1e-2 s; the decades themselves recur,
+# and 1e-2 s saturates E_Q to E_meas on every drawn T_Q
+DURATIONS = st.sampled_from([1e-7, 1e-5, 1e-3, 1e-2]) | st.floats(-7, -2).map(lambda e: 10 ** e)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def certified_growths_match_reference(probe, data):
+    # one occupancy sees groups of a few demands at many durations; every
+    # pass starts on the idle chip, whose memo keeps each growth with its
+    # certificate, and must place what the memo-free reference places
+    chip = draw_noisy_chip(data)
+    n = chip.n_qubits
+    mode = data.draw(st.sampled_from(COHERENCE_MODES), label="mode")
+    pool = data.draw(st.lists(DURATIONS, min_size=2, max_size=5, unique=True), label="durations")
+    demands = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=2), label="demands")
+    occ = Occupancy(chip)
+    real_certified = allocator._certified
+
+    def probing_certified(chip, ties, *args):
+        holds = real_certified(chip, ties, *args)
+        probe["empty certificate" if not ties else "hit" if holds else "rejected"] += 1
+        return holds
+
+    jid = 0
+    with mock.patch.object(allocator, "_certified", probing_certified):
+        for call in range(data.draw(st.integers(2, 8), label="calls")):
+            groups = []
+            for gid in range(10 * call, 10 * call + data.draw(st.integers(1, 3), label="groups")):
+                jobs = [make_job(jid + i, n=data.draw(st.sampled_from(demands)),
+                                 t_e=data.draw(st.sampled_from(pool)))
+                        for i in range(data.draw(st.integers(1, 2), label="members"))]
+                if sum(j.n for j in jobs) > n:  # merged beyond the chip: one job
+                    del jobs[1:]
+                keys = {j.id: (data.draw(st.floats(0, 10)), 0.0, j.id) for j in jobs}
+                groups.append(Group.build(gid, jobs, keys_by_id=keys))
+                jid += len(jobs)
+            record_steps = data.draw(st.booleans(), label="record_steps")
+            ref = copy_of(occ)
+            outcome = allocate(chip, occ, groups, t_q_mode=mode, record_steps=record_steps)
+            placements, conflicts = reference_allocate(chip, ref, groups, record_steps, mode)
+            assert outcome.placed == placements  # groups, regions, roots, stats and steps
+            assert outcome.conflicts == conflicts
+            assert np.array_equal(occ.owner, ref.owner) and np.array_equal(occ.near, ref.near)
+            assert (occ.regions, occ.roots) == (ref.regions, ref.roots)
+            for gid in list(occ.regions):
+                occ.release(gid)
+
+
+def test_certified_growths_match_the_memo_free_reference():
+    probe = Counter()
+    certified_growths_match_reference(probe)
+    # a probe of the draws: certificates that hold at a new duration, that
+    # fail there, and that hold because growth made no E_Q decision
+    assert probe["hit"] >= 10, probe
+    assert probe["rejected"] >= 10, probe
+    assert probe["empty certificate"] >= 10, probe
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_error_subset_is_bit_identical_to_the_full_array(data):
+    # noisy grids with T1, up to the benchmark's 16x16, under both coherence
+    # modes; the subset is any list of qubits, in any order, with repeats
+    t1 = data.draw(st.sampled_from([30.0, 80.0, 150.0]), label="t1")
+    template = QubitSpec(id=0, t2_us=100.0, readout_error=0.01, t1_us=t1)
+    side = st.integers(1, 16)
+    chip = generate_grid(data.draw(side), data.draw(side), spec_template=template,
+                         noise_seed=data.draw(st.integers(0, 99)))
+    mode = data.draw(st.sampled_from(COHERENCE_MODES), label="mode")
+    t_e = data.draw(DURATIONS | st.floats(0.0, 1.0), label="t_e")
+    idx = data.draw(st.lists(st.integers(0, chip.n_qubits - 1), max_size=2 * chip.n_qubits))
+    subset = qubit_errors(chip, t_e, mode, qubits=idx)
+    assert np.array_equal(subset, qubit_errors(chip, t_e, mode)[idx])
+
+
+def test_exclusive_runs_grow_less_than_once_per_demand_and_duration():
+    # a work-count guard: on a noisy grid, 24 jobs of three demands at 24
+    # per-shot durations from 1e-6 to 7e-3 s, run exclusively (each group
+    # alone on the idle chip) under every policy. Growths are pinned: each
+    # demand's first certificate fails at some later duration, so each run
+    # grows twice per demand, fewer times than it has distinct (demand,
+    # t_e_group) pairs, which a memo keyed by the exact duration grows once each
+    chip = generate_grid(4, 4, noise_seed=1)
+    jobs = tuple(Job(id=i, n=(2, 3, 4)[i % 3], shots=20 + i, t_sub=0.002 * i,
+                     t_e_shot=10 ** (-6 + i / 6)) for i in range(24))
+    workload = Workload(jobs=jobs, horizon=0.1)
+    pairs = len({(j.n, j.t_e_shot) for j in jobs})  # a singleton's t_e_group is its job's
+    growths = {}
+    for name in POLICY_NAMES:
+        cfg = SimConfig(chip=chip, workload=workload, policy=Policy(name, rr_quantum_shots=5),
+                        merge=MergeConfig(enabled=False), exclusive=True)
+        with mock.patch.object(allocator, "grow_region", wraps=allocator.grow_region) as grow:
+            run(cfg)
+        growths[name] = grow.call_count
+    assert pairs == 24
+    assert growths == dict.fromkeys(POLICY_NAMES, 6)
+    assert all(count < pairs for count in growths.values())

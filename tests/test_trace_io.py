@@ -151,3 +151,63 @@ def test_reader_rejects_a_text_without_its_meta_line():
     lines = example_text().splitlines()
     with pytest.raises(TraceFormatError, match="meta line"):
         Trace.from_jsonl("\n".join(lines[1:]) + "\n")
+
+
+def without_time(lines):
+    first_event = next(i for i, line in enumerate(lines) if '"type": "event"' in line)
+    doc = json.loads(lines[first_event])
+    del doc["time"]
+    return lines[:first_event] + [json.dumps(doc)] + lines[first_event + 1:]
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda lines: ["\n".join(lines)[:100]], id="truncated"),
+    pytest.param(lambda lines: [line for line in lines if '"type": "job"' not in line],
+                 id="no job lines"),
+    pytest.param(lambda lines: lines[:1] + ["[1, 2]"] + lines[1:], id="array line"),
+    pytest.param(lambda lines: ['"meta"'] + lines[1:], id="meta line not an object"),
+    pytest.param(without_time, id="event without time"),
+])
+def test_reader_rejects_malformed_text_with_its_own_error(damage):
+    with pytest.raises(TraceFormatError):
+        Trace.from_jsonl("\n".join(damage(example_text().splitlines())) + "\n")
+
+
+JSON_VALUES = st.sampled_from([None, True, -1, 2.5, "x", [], [1, 2], {}, {"type": "event"}])
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def damaged_reading(probe: Counter, data):
+    lines = run(data.draw(simulations()))[0].to_jsonl().splitlines()
+    damage = data.draw(st.sampled_from(["truncate", "drop line", "drop key", "retype key",
+                                        "retype line"]), label="damage")
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    doc = json.loads(lines[i])
+    if damage == "truncate":
+        text = "\n".join(lines)
+        lines = [text[:data.draw(st.integers(0, len(text) - 1), label="cut")]]
+    elif damage == "drop line":
+        del lines[i]
+    elif damage == "retype line":
+        lines[i] = json.dumps(data.draw(JSON_VALUES))
+    else:
+        key = data.draw(st.sampled_from(sorted(doc)), label="key")
+        if damage == "drop key":
+            del doc[key]
+        else:
+            doc[key] = data.draw(JSON_VALUES)
+        lines[i] = json.dumps(doc)
+    try:
+        Trace.from_jsonl("\n".join(lines) + "\n")
+    except TraceFormatError:
+        probe["rejected"] += 1
+    else:
+        probe["read"] += 1
+
+
+def test_damaged_text_reads_as_a_trace_or_raises_trace_format_error():
+    # any other exception fails the property; the probe shows both outcomes
+    probe = Counter()
+    damaged_reading(probe)
+    assert probe["rejected"] >= 50 and probe["read"] >= 5, probe
