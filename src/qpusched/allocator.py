@@ -3,9 +3,12 @@
 Each dispatched group gets a connected region of exactly its demanded
 size. Regions of distinct groups may never touch: a free qubit adjacent
 to someone else's region is ineligible (it acts as a buffer), enforced as
-a candidate filter rather than by reserving qubits. ``Occupancy.buffer_mask``
-is the one statement of that rule, and ``Occupancy.place`` refuses a region
-that breaks it.
+a candidate filter rather than by reserving qubits. ``Occupancy`` keeps
+the open mask (free, non-buffer qubits) and the owned and buffer counts
+up to date as it places and releases regions, at a cost in the region's
+size times its degree, not the chip's size; ``Occupancy._shift_near`` is
+the one statement of the buffer rule, and ``Occupancy.place`` refuses a
+region that breaks it. Root choice and growth read the kept mask.
 
 Placement of one group:
 
@@ -48,9 +51,7 @@ demand, so a smaller component was found in full, and a later attempt at
 that root with a larger demand stalls the same way without a search, in
 the same pass or a later one. The memo of the empty occupancy is kept for
 good: a job preempted in exclusive mode gets its region back without a
-second growth. The memo also keeps the state's open mask (free,
-non-buffer qubits), which root choice computes and every growth on that
-state copies. The memo lives and dies with its occupancy, which belongs
+second growth. The memo lives and dies with its occupancy, which belongs
 to one simulation.
 
 Root choice and growth read E_Q only through comparisons: each E_Q
@@ -150,9 +151,6 @@ class GrowthResult:
 class AllocationMemo:
     """What ``allocate`` has learned about one state of an occupancy.
 
-    ``open`` is the open mask (free, non-buffer qubits) as a list of bools,
-    or None before the first root choice or growth, which read it and never
-    write it.
     ``candidates`` is ``_root_candidates``' result, or None before the first
     root choice; ``stalls`` maps a root that stalled to the size of its open
     component. ``growths`` maps (demand, t_q_mode, record_steps) to every
@@ -163,10 +161,9 @@ class AllocationMemo:
     certified for it.
     """
 
-    __slots__ = ("open", "candidates", "stalls", "growths", "placements")
+    __slots__ = ("candidates", "stalls", "growths", "placements")
 
     def __init__(self):
-        self.open: list[bool] | None = None
         self.candidates: np.ndarray | None = None
         self.stalls: dict[int, int] = {}
         self.growths: dict[tuple, list[tuple[list[Tie], int, GrowthResult]]] = {}
@@ -176,45 +173,58 @@ class AllocationMemo:
 class Occupancy:
     """Mutable map from physical qubits to owning groups.
 
-    owner[q] is the owning group id, or -1 when free; near[q] counts the
-    owned neighbours of q. One simulation owns its Occupancy exclusively.
+    ``owner[q]`` is the owning group id, or -1 when free; ``near[q]`` counts
+    the owned neighbours of q. A free qubit with an owned neighbour is a
+    buffer, which no group may take; the other free qubits are open, and
+    ``open[q]`` is 1 exactly for them. ``owned`` and ``buffers`` count the
+    owned and the buffer qubits. ``place`` and ``release`` keep all of these
+    up to date in O(region x degree); ``_shift_near`` is the one statement
+    of the buffer rule. One simulation owns its Occupancy exclusively.
     ``memo`` is ``allocate``'s memo of the current state. Only ``place`` and
     ``release`` replace it: with a fresh one, or with the memo of the empty
     occupancy, kept for good, when no region is left.
     """
 
     def __init__(self, chip: Chip):
+        n = chip.n_qubits
         self.chip = chip
-        self.owner = np.full(chip.n_qubits, -1, dtype=np.int32)
-        self.near = np.zeros(chip.n_qubits, dtype=np.intp)
+        self.owner = [-1] * n
+        self.near = [0] * n
+        self.open = bytearray(b"\x01") * n
+        self.owned = 0
+        self.buffers = 0
         self.regions: dict[int, tuple[int, ...]] = {}
         self.roots: dict[int, int] = {}
-        self._counts: dict[int, np.ndarray] = {}  # per group: what it added to near
+        self._nbrs: dict[int, list[int]] = {}  # per group: its qubits' neighbours, with repeats
         self.memo = self._idle_memo = AllocationMemo()
 
     def place(self, group_id: int, qubits: Iterable[int], root: int) -> None:
         """Give ``qubits`` to ``group_id``: distinct qubits of the chip, at
         least one, all free and touching no other group's region, rooted at
-        one of them."""
+        one of them. A rejected region leaves the occupancy as it was."""
         qs = sorted(map(int, qubits))
         root = int(root)
+        owner = self.owner
         if group_id in self.regions:
             raise AllocationError(f"group {group_id} is already placed")
-        if not qs or qs[0] < 0 or qs[-1] >= len(self.owner) or len(set(qs)) < len(qs):
+        if not qs or qs[0] < 0 or qs[-1] >= len(owner) or len(set(qs)) < len(qs):
             raise AllocationError(
                 f"group {group_id}: region {qs} is not a nonempty set of distinct qubits of the chip")
         if root not in qs:
             raise AllocationError(f"group {group_id}: root {root} is not in its region {qs}")
-        arr = np.array(qs, dtype=np.intp)
-        if np.count_nonzero(self.owner[arr] >= 0):
+        if any(owner[q] >= 0 for q in qs):
             raise AllocationError("placement overlaps an owned qubit")
-        if np.count_nonzero(self.near[arr]):
+        near = self.near
+        if any(near[q] for q in qs):
             raise AllocationError(f"group {group_id} touches another group's region")
-        self.owner[arr] = group_id
+        open_ = self.open
+        for q in qs:  # open before: free and touching no region
+            owner[q] = group_id
+            open_[q] = 0
+        self.owned += len(qs)
         nbrs = self.chip.graph.neighbors
-        counts = self._counts[group_id] = np.bincount(
-            [w for q in qs for w in nbrs[q]], minlength=len(nbrs))
-        self.near += counts
+        touched = self._nbrs[group_id] = [w for q in qs for w in nbrs[q]]
+        self._shift_near(touched, 1)
         self.regions[group_id] = tuple(qs)
         self.roots[group_id] = root
         self.memo = AllocationMemo()
@@ -222,16 +232,29 @@ class Occupancy:
     def release(self, group_id: int) -> None:
         qs = self.regions.pop(group_id)
         self.roots.pop(group_id)
-        self.owner[np.array(qs, dtype=np.intp)] = -1
-        self.near -= self._counts.pop(group_id)
+        self._shift_near(self._nbrs.pop(group_id), -1)
+        owner, open_ = self.owner, self.open
+        for q in qs:  # no other region touches a placed region, so its qubits reopen
+            owner[q] = -1
+            open_[q] = 1
+        self.owned -= len(qs)
         self.memo = AllocationMemo() if self.regions else self._idle_memo
 
-    def buffer_mask(self) -> np.ndarray:
-        """Free qubits with an owned neighbour: buffers that no group may take."""
-        return (self.owner < 0) & (self.near > 0)
+    def _shift_near(self, touched: list[int], step: int) -> None:
+        """Add ``step`` (1 or -1) to ``near`` once per entry of ``touched``.
 
-    def owned_count(self) -> int:
-        return sum(map(len, self.regions.values()))
+        The buffer rule: a free qubit is a buffer exactly while its count is
+        above 0, so it enters the buffer set as its count leaves 0 and
+        leaves the set, open again, as its count returns to 0.
+        """
+        near, owner, open_ = self.near, self.owner, self.open
+        crossing = 0 if step > 0 else 1  # the count before a step that crosses 0
+        for w in touched:
+            c = near[w]
+            near[w] = c + step
+            if c == crossing and owner[w] < 0:
+                open_[w] = step < 0
+                self.buffers += step
 
 
 def qubit_errors(
@@ -291,19 +314,7 @@ def _certified(
     return all(_lowest_error(eq, tied) == kept for tied, kept in ties)
 
 
-def _open_qubits(occupancy: Occupancy) -> list[bool]:
-    """The open mask (free, non-buffer qubits) of the occupancy's current state.
-
-    It is made once per state, here or by ``_root_candidates``, and kept on
-    ``occupancy.memo``; callers must not change it.
-    """
-    memo = occupancy.memo
-    if memo.open is None:
-        memo.open = ((occupancy.owner < 0) & ~occupancy.buffer_mask()).tolist()
-    return memo.open
-
-
-def _short_component(chip: Chip, open_: Sequence[bool], root: int, demand: int) -> int:
+def _short_component(chip: Chip, open_: Sequence[int], root: int, demand: int) -> int:
     """How many qubits are reachable from ``root`` through ``open_``, counted up to ``demand``.
 
     The search stops once ``demand`` qubits are found.
@@ -327,11 +338,7 @@ def _root_candidates(chip: Chip, occupancy: Occupancy) -> np.ndarray:
     read at the eligible qubits; with no roots it is zero. With no eligible
     qubit the array is empty.
     """
-    open_ = (occupancy.owner < 0) & ~occupancy.buffer_mask()
-    memo = occupancy.memo
-    if memo.open is None:
-        memo.open = open_.tolist()  # what a growth from the chosen root reads next
-    elig = np.flatnonzero(open_)
+    elig = np.flatnonzero(np.frombuffer(occupancy.open, dtype=np.bool_))
     if not elig.size:
         return elig
     dist = chip.distances
@@ -381,12 +388,11 @@ def grow_region(
     bucketed by degree. A one-link candidate's ratio
     (r_i+1)/(sum_deg-r_i+deg-1) falls strictly as its degree rises, and the
     members of a bucket tie exactly, so only the lowest-degree bucket is
-    scored, once. The frontier never contains buffer qubits (see
-    ``Occupancy.buffer_mask``): it is filled from the open mask that
-    ``occupancy.memo`` keeps for the occupancy's state (``_open_qubits``),
-    which each growth copies. E_Q per qubit is read at the first tie from
-    ``errors``, the pass's lists by ``t_e_group`` (see ``_error_list``);
-    a call without it computes its own. Each E_Q tie-break is one E_Q
+    scored, once. The frontier never contains buffer qubits: it is filled
+    from a list copy of ``occupancy.open``, the open mask the occupancy
+    keeps, which the growth never changes. E_Q per qubit is read at the
+    first tie from ``errors``, the pass's lists by ``t_e_group`` (see
+    ``_error_list``); a call without it computes its own. Each E_Q tie-break is one E_Q
     decision (``_lowest_error``), listed in the result's ``ties``.
     Returns a stall giving the component's size when the root's open
     component (free, non-buffer qubits reachable from it) holds fewer than
@@ -398,7 +404,7 @@ def grow_region(
     n = chip.n_qubits
     if not 1 <= demand <= n:
         raise AllocationError(f"demand {demand} outside 1..{n}")
-    open_ = _open_qubits(occupancy)
+    open_ = occupancy.open
     if not open_[root]:
         if occupancy.owner[root] >= 0:
             raise AllocationError(f"root {root} is not free")
@@ -412,15 +418,15 @@ def grow_region(
         errors = {}
     nbrs = chip.graph.neighbors
     deg = chip.graph.degree
-    # per qubit: 0 (False) closed, 1 (True) open, 1 + k open with k links into the region
-    state = open_.copy()
+    # per qubit: 0 closed, 1 open, 1 + k open with k links into the region
+    state = list(open_)
     frontier: dict[int, int] = {}  # open qubit next to the region -> its links into it
     multi: dict[int, int] = {}  # the candidates of frontier with two or more links
     ones: dict[int, set[int]] = {}  # degree -> the candidates of that degree with one link
     region = [root]
     r_i = 0
     sum_deg = deg[root]
-    state[root] = False
+    state[root] = 0
     chosen = root
     steps: list[GrowthStep] = []
     ties: list[Tie] = []
@@ -495,7 +501,7 @@ def grow_region(
                 )
             )
         k = frontier.pop(chosen)
-        state[chosen] = False
+        state[chosen] = 0
         if k > 1:
             del multi[chosen]
         else:

@@ -77,6 +77,60 @@ def _reject_constant(token: str):
     raise TraceFormatError(f"non-finite number {token} in trace")
 
 
+# The value rules of trace fields. JSON reads an integer as int and any
+# other number as float, and a trace is read as written, so nothing is
+# converted: ids, shots and counts are ints, times are finite numbers (a
+# per-shot duration also positive), and regions and id lists are lists
+# of ints. A bool is never a number.
+
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _is_time(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _is_duration(v) -> bool:
+    return _is_time(v) and v > 0
+
+
+def _is_ints(v) -> bool:
+    return type(v) is list and all(type(x) is int for x in v)
+
+
+def _is_flag(v) -> bool:
+    return type(v) is bool
+
+
+_END_FIELDS = {"time": _is_time, "group": _is_int, "shots_done": _is_int,
+               "completed": _is_ints, "requeued": _is_ints}
+_EVENT_FIELDS = {  # event kind -> its fields and their rules
+    "arrival": {"time": _is_time, "job": _is_int, "n": _is_int, "shots": _is_int},
+    "dispatch": {"time": _is_time, "group": _is_int, "members": _is_ints, "root": _is_int,
+                 "region": _is_ints, "r_i": _is_int, "r_a": _is_int, "shots": _is_int,
+                 "t_e_group": _is_duration},
+    "preempt": _END_FIELDS,
+    "group_complete": _END_FIELDS,
+    "requeue": {"time": _is_time, "group": _is_int, "requeued": _is_ints, "placed": _is_flag},
+}
+_GROWTH_FIELDS = {"group": _is_int, "root": _is_int}
+_STEP_FIELDS = {"chosen": _is_int, "r_i": _is_int, "r_a": _is_int, "frontier": _is_ints,
+                "frontier_r_i": _is_ints, "frontier_r_a": _is_ints}
+_JOB_FIELDS = {"id": _is_int, "n": _is_int, "shots": _is_int, "t_sub": _is_time,
+               "t_e_shot": _is_duration, "t_comp": lambda v: v is None or _is_time(v),
+               "preemptions": _is_int, "requeues": _is_int, "executed_shots": _is_int}
+
+
+def _checked(doc: dict, fields: dict, what: str) -> dict:
+    """``doc``, after checking that it has every one of ``fields`` and that
+    each value keeps its field's rule."""
+    for name, rule in fields.items():
+        if not rule(doc[name]):
+            raise TraceFormatError(f"{what} field {name!r} has the wrong value {doc[name]!r}")
+    return doc
+
+
 @dataclass(frozen=True)
 class MergeConfig:
     enabled: bool = True
@@ -216,9 +270,17 @@ class Trace:
         other error, for text that is not such a trace: a line that is not
         JSON, a ``NaN``, ``Infinity`` or ``-Infinity`` token, a first line
         that is not the meta line, a line that is not an object, a line of
-        unknown type, a missing field or one of the wrong type, an event of
-        a job without its ``job`` line, an end of a group that is not
-        running, or a dispatch that never ends.
+        unknown type or an event of unknown kind, a missing field or one
+        whose value breaks its rule (``_EVENT_FIELDS``, ``_JOB_FIELDS``), an
+        event of a job without its ``job`` line, a group dispatched twice, a
+        dispatch whose region is not a nonempty set of the chip's qubits
+        (``n_qubits`` in the meta line) holding its root, or whose edge
+        counts break ``0 <= r_i <= r_a``, an end of a group that is not
+        running, a dispatch that never ends, or a completed job that was
+        never dispatched. What it reads then has the types
+        ``compute_report`` scores, which may still refuse regions that
+        overlap or touch (``AllocationError``) or a trace without a span of
+        time (``EmptyTraceError``).
         """
         try:
             return cls._read(text)
@@ -235,17 +297,25 @@ class Trace:
         if not docs or docs[0].pop("type", None) != "meta":
             raise TraceFormatError("a trace starts with its meta line")
         trace = cls(docs[0])
+        n_qubits = trace.meta["n_qubits"]
+        if not _is_int(n_qubits):
+            raise TraceFormatError(f"meta field 'n_qubits' has the wrong value {n_qubits!r}")
         steps: dict[int, list[GrowthStep]] = {}
         for doc in docs[1:]:
             kind = doc.pop("type", None)
             if kind == "event":
-                trace.events.append(doc)
+                fields = _EVENT_FIELDS.get(doc["kind"])
+                if fields is None:
+                    raise TraceFormatError(f"unknown event kind {doc['kind']!r}")
+                trace.events.append(_checked(doc, fields, doc["kind"]))
             elif kind == "growth":
-                steps[doc["group"]] = [
-                    GrowthStep(**{k: tuple(v) if isinstance(v, list) else v for k, v in s.items()})
+                steps[_checked(doc, _GROWTH_FIELDS, kind)["group"]] = [
+                    GrowthStep(**{k: tuple(v) if isinstance(v, list) else v
+                                  for k, v in _checked(s, _STEP_FIELDS, "step").items()})
                     for s in doc["steps"]
                 ]
             elif kind == "job":
+                _checked(doc, _JOB_FIELDS, kind)
                 job = Job(doc["id"], doc["n"], doc["shots"], doc["t_sub"], doc["t_e_shot"])
                 trace.jobs[job.id] = JobRecord(
                     job, doc["t_comp"], doc["preemptions"], doc["requeues"], doc["executed_shots"])
@@ -253,10 +323,20 @@ class Trace:
                 raise TraceFormatError(f"unknown trace line type {kind!r}")
         left = {jid: rec.job.shots for jid, rec in trace.jobs.items()}  # shots not yet executed
         running: dict[int, tuple[GroupInterval, list[tuple[int, DispatchRecord]]]] = {}
+        dispatched: set[int] = set()  # group ids are unique per dispatch
         for ev in trace.events:
             kind, time = ev["kind"], ev["time"]
             if kind == "dispatch":
                 gid, region, t_e = ev["group"], tuple(ev["region"]), ev["t_e_group"]
+                if gid in dispatched:
+                    raise TraceFormatError(f"group {gid} is dispatched twice")
+                dispatched.add(gid)
+                if not (region and len(set(region)) == len(region)
+                        and 0 <= min(region) and max(region) < n_qubits
+                        and ev["root"] in region and 0 <= ev["r_i"] <= ev["r_a"]):
+                    raise TraceFormatError(
+                        f"the dispatch of group {gid} has a region, root or edge counts "
+                        f"that are not those of a region of the {n_qubits}-qubit chip")
                 interval = GroupInterval(gid, time, region)
                 trace.intervals.append(interval)
                 trace.allocations.append(AllocationRecord(
@@ -277,6 +357,9 @@ class Trace:
                     left[jid] -= d.shots_executed
         if running:
             raise TraceFormatError(f"the dispatch of group {min(running)} never ends")
+        for jid, rec in trace.jobs.items():
+            if rec.t_comp is not None and not rec.dispatches:
+                raise TraceFormatError(f"job {jid} completes without a dispatch")
         return trace
 
 
@@ -507,7 +590,7 @@ class _Simulation:
                 prefix = ordered[:1]
                 merging = False
             else:
-                free_cap = self.n_qubits - self.occupancy.owned_count()
+                free_cap = self.n_qubits - self.occupancy.owned
                 prefix = select_prefix(ordered, free_cap, self.config.merge.backfill)
                 merging = self.config.merge.enabled
             if prefix:

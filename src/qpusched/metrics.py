@@ -113,7 +113,9 @@ class OccupancyTimeline:
 
     ``leave(t)`` samples (t, owned, buffer) when the set of placed group
     ids differs from the one at the last sample, so placements and
-    releases that cancel within an instant split no span.
+    releases that cancel within an instant split no span. The counts are
+    the ones the occupancy keeps (``Occupancy.owned`` and
+    ``Occupancy.buffers``), so a sample reads two attributes.
     """
 
     def __init__(self, occupancy: Occupancy):
@@ -125,8 +127,7 @@ class OccupancyTimeline:
         occ = self.occupancy
         if occ.regions.keys() != self._placed:
             self._placed = set(occ.regions)
-            self._samples.append(
-                (t, occ.owned_count(), int(np.count_nonzero(occ.buffer_mask()))))
+            self._samples.append((t, occ.owned, occ.buffers))
 
     def spans(self, trace: "Trace") -> list[tuple[float, float, int, int]]:
         """Piecewise-constant (t0, t1, owned, buffer) spans over [first

@@ -178,6 +178,8 @@ class WaitingQueue:
     Keys that do not grow with the time are computed by ``push`` and keep
     ``jobs`` in key order. hrrf and qhrrf keys are computed by ``ordered``,
     which sorts in place: the previous order is nearly sorted already.
+    ``remove`` relies on that order, so a pass under hrrf or qhrrf orders
+    the queue before it removes from it.
     """
 
     def __init__(self, policy: Policy, n_qubits: int, state: SchedulerState):
@@ -206,10 +208,18 @@ class WaitingQueue:
         bisect.insort(self.jobs, job, key=self._key)
 
     def remove(self, ids: set[int]) -> None:
-        """Take the jobs with ``ids`` out, keeping the others' order."""
-        self.jobs = [j for j in self.jobs if j.id not in ids]
+        """Take the jobs with ``ids`` out, keeping the others' order.
+
+        Each is found by bisection on its key. Keys are unique, since they
+        end in (t_sub, id), and ``jobs`` is in key order here: always for
+        keys that do not grow with the time, and for hrrf and qhrrf after
+        ``ordered``, which the engine's pass calls before it removes the
+        jobs it dispatched.
+        """
+        jobs, keys = self.jobs, self.keys
         for jid in ids:
-            del self.keys[jid]
+            del jobs[bisect.bisect_left(jobs, keys[jid], key=self._key)]
+            del keys[jid]
 
     def rekey(self, jobs: Sequence[Job], now: float) -> None:
         """Move queued ``jobs``, whose keys changed, to their new places."""

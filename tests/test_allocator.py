@@ -57,6 +57,34 @@ def draw_connected_graph(data, min_n, max_n):
     return n, sorted(edges)
 
 
+def kept_state(occ):
+    """What an ``Occupancy`` keeps per qubit and in total: owner, near, the
+    open mask as a list, and the owned and buffer counts."""
+    return list(occ.owner), list(occ.near), list(occ.open), occ.owned, occ.buffers
+
+
+def fresh_state(chip, regions):
+    """``kept_state`` recomputed from scratch from ``regions`` (group id ->
+    qubits) by a scan of the chip's edges."""
+    n = chip.n_qubits
+    owner = [-1] * n
+    for gid, qubits in regions.items():
+        for q in qubits:
+            owner[q] = gid
+    near = [0] * n
+    for a, b in chip.graph.edges:
+        near[a] += owner[b] >= 0
+        near[b] += owner[a] >= 0
+    free = [q for q in range(n) if owner[q] < 0]
+    return (owner, near, [int(owner[q] < 0 and near[q] == 0) for q in range(n)],
+            n - len(free), sum(near[q] > 0 for q in free))
+
+
+def open_qubits(occ):
+    """The open qubits, free with no owned neighbour, read from owner and near."""
+    return [q for q in range(len(occ.owner)) if occ.owner[q] < 0 and occ.near[q] == 0]
+
+
 def draw_occupancy(data, chip=None, owner_ids=(0, 1, 2)):
     """A random occupancy by ``owner_ids`` of ``chip``, by default a grid or a
     random connected chip (a random tree plus extra edges).
@@ -87,6 +115,61 @@ def draw_occupancy(data, chip=None, owner_ids=(0, 1, 2)):
             occ.release(g)
             owner = [-1 if o == g else o for o in owner]
     return chip, owner, occ
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def kept_state_matches_a_recount(probe, data):
+    # place, release and rejected place calls in any order, on the small
+    # connected graphs and on stars, whose hub is a buffer of every leaf
+    # group at once; placed regions need not be connected
+    if data.draw(st.booleans(), label="star"):
+        leaves = data.draw(st.integers(2, 12), label="leaves")
+        n, edges = leaves + 1, tuple((0, q) for q in range(1, leaves + 1))
+    else:
+        n, edges = data.draw(st.sampled_from(small_graphs()), label="graph")
+    chip = uniform_chip(n, edges)
+    nbrs = chip.graph.neighbors
+    occ = Occupancy(chip)
+    for gid in range(data.draw(st.integers(1, 12), label="calls")):
+        if occ.regions and data.draw(st.booleans(), label="release"):
+            out = data.draw(st.sampled_from(sorted(occ.regions)), label="released")
+            ring = {w for q in occ.regions[out] for w in nbrs[q]} - set(occ.regions[out])
+            occ.release(out)
+            probe["release"] += 1
+            if any(occ.near[w] for w in ring):
+                probe["a buffer of two groups loses one"] += 1
+        else:
+            kind = data.draw(st.sampled_from(["open", "open", "any", "bad root", "placed id",
+                                              "off the chip"]), label="kind")
+            pool = open_qubits(occ) if kind == "open" else range(n)
+            if not pool:
+                continue
+            qubits = sorted(data.draw(st.sets(st.sampled_from(pool), min_size=1), label="qubits"))
+            root = data.draw(st.sampled_from(qubits), label="root")
+            if kind == "bad root":
+                root = n
+            elif kind == "placed id" and occ.regions:
+                gid = min(occ.regions)
+            elif kind == "off the chip":
+                qubits.append(data.draw(st.sampled_from([-1, n]), label="stray"))
+            before = kept_state(occ), dict(occ.regions), dict(occ.roots), occ.memo
+            try:
+                occ.place(gid, qubits, root)
+            except AllocationError:
+                assert (kept_state(occ), occ.regions, occ.roots, occ.memo) == before
+                probe["rejected"] += 1
+            else:
+                probe["placed"] += 1
+        assert kept_state(occ) == fresh_state(chip, occ.regions)
+
+
+def test_kept_occupancy_state_matches_a_recount_from_its_regions():
+    probe = Counter()
+    kept_state_matches_a_recount(probe)
+    # a probe of the draws: without these cases the property proves less
+    assert min(probe[k] for k in ("placed", "rejected", "release")) >= 100, probe
+    assert probe["a buffer of two groups loses one"] >= 20, probe
 
 
 class TestRegionRatio:
@@ -176,7 +259,9 @@ class TestOccupancy:
         with pytest.raises(AllocationError, match="touches"):
             occ.place(1, [2, 3], root=3)
         occ.place(1, [3, 4], root=4)  # qubit 2 is the buffer between them
-        assert occ.buffer_mask().tolist() == [False, False, True, False, False, True]
+        assert [q for q in range(6) if occ.owner[q] < 0 and not occ.open[q]] == [2, 5]
+        assert occ.buffers == 2 and occ.owned == 4 and not any(occ.open)
+        assert kept_state(occ) == fresh_state(occ.chip, occ.regions)
 
     @pytest.mark.parametrize("qubits, root", [([-1], -1), ([0, 0, 1], 0), ([], 0), ([8, 9], 9)],
                              ids=["negative", "repeated", "empty", "past-the-chip"])
@@ -184,7 +269,7 @@ class TestOccupancy:
         occ = Occupancy(generate_grid(3, 3))
         with pytest.raises(AllocationError, match="not a nonempty set of distinct qubits"):
             occ.place(5, qubits, root=root)
-        assert not occ.regions and (occ.owner == -1).all() and not occ.near.any()
+        assert not occ.regions and kept_state(occ) == kept_state(Occupancy(occ.chip))
 
     def test_place_rejects_a_root_outside_its_region(self):
         # root choice sums the hop rows of occupancy.roots, so a stray root
@@ -192,7 +277,8 @@ class TestOccupancy:
         occ = Occupancy(generate_grid(3, 3))
         with pytest.raises(AllocationError, match="root 8 is not in its region"):
             occ.place(5, [0], root=8)
-        assert not occ.regions and not occ.roots and (occ.owner == -1).all()
+        assert not occ.regions and not occ.roots
+        assert kept_state(occ) == kept_state(Occupancy(occ.chip))
         occ.place(5, [0, 1], root=np.int64(1))
         assert occ.roots == {5: 1}
 
@@ -260,7 +346,7 @@ class TestSelectRoots:
         else:
             chip, _, occ = draw_occupancy(data, owner_ids=(0, 1, 2, 3))
         t_e = data.draw(st.sampled_from([1e-6, 1e-3, 0.1]), label="t_e")
-        eligible = np.flatnonzero((occ.owner < 0) & ~occ.buffer_mask()).tolist()
+        eligible = open_qubits(occ)
         if not eligible:
             return
         g = nx.Graph(chip.graph.edges)
@@ -402,8 +488,9 @@ class TestGrowRegion:
             adj[a].add(b)
             adj[b].add(a)
         buffers = {q for q in range(n) if owner[q] < 0 and any(owner[w] >= 0 for w in adj[q])}
-        assert set(np.flatnonzero(occ.buffer_mask()).tolist()) == buffers
-        assert occ.near.tolist() == [sum(owner[w] >= 0 for w in adj[q]) for q in range(n)]
+        assert {q for q in range(n) if occ.owner[q] < 0 and not occ.open[q]} == buffers
+        assert occ.buffers == len(buffers)
+        assert occ.near == [sum(owner[w] >= 0 for w in adj[q]) for q in range(n)]
 
         eligible = [q for q in range(n) if owner[q] < 0 and q not in buffers]
         if not eligible:
@@ -427,10 +514,10 @@ class TestGrowRegion:
     def test_steps_on_and_off_agree(self, data):
         # recording the steps must not change the outcome
         chip, _, occ = draw_occupancy(data)
-        eligible = np.flatnonzero((occ.owner < 0) & ~occ.buffer_mask())
-        if not eligible.size:
+        eligible = open_qubits(occ)
+        if not eligible:
             return
-        root = data.draw(st.sampled_from(eligible.tolist()))
+        root = data.draw(st.sampled_from(eligible))
         demand = data.draw(st.integers(1, chip.n_qubits))
         on, off = (
             grow_region(chip, occ, root=root, demand=demand, t_e_group=0.001, record_steps=steps)
@@ -461,7 +548,7 @@ class TestAllocate:
         out = allocate(chip, occ, [singleton_group(0, n=16)])
         assert len(out.placed) == 1
         assert out.placed[0].stats.ratio == 1.0
-        assert occ.owned_count() == 16
+        assert occ.owned == 16
 
     def test_zero_groups(self):
         chip = generate_grid(2, 2)
@@ -566,8 +653,7 @@ def reference_growth(chip, occ, root, demand, t_e):
     minimum E_Q, then (except at the last step) the best ratio the next
     frontier offers, then the lowest id.
     """
-    buffer = occ.buffer_mask()
-    open_ = {q for q in range(chip.n_qubits) if occ.owner[q] < 0 and not buffer[q]}
+    open_ = set(open_qubits(occ))
     adj = [set(ws) for ws in chip.graph.neighbors]
     # the library's E_Q values: this oracle checks the order of the rule, not exp
     eq = allocator.qubit_errors(chip, t_e, "t2").tolist()
@@ -655,7 +741,7 @@ def draw_blocks(data, chip, owner_ids=(90, 91, 92)):
 def check_growth_against_reference(data, chip, occ):
     """Draw a root and a demand its open component can hold; the growth,
     with its steps logged or not, must follow ``reference_growth``."""
-    open_ = np.flatnonzero((occ.owner < 0) & ~occ.buffer_mask()).tolist()
+    open_ = open_qubits(occ)
     if not open_:
         return
     root = data.draw(st.sampled_from(open_), label="root")
@@ -963,35 +1049,31 @@ def test_release_forgets_the_stalls_before_it():
     assert (second.placed, second.conflicts) == reference_allocate(chip, ref, groups, False)
 
 
-def fresh_open_mask(occ):
-    return ((occ.owner < 0) & ~occ.buffer_mask()).tolist()
-
-
 def test_place_and_release_replace_the_open_mask():
+    # each place and release leaves the kept mask equal to the fresh mask of
+    # the new state, and the idle state's mask is the fresh one of the chip
     chip = generate_grid(4, 4)
     occ = Occupancy(chip)
-    idle = allocator._open_qubits(occ)
-    assert idle == [True] * 16 and allocator._open_qubits(occ) is idle
+    mask = occ.open
+    idle = list(mask)
+    assert idle == [1] * 16
     occ.place(0, [0, 1], root=0)
-    assert occ.memo.open is None
-    first = allocator._open_qubits(occ)
-    assert first == fresh_open_mask(occ) and first.count(True) == 16 - 5
+    first = list(occ.open)
+    assert first == fresh_state(chip, occ.regions)[2] and first.count(1) == 16 - 5
     occ.place(1, [15], root=15)
-    assert occ.memo.open is None
-    assert allocator._open_qubits(occ) == fresh_open_mask(occ)
+    assert list(occ.open) == fresh_state(chip, occ.regions)[2]
     occ.release(1)
-    assert occ.memo.open is None  # equal to the state after the first place, but a new memo
-    assert allocator._open_qubits(occ) == first
+    assert list(occ.open) == first  # the state after the first place again
     occ.release(0)
-    assert occ.memo.open is idle == [True] * 16  # the idle memo keeps its mask
+    assert occ.open is mask and list(mask) == idle  # one mask, kept in place
 
 
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_growths_share_the_open_mask_and_never_change_it(data):
     # passes and releases in any order on one occupancy: every growth reads
-    # the mask of the state it runs on, and leaves it as it was; the idle
-    # memo's mask is always the fresh mask of the empty chip
+    # the kept mask of the state it runs on, and leaves it as it was; the
+    # idle state's mask is always the fresh mask of the empty chip
     n, edges = data.draw(st.sampled_from(small_graphs()), label="graph")
     chip = uniform_chip(n, edges)
     occ = Occupancy(chip)
@@ -1000,12 +1082,12 @@ def test_growths_share_the_open_mask_and_never_change_it(data):
     grown = []
 
     def checking_grow(chip, occupancy, *args, **kwargs):
-        mask = allocator._open_qubits(occupancy)
-        assert mask == fresh_open_mask(occupancy)
+        mask = occupancy.open
         before = list(mask)
+        assert before == fresh_state(chip, occupancy.regions)[2]
         result = real_grow(chip, occupancy, *args, **kwargs)
-        assert occupancy.memo.open is mask and mask == before
-        grown.append(mask)
+        assert occupancy.open is mask and list(mask) == before
+        grown.append(before)
         return result
 
     with mock.patch.object(allocator, "grow_region", checking_grow):
@@ -1016,8 +1098,8 @@ def test_growths_share_the_open_mask_and_never_change_it(data):
                     occ.release(gid)
             allocate(chip, occ, draw_groups(data, n, first_gid=10 * call))
             assert (occ.memo is idle) == (not occ.regions)
-            if idle.open is not None:
-                assert idle.open == [True] * n
+            if not occ.regions:
+                assert list(occ.open) == [1] * n
     assert grown
 
 

@@ -380,3 +380,73 @@ class TestKeptOrder:
             trace, _ = run(cfg)
         assert any(e["kind"] == "preempt" for e in trace.events)
         assert rekey.called and max(seen) > 1
+
+
+def fresh_sort(queue, now):
+    """The queued jobs sorted by ``priority_key`` computed afresh at ``now``."""
+    return sorted(queue.jobs, key=lambda j: priority_key(
+        queue.policy, j, now, queue.n_qubits, queue.state))
+
+
+def run_queue_upkeep(data, name):
+    """Drive one ``WaitingQueue`` through a drawn interleaving of ``push``,
+    ``ordered``, ``remove`` and ``rekey``, as the engine does: dispatched
+    jobs leave after an ordering, preempted ones come back with fewer
+    shots, more run time, a new ring position and a lower MFQ level, and
+    re-keyed jobs change state first. After every step the queue must hold
+    exactly the queued jobs, and wherever its order is kept (always, and
+    for hrrf and qhrrf after an ordering) equal a fresh sort, with one key
+    per queued job."""
+    policy = Policy(name)
+    state = SchedulerState()
+    queue = WaitingQueue(policy, 8, state)
+    queued, gone = {}, []  # id -> job in the queue; jobs taken out, which may come back
+    now = 0.0
+    for _ in range(data.draw(st.integers(1, 40), label="steps")):
+        step = data.draw(st.sampled_from(["push", "push", "ordered", "remove", "rekey"]),
+                         label="step")
+        if step == "ordered" or (queue.timed and step in ("remove", "rekey")):
+            now += data.draw(st.sampled_from([0.0, 0.5, 2.0]), label="dt")
+            assert queue.ordered(now) == fresh_sort(queue, now)
+        if step == "push":
+            if gone and data.draw(st.booleans(), label="requeue"):
+                job = gone.pop(data.draw(st.integers(0, len(gone) - 1), label="which"))
+                st_ = state.jobs[job.id]
+                st_.remaining_shots = data.draw(st.integers(1, st_.remaining_shots))
+                st_.run_time += data.draw(st.sampled_from([0.0, 0.25, 1.0]), label="ran")
+                st_.rr_seq = state.next_rr_seq()
+                st_.mfq_level += data.draw(st.integers(0, 1), label="demoted")
+            else:
+                job = Job(id=len(state.jobs), n=data.draw(st.integers(1, 8), label="n"),
+                          shots=data.draw(st.sampled_from([1, 10, 40]), label="shots"),
+                          t_sub=data.draw(st.sampled_from([0.0, now]), label="t_sub"),
+                          t_e_shot=data.draw(st.sampled_from([1e-3, 4e-3]), label="t_e"))
+                state.add(job)
+            queued[job.id] = job
+            queue.push(job, now)
+        elif step in ("remove", "rekey") and queued:
+            ids = data.draw(st.sets(st.sampled_from(sorted(queued)), min_size=1), label="ids")
+            if step == "remove":
+                queue.remove(ids)
+                gone += [queued.pop(jid) for jid in sorted(ids)]
+            else:
+                for jid in sorted(ids):
+                    st_ = state.jobs[jid]
+                    st_.mfq_level = data.draw(st.integers(0, 2), label="level")
+                    st_.remaining_shots = data.draw(st.integers(1, st_.remaining_shots))
+                    st_.rr_seq = state.next_rr_seq()
+                queue.rekey([queued[jid] for jid in sorted(ids)], now)
+        assert sorted(j.id for j in queue.jobs) == sorted(queued)
+        if not queue.timed or step in ("ordered", "remove"):
+            assert queue.jobs == fresh_sort(queue, now)
+            assert queue.keys == {jid: priority_key(policy, job, now, 8, state)
+                                  for jid, job in queued.items()}
+
+
+class TestQueueUpkeep:
+    @pytest.mark.parametrize("name", ["fcfs", "sjf", "qsjf", "srtf", "rr", "mfq", "hrrf",
+                                      "qhrrf"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_any_interleaving_keeps_a_fresh_sort(self, name, data):
+        run_queue_upkeep(data, name)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from qpusched import allocator
 from qpusched.engine import SimConfig, Trace, TraceFormatError, run
+from qpusched.metrics import compute_report
 from qpusched.scheduler import POLICY_NAMES, Policy
 from qpusched.workload import Job, Workload
 
@@ -173,13 +174,65 @@ def test_reader_rejects_malformed_text_with_its_own_error(damage):
         Trace.from_jsonl("\n".join(damage(example_text().splitlines())) + "\n")
 
 
+# (a line of the example, the key to damage, the value it gets)
+WRONG_VALUES = [
+    ('"kind": "dispatch"', "time", "soon"),  # read back as a string start; scoring raised TypeError
+    ('"kind": "dispatch"', "time", True),
+    ('"kind": "arrival"', "time", None),
+    ('"kind": "dispatch"', "t_e_group", 0.0),
+    ('"kind": "dispatch"', "group", 0.0),
+    ('"kind": "dispatch"', "region", [0, "1"]),
+    ('"kind": "dispatch"', "region", []),
+    ('"kind": "dispatch"', "region", [0, 4]),  # the chip has qubits 0..3
+    ('"kind": "dispatch"', "root", 7),
+    ('"kind": "dispatch"', "r_i", 99),
+    ('"kind": "dispatch"', "members", []),  # jobs 0 and 1 complete without a dispatch
+    ('"kind": "arrival"', "kind", "teleport"),
+    ('"kind": "group_complete"', "shots_done", 1.5),
+    ('"kind": "requeue"', "placed", 1),
+    ('"type": "job"', "shots", 3.0),
+    ('"type": "job"', "t_comp", "later"),
+    ('"type": "job"', "t_sub", False),
+    ('"type": "meta"', "n_qubits", "4"),
+]
+
+
+@pytest.mark.parametrize("marker, key, value", WRONG_VALUES,
+                         ids=[f"{m.split()[-1][1:-1]}.{k}={v!r}" for m, k, v in WRONG_VALUES])
+def test_reader_rejects_a_value_that_breaks_its_rule(marker, key, value):
+    lines = example_text().splitlines()
+    if marker == '"kind": "requeue"':  # the example has no conflict: give it a record
+        lines.insert(2, json.dumps({"type": "event", "time": 0.0, "kind": "requeue",
+                                    "group": 9, "requeued": [2], "placed": False}))
+    i = next(i for i, line in enumerate(lines) if marker in line)
+    Trace.from_jsonl("\n".join(lines) + "\n")  # the undamaged text reads
+    doc = json.loads(lines[i])
+    doc[key] = value
+    lines[i] = json.dumps(doc)
+    with pytest.raises(TraceFormatError):
+        Trace.from_jsonl("\n".join(lines) + "\n")
+
+
+def test_reader_rejects_a_group_dispatched_twice():
+    lines = example_text().splitlines()
+    starts = [i for i, line in enumerate(lines) if '"kind": "dispatch"' in line]
+    ends = [i for i, line in enumerate(lines) if '"kind": "group_complete"' in line]
+    for i in (starts[1], ends[1]):
+        doc = json.loads(lines[i])
+        doc["group"] = 0
+        lines[i] = json.dumps(doc)
+    with pytest.raises(TraceFormatError, match="dispatched twice"):
+        Trace.from_jsonl("\n".join(lines) + "\n")
+
+
 JSON_VALUES = st.sampled_from([None, True, -1, 2.5, "x", [], [1, 2], {}, {"type": "event"}])
 
 
 @given(data=st.data())
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 def damaged_reading(probe: Counter, data):
-    lines = run(data.draw(simulations()))[0].to_jsonl().splitlines()
+    config = data.draw(simulations())
+    lines = run(config)[0].to_jsonl().splitlines()
     damage = data.draw(st.sampled_from(["truncate", "drop line", "drop key", "retype key",
                                         "retype line"]), label="damage")
     i = data.draw(st.integers(0, len(lines) - 1), label="line")
@@ -199,15 +252,17 @@ def damaged_reading(probe: Counter, data):
             doc[key] = data.draw(JSON_VALUES)
         lines[i] = json.dumps(doc)
     try:
-        Trace.from_jsonl("\n".join(lines) + "\n")
+        back = Trace.from_jsonl("\n".join(lines) + "\n")
     except TraceFormatError:
         probe["rejected"] += 1
-    else:
-        probe["read"] += 1
+        return
+    probe["read"] += 1
+    compute_report(back, config.chip)  # what reads back has the types scoring needs
 
 
 def test_damaged_text_reads_as_a_trace_or_raises_trace_format_error():
-    # any other exception fails the property; the probe shows both outcomes
+    # any other exception, from the reader or from scoring what it read,
+    # fails the property; the probe shows both outcomes
     probe = Counter()
     damaged_reading(probe)
     assert probe["rejected"] >= 50 and probe["read"] >= 5, probe
