@@ -32,13 +32,15 @@ spans that ``run`` scores: it feeds its ``Occupancy`` to a
 leaves an instant, the one sampling rule that the trace replay of
 ``metrics.occupancy_timeline`` uses too.
 
-The trace writes each fact once. A pass logs one ``requeue`` event per
-group that stalled, the conflict record of ``allocator.allocate``: the
-group, the members it shed in order, and whether the rest of it was
-placed; each shed member's ``requeues`` count rises by one. A job's
-dispatch history is kept in memory (``JobRecord.dispatches``) but not
-written: ``Trace.from_jsonl`` rebuilds it from the ``dispatch``,
-``preempt`` and ``group_complete`` events.
+The trace is its events, and each fact is written once. The engine logs
+through ``Trace.arrive``, ``dispatch``, ``end`` and ``requeue``, which
+fold each event into the in-memory records (``JobRecord`` with its
+counters and ``DispatchRecord``s, ``GroupInterval``, ``AllocationRecord``);
+``Trace.from_jsonl`` calls the same methods on the events it reads, so
+the records of a run and of its file are built by the same code. A pass
+logs one ``requeue`` event per group that stalled, the conflict record of
+``allocator.allocate``: the group, the members it shed in order, and
+whether the rest of it was placed.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ def _is_flag(v) -> bool:
 _END_FIELDS = {"time": _is_time, "group": _is_int, "shots_done": _is_int,
                "completed": _is_ints, "requeued": _is_ints}
 _EVENT_FIELDS = {  # event kind -> its fields and their rules
-    "arrival": {"time": _is_time, "job": _is_int, "n": _is_int, "shots": _is_int},
+    "arrival": {"time": _is_time, "job": _is_int, "n": _is_int, "shots": _is_int,
+                "t_e_shot": _is_duration},
     "dispatch": {"time": _is_time, "group": _is_int, "members": _is_ints, "root": _is_int,
                  "region": _is_ints, "r_i": _is_int, "r_a": _is_int, "shots": _is_int,
                  "t_e_group": _is_duration},
@@ -117,9 +120,6 @@ _EVENT_FIELDS = {  # event kind -> its fields and their rules
 _GROWTH_FIELDS = {"group": _is_int, "root": _is_int}
 _STEP_FIELDS = {"chosen": _is_int, "r_i": _is_int, "r_a": _is_int, "frontier": _is_ints,
                 "frontier_r_i": _is_ints, "frontier_r_a": _is_ints}
-_JOB_FIELDS = {"id": _is_int, "n": _is_int, "shots": _is_int, "t_sub": _is_time,
-               "t_e_shot": _is_duration, "t_comp": lambda v: v is None or _is_time(v),
-               "preemptions": _is_int, "requeues": _is_int, "executed_shots": _is_int}
 
 
 def _checked(doc: dict, fields: dict, what: str) -> dict:
@@ -204,7 +204,14 @@ class AllocationRecord:
 
 
 class Trace:
-    """Ordered event log plus per-job and per-allocation records."""
+    """Ordered event log, and the per-job and per-dispatch records folded from it.
+
+    The events are the trace. ``arrive``, ``dispatch``, ``end`` and
+    ``requeue`` each log one event and fold it into the records: each
+    job's ``JobRecord`` with its counters and ``DispatchRecord``s, and each
+    dispatch's ``GroupInterval`` and ``AllocationRecord``. The engine calls
+    them as it runs and ``from_jsonl`` as it reads a file.
+    """
 
     def __init__(self, meta: dict):
         self.meta = meta
@@ -212,18 +219,75 @@ class Trace:
         self.jobs: dict[int, JobRecord] = {}
         self.allocations: list[AllocationRecord] = []
         self.intervals: list[GroupInterval] = []
+        # group -> (its shots, its interval, (record, dispatch record) per member)
+        self._running: dict[int, tuple[int, GroupInterval, list]] = {}
 
-    def log(self, time: float, kind: str, **payload) -> None:
-        self.events.append({"time": time, "kind": kind, **payload})
+    def arrive(self, job: Job) -> None:
+        """Log ``job``'s arrival at its submission time and open its record."""
+        self.events.append({"time": job.t_sub, "kind": "arrival", "job": job.id, "n": job.n,
+                            "shots": job.shots, "t_e_shot": job.t_e_shot})
+        self.jobs[job.id] = JobRecord(job)
+
+    def dispatch(self, time: float, group: int, members: list[int], root: int, region,
+                 r_i: int, r_a: int, shots: int, t_e_group: float, steps=None) -> None:
+        """Log the dispatch of ``group`` and open its interval, its allocation
+        (with its growth ``steps``, None unless they were recorded) and a
+        dispatch record for each member."""
+        self.events.append({"time": time, "kind": "dispatch", "group": group, "members": members,
+                            "root": root, "region": list(region), "r_i": r_i, "r_a": r_a,
+                            "shots": shots, "t_e_group": t_e_group})
+        region = tuple(region)
+        interval = GroupInterval(group, time, region)
+        self.intervals.append(interval)
+        self.allocations.append(AllocationRecord(
+            time, group, root, region, r_i, r_a, t_e_group, tuple(members), steps))
+        records = []
+        for jid in members:
+            rec = self.jobs[jid]
+            d = DispatchRecord(time, group, region, t_e_group)
+            rec.dispatches.append(d)
+            records.append((rec, d))
+        self._running[group] = shots, interval, records
+
+    def end(self, time: float, group: int, shots_done: int) -> None:
+        """Log the end of ``group``'s dispatch after ``shots_done`` shots: a
+        ``group_complete`` if it ran all of its shots, else a ``preempt``.
+        Each member executed ``min(shots_done, its shots left)``; it
+        completes if none are left, else it is preempted and requeued."""
+        shots, interval, records = self._running.pop(group)
+        interval.end = time
+        completed: list[int] = []
+        requeued: list[int] = []
+        for rec, d in records:
+            d.end = time
+            d.shots_executed = min(shots_done, rec.job.shots - rec.executed_shots)
+            rec.executed_shots += d.shots_executed
+            if rec.executed_shots == rec.job.shots:
+                rec.t_comp = time
+                completed.append(rec.job.id)
+            else:
+                rec.preemptions += 1
+                requeued.append(rec.job.id)
+        self.events.append({"time": time, "kind": "group_complete" if shots_done == shots
+                            else "preempt", "group": group, "shots_done": shots_done,
+                            "completed": completed, "requeued": requeued})
+
+    def requeue(self, time: float, group: int, requeued: list[int], placed: bool) -> None:
+        """Log that stalled ``group`` shed ``requeued`` in a pass, and whether
+        the rest of it was ``placed``; each shed job's count rises by one."""
+        self.events.append({"time": time, "kind": "requeue", "group": group,
+                            "requeued": requeued, "placed": placed})
+        for jid in requeued:
+            self.jobs[jid].requeues += 1
 
     def completed_jobs(self) -> list[JobRecord]:
         return [rec for rec in self.jobs.values() if rec.t_comp is not None]
 
     def to_jsonl(self) -> str:
-        """Serialize the trace as JSON lines: meta, events, growth steps of
-        the allocations that recorded them, then job summaries without
-        their dispatch history, which the events hold. A non-finite number
-        raises ``ValueError``."""
+        """Serialize the trace as JSON lines: meta, events, then the growth
+        steps of the allocations that recorded them. The job records are
+        not written, since they follow from the events. A non-finite
+        number raises ``ValueError``."""
         events = ({"type": "event", **ev} for ev in self.events)
         growth = (
             {
@@ -235,22 +299,7 @@ class Trace:
             for rec in self.allocations
             if rec.steps is not None
         )
-        jobs = (
-            {
-                "type": "job",
-                "id": jid,
-                "n": rec.job.n,
-                "shots": rec.job.shots,
-                "t_sub": rec.job.t_sub,
-                "t_e_shot": rec.job.t_e_shot,
-                "t_comp": rec.t_comp,
-                "preemptions": rec.preemptions,
-                "requeues": rec.requeues,
-                "executed_shots": rec.executed_shots,
-            }
-            for jid, rec in sorted(self.jobs.items())
-        )
-        docs = itertools.chain([{"type": "meta", **self.meta}], events, growth, jobs)
+        docs = itertools.chain([{"type": "meta", **self.meta}], events, growth)
         encode = json.JSONEncoder(allow_nan=False).encode
         return "\n".join(map(encode, docs)) + "\n"
 
@@ -258,29 +307,32 @@ class Trace:
     def from_jsonl(cls, text: str) -> "Trace":
         """The trace that ``to_jsonl`` wrote as ``text``; its exact inverse.
 
-        The meta line, the events and the job summaries are read as
-        written. The dispatch records, ``intervals`` and ``allocations``
-        are rebuilt from the events: a ``dispatch`` event opens an interval
-        and a record for each member, with the group's region and per-shot
-        time, and the ``preempt`` or ``group_complete`` event of that group
-        closes them at its time; a member executed ``min(shots_done,
-        remaining)`` shots, ``remaining`` being its shots left at the
-        dispatch. An allocation's steps come from its group's ``growth``
-        line, and are None without one. Raises ``TraceFormatError``, and no
-        other error, for text that is not such a trace: a line that is not
-        JSON, a ``NaN``, ``Infinity`` or ``-Infinity`` token, a first line
-        that is not the meta line, a line that is not an object, a line of
-        unknown type or an event of unknown kind, a missing field or one
-        whose value breaks its rule (``_EVENT_FIELDS``, ``_JOB_FIELDS``), an
-        event of a job without its ``job`` line, a group dispatched twice, a
-        dispatch whose region is not a nonempty set of the chip's qubits
-        (``n_qubits`` in the meta line) holding its root, or whose edge
-        counts break ``0 <= r_i <= r_a``, an end of a group that is not
-        running, a dispatch that never ends, or a completed job that was
-        never dispatched. What it reads then has the types
-        ``compute_report`` scores, which may still refuse regions that
-        overlap or touch (``AllocationError``) or a trace without a span of
-        time (``EmptyTraceError``).
+        The meta line is read as written, and each event is folded into
+        the records by the method that logged it, so the jobs with their
+        counters and dispatch records, the intervals and the allocations
+        are those of the run. An allocation's steps come from its group's
+        ``growth`` line, and are None without one. Raises
+        ``TraceFormatError``, and no other error, for text that is not such
+        a trace: a line that is not JSON, a ``NaN``, ``Infinity`` or
+        ``-Infinity`` token, a first line that is not the meta line, a line
+        that is not an object, a line of unknown type (a ``job`` line of
+        the older format too) or an event of unknown kind, a missing field
+        or one whose value breaks its rule (``_EVENT_FIELDS``), a job that
+        arrives twice, a trace whose arrivals are not the meta line's
+        ``n_jobs``, a dispatch or ``requeue`` that names a job before its
+        arrival, while it runs or after it completed, a group dispatched
+        twice, a dispatch whose region is not a nonempty set of
+        the chip's qubits (``n_qubits`` in the meta line) holding its root,
+        or whose edge counts break ``0 <= r_i <= r_a``, an end of a group
+        that is not running or that ran no shot or more than its dispatch's
+        ``shots``, an event that is not the one the fold logs for it (an
+        extra field; a ``preempt`` that ran all of its dispatch's shots or
+        a ``group_complete`` that did not; ``completed`` and ``requeued``
+        other than the members left without shots and with some, in member
+        order), or a dispatch that never ends. What it reads then has the
+        types ``compute_report`` scores, which may still refuse regions
+        that overlap or touch (``AllocationError``) or a trace without a
+        span of time (``EmptyTraceError``).
         """
         try:
             return cls._read(text)
@@ -297,9 +349,12 @@ class Trace:
         if not docs or docs[0].pop("type", None) != "meta":
             raise TraceFormatError("a trace starts with its meta line")
         trace = cls(docs[0])
+        for name in ("n_qubits", "n_jobs"):
+            if not _is_int(trace.meta[name]):
+                raise TraceFormatError(f"meta field {name!r} has the wrong value "
+                                       f"{trace.meta[name]!r}")
         n_qubits = trace.meta["n_qubits"]
-        if not _is_int(n_qubits):
-            raise TraceFormatError(f"meta field 'n_qubits' has the wrong value {n_qubits!r}")
+        events: list[dict] = []
         steps: dict[int, list[GrowthStep]] = {}
         for doc in docs[1:]:
             kind = doc.pop("type", None)
@@ -307,27 +362,33 @@ class Trace:
                 fields = _EVENT_FIELDS.get(doc["kind"])
                 if fields is None:
                     raise TraceFormatError(f"unknown event kind {doc['kind']!r}")
-                trace.events.append(_checked(doc, fields, doc["kind"]))
+                events.append(_checked(doc, fields, doc["kind"]))
             elif kind == "growth":
                 steps[_checked(doc, _GROWTH_FIELDS, kind)["group"]] = [
                     GrowthStep(**{k: tuple(v) if isinstance(v, list) else v
                                   for k, v in _checked(s, _STEP_FIELDS, "step").items()})
                     for s in doc["steps"]
                 ]
-            elif kind == "job":
-                _checked(doc, _JOB_FIELDS, kind)
-                job = Job(doc["id"], doc["n"], doc["shots"], doc["t_sub"], doc["t_e_shot"])
-                trace.jobs[job.id] = JobRecord(
-                    job, doc["t_comp"], doc["preemptions"], doc["requeues"], doc["executed_shots"])
             else:
                 raise TraceFormatError(f"unknown trace line type {kind!r}")
-        left = {jid: rec.job.shots for jid, rec in trace.jobs.items()}  # shots not yet executed
-        running: dict[int, tuple[GroupInterval, list[tuple[int, DispatchRecord]]]] = {}
         dispatched: set[int] = set()  # group ids are unique per dispatch
-        for ev in trace.events:
+
+        def waiting(jids: list[int]) -> None:
+            for jid in jids:
+                rec = trace.jobs.get(jid)
+                if rec is None or rec.executed_shots == rec.job.shots or (
+                        rec.dispatches and rec.dispatches[-1].end is None):
+                    raise TraceFormatError(f"a {kind} names job {jid}, which is not waiting: "
+                                           f"it has not arrived, is running or is done")
+
+        for ev in events:
             kind, time = ev["kind"], ev["time"]
-            if kind == "dispatch":
-                gid, region, t_e = ev["group"], tuple(ev["region"]), ev["t_e_group"]
+            if kind == "arrival":
+                if ev["job"] in trace.jobs:
+                    raise TraceFormatError(f"job {ev['job']} arrives twice")
+                trace.arrive(Job(ev["job"], ev["n"], ev["shots"], time, ev["t_e_shot"]))
+            elif kind == "dispatch":
+                gid, region = ev["group"], ev["region"]
                 if gid in dispatched:
                     raise TraceFormatError(f"group {gid} is dispatched twice")
                 dispatched.add(gid)
@@ -337,29 +398,29 @@ class Trace:
                     raise TraceFormatError(
                         f"the dispatch of group {gid} has a region, root or edge counts "
                         f"that are not those of a region of the {n_qubits}-qubit chip")
-                interval = GroupInterval(gid, time, region)
-                trace.intervals.append(interval)
-                trace.allocations.append(AllocationRecord(
-                    time, gid, ev["root"], region, ev["r_i"], ev["r_a"], t_e,
-                    tuple(ev["members"]), steps.get(gid)))
-                records = [(jid, DispatchRecord(time, gid, region, t_e)) for jid in ev["members"]]
-                for jid, d in records:
-                    trace.jobs[jid].dispatches.append(d)
-                running[gid] = interval, records
-            elif kind in ("preempt", "group_complete"):
-                if ev["group"] not in running:
-                    raise TraceFormatError(f"{kind} of group {ev['group']}, which is not running")
-                interval, records = running.pop(ev["group"])
-                interval.end = time
-                for jid, d in records:
-                    d.end = time
-                    d.shots_executed = min(ev["shots_done"], left[jid])
-                    left[jid] -= d.shots_executed
-        if running:
-            raise TraceFormatError(f"the dispatch of group {min(running)} never ends")
-        for jid, rec in trace.jobs.items():
-            if rec.t_comp is not None and not rec.dispatches:
-                raise TraceFormatError(f"job {jid} completes without a dispatch")
+                waiting(ev["members"])
+                trace.dispatch(time, gid, ev["members"], ev["root"], region, ev["r_i"],
+                               ev["r_a"], ev["shots"], ev["t_e_group"], steps.get(gid))
+            elif kind == "requeue":
+                waiting(ev["requeued"])
+                trace.requeue(time, ev["group"], ev["requeued"], ev["placed"])
+            else:
+                gid = ev["group"]
+                if gid not in trace._running:
+                    raise TraceFormatError(f"{kind} of group {gid}, which is not running")
+                if not 1 <= ev["shots_done"] <= trace._running[gid][0]:
+                    raise TraceFormatError(
+                        f"{kind} of group {gid} after {ev['shots_done']} shots, not 1 to "
+                        f"the {trace._running[gid][0]} of its dispatch")
+                trace.end(time, gid, ev["shots_done"])
+            if trace.events[-1] != ev:
+                raise TraceFormatError(
+                    f"the event {ev} is not what the events before it give: {trace.events[-1]}")
+        if trace._running:
+            raise TraceFormatError(f"the dispatch of group {min(trace._running)} never ends")
+        if len(trace.jobs) != trace.meta["n_jobs"]:
+            raise TraceFormatError(
+                f"{len(trace.jobs)} jobs arrive in a trace of {trace.meta['n_jobs']}")
         return trace
 
 
@@ -369,7 +430,6 @@ class _RunningGroup:
 
     group: Group
     start: float
-    interval: GroupInterval
     preempt_pending: bool = False  # an SRTF boundary event is scheduled
 
     def boundary(self, k: int) -> float:
@@ -456,9 +516,8 @@ class _Simulation:
     def _on_arrivals(self, now: float, jobs: list[Job]) -> None:
         for job in jobs:
             self.state.add(job)
-            self.trace.jobs[job.id] = JobRecord(job=job)
+            self.trace.arrive(job)
             self.queue.push(job, now)
-            self.trace.log(now, "arrival", job=job.id, n=job.n, shots=job.shots)
         self._pass(now)
 
     def _on_boundary(self, now: float, gid: int, shot: int) -> None:
@@ -503,67 +562,26 @@ class _Simulation:
         """End a dispatch: completed, or preempted after shot ``preempt_at``."""
         rg = self.running.pop(gid)
         self.occupancy.release(gid)
-        rg.interval.end = now
         done_shots = rg.group.shots_group if preempt_at is None else preempt_at
-        requeued: list[int] = []
-        completed: list[int] = []
         for member, entry in zip(rg.group.members, rg.group.member_shots):
-            executed = min(done_shots, entry)
             st = self.state.jobs[member.id]
-            st.remaining_shots = entry - executed
+            st.remaining_shots = entry - min(done_shots, entry)
             st.run_time += now - rg.start
-            rec = self.trace.jobs[member.id]
-            rec.executed_shots += executed
-            d = rec.dispatches[-1]
-            d.end = now
-            d.shots_executed = executed
-            if st.remaining_shots == 0:
-                rec.t_comp = now
-                completed.append(member.id)
-            else:
-                rec.preemptions += 1
+            if st.remaining_shots:
                 st.rr_seq = self.state.next_rr_seq()
                 self.queue.push(member, now)
-                requeued.append(member.id)
-        kind = "group_complete" if preempt_at is None else "preempt"
-        self.trace.log(
-            now, kind, group=gid, shots_done=done_shots,
-            completed=completed, requeued=requeued,
-        )
+        self.trace.end(now, gid, done_shots)
 
     def _start_group(self, placement: Placement, now: float) -> None:
         group = placement.group
-        region = placement.region
-        interval = GroupInterval(group_id=group.id, start=now, region=region)
-        self.trace.intervals.append(interval)
-        rg = _RunningGroup(group=group, start=now, interval=interval)
+        rg = _RunningGroup(group=group, start=now)
         self.running[group.id] = rg
         self._push(rg.boundary(group.shots_group), COMPLETE, group.id)
         self._start_quantum(rg, 0)
-        for job in group.members:
-            self.trace.jobs[job.id].dispatches.append(
-                DispatchRecord(
-                    start=now, group_id=group.id, region=region, t_e_group=group.t_e_group
-                )
-            )
-        self.trace.allocations.append(
-            AllocationRecord(
-                time=now,
-                group_id=group.id,
-                root=placement.root,
-                region=region,
-                r_i=placement.stats.r_i,
-                r_a=placement.stats.r_a,
-                t_e_group=group.t_e_group,
-                member_ids=tuple(j.id for j in group.members),
-                steps=placement.steps if self.config.record_growth_steps else None,
-            )
-        )
-        self.trace.log(
-            now, "dispatch", group=group.id, members=[j.id for j in group.members],
-            root=placement.root, region=list(region),
-            r_i=placement.stats.r_i, r_a=placement.stats.r_a,
-            shots=group.shots_group, t_e_group=group.t_e_group,
+        self.trace.dispatch(
+            now, group.id, [j.id for j in group.members], placement.root, placement.region,
+            placement.stats.r_i, placement.stats.r_a, group.shots_group, group.t_e_group,
+            placement.steps if self.config.record_growth_steps else None,
         )
 
     # -- the scheduling pass --------------------------------------------------
@@ -623,9 +641,7 @@ class _Simulation:
                     self._start_group(p, now)
                     placed_ids.update(j.id for j in p.group.members)
                 for conflict in outcome.conflicts:  # one per stalled group
-                    for jid in conflict["requeued"]:
-                        self.trace.jobs[jid].requeues += 1
-                    self.trace.log(now, "requeue", **conflict)
+                    self.trace.requeue(now, **conflict)
                 if placed_ids:
                     self.queue.remove(placed_ids)
         if self.policy.name == "srtf" and self.queue and self.running:

@@ -21,7 +21,7 @@ NEW_META_KEYS = ("t_q_mode", "backfill", "by_total_time")
 def legacy_events(events):
     for ev in events:
         if ev["kind"] != "requeue":
-            yield {"type": "event", **ev}
+            yield {"type": "event", **{k: v for k, v in ev.items() if k != "t_e_shot"}}
             continue
         gid, shed = ev["group"], ev["requeued"]
         for i, jid in enumerate(shed):

@@ -12,7 +12,6 @@ import pytest
 from qpusched import engine
 from qpusched.chip import ChipError, generate_grid
 from qpusched.engine import (
-    GroupInterval,
     MergeConfig,
     SimConfig,
     SimulationError,
@@ -283,7 +282,7 @@ class TestExclusiveMode:
 class TestRemainingDemand:
     def _rg(self, shots=200, t_e=0.011):
         g = Group.build(0, [make_job(0, shots=shots, t_e=t_e)])
-        return _RunningGroup(group=g, start=0.0, interval=GroupInterval(0, 0.0, ()))
+        return _RunningGroup(group=g, start=0.0)
 
     def test_fresh_group(self):
         rg = self._rg()
@@ -306,7 +305,7 @@ class TestShotClock:
 
     def _rg(self):
         g = Group.build(0, [make_job(0, shots=self.SHOTS, t_e=self.T_E)])
-        return _RunningGroup(group=g, start=self.START, interval=GroupInterval(0, self.START, ()))
+        return _RunningGroup(group=g, start=self.START)
 
     def _pushed_shot(self, sim, now):
         """The shot of the SRTF boundary ``_schedule_preempt`` pushes, or None."""

@@ -158,86 +158,86 @@ GOLDEN_STEPS_OFF = {
 
 
 GOLDEN_JSONL = {  # (chip, policy, mode, growth steps recorded) -> sha256 of to_jsonl()
-    ("grid8", "fcfs", "merge", True): "638b3e368005fd4ab65f339f728bc72141effd380676584bd52722327e797bef",
-    ("grid8", "sjf", "merge", True): "74caa4ff1978e9e22f2e3c34625dc4a5ae6ae9c93a1b803502f0fe926f46c6d0",
-    ("grid8", "qsjf", "merge", True): "6bac4f716158fd190cd039d834da9df4962e623a894a4f5c692e98ad02b8d8a6",
-    ("grid8", "srtf", "merge", True): "6650702b165cf969c2a9ba2f76be2abcd3c3bf6bec6a2c9dbd560b6b98fbd32c",
-    ("grid8", "rr", "merge", True): "de44558071f50d229061a36aed8c851f2bb8c5fe7a1f24647d712bb46b5337c8",
-    ("grid8", "mfq", "merge", True): "09c3a8bc6ad300dfd6816164a38ee122ed19360058fe6f787dbb7080eae05445",
-    ("grid8", "hrrf", "merge", True): "ea3e732b707aad68316872e1ed8b0077ae5d62da6bb4850acb8e65b098c8c9d7",
-    ("grid8", "qhrrf", "merge", True): "4b2b12bf828d79a491d018deb251d220c9a14c099093a41df2b461567f5daaae",
-    ("grid8", "fcfs", "nomerge", True): "4e372aae332eff24b8f0ab6cddf0359853dff8b66dc4640701e52b465ef705e6",
-    ("grid8", "sjf", "nomerge", True): "cbec0345d49b06de9139806f86a30d8421a0daca0c3cc374aa248d94fcd3d24b",
-    ("grid8", "qsjf", "nomerge", True): "bf2ec63e6b1059f7217a9be4b361f5270e5b9ab209cf27f7d7ac9b4205511f2f",
-    ("grid8", "srtf", "nomerge", True): "6f213bc7795f8f27ceac927a7fa1fa40f52c2dfb6ad061358a12aee622e5cd06",
-    ("grid8", "rr", "nomerge", True): "44aadf4bbabb6a1ceb4a40060270142c08f6112572f357d2498e43e945eeed9c",
-    ("grid8", "mfq", "nomerge", True): "b67d0ffc93ec5fca3a122742c1e12ca31da97d1835c478bd856d7d7c0da4478a",
-    ("grid8", "hrrf", "nomerge", True): "03ab55c4e434b6e895112b2899d871cb64f70ce98cb6264fc3d73a82a894e3db",
-    ("grid8", "qhrrf", "nomerge", True): "e668492cd2f834573027d79b20b2a5218b8f691e9576c9c8a0fdc6d6a8c23bff",
-    ("grid8", "fcfs", "backfill", True): "01114ec0cb16371c19c9375b29921afb5b2180c79ad5c403c00e92d5ad1c9dbf",
-    ("grid8", "sjf", "backfill", True): "4bd22aad92d7ceb7db8b03db7cef21235920a6b77ab66af60ea3b566cee5e224",
-    ("grid8", "qsjf", "backfill", True): "70153ef6a101b8c7169f89c9a787e50f205675ad8befb1e0d1cca14797b8edca",
-    ("grid8", "srtf", "backfill", True): "09d905047c9e8e9aec13d97fc044a5a93a66f894fb0a43a4030c687250e1e70f",
-    ("grid8", "rr", "backfill", True): "0030d32ca22ccd0db9f86f6b296c70ceb27830afca1a841ed1e03a89907a9e1e",
-    ("grid8", "mfq", "backfill", True): "994d7710c3a308ea85a7fb15e20c5e0f4cc23556e7fefdccc83941bf71fcec43",
-    ("grid8", "hrrf", "backfill", True): "3d6df1f9c5cbed1cf06c6014852bd1bbe07ed98b1dcff4d215b1a35734cb29d3",
-    ("grid8", "qhrrf", "backfill", True): "73c2fdf96fbff18561b84ac821bb5f7fbb77f303ba4838fead9fca48aaa3dfcf",
-    ("grid8", "fcfs", "exclusive", True): "f3b0386f76abb72c8c55c097950619f8ecc6a4e635c0b9ff5c2cc37785667306",
-    ("grid8", "sjf", "exclusive", True): "4110df563ea4715d88a27b0238149ca92fe84740ca54c45c0407fdb5eb3313c5",
-    ("grid8", "qsjf", "exclusive", True): "e0e2dc9f8c753422b26d21aff0a0e56c4d31bde761ab5ad140dbfd6f3ef409ab",
-    ("grid8", "srtf", "exclusive", True): "48f186733d6864eafb2adc1697e1ddd43b6ec3e76ef2748f67525f50fc43453d",
-    ("grid8", "rr", "exclusive", True): "8189f0397e489ebe3da3ce7fdebb4678f81d3448ee556d50de789dac6aaebc19",
-    ("grid8", "mfq", "exclusive", True): "3073d14623587a68491afaf685bfe959b9d80e8a6d5540f5195c23e45c06de5b",
-    ("grid8", "hrrf", "exclusive", True): "a5d5b0cd1b032f80cc785d9b7126c889bc91c245776d088b1a1ddd55caeec669",
-    ("grid8", "qhrrf", "exclusive", True): "8d162043b2f051e96dff45c6905bd15bf4e9e1a1013cd0709c8aca507614c7bb",
-    ("tree40", "fcfs", "merge", True): "be5d286cc6bbc96bb1aac0e2c7b0b0961e035996079f3e29368150f21972394e",
-    ("tree40", "sjf", "merge", True): "6108c452d45d1fe3a5bf6a8e4436e1e19cef87fa02419cefeddb6d0507e4740e",
-    ("tree40", "qsjf", "merge", True): "0e34efaf0a80fcda2c5b4935076c1c3f52f3b83703cbc6779f1922d2747b0917",
-    ("tree40", "srtf", "merge", True): "bd7b6bcf43fd07ae6987f9673f135281f586dd26b9e8a668f0af322f261849ed",
-    ("tree40", "rr", "merge", True): "98a12e1797683be8e0a714de9c9b12b7b4acca2950cfcd4a8861f2221eba9d93",
-    ("tree40", "mfq", "merge", True): "f228dca6fbd56365f4c00ad62e9d0d390cb36ecb8faae925e0f5d2e56f339518",
-    ("tree40", "hrrf", "merge", True): "5614387add3d828ef5a8edadbca3964353ced7af9f2c4bc13f64c779fc0137f4",
-    ("tree40", "qhrrf", "merge", True): "e42319b838254dc0c32e1307604dae0aa97ba3894db2fb3254e1af43e9b738bd",
-    ("grid8", "fcfs", "merge", False): "1dfa38e4365ebbef85eca2a67912dfa57ea0f2d3a379a67ed0656ad747b7f058",
-    ("grid8", "sjf", "merge", False): "dac63dad1422447487c0eba48d1b74604cdf77ce1364a8978c2d66e84b42ab3d",
-    ("grid8", "qsjf", "merge", False): "5da5dda2e7d9485542ea999029c16337844648d29b9b8f6a0ed174370e342561",
-    ("grid8", "srtf", "merge", False): "d9695d05fde446954a19da418457b3847971af79b6c06ff76e9719c3c5acd719",
-    ("grid8", "rr", "merge", False): "997dc5961e6002b99dbc9554d177dcc9709977a8ae5e007c19a3b1bbefa4d068",
-    ("grid8", "mfq", "merge", False): "7103e59ab8e8e45ba23d4c5100b0b8ec07301bfe4e096dc2efd967b3fe78feb8",
-    ("grid8", "hrrf", "merge", False): "82823a38f697837d43da84548c502393db272a10768721deab2218207d892d43",
-    ("grid8", "qhrrf", "merge", False): "fca01bf1bfc0dd02d61bab5723553976d60398fe8ed1a22227fc97b5448f2560",
-    ("grid8", "fcfs", "nomerge", False): "a13c672bf6c40f853a63b4a61ec1d483a98db175e826f1f295a8c41003d0098e",
-    ("grid8", "sjf", "nomerge", False): "08f84b0473e5831b64aa0972749a5ef67635948a82d9dbff299fdfb1ad34e9c3",
-    ("grid8", "qsjf", "nomerge", False): "1aace24c95355346bea51fef3fde95cedd8aac81f481976c91d403735a795a48",
-    ("grid8", "srtf", "nomerge", False): "af678f2e753081dde793ca188eb0024fd9888ba3fd2ab46a610c2ca0dad093b9",
-    ("grid8", "rr", "nomerge", False): "d2cb3c31d50dd181243a781a74022a0c3d7801a4b4663707ab8269011b9d624a",
-    ("grid8", "mfq", "nomerge", False): "1cf0e00feb7c8e3343c92ecaa92edb27ed32bd7639bd2efa063a77f7710a114f",
-    ("grid8", "hrrf", "nomerge", False): "055169f97094bbca3995e0785ecf2d8ca2a9520526f12e9bba4d27491fca1df0",
-    ("grid8", "qhrrf", "nomerge", False): "2e31ca759a6ccc86343e67158902f1f08b0f0e9db3b99230e60b42719bffe348",
-    ("grid8", "fcfs", "backfill", False): "21d299699f89b886ebedff654a3e4af52e2fbd518de65b389229bd8f739998c2",
-    ("grid8", "sjf", "backfill", False): "06c532ae2724470b1f9bc3694270760af3ada09e5892c4090a17e6fda28784a4",
-    ("grid8", "qsjf", "backfill", False): "fc00de6b36670068c50d561c3db28ee897642511289df8d6f1cc8292984e4f26",
-    ("grid8", "srtf", "backfill", False): "9629780c8d09ffa559c124d0a750f82b7cfd68f00ca0b8b09c4f06cfcc3df5a0",
-    ("grid8", "rr", "backfill", False): "3570a47262935d7a6e86b6777f689578d56c9d18f5a658772cdbaff6282aabc5",
-    ("grid8", "mfq", "backfill", False): "6d75f5e7a6867508ac8b333e30c648ea65f5bfb98457d139ac1e9af7f399b871",
-    ("grid8", "hrrf", "backfill", False): "0c13c8bec5680b89d45f046f4a698c767be82b0c14d8ed87996894c92878d953",
-    ("grid8", "qhrrf", "backfill", False): "966a84407abcce8607b52517aa760ac1ab20a3ce969eb1c993b7896a86aa26ac",
-    ("grid8", "fcfs", "exclusive", False): "0c079115c315c3a65a82bd3ab9ed2f8c054cccd032842010a2b7fb2f54dcc1aa",
-    ("grid8", "sjf", "exclusive", False): "040d1b1ac6cc10db282e288ff819865d3e3ca51294bfb8d8a0b335f05625b317",
-    ("grid8", "qsjf", "exclusive", False): "76045256b3a79e5bac8d9f710afbbe46e917a37db8fec6d56b6b00361dcae0c8",
-    ("grid8", "srtf", "exclusive", False): "5533c64608854ca9195cbdfb64016759ed4312df47452d63b64312e58f2cd04d",
-    ("grid8", "rr", "exclusive", False): "fe975ceaba7a45bb273204c1c0b2ff5759421dad4907c24c5e5121527a5187a7",
-    ("grid8", "mfq", "exclusive", False): "e70a58badbe55f94c6f08983e3b37b83286718fc5b8b280eeb23a23637a93bf0",
-    ("grid8", "hrrf", "exclusive", False): "cc8291df6eea29b2c908959f239f19264613f22988259e9ec8bd9fbd630988b6",
-    ("grid8", "qhrrf", "exclusive", False): "fa05ad09960a64d28bce4dbb30c0c2c6a884f6e2cb679e5204dbf689bc194307",
-    ("tree40", "fcfs", "merge", False): "2866110244f4ccbc3a027ce951b2c9219880aef4a046b1d302151b49195971f7",
-    ("tree40", "sjf", "merge", False): "858f37c72599c80702cf7aba377107638a7f2825386cdd7923e6298d992b10be",
-    ("tree40", "qsjf", "merge", False): "8092937867ac659760d8d057a2bd25b4156a301311a9777e2f01e9da70976bd5",
-    ("tree40", "srtf", "merge", False): "ff5c751067479c8e3a86adfa6cfd854eb12a8dbb23a98b9edde331e275a21bdd",
-    ("tree40", "rr", "merge", False): "93f14db71545ad516e8716160056fb27d60c0c0ec6ab485f90086c74a2f69582",
-    ("tree40", "mfq", "merge", False): "f0efed4d211f0e7f940ff8e7bc1518364949c14842ad3d7b389588efcc2d86ea",
-    ("tree40", "hrrf", "merge", False): "7e45debb832e65c44087df24a0426b596c144aa5eb0fb5ff0dc062fe6eecef5a",
-    ("tree40", "qhrrf", "merge", False): "60a29f1758467c7cbe18d6fdd56248045cfb50b556ce9a7d52b25e119531f281",
+    ("grid8", "fcfs", "merge", True): "cfdeb5c9af628080fafabb72a7b678fa39cba3cae1e498126920434f53cd06ff",
+    ("grid8", "sjf", "merge", True): "df8d67fbb8ecbb072f1c129621b7b7cd8c875e92567a9a0f7057f0571be4efc2",
+    ("grid8", "qsjf", "merge", True): "7baae3fd97f6ecece1c702ad583355c5155f3c26833d3394e107ad292e3f3dda",
+    ("grid8", "srtf", "merge", True): "2ef4370058f2020f08d33c42ce366e05e25f913f45a80e132f2f277ce484b3d1",
+    ("grid8", "rr", "merge", True): "211438f8b4a665090413e5fe6b1cb1a211817068acfaf0214964330005836967",
+    ("grid8", "mfq", "merge", True): "4d38c4ac38f74efca6f1c70ae277144d4d46538ecd552cf26997f5f488952aae",
+    ("grid8", "hrrf", "merge", True): "149197c6eda065ba02d76d7a95046021667154b368821f0d733613dc792146cd",
+    ("grid8", "qhrrf", "merge", True): "839419d1063c31412e5726dc41c7f555e139aa1d27b0a823a33d761124ebc742",
+    ("grid8", "fcfs", "nomerge", True): "a54e98fd90010bb5d6a2d16b8ef81351b4475dc87a725c1c110a8f63dc5e4180",
+    ("grid8", "sjf", "nomerge", True): "c77d55925da6752319b7c42f97cd888878536129aadc76f1f709db4414944429",
+    ("grid8", "qsjf", "nomerge", True): "fb1ec3cc8282a321cf3433ff8f32081018d145a8cb54489930f02aa9415aaa4f",
+    ("grid8", "srtf", "nomerge", True): "e683625ce858824ad26e55bbd76b1ff245dbbf8474588548f257a8f570a6e2ec",
+    ("grid8", "rr", "nomerge", True): "be286dcb4da1692ae9db41e0a86da047f6663d36fd6306226e1e346946e5a2f5",
+    ("grid8", "mfq", "nomerge", True): "449435354774a012247aef5f59a0c84a73853f52f080eb770cad0f47a2e34f56",
+    ("grid8", "hrrf", "nomerge", True): "0e40dd865ead1cc54dbb93f6cc9159384439a0cc3e8112befb944d59292d885b",
+    ("grid8", "qhrrf", "nomerge", True): "0efb20737a39c4b727408e77603764e2ed70b6edcf0a064a70dd7c22dd6c86d0",
+    ("grid8", "fcfs", "backfill", True): "5972dc974167069f9d7146992eee1855b64a749c8d8ed705ca489c9d36a18b73",
+    ("grid8", "sjf", "backfill", True): "0565828332f9d7a445a3171aac408addc4541c5ffaf4fbfc36a4688df8d18e67",
+    ("grid8", "qsjf", "backfill", True): "be262497e851b279bfbd743ed4bcf8d5e59a0ec05bd4e279d9bdbcd2710c15da",
+    ("grid8", "srtf", "backfill", True): "b2228e15fae008500f3153250453d5c3884487347d3f1880d56383eeb2c0b1b0",
+    ("grid8", "rr", "backfill", True): "48499fb76dcb9771a022ac1230730bf8b9da961989295ebc48d90511d13e1727",
+    ("grid8", "mfq", "backfill", True): "216d0205cb48e79b781ce8607fb09db0696384229017c96f921effd4615d8b26",
+    ("grid8", "hrrf", "backfill", True): "d477cfc15dfaf39f24f4c631ddbf357c456c98eb503c491f5722f766dfa00a5e",
+    ("grid8", "qhrrf", "backfill", True): "3ae63817b0d58110a305d8111896a3a462bc25e0c47abf2f4a0c536234d5db1c",
+    ("grid8", "fcfs", "exclusive", True): "ce179895aca7d25e79286ead7ca3319e37d3b83540692ff72683d98de05e0e1f",
+    ("grid8", "sjf", "exclusive", True): "e095786a54ad49a07bb41a94b318fbeae0db062fa348f4a00b2ed19e8bfe5dbd",
+    ("grid8", "qsjf", "exclusive", True): "f5c9df3a2d59e12166d2a0bf3a7bf654dd619008f09f164a2147f950ed180679",
+    ("grid8", "srtf", "exclusive", True): "9bcb61b4df5db8d4bb80bbb5b60d3d6f2cb496941eae7ea678c040c2522a5bf4",
+    ("grid8", "rr", "exclusive", True): "fcc8ff33ae82238c1d9e3ecaa86d3b231cc353b6b97cbe0144ff0b35adc0fbfc",
+    ("grid8", "mfq", "exclusive", True): "decdb9fedd19faa8f212c3f7b9bf190c9a1c92079b3e8d16955676e731c3cd9d",
+    ("grid8", "hrrf", "exclusive", True): "3a435af23d78fc2461108f3f24518ef5e14a8dd947fe0587b892133ef985e224",
+    ("grid8", "qhrrf", "exclusive", True): "206289d3f78e89fae4ec1bffbf252e2859b2901731368d668e8c685fe74e3fa7",
+    ("tree40", "fcfs", "merge", True): "3a9e7a037de4f235744b6e1bb64a3225950c170b367f1f6fb3faace9e998804b",
+    ("tree40", "sjf", "merge", True): "6225e63302d525508fe2f18c9a1770a8edfdda673bc0f2b1d20b97f08b4d1c86",
+    ("tree40", "qsjf", "merge", True): "1126b837607c70be7397665f6becbe8e9a76157956a03579869e1030069f459c",
+    ("tree40", "srtf", "merge", True): "da569400ac3e3be9f9494b8daf7de396b5c5e9efb26d65bc4949ed2453ed816e",
+    ("tree40", "rr", "merge", True): "ae841421f8c6f864564f2fcc3748836fe52c9d4d77aeeb2cab9f7367d9766945",
+    ("tree40", "mfq", "merge", True): "2ba68e49a617bc1bc06bbc2af02c8235c0eb0a39fa5c996dd58d8a02fb9b0b61",
+    ("tree40", "hrrf", "merge", True): "f5ef73f83de946a20486f1c88c5366cdd8e18231daa88e7f9245cc3642580630",
+    ("tree40", "qhrrf", "merge", True): "b97056bd7451a5ea1030b435f1bbdc4a765cf40040871b11db2a1db78ad12082",
+    ("grid8", "fcfs", "merge", False): "409605659bc2b372fd053385d510c6fe7978dc813df00d246d0909fa926e6761",
+    ("grid8", "sjf", "merge", False): "71a8fc0aa215c7356efc7e4f1d7b805c8409f4fa0a3a10d0db647fab0439fd24",
+    ("grid8", "qsjf", "merge", False): "d0d228e33c44b2d89635a9d93dfc6a3c69d626505562a32e64637d207b189ffa",
+    ("grid8", "srtf", "merge", False): "00e0f2ceaadddc541ed617e636db3ccd00fc34d57363456217ed7a4a9bee2b6f",
+    ("grid8", "rr", "merge", False): "1031f7fc2243ca7ddb00e9257541598e846a2e0ad73eadbd9a272ea8ea72614e",
+    ("grid8", "mfq", "merge", False): "a57593302b5ff47c8be79b9e3fdcd4f3c3e5d69f168d9256957aaddb4b02e33e",
+    ("grid8", "hrrf", "merge", False): "52d4adbcb3d56ad0fc8f0e71c67df1f93bbdc1315253dd4e104c2f67f52ad0b0",
+    ("grid8", "qhrrf", "merge", False): "e663704ee51cce04f0c056c07078607413f3c8ee15d1d409c75620d8a6057fcb",
+    ("grid8", "fcfs", "nomerge", False): "0b54ff151dda19450d0cd3b5c2a7949bf214fb81de64274e95a7ef34036b171f",
+    ("grid8", "sjf", "nomerge", False): "e716d75875f27b1ca82156398f717075407049ad8f0e8b7c7ced478c0110789e",
+    ("grid8", "qsjf", "nomerge", False): "6c2a92f843a8b8e6f83b0c5c205e0df83df2c8facb158405dc181056abfdf531",
+    ("grid8", "srtf", "nomerge", False): "e621e4d1c5c78d43aa270068e9c4f7f35872ceef7fb7fbe2c22af973339d7ea2",
+    ("grid8", "rr", "nomerge", False): "bb77265474f10dc0ae7766ac3542160d00f406f0e985ef578cd6f730f9f52227",
+    ("grid8", "mfq", "nomerge", False): "c49147602f7b0a453e3831ce08d4c87e185041bacc14503b6c9d5017d59ca22c",
+    ("grid8", "hrrf", "nomerge", False): "ed85167ba1b7b181e9a35777dabb676d5d600bdb245892e5e8b4bb0c13594d8e",
+    ("grid8", "qhrrf", "nomerge", False): "7a9f1bb922f88d6471c3c80aea1e4fb9123190cadcfcc7287722bdbac4cc1f57",
+    ("grid8", "fcfs", "backfill", False): "622703282b6581e6729944e920d19c71ec94a63252d208e43105a89fef2b3281",
+    ("grid8", "sjf", "backfill", False): "2db2cf4a03df222e848e22d613f11ebbaeb9d88ca698acf67186c49cfcfcfd99",
+    ("grid8", "qsjf", "backfill", False): "3bd47ff62541fcaf017d878f8b0b9b89ffa11e35047858e53bdca77ce46ffe66",
+    ("grid8", "srtf", "backfill", False): "bb089413fa44851745d5529eb670acdd51b357526850686d41e03c55bab61361",
+    ("grid8", "rr", "backfill", False): "08563634a04de3353b05e554ab2e08364f6bee48b75b52dfe62dacee4de7f7dc",
+    ("grid8", "mfq", "backfill", False): "ea0b47d2abd691e67a6f865559dad5833176d808a8a8fd150971e07ab62e9435",
+    ("grid8", "hrrf", "backfill", False): "4a87e7fa343979e19123bbc0360eb87b153d1484173ba09033fbbd994bea045d",
+    ("grid8", "qhrrf", "backfill", False): "586c8296b79e9a4da2f3ef45ed801a0dad51d1411ccc82d31345f3317fc45246",
+    ("grid8", "fcfs", "exclusive", False): "1e3571b4f9b9e7f1fbee0a0ca7a218fbacd2def5e12cf90f9f712b94215b6d87",
+    ("grid8", "sjf", "exclusive", False): "8c56309ecdf388fa6a2cd398520d71bdb15ab68cd915a274fb076b35c6077c2f",
+    ("grid8", "qsjf", "exclusive", False): "d06415eff1fac7056d1d45bc2336f8596930c4790cf5b59a2c948ea48c5f204c",
+    ("grid8", "srtf", "exclusive", False): "f9c9a81253ed12bcb608470079cc4a990ee175563c1d47c5ebbec4005f0a2758",
+    ("grid8", "rr", "exclusive", False): "a2c26c8e066f9f61d8422e0867d7723e400b3928bcdb9b47ce3c2fe802e910fc",
+    ("grid8", "mfq", "exclusive", False): "51327193d824ae77ca9ad60b0194ecc1b479d10b73c96583c222cb17e41e2624",
+    ("grid8", "hrrf", "exclusive", False): "daf147cefd24a4216345e4709b7296af0af5e50becc8f0e11835f1e5dab6baa3",
+    ("grid8", "qhrrf", "exclusive", False): "2ad6baddd9f008e689fa9db56ff0984b5d8778e04a1d4aaeefd67d27e4496a6b",
+    ("tree40", "fcfs", "merge", False): "a57a45bb4fe3c1b9fc4e80c53799c69ee2907705dc67e73e4a6fc34d7d440288",
+    ("tree40", "sjf", "merge", False): "0e3954e9a66a920c45f2abbb8c8bbd7d64c18976ae2d9faefde18c73f0214e7b",
+    ("tree40", "qsjf", "merge", False): "38c04e0f20f8f059af62a428e617e652d55d2fe78934fb7fa22da060b09253e2",
+    ("tree40", "srtf", "merge", False): "d21575af470d4cb30262dc81277192a0c671789efbed81e3f9a31fc2929d4e60",
+    ("tree40", "rr", "merge", False): "003591ade9f276a47b7bf9a15712c123f5fb11c7938b5654bbd8230721f45215",
+    ("tree40", "mfq", "merge", False): "4d1ece2150f9e7fef18dc944f1b4e72480dff24920946d40a441ccedab6876a0",
+    ("tree40", "hrrf", "merge", False): "321a90178b6ae2d93ee533f140318a6c5cc34109e3ff17efd9cf7c2d7be2bc8f",
+    ("tree40", "qhrrf", "merge", False): "17cae357f1816f1aa0873545fe80f8eb4344a7538da43279c832147c2519675d",
 }
 
 

@@ -2,16 +2,18 @@
 
 The round trip is drawn by hypothesis over every connected graph of up to
 six qubits, all 8 policies, the four golden modes and growth steps on and
-off. Each job's dispatch history is not written, so reading it back
-rebuilds it from the events; the property asserts the rebuilt trace equals
-the run's in meta, events, jobs (with every dispatch record), intervals
-and allocations (with their growth steps), and that writing it again gives
+off. The job records are not written, so reading a trace back folds them
+from the events; the property asserts the read trace equals the run's in
+meta, events, jobs (with every counter and dispatch record), intervals and
+allocations (with their growth steps), and that writing it again gives
 the same text. The ``requeue`` events are checked against an independent
 record of the conflicts: every ``resolve_conflict`` call of the run, and
 whether the group was dispatched.
 """
 
 import json
+import pathlib
+import re
 from collections import Counter
 from unittest import mock
 
@@ -20,7 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpusched import allocator
-from qpusched.engine import SimConfig, Trace, TraceFormatError, run
+from qpusched.engine import (
+    _EVENT_FIELDS,
+    _GROWTH_FIELDS,
+    _STEP_FIELDS,
+    SimConfig,
+    Trace,
+    TraceFormatError,
+    run,
+)
 from qpusched.metrics import compute_report
 from qpusched.scheduler import POLICY_NAMES, Policy
 from qpusched.workload import Job, Workload
@@ -71,7 +81,7 @@ def assert_same_trace(back: Trace, trace: Trace) -> None:
 
 def assert_requeues_match(trace: Trace, conflicts: list[tuple[int, int]]) -> None:
     """``requeue`` events list every conflict, in order, by (group, job shed),
-    and say ``placed`` exactly when the group was dispatched; job lines
+    and say ``placed`` exactly when the group was dispatched; job records
     count each requeue of a job."""
     requeues = [ev for ev in trace.events if ev["kind"] == "requeue"]
     assert [(ev["group"], jid) for ev in requeues for jid in ev["requeued"]] == conflicts
@@ -122,22 +132,60 @@ def test_round_trip_is_exact_and_draws_every_case():
     assert probe["shed, then placed"] >= 5, probe
 
 
-def example_text() -> str:
+def example_text(policy: str = "fcfs", steps: bool = False) -> str:
+    """Three jobs on a 4-qubit path. Under fcfs, jobs 0 and 1 run merged in
+    group 0 and job 2 alone in group 1. Under rr (two-shot quanta), group 0
+    (jobs 0 and 1) is preempted, group 1 (jobs 0 and 2) is preempted as job
+    0 completes, and group 2 (jobs 1 and 2) completes."""
     jobs = tuple(Job(id=i, n=2, shots=3 + i, t_sub=0.0, t_e_shot=1e-3) for i in range(3))
     config = SimConfig(chip=uniform_chip(4, [(0, 1), (1, 2), (2, 3)]),
-                       workload=Workload(jobs=jobs, horizon=1.0), policy=Policy("fcfs"))
+                       workload=Workload(jobs=jobs, horizon=1.0),
+                       policy=Policy(policy, rr_quantum_shots=2), record_growth_steps=steps)
     return run(config)[0].to_jsonl()
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_trace_format() -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """The trace-format list of README's "File formats": line type -> the
+    fields it names, and event kind -> the fields it names."""
+    text = README.read_text()
+    text = text[text.index("\n- ", text.index("Trace (JSON lines)")):]
+    types: dict[str, set[str]] = {}
+    kinds: dict[str, set[str]] = {}
+    for item in re.split(r"\n(?=(?:  )?- )", text[:text.index("\n\n")].strip()):
+        head, tail = re.match(r"(.*?):(?: |$)(.*)", " ".join(item.split())).groups()
+        names, fields = re.findall(r"`(\w+)`", head), set(re.findall(r"`(\w+)`", tail))
+        if item.startswith("  - "):
+            kinds.update((kind, fields) for kind in names)
+        else:
+            types[names[0]] = set(names[1:]) | fields
+    return types, kinds
+
+
+def test_readme_names_the_trace_format_the_reader_reads():
+    types, kinds = readme_trace_format()
+    text = example_text(steps=True)
+    Trace.from_jsonl(text)
+    docs = [json.loads(line) for line in text.splitlines()]
+    assert set(types) == {doc["type"] for doc in docs}
+    assert types["meta"] == set(docs[0]) - {"type"}
+    assert types["event"] == {"time", "kind"}
+    assert types["growth"] == set(_GROWTH_FIELDS) | {"steps"} | set(_STEP_FIELDS)
+    assert {kind: fields | types["event"] for kind, fields in kinds.items()} == {
+        kind: set(fields) | {"kind"} for kind, fields in _EVENT_FIELDS.items()}
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_reader_rejects_non_finite_numbers(token):
     text = example_text()
-    first_job = next(line for line in text.splitlines() if '"type": "job"' in line)
-    doc = json.loads(first_job)
-    bad = first_job.replace(f'"t_comp": {doc["t_comp"]!r}', f'"t_comp": {token}')
-    assert bad != first_job
+    arrival = next(line for line in text.splitlines() if '"kind": "arrival"' in line)
+    doc = json.loads(arrival)
+    bad = arrival.replace(f'"t_e_shot": {doc["t_e_shot"]!r}', f'"t_e_shot": {token}')
+    assert bad != arrival
     with pytest.raises(TraceFormatError, match="non-finite"):
-        Trace.from_jsonl(text.replace(first_job, bad))
+        Trace.from_jsonl(text.replace(arrival, bad))
 
 
 def test_reader_rejects_a_dispatch_that_never_ends():
@@ -154,6 +202,11 @@ def test_reader_rejects_a_text_without_its_meta_line():
         Trace.from_jsonl("\n".join(lines[1:]) + "\n")
 
 
+# a job line of the format before the job records followed from the events
+OLD_JOB_LINE = {"type": "job", "id": 0, "n": 2, "shots": 3, "t_sub": 0.0, "t_e_shot": 1e-3,
+                "t_comp": 0.004, "preemptions": 0, "requeues": 0, "executed_shots": 3}
+
+
 def without_time(lines):
     first_event = next(i for i, line in enumerate(lines) if '"type": "event"' in line)
     doc = json.loads(lines[first_event])
@@ -163,8 +216,7 @@ def without_time(lines):
 
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda lines: ["\n".join(lines)[:100]], id="truncated"),
-    pytest.param(lambda lines: [line for line in lines if '"type": "job"' not in line],
-                 id="no job lines"),
+    pytest.param(lambda lines: lines + [json.dumps(OLD_JOB_LINE)], id="a job line"),
     pytest.param(lambda lines: lines[:1] + ["[1, 2]"] + lines[1:], id="array line"),
     pytest.param(lambda lines: ['"meta"'] + lines[1:], id="meta line not an object"),
     pytest.param(without_time, id="event without time"),
@@ -186,13 +238,13 @@ WRONG_VALUES = [
     ('"kind": "dispatch"', "region", [0, 4]),  # the chip has qubits 0..3
     ('"kind": "dispatch"', "root", 7),
     ('"kind": "dispatch"', "r_i", 99),
-    ('"kind": "dispatch"', "members", []),  # jobs 0 and 1 complete without a dispatch
+    ('"kind": "dispatch"', "members", []),  # its end lists jobs 0 and 1, which it lacks
     ('"kind": "arrival"', "kind", "teleport"),
     ('"kind": "group_complete"', "shots_done", 1.5),
     ('"kind": "requeue"', "placed", 1),
-    ('"type": "job"', "shots", 3.0),
-    ('"type": "job"', "t_comp", "later"),
-    ('"type": "job"', "t_sub", False),
+    ('"kind": "arrival"', "t_e_shot", 0.0),
+    ('"kind": "arrival"', "t_e_shot", "later"),
+    ('"kind": "arrival"', "t_e_shot", False),
     ('"type": "meta"', "n_qubits", "4"),
 ]
 
@@ -202,8 +254,9 @@ WRONG_VALUES = [
 def test_reader_rejects_a_value_that_breaks_its_rule(marker, key, value):
     lines = example_text().splitlines()
     if marker == '"kind": "requeue"':  # the example has no conflict: give it a record
-        lines.insert(2, json.dumps({"type": "event", "time": 0.0, "kind": "requeue",
-                                    "group": 9, "requeued": [2], "placed": False}))
+        after_arrivals = 1 + sum('"kind": "arrival"' in line for line in lines)
+        lines.insert(after_arrivals, json.dumps({"type": "event", "time": 0.0, "kind": "requeue",
+                                                 "group": 9, "requeued": [2], "placed": False}))
     i = next(i for i, line in enumerate(lines) if marker in line)
     Trace.from_jsonl("\n".join(lines) + "\n")  # the undamaged text reads
     doc = json.loads(lines[i])
@@ -223,6 +276,71 @@ def test_reader_rejects_a_group_dispatched_twice():
         lines[i] = json.dumps(doc)
     with pytest.raises(TraceFormatError, match="dispatched twice"):
         Trace.from_jsonl("\n".join(lines) + "\n")
+
+
+def edited(marker: str, k: int = 0, **fields):
+    """A damage that gives the ``k``-th line holding ``marker`` ``fields``."""
+    def damage(lines):
+        i = [i for i, line in enumerate(lines) if marker in line][k]
+        lines[i] = json.dumps({**json.loads(lines[i]), **fields})
+        return lines
+    return damage
+
+
+def arrival_after_its_dispatch(lines):
+    arrival = lines.pop(next(i for i, line in enumerate(lines) if '"job": 2' in line))
+    lines.insert(next(i for i, line in enumerate(lines) if '"members": [2]' in line) + 1, arrival)
+    return lines
+
+
+def preempt_after_the_next_dispatch(lines):
+    preempt = lines.pop(next(i for i, line in enumerate(lines) if '"kind": "preempt"' in line))
+    lines.insert(next(i for i, line in enumerate(lines) if '"group": 1' in line) + 1, preempt)
+    return lines
+
+
+def requeue_before_the_arrivals(lines):
+    return lines[:1] + [json.dumps({"type": "event", "time": 0.0, "kind": "requeue",
+                                    "group": 9, "requeued": [2], "placed": False})] + lines[1:]
+
+
+# (the example's policy, a damage of its lines, what the refusal says); the
+# reader would otherwise fold each of these into records the run never had
+FOLD_REFUSALS = [
+    pytest.param("fcfs", arrival_after_its_dispatch, "not waiting", id="dispatch first"),
+    pytest.param("fcfs", requeue_before_the_arrivals, "not waiting", id="requeue first"),
+    pytest.param("fcfs", lambda lines: lines[:2] + lines[1:], "arrives twice",
+                 id="arrives twice"),
+    pytest.param("fcfs", edited('"type": "meta"', n_jobs=4), "3 jobs arrive", id="n_jobs"),
+    pytest.param("fcfs", edited('"kind": "dispatch"', 1, members=[1]), "not waiting",
+                 id="dispatch of a done job"),
+    pytest.param("rr", preempt_after_the_next_dispatch, "not waiting",
+                 id="dispatch of a running job"),
+    pytest.param("fcfs", edited('"kind": "group_complete"', completed=[], requeued=[0, 1]),
+                 "not what", id="finished members requeued"),
+    pytest.param("rr", edited('"kind": "preempt"', 1, completed=[0, 2], requeued=[]),
+                 "not what", id="member with shots left completed"),
+    pytest.param("rr", edited('"kind": "preempt"', 1, requeued=[]), "not what",
+                 id="member missing"),
+    pytest.param("rr", edited('"kind": "preempt"', 1, completed=[2], requeued=[0]), "not what",
+                 id="members swapped"),
+    pytest.param("fcfs", edited('"kind": "group_complete"', kind="preempt"), "not what",
+                 id="preempt after every shot"),
+    pytest.param("rr", edited('"kind": "preempt"', kind="group_complete"), "not what",
+                 id="group_complete before every shot"),
+    pytest.param("rr", edited('"kind": "preempt"', shots_done=0), "after 0 shots",
+                 id="preempt after no shot"),
+    pytest.param("fcfs", edited('"kind": "group_complete"', shots_done=5), "after 5 shots",
+                 id="more shots than dispatched"),
+]
+
+
+@pytest.mark.parametrize("policy, damage, refusal", FOLD_REFUSALS)
+def test_reader_refuses_events_that_do_not_follow_from_the_ones_before(policy, damage, refusal):
+    lines = example_text(policy).splitlines()
+    Trace.from_jsonl("\n".join(lines) + "\n")  # the undamaged text reads
+    with pytest.raises(TraceFormatError, match=refusal):
+        Trace.from_jsonl("\n".join(damage(lines)) + "\n")
 
 
 JSON_VALUES = st.sampled_from([None, True, -1, 2.5, "x", [], [1, 2], {}, {"type": "event"}])
