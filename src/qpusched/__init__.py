@@ -26,7 +26,7 @@ from .chip import (
     generate_grid,
     load_chip,
 )
-from .engine import MergeConfig, SimConfig, SimulationError, Trace, TraceFormatError, run
+from .engine import MergeConfig, SimConfig, SimulationError, Trace, TraceFormatError, growth_steps, run
 from .merger import Group, group_by_exec_time, select_prefix
 from .metrics import (
     EmptyTraceError,

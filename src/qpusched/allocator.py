@@ -60,16 +60,21 @@ certificate lists these decisions, each as (tied candidates, kept), the
 root choice first. Every other decision is an exact ratio comparison, the
 lookahead or the lowest id, none of which reads E_Q, so where every
 decision keeps the same qubits the root, region, stats and steps are the
-same. A growth is therefore kept by (demand, t_q_mode, record_steps) and
-serves every per-shot duration at which its certificate holds: a
-duration seen before is a dict lookup (a preempted job comes back with
-its own), and a new one takes the first growth of that demand whose
-decisions re-evaluate the same, computing E_Q only at the qubits the
-certificate names. E_Q per qubit does not depend on the occupancy: a
-pass keeps one list of it per ``t_e_group``, made at the first tie of
-root choice or growth and read by both, so it is computed at most once
-per per-shot duration in a pass. It is not kept longer, since a memo
-across passes would grow with the number of distinct durations.
+same. A growth is therefore kept by (demand, t_q_mode) and serves every
+per-shot duration at which its certificate holds: a duration seen before
+is a dict lookup (a preempted job comes back with its own), and a new one
+takes the first growth of that demand whose decisions re-evaluate the
+same, computing E_Q only at the qubits the certificate names. E_Q per
+qubit does not depend on the occupancy: a pass keeps one list of it per
+``t_e_group``, made at the first tie of root choice or growth and read by
+both, so it is computed at most once per per-shot duration in a pass. It
+is not kept longer, since a memo across passes would grow with the number
+of distinct durations.
+
+No run logs its growth steps. They follow from a dispatch (its root,
+region size and ``t_e_group``), the chip and the occupancy the events
+before it leave, so ``engine.growth_steps`` regrows them from a trace
+with ``grow_region(..., record_steps=True)``.
 """
 
 from __future__ import annotations
@@ -153,12 +158,11 @@ class AllocationMemo:
 
     ``candidates`` is ``_root_candidates``' result, or None before the first
     root choice; ``stalls`` maps a root that stalled to the size of its open
-    component. ``growths`` maps (demand, t_q_mode, record_steps) to every
-    growth made on this state, in order, each as (certificate, root,
-    growth): the certificate lists the E_Q decisions of its root choice and
-    growth. ``placements`` maps (demand, t_e_group, t_q_mode, record_steps)
-    to the root and growth that serve that duration, grown at it or
-    certified for it.
+    component. ``growths`` maps (demand, t_q_mode) to every growth made on
+    this state, in order, each as (certificate, root, growth): the
+    certificate lists the E_Q decisions of its root choice and growth.
+    ``placements`` maps (demand, t_e_group, t_q_mode) to the root and growth
+    that serve that duration, grown at it or certified for it.
     """
 
     __slots__ = ("candidates", "stalls", "growths", "placements")
@@ -399,7 +403,8 @@ def grow_region(
     ``demand`` qubits; growth would take all of it and stop there.
     The stall is decided by a component search before any growth, so
     its step log is empty. ``record_steps`` only decides whether the
-    growth steps are logged; logging sorts the frontier at every step.
+    growth steps are logged; logging sorts the frontier at every step,
+    so no run sets it, and ``engine.growth_steps`` does to regrow a trace.
     """
     n = chip.n_qubits
     if not 1 <= demand <= n:
@@ -543,14 +548,13 @@ def _certified_growth(
     chip: Chip, memo: AllocationMemo, key: tuple, errors: dict[float, list[float]]
 ) -> tuple[int, GrowthResult | None]:
     """The root and growth of the first growth in ``memo`` whose certificate
-    holds at ``key`` = (demand, t_e_group, t_q_mode, record_steps), kept
-    under ``key``; (-1, None) when there is none.
+    holds at ``key`` = (demand, t_e_group, t_q_mode), kept under ``key``;
+    (-1, None) when there is none.
 
-    Only growths of the same demand, ``t_q_mode`` and ``record_steps`` are
-    tried.
+    Only growths of the same demand and ``t_q_mode`` are tried.
     """
-    demand, t_e_group, t_q_mode, record_steps = key
-    for ties, root, result in memo.growths.get((demand, t_q_mode, record_steps), ()):
+    demand, t_e_group, t_q_mode = key
+    for ties, root, result in memo.growths.get((demand, t_q_mode), ()):
         if _certified(chip, ties, t_e_group, t_q_mode, errors):
             memo.placements[key] = root, result
             return root, result
@@ -576,7 +580,6 @@ class Placement:
     region: tuple[int, ...]  # sorted qubits
     root: int
     stats: RegionStats
-    steps: list[GrowthStep]
 
 
 @dataclass
@@ -596,7 +599,6 @@ def allocate(
     groups: Sequence[Group],
     *,
     t_q_mode: str = "t2",
-    record_steps: bool = False,
 ) -> AllocationOutcome:
     """Place every group, or requeue members of those that cannot be placed.
 
@@ -613,7 +615,8 @@ def allocate(
     current occupancy (root candidates, stalled roots and growths), which
     ``place`` replaces when it changes it. A group grows only when no
     growth of its demand on this state holds a certificate for its
-    ``t_e_group`` (see the module docstring).
+    ``t_e_group`` (see the module docstring). A placement holds no step
+    log; ``engine.growth_steps`` regrows it from the trace.
     """
     conflicts: list[dict] = []
     placements: list[Placement] = []
@@ -622,7 +625,7 @@ def allocate(
         requeued: list[int] = []
         while True:  # until the group, or what is left of it, is placed or gone
             memo = occupancy.memo
-            key = (group.demand, group.t_e_group, t_q_mode, record_steps)
+            key = (group.demand, group.t_e_group, t_q_mode)
             root, result = -1, None
             if memo.growths:  # a state that was grown on: in practice only the idle chip
                 root, result = memo.placements.get(key) or _certified_growth(chip, memo, key, errors)
@@ -634,21 +637,18 @@ def allocate(
                     root, ties = _choose_root(chip, cands, group.t_e_group, t_q_mode, errors)
                     size = memo.stalls.get(root)
                     if size is None or group.demand <= size:
-                        result = grow_region(
-                            chip, occupancy, root, group.demand, group.t_e_group,
-                            t_q_mode=t_q_mode, record_steps=record_steps, errors=errors,
-                        )
+                        result = grow_region(chip, occupancy, root, group.demand,
+                                             group.t_e_group, t_q_mode=t_q_mode, errors=errors)
                         if result.ok:
                             memo.placements[key] = root, result
-                            memo.growths.setdefault(
-                                (group.demand, t_q_mode, record_steps), []
-                            ).append((ties + result.ties, root, result))
+                            memo.growths.setdefault((group.demand, t_q_mode), []).append(
+                                (ties + result.ties, root, result))
                         else:
                             memo.stalls[root] = result.component_size
             placed = result is not None and result.ok
             if placed:
                 occupancy.place(group.id, result.region, root)
-                placements.append(Placement(group, result.region, root, result.stats, result.steps))
+                placements.append(Placement(group, result.region, root, result.stats))
             else:
                 job = resolve_conflict(group)
                 requeued.append(job.id)

@@ -40,21 +40,22 @@ counters and ``DispatchRecord``s, ``GroupInterval``, ``AllocationRecord``);
 the records of a run and of its file are built by the same code. A pass
 logs one ``requeue`` event per group that stalled, the conflict record of
 ``allocator.allocate``: the group, the members it shed in order, and
-whether the rest of it was placed.
+whether the rest of it was placed. Growth steps are not logged either:
+``growth_steps`` regrows every dispatch of a trace, and so also checks
+that its regions follow from the events.
 """
 
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import heapq
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
-from .allocator import GrowthStep, Occupancy, Placement, allocate
-from .chip import Chip, check_coherence_mode
+from .allocator import AllocationError, GrowthStep, Occupancy, Placement, allocate, grow_region
+from .chip import COHERENCE_MODES, Chip, check_coherence_mode
 from .merger import Group, group_by_exec_time, select_prefix
 from .metrics import MetricsReport, OccupancyTimeline, compute_report
 from .scheduler import (
@@ -105,6 +106,12 @@ def _is_flag(v) -> bool:
     return type(v) is bool
 
 
+def _is_mode(v) -> bool:
+    return v in COHERENCE_MODES
+
+
+_META_FIELDS = {"n_qubits": _is_int, "n_jobs": _is_int, "t_q_mode": _is_mode}
+
 _END_FIELDS = {"time": _is_time, "group": _is_int, "shots_done": _is_int,
                "completed": _is_ints, "requeued": _is_ints}
 _EVENT_FIELDS = {  # event kind -> its fields and their rules
@@ -117,9 +124,6 @@ _EVENT_FIELDS = {  # event kind -> its fields and their rules
     "group_complete": _END_FIELDS,
     "requeue": {"time": _is_time, "group": _is_int, "requeued": _is_ints, "placed": _is_flag},
 }
-_GROWTH_FIELDS = {"group": _is_int, "root": _is_int}
-_STEP_FIELDS = {"chosen": _is_int, "r_i": _is_int, "r_a": _is_int, "frontier": _is_ints,
-                "frontier_r_i": _is_ints, "frontier_r_a": _is_ints}
 
 
 def _checked(doc: dict, fields: dict, what: str) -> dict:
@@ -152,7 +156,6 @@ class SimConfig:
     exclusive: bool = False
     seed: int = 0
     t_q_mode: str = "t2"
-    record_growth_steps: bool = False
 
     def __post_init__(self):
         check_coherence_mode(self.t_q_mode)
@@ -200,7 +203,6 @@ class AllocationRecord:
     r_a: int
     t_e_group: float
     member_ids: tuple[int, ...]
-    steps: list | None = None  # growth steps, None unless they were recorded
 
 
 class Trace:
@@ -229,10 +231,10 @@ class Trace:
         self.jobs[job.id] = JobRecord(job)
 
     def dispatch(self, time: float, group: int, members: list[int], root: int, region,
-                 r_i: int, r_a: int, shots: int, t_e_group: float, steps=None) -> None:
+                 r_i: int, r_a: int, shots: int, t_e_group: float) -> None:
         """Log the dispatch of ``group`` and open its interval, its allocation
-        (with its growth ``steps``, None unless they were recorded) and a
-        dispatch record for each member."""
+        and a dispatch record for each member. Its growth steps are not
+        logged: ``growth_steps`` regrows them from the events."""
         self.events.append({"time": time, "kind": "dispatch", "group": group, "members": members,
                             "root": root, "region": list(region), "r_i": r_i, "r_a": r_a,
                             "shots": shots, "t_e_group": t_e_group})
@@ -240,7 +242,7 @@ class Trace:
         interval = GroupInterval(group, time, region)
         self.intervals.append(interval)
         self.allocations.append(AllocationRecord(
-            time, group, root, region, r_i, r_a, t_e_group, tuple(members), steps))
+            time, group, root, region, r_i, r_a, t_e_group, tuple(members)))
         records = []
         for jid in members:
             rec = self.jobs[jid]
@@ -284,22 +286,12 @@ class Trace:
         return [rec for rec in self.jobs.values() if rec.t_comp is not None]
 
     def to_jsonl(self) -> str:
-        """Serialize the trace as JSON lines: meta, events, then the growth
-        steps of the allocations that recorded them. The job records are
-        not written, since they follow from the events. A non-finite
-        number raises ``ValueError``."""
+        """Serialize the trace as JSON lines: the meta line, then the events.
+        The job records and the growth steps are not written, since they
+        follow from the events (see ``growth_steps``). A non-finite number
+        raises ``ValueError``."""
         events = ({"type": "event", **ev} for ev in self.events)
-        growth = (
-            {
-                "type": "growth",
-                "group": rec.group_id,
-                "root": rec.root,
-                "steps": [dataclasses.asdict(s) for s in rec.steps],
-            }
-            for rec in self.allocations
-            if rec.steps is not None
-        )
-        docs = itertools.chain([{"type": "meta", **self.meta}], events, growth)
+        docs = itertools.chain([{"type": "meta", **self.meta}], events)
         encode = json.JSONEncoder(allow_nan=False).encode
         return "\n".join(map(encode, docs)) + "\n"
 
@@ -307,32 +299,31 @@ class Trace:
     def from_jsonl(cls, text: str) -> "Trace":
         """The trace that ``to_jsonl`` wrote as ``text``; its exact inverse.
 
-        The meta line is read as written, and each event is folded into
-        the records by the method that logged it, so the jobs with their
-        counters and dispatch records, the intervals and the allocations
-        are those of the run. An allocation's steps come from its group's
-        ``growth`` line, and are None without one. Raises
-        ``TraceFormatError``, and no other error, for text that is not such
-        a trace: a line that is not JSON, a ``NaN``, ``Infinity`` or
-        ``-Infinity`` token, a first line that is not the meta line, a line
-        that is not an object, a line of unknown type (a ``job`` line of
-        the older format too) or an event of unknown kind, a missing field
-        or one whose value breaks its rule (``_EVENT_FIELDS``), a job that
-        arrives twice, a trace whose arrivals are not the meta line's
-        ``n_jobs``, a dispatch or ``requeue`` that names a job before its
-        arrival, while it runs or after it completed, a group dispatched
-        twice, a dispatch whose region is not a nonempty set of
-        the chip's qubits (``n_qubits`` in the meta line) holding its root,
-        or whose edge counts break ``0 <= r_i <= r_a``, an end of a group
-        that is not running or that ran no shot or more than its dispatch's
-        ``shots``, an event that is not the one the fold logs for it (an
-        extra field; a ``preempt`` that ran all of its dispatch's shots or
-        a ``group_complete`` that did not; ``completed`` and ``requeued``
-        other than the members left without shots and with some, in member
-        order), or a dispatch that never ends. What it reads then has the
-        types ``compute_report`` scores, which may still refuse regions
-        that overlap or touch (``AllocationError``) or a trace without a
-        span of time (``EmptyTraceError``).
+        The meta line is read as written, and each event is folded into the
+        records by the method that logged it, so the jobs with their counters
+        and dispatch records, the intervals and the allocations are those of
+        the run. Raises ``TraceFormatError``, and no other error, for text
+        that is not such a trace: a line that is not JSON, a ``NaN``,
+        ``Infinity`` or ``-Infinity`` token, a first line that is not the meta
+        line, a meta line without integer ``n_qubits`` and ``n_jobs`` or
+        without a ``t_q_mode`` of ``chip.COHERENCE_MODES``, a line that is not
+        an object, a line of unknown type (the ``job`` and ``growth`` lines of
+        older formats too) or an event of unknown kind, a missing field or one
+        whose value breaks its rule (``_EVENT_FIELDS``), a job that arrives
+        twice, a trace whose arrivals are not the meta line's ``n_jobs``, a
+        dispatch or ``requeue`` that names a job before its arrival, while it
+        runs or after it completed, a group dispatched twice, a dispatch whose
+        region is not a nonempty set of the chip's qubits (``n_qubits`` in the
+        meta line) holding its root, or whose edge counts break
+        ``0 <= r_i <= r_a``, an end of a group that is not running or that ran
+        no shot or more than its dispatch's ``shots``, an event that is not the one the
+        fold logs for it (an extra field; a ``preempt`` that ran all of its
+        dispatch's shots or a ``group_complete`` that did not; ``completed``
+        and ``requeued`` other than the members left without shots and with
+        some, in member order), or a dispatch that never ends. What it reads
+        then has the types ``compute_report`` scores, which may still refuse
+        regions that overlap or touch (``AllocationError``) or a trace without
+        a span of time (``EmptyTraceError``).
         """
         try:
             return cls._read(text)
@@ -348,29 +339,17 @@ class Trace:
         docs = [decode(line) for line in text.splitlines()]
         if not docs or docs[0].pop("type", None) != "meta":
             raise TraceFormatError("a trace starts with its meta line")
-        trace = cls(docs[0])
-        for name in ("n_qubits", "n_jobs"):
-            if not _is_int(trace.meta[name]):
-                raise TraceFormatError(f"meta field {name!r} has the wrong value "
-                                       f"{trace.meta[name]!r}")
+        trace = cls(_checked(docs[0], _META_FIELDS, "meta"))
         n_qubits = trace.meta["n_qubits"]
         events: list[dict] = []
-        steps: dict[int, list[GrowthStep]] = {}
         for doc in docs[1:]:
             kind = doc.pop("type", None)
-            if kind == "event":
-                fields = _EVENT_FIELDS.get(doc["kind"])
-                if fields is None:
-                    raise TraceFormatError(f"unknown event kind {doc['kind']!r}")
-                events.append(_checked(doc, fields, doc["kind"]))
-            elif kind == "growth":
-                steps[_checked(doc, _GROWTH_FIELDS, kind)["group"]] = [
-                    GrowthStep(**{k: tuple(v) if isinstance(v, list) else v
-                                  for k, v in _checked(s, _STEP_FIELDS, "step").items()})
-                    for s in doc["steps"]
-                ]
-            else:
+            if kind != "event":
                 raise TraceFormatError(f"unknown trace line type {kind!r}")
+            fields = _EVENT_FIELDS.get(doc["kind"])
+            if fields is None:
+                raise TraceFormatError(f"unknown event kind {doc['kind']!r}")
+            events.append(_checked(doc, fields, doc["kind"]))
         dispatched: set[int] = set()  # group ids are unique per dispatch
 
         def waiting(jids: list[int]) -> None:
@@ -400,7 +379,7 @@ class Trace:
                         f"that are not those of a region of the {n_qubits}-qubit chip")
                 waiting(ev["members"])
                 trace.dispatch(time, gid, ev["members"], ev["root"], region, ev["r_i"],
-                               ev["r_a"], ev["shots"], ev["t_e_group"], steps.get(gid))
+                               ev["r_a"], ev["shots"], ev["t_e_group"])
             elif kind == "requeue":
                 waiting(ev["requeued"])
                 trace.requeue(time, ev["group"], ev["requeued"], ev["placed"])
@@ -422,6 +401,41 @@ class Trace:
             raise TraceFormatError(
                 f"{len(trace.jobs)} jobs arrive in a trace of {trace.meta['n_jobs']}")
         return trace
+
+
+def growth_steps(trace: Trace, chip: Chip) -> dict[int, list[GrowthStep]]:
+    """The growth steps of every dispatch of ``trace``, by group, regrown on ``chip``.
+
+    The events are replayed in log order through a fresh ``Occupancy``: a
+    ``dispatch`` grows its region from its ``root`` to its size at its
+    ``t_e_group``, under the meta line's ``t_q_mode``, logging the steps,
+    and places it; a ``preempt`` or ``group_complete`` releases the group.
+    Log order is the order in which the engine changed its occupancy, so
+    each growth sees the state the allocator saw, also where a dispatch
+    starts and ends at one instant. Raises ``AllocationError`` where a
+    regrown region, ``r_i`` or ``r_a`` is not the dispatch's, or where its
+    root is not open.
+    """
+    occ = Occupancy(chip)
+    t_q_mode = trace.meta["t_q_mode"]
+    steps: dict[int, list[GrowthStep]] = {}
+    for ev in trace.events:
+        kind = ev["kind"]
+        if kind == "dispatch":
+            gid, root, region = ev["group"], ev["root"], tuple(ev["region"])
+            result = grow_region(chip, occ, root, len(region), ev["t_e_group"],
+                                 t_q_mode=t_q_mode, record_steps=True)
+            stats = result.stats  # None for a stall, whose region is None
+            if result.region != region or (stats.r_i, stats.r_a) != (ev["r_i"], ev["r_a"]):
+                raise AllocationError(
+                    f"group {gid} regrows from root {root} to {result.region} with "
+                    f"{result.stats}, not to the dispatched {list(region)} with "
+                    f"r_i={ev['r_i']}, r_a={ev['r_a']}")
+            occ.place(gid, region, root)
+            steps[gid] = result.steps
+        elif kind in ("preempt", "group_complete"):
+            occ.release(ev["group"])
+    return steps
 
 
 @dataclass
@@ -580,9 +594,7 @@ class _Simulation:
         self._start_quantum(rg, 0)
         self.trace.dispatch(
             now, group.id, [j.id for j in group.members], placement.root, placement.region,
-            placement.stats.r_i, placement.stats.r_a, group.shots_group, group.t_e_group,
-            placement.steps if self.config.record_growth_steps else None,
-        )
+            placement.stats.r_i, placement.stats.r_a, group.shots_group, group.t_e_group)
 
     # -- the scheduling pass --------------------------------------------------
 
@@ -629,13 +641,8 @@ class _Simulation:
                         for i, j in enumerate(prefix)
                     ]
                 self._next_group_id += len(groups)
-                outcome = allocate(
-                    self.chip,
-                    self.occupancy,
-                    groups,
-                    t_q_mode=self.config.t_q_mode,
-                    record_steps=self.config.record_growth_steps,
-                )
+                outcome = allocate(self.chip, self.occupancy, groups,
+                                   t_q_mode=self.config.t_q_mode)
                 placed_ids: set[int] = set()
                 for p in outcome.placed:
                     self._start_group(p, now)

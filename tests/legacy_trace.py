@@ -5,10 +5,12 @@ requeue events were collapsed per group and job lines lost their dispatch
 history: one ``requeue`` line per shed member, with ``stalled_group``,
 ``evicted_group`` (always the stalled group), ``requeued_job`` and
 ``whole_group`` (true only when a stalled singleton left the pass); job
-lines with their ``dispatches``; and the meta line without ``t_q_mode``,
-``backfill`` and ``by_total_time``. Applied to ``Trace.from_jsonl`` of a
-new trace, it must reproduce the digests pinned before the format changed,
-which shows that the new format lost nothing.
+lines with their ``dispatches``; the meta line without ``t_q_mode``,
+``backfill`` and ``by_total_time``; and a ``growth`` line per allocation
+whose steps it is given (``qpusched.growth_steps`` regrows them). Applied
+to ``Trace.from_jsonl`` of a new trace, it must reproduce the digests
+pinned before the format changed, which shows that the new format lost
+nothing.
 """
 
 import dataclasses
@@ -36,18 +38,24 @@ def legacy_events(events):
             }
 
 
-def legacy_jsonl(trace) -> str:
-    meta = {k: v for k, v in trace.meta.items() if k not in NEW_META_KEYS}
-    growth = (
+def legacy_growth(trace, steps):
+    """The ``growth`` lines of the allocations that ``steps`` (group id ->
+    growth steps) holds, in allocation order."""
+    return (
         {
             "type": "growth",
             "group": rec.group_id,
             "root": rec.root,
-            "steps": [dataclasses.asdict(s) for s in rec.steps],
+            "steps": [dataclasses.asdict(s) for s in steps[rec.group_id]],
         }
         for rec in trace.allocations
-        if rec.steps is not None
+        if rec.group_id in steps
     )
+
+
+def legacy_jsonl(trace, steps) -> str:
+    meta = {k: v for k, v in trace.meta.items() if k not in NEW_META_KEYS}
+    growth = legacy_growth(trace, steps)
     jobs = (
         {
             "type": "job",

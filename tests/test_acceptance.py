@@ -324,11 +324,7 @@ def test_criterion_7_conservation_and_determinism(invariant_runs):
         chip = generate_grid(5, 5)
         for policy in ("fcfs", "srtf", "rr", "mfq", "qsjf", "qhrrf"):
             wl = generate_poisson_workload(default_spec(25, 4.0, 3.0, seed=77))
-            cfg = SimConfig(
-                chip=chip, workload=wl,
-                policy=Policy(policy, rr_quantum_shots=50),
-                record_growth_steps=True,
-            )
+            cfg = SimConfig(chip=chip, workload=wl, policy=Policy(policy, rr_quantum_shots=50))
             first, _ = run(cfg)
             second, _ = run(cfg)
             assert first.to_jsonl() == second.to_jsonl()

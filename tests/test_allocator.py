@@ -810,7 +810,7 @@ def copy_of(occ):
     return copy
 
 
-def assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record_steps):
+def assert_matches_conflict_free_pass(chip, before, groups, outcome, occ):
     """``outcome`` equals allocating, without conflicts, the groups it kept.
 
     The survivors are ``groups`` with the requeued jobs removed in the order
@@ -825,7 +825,7 @@ def assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record
         else:
             survivors[i] = survivors[i].without(jid)
     fresh = copy_of(before)
-    replay = allocate(chip, fresh, survivors, record_steps=record_steps)
+    replay = allocate(chip, fresh, survivors)
     assert replay.conflicts == []
     assert replay.placed == outcome.placed
     assert np.array_equal(fresh.owner, occ.owner)
@@ -855,10 +855,9 @@ def test_allocate_equals_conflict_free_pass_of_survivors(data):
     n, edges = data.draw(st.sampled_from(small_graphs()), label="graph")
     chip, _, occ = draw_occupancy(data, uniform_chip(n, edges), owner_ids=(90, 91))
     groups = draw_groups(data, n)
-    record_steps = data.draw(st.booleans(), label="record_steps")
     before = copy_of(occ)
-    outcome = allocate(chip, occ, groups, record_steps=record_steps)
-    assert_matches_conflict_free_pass(chip, before, groups, outcome, occ, record_steps)
+    outcome = allocate(chip, occ, groups)
+    assert_matches_conflict_free_pass(chip, before, groups, outcome, occ)
 
 
 def test_out_of_order_groups_are_placed_in_priority_order(monkeypatch):
@@ -877,14 +876,14 @@ def test_out_of_order_groups_are_placed_in_priority_order(monkeypatch):
         return real_grow(chip, occupancy, root, demand, *args, **kwargs)
 
     monkeypatch.setattr(allocator, "grow_region", counting_grow)
-    outcome = allocate(chip, Occupancy(chip), [c, a, b], record_steps=False)
+    outcome = allocate(chip, Occupancy(chip), [c, a, b])
     assert outcome.conflicts == [{"group": 1, "requeued": [1], "placed": False}]
     assert grown == [(0, 1), (8, 6)]  # C, B
     assert [p.region for p in outcome.placed] == [(0,), (3, 4, 5, 6, 7, 8)]
-    assert outcome == allocate(chip, Occupancy(chip), [c, b, a], record_steps=False)
+    assert outcome == allocate(chip, Occupancy(chip), [c, b, a])
 
 
-def reference_allocate(chip, occ, groups, record_steps, t_q_mode="t2"):
+def reference_allocate(chip, occ, groups, t_q_mode="t2"):
     """``allocate`` without its memo: every attempt chooses its root and
     searches from it afresh on the current occupancy. Groups go in priority
     order; one that cannot be placed sheds its worst member and retries,
@@ -899,11 +898,10 @@ def reference_allocate(chip, occ, groups, record_steps, t_q_mode="t2"):
             if cands.size:
                 root, _ = allocator._choose_root(chip, cands, group.t_e_group, t_q_mode, {})
                 result = grow_region(chip, occ, root, group.demand, group.t_e_group,
-                                     t_q_mode=t_q_mode, record_steps=record_steps)
+                                     t_q_mode=t_q_mode)
                 if result.ok:
                     occ.place(group.id, result.region, root)
-                    placements.append(allocator.Placement(
-                        group, result.region, root, result.stats, result.steps))
+                    placements.append(allocator.Placement(group, result.region, root, result.stats))
                     if shed:
                         conflicts.append({"group": group.id, "requeued": shed, "placed": True})
                     break
@@ -938,11 +936,10 @@ def test_allocate_equals_memo_free_reference_pass(data):
                 occ.release(gid)
         groups = draw_groups(data, chip.n_qubits, t_e_values=(1e-4, 1e-3, 1e-2),
                              first_gid=10 * call)
-        record_steps = data.draw(st.booleans(), label="record_steps")
         ref = copy_of(occ)
-        outcome = allocate(chip, occ, groups, record_steps=record_steps)
-        placements, conflicts = reference_allocate(chip, ref, groups, record_steps)
-        assert outcome.placed == placements  # groups, regions, roots, stats and steps
+        outcome = allocate(chip, occ, groups)
+        placements, conflicts = reference_allocate(chip, ref, groups)
+        assert outcome.placed == placements  # groups, regions, roots and stats
         assert outcome.conflicts == conflicts
         assert np.array_equal(occ.owner, ref.owner) and np.array_equal(occ.near, ref.near)
         assert (occ.regions, occ.roots) == (ref.regions, ref.roots)
@@ -961,12 +958,10 @@ def test_input_order_does_not_change_the_outcome(data):
         chip = uniform_chip(*data.draw(st.sampled_from(small_graphs()), label="graph"))
     chip, _, occ = draw_occupancy(data, chip, owner_ids=(90, 91))
     groups = draw_groups(data, chip.n_qubits, t_e_values=(1e-4, 1e-3, 1e-2))
-    record_steps = data.draw(st.booleans(), label="record_steps")
     ordered = copy_of(occ)
-    outcome = allocate(chip, occ, groups, record_steps=record_steps)
-    want = allocate(chip, ordered, sorted(groups, key=lambda g: g.priority_key),
-                    record_steps=record_steps)
-    assert outcome.placed == want.placed  # groups, regions, roots, stats and steps
+    outcome = allocate(chip, occ, groups)
+    want = allocate(chip, ordered, sorted(groups, key=lambda g: g.priority_key))
+    assert outcome.placed == want.placed  # groups, regions, roots and stats
     assert outcome.conflicts == want.conflicts
     assert np.array_equal(occ.owner, ordered.owner) and np.array_equal(occ.near, ordered.near)
     assert (occ.regions, occ.roots) == (ordered.regions, ordered.roots)
@@ -994,7 +989,7 @@ def test_stalled_root_is_searched_once_while_the_occupancy_holds(monkeypatch):
         return result
 
     monkeypatch.setattr(allocator, "grow_region", counting_grow)
-    outcome = allocate(chip, occ, [merged, single], record_steps=False)
+    outcome = allocate(chip, occ, [merged, single])
     assert searched == [(7, 8, False), (7, 2, True), (0, 4, False)]
     assert outcome.conflicts == [{"group": 0, "requeued": [3, 2, 1], "placed": True},
                                  {"group": 4, "requeued": [4], "placed": False}]
@@ -1109,26 +1104,31 @@ def test_error_scores_once_per_duration_in_a_pass(monkeypatch):
     # corner ties on the ratio at its first step (both neighbours have one
     # link and degree 3). Root choice and growth share one E_Q list per
     # duration, whichever of them needs it first. A certificate check reads
-    # E_Q at the qubits it names: those calls are counted apart
+    # E_Q at the qubits it names: those calls are counted apart. A growth
+    # lists its ratio ties, each an E_Q decision, in its ``ties``
     chip = generate_grid(5, 5, noise_seed=3)
-    made, subsets = [], []
-    real_errors = allocator.qubit_errors
+    made, subsets, grown = [], [], []
+    real_errors, real_grow = allocator.qubit_errors, allocator.grow_region
 
     def counting_errors(chip, t_e, t_q_mode, qubits=None):
         (made if qubits is None else subsets).append(t_e)
         return real_errors(chip, t_e, t_q_mode, qubits)
 
+    def recording_grow(chip, occupancy, root, demand, t_e_group, **kwargs):
+        result = real_grow(chip, occupancy, root, demand, t_e_group, **kwargs)
+        grown.append((t_e_group, result))
+        return result
+
     monkeypatch.setattr(allocator, "qubit_errors", counting_errors)
+    monkeypatch.setattr(allocator, "grow_region", recording_grow)
     for n, count in ((1, 6), (3, 4)):
         made.clear()
+        grown.clear()
         groups = [singleton_group(i, n=n, t_e=(1e-4, 1e-3)[i % 2], key=(float(i), 0.0, i))
                   for i in range(count)]
-        outcome = allocate(chip, Occupancy(chip), groups, record_steps=True)
-        growth_ties = {
-            p.group.t_e_group for p in outcome.placed for step in p.steps
-            if sum(ri * step.r_a == step.r_i * ra
-                   for ri, ra in zip(step.frontier_r_i, step.frontier_r_a)) > 1
-        }
+        outcome = allocate(chip, Occupancy(chip), groups)
+        assert len(grown) == count
+        growth_ties = {t_e for t_e, result in grown if result.ties}
         assert sorted(growth_ties) == ([] if n == 1 else [1e-4, 1e-3])
         if n == 1:
             assert [p.root for p in outcome.placed] == [4, 20, 0, 24, 2, 14]
@@ -1152,7 +1152,7 @@ def test_idle_chip_memo_hit_equals_a_fresh_allocate(data):
     # same pass again, on the now idle occupancy, must place what a pass
     # on a fresh Occupancy places, and skips a growth for every idle-chip
     # placement whose (demand, t_e_group) it saw, but only with the same
-    # t_q_mode and record_steps
+    # t_q_mode
     n, edges = data.draw(st.sampled_from(small_graphs()), label="graph")
     specs = tuple(
         QubitSpec(id=q, t2_us=data.draw(st.sampled_from([50.0, 100.0])),
@@ -1164,10 +1164,9 @@ def test_idle_chip_memo_hit_equals_a_fresh_allocate(data):
     groups = draw_groups(data, n, t_e_values=(1e-4, 1e-3, 1e-2))
     modes = st.sampled_from(COHERENCE_MODES)
     warm_mode, mode = data.draw(modes, label="warm mode"), data.draw(modes, label="mode")
-    warm_steps, steps = data.draw(st.booleans()), data.draw(st.booleans())
 
     occ, fresh_occ = Occupancy(chip), Occupancy(chip)
-    warm = allocate(chip, occ, groups, t_q_mode=warm_mode, record_steps=warm_steps)
+    warm = allocate(chip, occ, groups, t_q_mode=warm_mode)
     for p in warm.placed:
         occ.release(p.group.id)
     memo = {key: list(grown) for key, grown in occ.memo.growths.items()}
@@ -1180,16 +1179,15 @@ def test_idle_chip_memo_hit_equals_a_fresh_allocate(data):
         return result
 
     with mock.patch.object(allocator, "grow_region", counting_grow):
-        hit = allocate(chip, occ, groups, t_q_mode=mode, record_steps=steps)
+        hit = allocate(chip, occ, groups, t_q_mode=mode)
         grown_hit = sum(grown)
-        fresh = allocate(chip, fresh_occ, groups, t_q_mode=mode, record_steps=steps)
-    assert hit.placed == fresh.placed  # groups, regions, roots, stats and steps
+        fresh = allocate(chip, fresh_occ, groups, t_q_mode=mode)
+    assert hit.placed == fresh.placed  # groups, regions, roots and stats
     assert hit.conflicts == fresh.conflicts
     assert np.array_equal(occ.owner, fresh_occ.owner) and np.array_equal(occ.near, fresh_occ.near)
     assert occ.roots == fresh_occ.roots
-    same_settings = (warm_mode, warm_steps) == (mode, steps)
-    assert (grown_hit < sum(grown) - grown_hit) == bool(memo and same_settings)
-    assert all(key[1:] == (warm_mode, warm_steps) for key in memo)  # (demand, mode, steps)
+    assert (grown_hit < sum(grown) - grown_hit) == bool(memo and warm_mode == mode)
+    assert all(key[1:] == (warm_mode,) for key in memo)  # (demand, t_q_mode)
     assert all(len(grown) == 1 for grown in memo.values())  # a pass on an idle chip grows once
 
 
@@ -1205,7 +1203,7 @@ def test_memo_serves_only_an_idle_occupancy():
         again = allocate(chip, occ, [singleton_group(1, n=3)]).placed[0]  # not idle: grown
         occ.release(0)
         occ.release(1)
-        assert occ.memo is idle and list(idle.growths) == [(3, "t2", False)]
+        assert occ.memo is idle and list(idle.growths) == [(3, "t2")]
         hit = allocate(chip, occ, [singleton_group(2, n=3)]).placed[0]
         occ.release(2)
         certified = allocate(chip, occ, [singleton_group(3, n=3, t_e=0.002)]).placed[0]
@@ -1213,8 +1211,8 @@ def test_memo_serves_only_an_idle_occupancy():
     for p in (hit, certified):
         assert (p.root, p.region, p.stats) == (first.root, first.region, first.stats)
     assert again.root != first.root
-    assert list(idle.placements) == [(3, 0.001, "t2", False), (3, 0.002, "t2", False)]
-    assert len(idle.growths[3, "t2", False]) == 1
+    assert list(idle.placements) == [(3, 0.001, "t2"), (3, 0.002, "t2")]
+    assert len(idle.growths[3, "t2"]) == 1
 
 
 def test_memo_lives_with_its_simulation():
@@ -1267,7 +1265,7 @@ DURATIONS = st.sampled_from([1e-7, 1e-5, 1e-3, 1e-2]) | st.floats(-7, -2).map(la
 
 
 @given(data=st.data())
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 def certified_growths_match_reference(probe, data):
     # one occupancy sees groups of a few demands at many durations; every
     # pass starts on the idle chip, whose memo keeps each growth with its
@@ -1298,11 +1296,10 @@ def certified_growths_match_reference(probe, data):
                 keys = {j.id: (data.draw(st.floats(0, 10)), 0.0, j.id) for j in jobs}
                 groups.append(Group.build(gid, jobs, keys_by_id=keys))
                 jid += len(jobs)
-            record_steps = data.draw(st.booleans(), label="record_steps")
             ref = copy_of(occ)
-            outcome = allocate(chip, occ, groups, t_q_mode=mode, record_steps=record_steps)
-            placements, conflicts = reference_allocate(chip, ref, groups, record_steps, mode)
-            assert outcome.placed == placements  # groups, regions, roots, stats and steps
+            outcome = allocate(chip, occ, groups, t_q_mode=mode)
+            placements, conflicts = reference_allocate(chip, ref, groups, mode)
+            assert outcome.placed == placements  # groups, regions, roots and stats
             assert outcome.conflicts == conflicts
             assert np.array_equal(occ.owner, ref.owner) and np.array_equal(occ.near, ref.near)
             assert (occ.regions, occ.roots) == (ref.regions, ref.roots)

@@ -86,6 +86,22 @@ class TestRun:
         assert list(rows[0].keys()) == list(CSV_COLUMNS)
         assert (workdir / "out" / "trace.jsonl").exists()
 
+    def test_every_sim_config_field_is_set(self, workdir, monkeypatch):
+        # a SimConfig field that the CLI leaves at its default is an option
+        # only library callers (in practice, tests) can reach
+        passed = []
+        real = cli.SimConfig
+
+        def recording(**kwargs):
+            passed.append(set(kwargs))
+            return real(**kwargs)
+
+        monkeypatch.setattr(cli, "SimConfig", recording)
+        write_minimal_inputs(workdir)
+        assert main(["run", "--chip", "chip.json", "--workload", "one.jsonl",
+                     "--policy", "fcfs", "--out", "out"]) == 0
+        assert passed == [{f.name for f in dataclasses.fields(real)}]
+
     def test_missing_chip_file_names_path(self, workdir, capsys):
         rc = main(["run", "--chip", "nope.json", "--policy", "fcfs"])
         assert rc == 2

@@ -122,8 +122,7 @@ class TestDeterminism:
     def test_identical_config_byte_identical_trace(self):
         wl = generate_poisson_workload(default_spec(16, 5.0, 4.0, seed=8))
         chip = generate_grid(4, 4)
-        cfg = SimConfig(chip=chip, workload=wl, policy=Policy("qhrrf"),
-                        record_growth_steps=True)
+        cfg = SimConfig(chip=chip, workload=wl, policy=Policy("qhrrf"))
         t1, _ = run(cfg)
         t2, _ = run(cfg)
         assert t1.to_jsonl() == t2.to_jsonl()

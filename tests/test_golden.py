@@ -1,17 +1,20 @@
 """Golden trace digests: the simulator's output is pinned byte for byte.
 
-Each scenario runs a seeded Poisson workload twice: with growth steps
-recorded, so that the trace has growth lines, and with steps off, the
-engine's default. The two runs differ only in whether growth steps are
-logged; the allocator runs the same code either way. Both are pinned
-twice:
+Each scenario runs a seeded Poisson workload once. Runs used to log their
+growth steps on request, as ``growth`` lines; no run does now, and
+``growth_steps`` regrows them from the trace read back. The digests were
+pinned with and without those lines ("steps" and "steps off"), and each
+is checked on the same run:
 
-- ``GOLDEN_JSONL`` holds the sha256 of ``Trace.to_jsonl()``.
-- ``GOLDEN`` (steps on) and ``GOLDEN_STEPS_OFF`` hold the digests pinned
+- ``GOLDEN_JSONL`` holds the sha256 of ``Trace.to_jsonl()``; with steps,
+  of that text followed by the ``growth`` lines of the regrown steps,
+  which is the text a run that logged its steps wrote.
+- ``GOLDEN`` (steps) and ``GOLDEN_STEPS_OFF`` hold the digests pinned
   before each fact of the trace was written once. They are checked on
-  ``legacy_jsonl(Trace.from_jsonl(text))``, the old format written from
-  the trace read back, which shows that the reader rebuilds what the
-  writer dropped and that the runs did not change.
+  ``legacy_jsonl(trace, steps)``, the old format written from the trace
+  read back, with the regrown steps or none, which shows that the reader
+  rebuilds what the writer dropped, that the regrowth gives back every
+  step the runs logged, and that the runs did not change.
 
 A refactor of the scheduler, merger or allocator must leave every digest
 unchanged; a deliberate behaviour change updates the digests together
@@ -41,11 +44,12 @@ from qpusched import (
     default_spec,
     generate_grid,
     generate_poisson_workload,
+    growth_steps,
     run,
 )
 from qpusched.scheduler import POLICY_NAMES
 
-from legacy_trace import legacy_jsonl
+from legacy_trace import legacy_growth, legacy_jsonl
 
 MODES = {
     "merge": (MergeConfig(enabled=True), False),
@@ -157,7 +161,7 @@ GOLDEN_STEPS_OFF = {
 }
 
 
-GOLDEN_JSONL = {  # (chip, policy, mode, growth steps recorded) -> sha256 of to_jsonl()
+GOLDEN_JSONL = {  # (chip, policy, mode, steps) -> sha256 of to_jsonl(), with steps + growth lines
     ("grid8", "fcfs", "merge", True): "cfdeb5c9af628080fafabb72a7b678fa39cba3cae1e498126920434f53cd06ff",
     ("grid8", "sjf", "merge", True): "df8d67fbb8ecbb072f1c129621b7b7cd8c875e92567a9a0f7057f0571be4efc2",
     ("grid8", "qsjf", "merge", True): "7baae3fd97f6ecece1c702ad583355c5155f3c26833d3394e107ad292e3f3dda",
@@ -249,8 +253,7 @@ def _scenarios():
         yield "tree40", policy, "merge"
 
 
-def golden_config(chip_name: str, policy: str, mode: str, steps: bool = True,
-                  t_q_mode: str = "t2") -> SimConfig:
+def golden_config(chip_name: str, policy: str, mode: str, t_q_mode: str = "t2") -> SimConfig:
     chip = CHIPS[chip_name]
     merge, exclusive = MODES[mode]
     workload = generate_poisson_workload(default_spec(chip.n_qubits, 10.0, 2.0, seed=5))
@@ -261,15 +264,22 @@ def golden_config(chip_name: str, policy: str, mode: str, steps: bool = True,
         merge=merge,
         exclusive=exclusive,
         t_q_mode=t_q_mode,
-        record_growth_steps=steps,
     )
 
 
 @functools.cache
-def golden_run(chip_name: str, policy: str, mode: str, steps: bool = True):
+def golden_run(chip_name: str, policy: str, mode: str):
     """(``to_jsonl()`` text, metrics report) of a golden scenario."""
-    trace, report = run(golden_config(chip_name, policy, mode, steps))
+    trace, report = run(golden_config(chip_name, policy, mode))
     return trace.to_jsonl(), report
+
+
+@functools.cache
+def golden_read(chip_name: str, policy: str, mode: str):
+    """The scenario's trace read back from its text, and its growth steps
+    regrown from that trace."""
+    trace = Trace.from_jsonl(golden_run(chip_name, policy, mode)[0])
+    return trace, growth_steps(trace, CHIPS[chip_name])
 
 
 def sha256(text: str) -> str:
@@ -277,9 +287,10 @@ def sha256(text: str) -> str:
 
 
 def trace_digest(chip_name: str, policy: str, mode: str, steps: bool = True) -> str:
-    """Digest of the legacy format written from the scenario's trace read back."""
-    text, _ = golden_run(chip_name, policy, mode, steps)
-    return sha256(legacy_jsonl(Trace.from_jsonl(text)))
+    """Digest of the legacy format written from the scenario's trace read
+    back, with its regrown growth steps or none."""
+    trace, grown = golden_read(chip_name, policy, mode)
+    return sha256(legacy_jsonl(trace, grown if steps else {}))
 
 
 @pytest.mark.parametrize("scenario", list(_scenarios()), ids="-".join)
@@ -295,7 +306,11 @@ def test_trace_digest_steps_off(scenario):
 @pytest.mark.parametrize("steps", [True, False], ids=["steps", "steps_off"])
 @pytest.mark.parametrize("scenario", list(_scenarios()), ids="-".join)
 def test_jsonl_digest(scenario, steps):
-    text, _ = golden_run(*scenario, steps)
+    text, _ = golden_run(*scenario)
+    if steps:  # the text of a run that logged its growth steps
+        trace, grown = golden_read(*scenario)
+        encode = json.JSONEncoder(allow_nan=False).encode
+        text += "".join(encode(doc) + "\n" for doc in legacy_growth(trace, grown))
     assert sha256(text) == GOLDEN_JSONL[(*scenario, steps)]
 
 
@@ -313,7 +328,7 @@ def assert_rescores(text: str, report, chip: Chip) -> None:
 
 @pytest.mark.parametrize("scenario", list(_scenarios()), ids="-".join)
 def test_trace_file_rescores_to_the_run_report(scenario):
-    assert_rescores(*golden_run(*scenario, False), CHIPS[scenario[0]])
+    assert_rescores(*golden_run(*scenario), CHIPS[scenario[0]])
 
 
 def test_trace_file_rescores_under_min_t1_t2():
@@ -321,7 +336,7 @@ def test_trace_file_rescores_under_min_t1_t2():
     # it under the default and miss
     chip = generate_grid(8, 8, QubitSpec(0, t2_us=100.0, readout_error=0.01, t1_us=60.0),
                          noise_seed=7)
-    config = dataclasses.replace(golden_config("grid8", "qhrrf", "merge", steps=False),
+    config = dataclasses.replace(golden_config("grid8", "qhrrf", "merge"),
                                  chip=chip, t_q_mode="min_t1_t2")
     trace, report = run(config)
     text = trace.to_jsonl()

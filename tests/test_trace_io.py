@@ -1,14 +1,15 @@
 """Trace file tests: ``Trace.from_jsonl`` is the exact inverse of ``to_jsonl``.
 
 The round trip is drawn by hypothesis over every connected graph of up to
-six qubits, all 8 policies, the four golden modes and growth steps on and
-off. The job records are not written, so reading a trace back folds them
-from the events; the property asserts the read trace equals the run's in
-meta, events, jobs (with every counter and dispatch record), intervals and
-allocations (with their growth steps), and that writing it again gives
-the same text. The ``requeue`` events are checked against an independent
-record of the conflicts: every ``resolve_conflict`` call of the run, and
-whether the group was dispatched.
+six qubits, all 8 policies and the four golden modes. The job records and
+the growth steps are not written, so reading a trace back folds the
+records from the events; the property asserts the read trace equals the
+run's in meta, events, jobs (with every counter and dispatch record),
+intervals and allocations, that writing it again gives the same text, and
+that ``growth_steps`` regrows every dispatch of the trace read back. The
+``requeue`` events are checked against an independent record of the
+conflicts: every ``resolve_conflict`` call of the run, and whether the
+group was dispatched.
 """
 
 import json
@@ -22,13 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpusched import allocator
+from qpusched.allocator import AllocationError
 from qpusched.engine import (
     _EVENT_FIELDS,
-    _GROWTH_FIELDS,
-    _STEP_FIELDS,
+    MergeConfig,
     SimConfig,
     Trace,
     TraceFormatError,
+    growth_steps,
     run,
 )
 from qpusched.metrics import compute_report
@@ -37,6 +39,7 @@ from qpusched.workload import Job, Workload
 
 from conftest import uniform_chip
 from graphgen import small_graphs
+from legacy_trace import legacy_growth
 from test_golden import MODES
 
 # A start near 1e9 s absorbs a 1e-8 s shot: such a dispatch starts and
@@ -67,7 +70,6 @@ def simulations(draw):
         policy=policy,
         merge=merge,
         exclusive=exclusive,
-        record_growth_steps=draw(st.booleans(), label="record_steps"),
     )
 
 
@@ -76,7 +78,7 @@ def assert_same_trace(back: Trace, trace: Trace) -> None:
     assert back.events == trace.events
     assert back.jobs == trace.jobs  # each Job, counter and DispatchRecord
     assert back.intervals == trace.intervals
-    assert back.allocations == trace.allocations  # with their growth steps
+    assert back.allocations == trace.allocations
 
 
 def assert_requeues_match(trace: Trace, conflicts: list[tuple[int, int]]) -> None:
@@ -93,12 +95,22 @@ def assert_requeues_match(trace: Trace, conflicts: list[tuple[int, int]]) -> Non
 
 
 def features(trace: Trace) -> set[str]:
-    """The cases of a trace that the reader handles apart from the rest."""
+    """The cases of a trace that the reader or ``growth_steps`` handles apart
+    from the rest. A release logged after another group's dispatch at the
+    same instant, like a zero-length dispatch, is lost to a replay that
+    orders an instant's releases before its placements."""
     found = set()
     if any(iv.end == iv.start for iv in trace.intervals):
         found.add("zero-length dispatch")
     if any(ev["kind"] == "requeue" and ev["placed"] for ev in trace.events):
         found.add("shed, then placed")
+    dispatched: dict[float, set[int]] = {}  # time -> the groups dispatched then, so far
+    for ev in trace.events:
+        if ev["kind"] == "dispatch":
+            dispatched.setdefault(ev["time"], set()).add(ev["group"])
+        elif ev["kind"] in ("preempt", "group_complete") and (
+                dispatched.get(ev["time"], set()) - {ev["group"]}):
+            found.add("release after a dispatch at one instant")
     return found
 
 
@@ -121,6 +133,8 @@ def round_trip(probe: Counter, data):
     assert_same_trace(back, trace)
     assert back.to_jsonl() == text
     assert_requeues_match(trace, conflicts)
+    steps = growth_steps(back, config.chip)  # raises unless every dispatch regrows
+    assert list(steps) == [rec.group_id for rec in trace.allocations]
     probe.update(features(trace))
 
 
@@ -130,18 +144,67 @@ def test_round_trip_is_exact_and_draws_every_case():
     # a probe of the draws: without these cases the property proves less
     assert probe["zero-length dispatch"] >= 5, probe
     assert probe["shed, then placed"] >= 5, probe
+    assert probe["release after a dispatch at one instant"] >= 5, probe
 
 
-def example_text(policy: str = "fcfs", steps: bool = False) -> str:
+EXAMPLE_CHIP = uniform_chip(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def example_text(policy: str = "fcfs") -> str:
     """Three jobs on a 4-qubit path. Under fcfs, jobs 0 and 1 run merged in
     group 0 and job 2 alone in group 1. Under rr (two-shot quanta), group 0
     (jobs 0 and 1) is preempted, group 1 (jobs 0 and 2) is preempted as job
     0 completes, and group 2 (jobs 1 and 2) completes."""
     jobs = tuple(Job(id=i, n=2, shots=3 + i, t_sub=0.0, t_e_shot=1e-3) for i in range(3))
-    config = SimConfig(chip=uniform_chip(4, [(0, 1), (1, 2), (2, 3)]),
-                       workload=Workload(jobs=jobs, horizon=1.0),
-                       policy=Policy(policy, rr_quantum_shots=2), record_growth_steps=steps)
+    config = SimConfig(chip=EXAMPLE_CHIP, workload=Workload(jobs=jobs, horizon=1.0),
+                       policy=Policy(policy, rr_quantum_shots=2))
     return run(config)[0].to_jsonl()
+
+
+# Two fuzz draws, shrunk, on which a replay in ``occupancy_timeline``'s order
+# (an instant's releases first, zero-length intervals skipped) regrows a
+# region the engine did not grow: (policy, merge, jobs as (id, n, shots,
+# t_sub, t_e_shot)) on one six-qubit graph
+REPLAY_CASES = [
+    # at 3.6 ms group 3 grows from qubit 2 while group 1 holds {1, 3}; group 1
+    # is released after that dispatch, and only then does group 5 take qubit 3
+    pytest.param(Policy("mfq", mfq_base_quantum_shots=2), MergeConfig(enabled=False),
+                 [(1, 1, 3, 0.001, 0.0013), (3, 2, 3, 0.001, 0.0013), (2, 2, 1, 0.0025, 0.001)],
+                 "release after a dispatch at one instant", id="release after a dispatch"),
+    # at 1e9 s group 0's 1e-8 s shot starts and ends at one instant, and
+    # group 1 grows while group 0 holds {0, 2}
+    pytest.param(Policy("srtf"), MergeConfig(enabled=True),
+                 [(1, 2, 1, 1e9, 0.001), (3, 2, 1, 1e9, 1e-8)],
+                 "zero-length dispatch", id="zero-length dispatch"),
+]
+
+
+@pytest.mark.parametrize("policy, merge, jobs, feature", REPLAY_CASES)
+def test_growth_steps_replays_the_events_in_log_order(policy, merge, jobs, feature):
+    chip = uniform_chip(6, [(0, 1), (0, 2), (1, 3), (1, 5), (2, 4), (3, 5), (4, 5)])
+    jobs = tuple(Job(*job) for job in jobs)
+    config = SimConfig(chip=chip, workload=Workload(jobs=jobs, horizon=jobs[-1].t_sub + 1.0),
+                       policy=policy, merge=merge)
+    trace = Trace.from_jsonl(run(config)[0].to_jsonl())
+    assert feature in features(trace)
+    steps = growth_steps(trace, chip)
+    assert {rec.group_id: len(rec.region) - 1 for rec in trace.allocations} == {
+        gid: len(log) for gid, log in steps.items()}
+
+
+def test_growth_steps_refuses_a_region_its_root_does_not_grow():
+    # the example's group 1 (job 2) grows {0, 1} from root 0; edited to the
+    # connected {1, 2} from root 1 it still reads and scores, but growth
+    # from qubit 1 takes qubit 0 (ratio 1/2) before qubit 2 (1/3)
+    lines = example_text().splitlines()
+    trace = Trace.from_jsonl("\n".join(lines) + "\n")
+    assert [rec.region for rec in trace.allocations] == [(0, 1, 2, 3), (0, 1)]
+    assert list(growth_steps(trace, EXAMPLE_CHIP)) == [0, 1]
+    lines = edited('"kind": "dispatch"', 1, root=1, region=[1, 2], r_a=3)(lines)
+    trace = Trace.from_jsonl("\n".join(lines) + "\n")
+    compute_report(trace, EXAMPLE_CHIP)  # the replay of the scores accepts it
+    with pytest.raises(AllocationError, match="group 1 regrows from root 1 to"):
+        growth_steps(trace, EXAMPLE_CHIP)
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -166,13 +229,12 @@ def readme_trace_format() -> tuple[dict[str, set[str]], dict[str, set[str]]]:
 
 def test_readme_names_the_trace_format_the_reader_reads():
     types, kinds = readme_trace_format()
-    text = example_text(steps=True)
+    text = example_text()
     Trace.from_jsonl(text)
     docs = [json.loads(line) for line in text.splitlines()]
-    assert set(types) == {doc["type"] for doc in docs}
+    assert set(types) == {doc["type"] for doc in docs} == {"meta", "event"}
     assert types["meta"] == set(docs[0]) - {"type"}
     assert types["event"] == {"time", "kind"}
-    assert types["growth"] == set(_GROWTH_FIELDS) | {"steps"} | set(_STEP_FIELDS)
     assert {kind: fields | types["event"] for kind, fields in kinds.items()} == {
         kind: set(fields) | {"kind"} for kind, fields in _EVENT_FIELDS.items()}
 
@@ -207,19 +269,32 @@ OLD_JOB_LINE = {"type": "job", "id": 0, "n": 2, "shots": 3, "t_sub": 0.0, "t_e_s
                 "t_comp": 0.004, "preemptions": 0, "requeues": 0, "executed_shots": 3}
 
 
-def without_time(lines):
-    first_event = next(i for i, line in enumerate(lines) if '"type": "event"' in line)
-    doc = json.loads(lines[first_event])
-    del doc["time"]
-    return lines[:first_event] + [json.dumps(doc)] + lines[first_event + 1:]
+def with_growth_lines(lines):
+    """The example's lines followed by the ``growth`` lines that a run which
+    logged its growth steps wrote."""
+    trace = Trace.from_jsonl("\n".join(lines) + "\n")
+    return lines + [json.dumps(doc)
+                    for doc in legacy_growth(trace, growth_steps(trace, EXAMPLE_CHIP))]
+
+
+def without(key: str, marker: str = '"type": "event"'):
+    """A damage that deletes ``key`` from the first line holding ``marker``."""
+    def damage(lines):
+        i = next(i for i, line in enumerate(lines) if marker in line)
+        doc = json.loads(lines[i])
+        del doc[key]
+        return lines[:i] + [json.dumps(doc)] + lines[i + 1:]
+    return damage
 
 
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda lines: ["\n".join(lines)[:100]], id="truncated"),
     pytest.param(lambda lines: lines + [json.dumps(OLD_JOB_LINE)], id="a job line"),
+    pytest.param(with_growth_lines, id="growth lines"),
+    pytest.param(without("t_q_mode", '"type": "meta"'), id="meta without t_q_mode"),
     pytest.param(lambda lines: lines[:1] + ["[1, 2]"] + lines[1:], id="array line"),
     pytest.param(lambda lines: ['"meta"'] + lines[1:], id="meta line not an object"),
-    pytest.param(without_time, id="event without time"),
+    pytest.param(without("time"), id="event without time"),
 ])
 def test_reader_rejects_malformed_text_with_its_own_error(damage):
     with pytest.raises(TraceFormatError):
@@ -246,6 +321,9 @@ WRONG_VALUES = [
     ('"kind": "arrival"', "t_e_shot", "later"),
     ('"kind": "arrival"', "t_e_shot", False),
     ('"type": "meta"', "n_qubits", "4"),
+    ('"type": "meta"', "t_q_mode", "t3"),  # re-scoring by the meta's mode raised ChipError
+    ('"type": "meta"', "t_q_mode", 5),
+    ('"type": "meta"', "t_q_mode", None),
 ]
 
 
