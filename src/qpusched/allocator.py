@@ -41,18 +41,20 @@ Placement of one group:
    order and running groups are never disturbed, so the stalled group is
    always the lower-priority side, and no placement is ever undone.
 
-Root choice and growth are functions of the chip and the occupancy, so
-what ``allocate`` learns about an occupancy is kept on it, in its
-``AllocationMemo``, until ``Occupancy.place`` or ``Occupancy.release``
-changes it: the root candidates left by the hop-sum and eccentricity
-filters, for each root that stalled the size of its open component, and
-each growth with its certificate. The component search stops only at the
-demand, so a smaller component was found in full, and a later attempt at
-that root with a larger demand stalls the same way without a search, in
-the same pass or a later one. The memo of the empty occupancy is kept for
-good: a job preempted in exclusive mode gets its region back without a
-second growth. The memo lives and dies with its occupancy, which belongs
-to one simulation.
+Root choice and growth are functions of the occupancy, which holds the
+chip and the coherence mode that picks T_Q, so what ``allocate`` learns
+about an occupancy is kept on it, in its ``AllocationMemo``, until
+``Occupancy.place`` or ``Occupancy.release`` changes it: the root
+candidates left by the hop-sum and eccentricity filters, for each root
+that stalled the size of its open component, and each growth with its
+certificate. The component search stops only at the demand, so a smaller
+component was found in full, and a later attempt at that root with a
+larger demand stalls the same way without a search, in the same pass or a
+later one. The memo of the empty occupancy is kept for good: a job
+preempted in exclusive mode gets its region back without a second growth.
+``place`` replaces the memo right after every growth it keeps, so only the
+memo of the empty occupancy keeps growths. The memo lives and dies with
+its occupancy, which belongs to one simulation.
 
 Root choice and growth read E_Q only through comparisons: each E_Q
 decision keeps, of some tied candidates, those of lowest E_Q. A growth's
@@ -60,7 +62,7 @@ certificate lists these decisions, each as (tied candidates, kept), the
 root choice first. Every other decision is an exact ratio comparison, the
 lookahead or the lowest id, none of which reads E_Q, so where every
 decision keeps the same qubits the root, region, stats and steps are the
-same. A growth is therefore kept by (demand, t_q_mode) and serves every
+same. A growth is therefore kept by its demand and serves every
 per-shot duration at which its certificate holds: a duration seen before
 is a dict lookup (a preempted job comes back with its own), and a new one
 takes the first growth of that demand whose decisions re-evaluate the
@@ -85,7 +87,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chip import Chip
+from .chip import Chip, check_coherence_mode
 from .merger import Group
 from .workload import Job
 
@@ -130,6 +132,8 @@ class GrowthStep:
 
 # An E_Q decision: tied candidates, and those of them that were kept (see ``_lowest_error``)
 Tie = tuple[list[int], list[int]]
+# A pass's E_Q per qubit, by t_e_group (see ``_error_list``)
+Errors = dict[float, list[float]]
 
 
 @dataclass
@@ -158,11 +162,12 @@ class AllocationMemo:
 
     ``candidates`` is ``_root_candidates``' result, or None before the first
     root choice; ``stalls`` maps a root that stalled to the size of its open
-    component. ``growths`` maps (demand, t_q_mode) to every growth made on
-    this state, in order, each as (certificate, root, growth): the
-    certificate lists the E_Q decisions of its root choice and growth.
-    ``placements`` maps (demand, t_e_group, t_q_mode) to the root and growth
-    that serve that duration, grown at it or certified for it.
+    component. ``growths`` maps a demand to every growth made on this
+    state, in order, each as (certificate, root, growth): the certificate
+    lists the E_Q decisions of its root choice and growth. ``placements``
+    maps (demand, t_e_group) to the root and growth that serve that
+    duration, grown at it or certified for it. No key holds a coherence
+    mode: an occupancy has one (``Occupancy.t_q_mode``).
     """
 
     __slots__ = ("candidates", "stalls", "growths", "placements")
@@ -170,8 +175,8 @@ class AllocationMemo:
     def __init__(self):
         self.candidates: np.ndarray | None = None
         self.stalls: dict[int, int] = {}
-        self.growths: dict[tuple, list[tuple[list[Tie], int, GrowthResult]]] = {}
-        self.placements: dict[tuple, tuple[int, GrowthResult]] = {}
+        self.growths: dict[int, list[tuple[list[Tie], int, GrowthResult]]] = {}
+        self.placements: dict[tuple[int, float], tuple[int, GrowthResult]] = {}
 
 
 class Occupancy:
@@ -186,12 +191,16 @@ class Occupancy:
     of the buffer rule. One simulation owns its Occupancy exclusively.
     ``memo`` is ``allocate``'s memo of the current state. Only ``place`` and
     ``release`` replace it: with a fresh one, or with the memo of the empty
-    occupancy, kept for good, when no region is left.
+    occupancy, kept for good, when no region is left. ``t_q_mode`` picks the
+    T_Q of the E_Q tie-break (see ``chip.COHERENCE_MODES``) for every
+    ``allocate`` and ``grow_region`` on this occupancy; nothing else reads it.
     """
 
-    def __init__(self, chip: Chip):
+    def __init__(self, chip: Chip, t_q_mode: str = "t2"):
+        check_coherence_mode(t_q_mode)
         n = chip.n_qubits
         self.chip = chip
+        self.t_q_mode = t_q_mode
         self.owner = [-1] * n
         self.near = [0] * n
         self.open = bytearray(b"\x01") * n
@@ -279,13 +288,12 @@ def qubit_errors(
     return (1.0 - np.exp(-t_us / coh)) * readout
 
 
-def _error_list(
-    chip: Chip, t_e_group: float, t_q_mode: str, errors: dict[float, list[float]]
-) -> list[float]:
+def _error_list(occupancy: Occupancy, t_e_group: float, errors: Errors) -> list[float]:
     """E_Q per qubit at ``t_e_group``, as Python floats, computed once and kept in ``errors``."""
     eq = errors.get(t_e_group)
     if eq is None:
-        eq = errors[t_e_group] = qubit_errors(chip, t_e_group, t_q_mode).tolist()
+        eq = errors[t_e_group] = qubit_errors(
+            occupancy.chip, t_e_group, occupancy.t_q_mode).tolist()
     return eq
 
 
@@ -299,10 +307,7 @@ def _lowest_error(eq: Sequence[float] | dict[int, float], tied: list[int]) -> li
     return [c for c in tied if eq[c] == low]
 
 
-def _certified(
-    chip: Chip, ties: list[Tie], t_e_group: float, t_q_mode: str,
-    errors: dict[float, list[float]],
-) -> bool:
+def _certified(occupancy: Occupancy, ties: list[Tie], t_e_group: float, errors: Errors) -> bool:
     """Whether every E_Q decision of a certificate keeps the same qubits at ``t_e_group``.
 
     E_Q is read from the pass's list for that duration when ``errors`` has
@@ -314,16 +319,18 @@ def _certified(
     eq = errors.get(t_e_group)
     if eq is None:
         qubits = [c for tied, _ in ties for c in tied]
-        eq = dict(zip(qubits, qubit_errors(chip, t_e_group, t_q_mode, qubits).tolist()))
+        eq = dict(zip(qubits, qubit_errors(
+            occupancy.chip, t_e_group, occupancy.t_q_mode, qubits).tolist()))
     return all(_lowest_error(eq, tied) == kept for tied, kept in ties)
 
 
-def _short_component(chip: Chip, open_: Sequence[int], root: int, demand: int) -> int:
-    """How many qubits are reachable from ``root`` through ``open_``, counted up to ``demand``.
+def _short_component(occupancy: Occupancy, root: int, demand: int) -> int:
+    """How many open qubits are reachable from ``root``, counted up to ``demand``.
 
     The search stops once ``demand`` qubits are found.
     """
-    nbrs = chip.graph.neighbors
+    nbrs = occupancy.chip.graph.neighbors
+    open_ = occupancy.open
     seen = {root}
     stack = [root]
     while stack and len(seen) < demand:
@@ -334,7 +341,7 @@ def _short_component(chip: Chip, open_: Sequence[int], root: int, demand: int) -
     return len(seen)
 
 
-def _root_candidates(chip: Chip, occupancy: Occupancy) -> np.ndarray:
+def _root_candidates(occupancy: Occupancy) -> np.ndarray:
     """Eligible qubits with the largest hop sum, then the largest eccentricity.
 
     The hop sum is the sum of the distance rows of the roots of every group
@@ -345,7 +352,7 @@ def _root_candidates(chip: Chip, occupancy: Occupancy) -> np.ndarray:
     elig = np.flatnonzero(np.frombuffer(occupancy.open, dtype=np.bool_))
     if not elig.size:
         return elig
-    dist = chip.distances
+    dist = occupancy.chip.distances
     score = dist.hops[list(occupancy.roots.values())].sum(axis=0)[elig]
     ecc = dist.eccentricity[elig]
     keep = score == score.max()
@@ -353,10 +360,8 @@ def _root_candidates(chip: Chip, occupancy: Occupancy) -> np.ndarray:
     return elig[keep]
 
 
-def _choose_root(
-    chip: Chip, cands: np.ndarray, t_e_group: float, t_q_mode: str,
-    errors: dict[float, list[float]],
-) -> tuple[int, list[Tie]]:
+def _choose_root(occupancy: Occupancy, cands: np.ndarray, t_e_group: float,
+                 errors: Errors) -> tuple[int, list[Tie]]:
     """The candidate with the smallest E_Q, then the lowest id, and the E_Q
     decision that chose it (none for a single candidate).
 
@@ -365,23 +370,15 @@ def _choose_root(
     """
     if cands.size > 1:
         tied = cands.tolist()
-        kept = _lowest_error(_error_list(chip, t_e_group, t_q_mode, errors), tied)
+        kept = _lowest_error(_error_list(occupancy, t_e_group, errors), tied)
         return kept[0], [(tied, kept)]
     return int(cands[0]), []
 
 
-def grow_region(
-    chip: Chip,
-    occupancy: Occupancy,
-    root: int,
-    demand: int,
-    t_e_group: float,
-    *,
-    t_q_mode: str = "t2",
-    record_steps: bool = False,
-    errors: dict[float, list[float]] | None = None,
-) -> GrowthResult:
-    """Grow a connected region of ``demand`` qubits from ``root``.
+def grow_region(occupancy: Occupancy, root: int, demand: int, t_e_group: float, *,
+                record_steps: bool = False, errors: Errors | None = None) -> GrowthResult:
+    """Grow a connected region of ``demand`` qubits from ``root`` on
+    ``occupancy.chip``, E_Q read under ``occupancy.t_q_mode``.
 
     Greedy: every step adds the frontier candidate maximizing the
     post-addition r_i/r_a, compared exactly by integer cross-multiplication;
@@ -396,8 +393,9 @@ def grow_region(
     from a list copy of ``occupancy.open``, the open mask the occupancy
     keeps, which the growth never changes. E_Q per qubit is read at the
     first tie from ``errors``, the pass's lists by ``t_e_group`` (see
-    ``_error_list``); a call without it computes its own. Each E_Q tie-break is one E_Q
-    decision (``_lowest_error``), listed in the result's ``ties``.
+    ``_error_list``); a call without it computes its own. Each E_Q
+    tie-break is one E_Q decision (``_lowest_error``), listed in the
+    result's ``ties``.
     Returns a stall giving the component's size when the root's open
     component (free, non-buffer qubits reachable from it) holds fewer than
     ``demand`` qubits; growth would take all of it and stop there.
@@ -406,6 +404,7 @@ def grow_region(
     growth steps are logged; logging sorts the frontier at every step,
     so no run sets it, and ``engine.growth_steps`` does to regrow a trace.
     """
+    chip = occupancy.chip
     n = chip.n_qubits
     if not 1 <= demand <= n:
         raise AllocationError(f"demand {demand} outside 1..{n}")
@@ -415,7 +414,7 @@ def grow_region(
             raise AllocationError(f"root {root} is not free")
         raise AllocationError(f"root {root} is adjacent to another group's region")
 
-    size = _short_component(chip, open_, root, demand)
+    size = _short_component(occupancy, root, demand)
     if size < demand:
         return GrowthResult(region=None, stats=None, steps=[], component_size=size)
 
@@ -471,7 +470,7 @@ def grow_region(
             elif cmp == 0:
                 best.extend(ones[d])
         if len(best) > 1:
-            kept = _lowest_error(_error_list(chip, t_e_group, t_q_mode, errors), best)
+            kept = _lowest_error(_error_list(occupancy, t_e_group, errors), best)
             ties.append((best, kept))
             best = kept
         if len(best) > 1 and len(region) + 1 < demand:
@@ -544,18 +543,18 @@ def _best_candidates(
     return best, best_i, best_a
 
 
-def _certified_growth(
-    chip: Chip, memo: AllocationMemo, key: tuple, errors: dict[float, list[float]]
-) -> tuple[int, GrowthResult | None]:
-    """The root and growth of the first growth in ``memo`` whose certificate
-    holds at ``key`` = (demand, t_e_group, t_q_mode), kept under ``key``;
+def _certified_growth(occupancy: Occupancy, key: tuple[int, float],
+                      errors: Errors) -> tuple[int, GrowthResult | None]:
+    """The root and growth of the first growth in ``occupancy.memo`` whose
+    certificate holds at ``key`` = (demand, t_e_group), kept under ``key``;
     (-1, None) when there is none.
 
-    Only growths of the same demand and ``t_q_mode`` are tried.
+    Only growths of the same demand are tried.
     """
-    demand, t_e_group, t_q_mode = key
-    for ties, root, result in memo.growths.get((demand, t_q_mode), ()):
-        if _certified(chip, ties, t_e_group, t_q_mode, errors):
+    memo = occupancy.memo
+    demand, t_e_group = key
+    for ties, root, result in memo.growths.get(demand, ()):
+        if _certified(occupancy, ties, t_e_group, errors):
             memo.placements[key] = root, result
             return root, result
     return -1, None
@@ -593,55 +592,52 @@ class AllocationOutcome:
     conflicts: list[dict]
 
 
-def allocate(
-    chip: Chip,
-    occupancy: Occupancy,
-    groups: Sequence[Group],
-    *,
-    t_q_mode: str = "t2",
-) -> AllocationOutcome:
+def allocate(occupancy: Occupancy, groups: Sequence[Group]) -> AllocationOutcome:
     """Place every group, or requeue members of those that cannot be placed.
 
     Groups are processed in priority order (a stable sort by
     ``priority_key``), roots interleaved with growth, and placed directly
-    into ``occupancy``. A group that stalls, or finds no eligible root,
-    yields its worst member (``resolve_conflict``, called once per
-    conflict): a merged group retries without it, a singleton leaves the
-    pass. A group's placement depends only on the groups placed before it,
-    so no placement is undone. Each group that stalled at least once gets
-    one conflict record, listing the members it shed in order and whether
-    the rest of it was placed (see ``AllocationOutcome``). Every
-    attempt reads and extends ``occupancy.memo``, what is known about the
-    current occupancy (root candidates, stalled roots and growths), which
-    ``place`` replaces when it changes it. A group grows only when no
-    growth of its demand on this state holds a certificate for its
-    ``t_e_group`` (see the module docstring). A placement holds no step
-    log; ``engine.growth_steps`` regrows it from the trace.
+    into ``occupancy``, on its chip and with E_Q under its ``t_q_mode``. A
+    group that stalls, or finds no eligible root, yields its worst member
+    (``resolve_conflict``, called once per conflict): a merged group retries
+    without it, a singleton leaves the pass. A group's placement depends
+    only on the groups placed before it, so no placement is undone. Each
+    group that stalled at least once gets one conflict record, listing the
+    members it shed in order and whether the rest of it was placed (see
+    ``AllocationOutcome``). Every attempt reads and extends
+    ``occupancy.memo``, what is known about the current occupancy (root
+    candidates, stalled roots and growths), which ``place`` replaces when it
+    changes it. A group grows only when no growth of its demand on this
+    state holds a certificate for its ``t_e_group`` (see the module
+    docstring). A placement holds no step log; ``engine.growth_steps``
+    regrows it from the trace.
     """
     conflicts: list[dict] = []
     placements: list[Placement] = []
-    errors: dict[float, list[float]] = {}  # E_Q per qubit, by t_e_group
+    errors: Errors = {}
     for group in sorted(groups, key=attrgetter("priority_key")):
         requeued: list[int] = []
         while True:  # until the group, or what is left of it, is placed or gone
             memo = occupancy.memo
-            key = (group.demand, group.t_e_group, t_q_mode)
+            key = (group.demand, group.t_e_group)
             root, result = -1, None
-            if memo.growths:  # a state that was grown on: in practice only the idle chip
-                root, result = memo.placements.get(key) or _certified_growth(chip, memo, key, errors)
+            # ``place`` replaces the memo right after every growth it keeps,
+            # so only the idle memo keeps growths
+            if memo.growths:
+                root, result = memo.placements.get(key) or _certified_growth(occupancy, key, errors)
             if result is None:
                 if memo.candidates is None:
-                    memo.candidates = _root_candidates(chip, occupancy)
+                    memo.candidates = _root_candidates(occupancy)
                 cands = memo.candidates
                 if cands.size:
-                    root, ties = _choose_root(chip, cands, group.t_e_group, t_q_mode, errors)
+                    root, ties = _choose_root(occupancy, cands, group.t_e_group, errors)
                     size = memo.stalls.get(root)
                     if size is None or group.demand <= size:
-                        result = grow_region(chip, occupancy, root, group.demand,
-                                             group.t_e_group, t_q_mode=t_q_mode, errors=errors)
+                        result = grow_region(occupancy, root, group.demand, group.t_e_group,
+                                             errors=errors)
                         if result.ok:
                             memo.placements[key] = root, result
-                            memo.growths.setdefault((group.demand, t_q_mode), []).append(
+                            memo.growths.setdefault(group.demand, []).append(
                                 (ties + result.ties, root, result))
                         else:
                             memo.stalls[root] = result.component_size

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from .allocator import AllocationError, GrowthStep, Occupancy, Placement, allocate, grow_region
 from .chip import COHERENCE_MODES, Chip, check_coherence_mode
 from .merger import Group, group_by_exec_time, select_prefix
-from .metrics import MetricsReport, OccupancyTimeline, compute_report
+from .metrics import MetricsReport, OccupancyTimeline, compute_report, trace_mode
 from .scheduler import (
     Policy,
     SchedulerState,
@@ -312,18 +312,28 @@ class Trace:
         whose value breaks its rule (``_EVENT_FIELDS``), a job that arrives
         twice, a trace whose arrivals are not the meta line's ``n_jobs``, a
         dispatch or ``requeue`` that names a job before its arrival, while it
-        runs or after it completed, a group dispatched twice, a dispatch whose
-        region is not a nonempty set of the chip's qubits (``n_qubits`` in the
-        meta line) holding its root, or whose edge counts break
-        ``0 <= r_i <= r_a``, an end of a group that is not running or that ran
-        no shot or more than its dispatch's ``shots``, an event that is not the one the
-        fold logs for it (an extra field; a ``preempt`` that ran all of its
-        dispatch's shots or a ``group_complete`` that did not; ``completed``
-        and ``requeued`` other than the members left without shots and with
-        some, in member order), or a dispatch that never ends. What it reads
-        then has the types ``compute_report`` scores, which may still refuse
-        regions that overlap or touch (``AllocationError``) or a trace without
-        a span of time (``EmptyTraceError``).
+        runs or after it completed, a group dispatched twice, a dispatch that
+        is not that of its members on the chip (below), an end of a group
+        that is not running or that ran no shot or more than its dispatch's
+        ``shots``, an event that is not the one the fold logs for it (an
+        extra field; a ``preempt`` that ran all of its dispatch's shots or a
+        ``group_complete`` that did not; ``completed`` and ``requeued`` other
+        than the members left without shots and with some, in member order),
+        or a dispatch that never ends.
+
+        A dispatch of the engine holds these facts, which follow from the
+        chip (``n_qubits`` in the meta line) and the events before it:
+
+        - it has members, and its region is a set of the chip's qubits that
+          holds its root, with ``0 <= r_i <= r_a``;
+        - ``len(region)`` is the sum of the members' ``n``;
+        - ``shots`` is the most shots any member has left;
+        - ``t_e_group`` is the longest member ``t_e_shot``.
+
+        What it reads then has the types ``compute_report`` scores, which may
+        still refuse a chip of another size (``ChipError``), regions that
+        overlap or touch (``AllocationError``) or a trace without a span of
+        time (``EmptyTraceError``).
         """
         try:
             return cls._read(text)
@@ -371,13 +381,17 @@ class Trace:
                 if gid in dispatched:
                     raise TraceFormatError(f"group {gid} is dispatched twice")
                 dispatched.add(gid)
-                if not (region and len(set(region)) == len(region)
-                        and 0 <= min(region) and max(region) < n_qubits
-                        and ev["root"] in region and 0 <= ev["r_i"] <= ev["r_a"]):
-                    raise TraceFormatError(
-                        f"the dispatch of group {gid} has a region, root or edge counts "
-                        f"that are not those of a region of the {n_qubits}-qubit chip")
                 waiting(ev["members"])
+                recs = [trace.jobs[jid] for jid in ev["members"]]
+                # a nonempty region, since every member demands a qubit or more
+                if not (recs and len(set(region)) == len(region) == sum(r.job.n for r in recs)
+                        and 0 <= min(region) and max(region) < n_qubits
+                        and ev["root"] in region and 0 <= ev["r_i"] <= ev["r_a"]
+                        and ev["shots"] == max(r.job.shots - r.executed_shots for r in recs)
+                        and ev["t_e_group"] == max(r.job.t_e_shot for r in recs)):
+                    raise TraceFormatError(
+                        f"the dispatch of group {gid} is not that of its members "
+                        f"{ev['members']} on the {n_qubits}-qubit chip")
                 trace.dispatch(time, gid, ev["members"], ev["root"], region, ev["r_i"],
                                ev["r_a"], ev["shots"], ev["t_e_group"])
             elif kind == "requeue":
@@ -408,23 +422,22 @@ def growth_steps(trace: Trace, chip: Chip) -> dict[int, list[GrowthStep]]:
 
     The events are replayed in log order through a fresh ``Occupancy``: a
     ``dispatch`` grows its region from its ``root`` to its size at its
-    ``t_e_group``, under the meta line's ``t_q_mode``, logging the steps,
-    and places it; a ``preempt`` or ``group_complete`` releases the group.
-    Log order is the order in which the engine changed its occupancy, so
-    each growth sees the state the allocator saw, also where a dispatch
-    starts and ends at one instant. Raises ``AllocationError`` where a
-    regrown region, ``r_i`` or ``r_a`` is not the dispatch's, or where its
-    root is not open.
+    ``t_e_group``, under the trace's coherence mode (``metrics.trace_mode``),
+    logging the steps, and places it; a ``preempt`` or ``group_complete``
+    releases the group. Log order is the order in which the engine changed
+    its occupancy, so each growth sees the state the allocator saw, also
+    where a dispatch starts and ends at one instant. Raises ``ChipError``
+    for a chip of another size than the trace's, and ``AllocationError``
+    where a regrown region, ``r_i`` or ``r_a`` is not the dispatch's, or
+    where its root is not open.
     """
-    occ = Occupancy(chip)
-    t_q_mode = trace.meta["t_q_mode"]
+    occ = Occupancy(chip, trace_mode(trace, chip))
     steps: dict[int, list[GrowthStep]] = {}
     for ev in trace.events:
         kind = ev["kind"]
         if kind == "dispatch":
             gid, root, region = ev["group"], ev["root"], tuple(ev["region"])
-            result = grow_region(chip, occ, root, len(region), ev["t_e_group"],
-                                 t_q_mode=t_q_mode, record_steps=True)
+            result = grow_region(occ, root, len(region), ev["t_e_group"], record_steps=True)
             stats = result.stats  # None for a stall, whose region is None
             if result.region != region or (stats.r_i, stats.r_a) != (ev["r_i"], ev["r_a"]):
                 raise AllocationError(
@@ -461,11 +474,10 @@ def remaining_demand(running: _RunningGroup, now: float) -> float:
 class _Simulation:
     def __init__(self, config: SimConfig):
         self.config = config
-        self.chip = config.chip
         self.n_qubits = config.chip.n_qubits
         self.policy = config.policy
         self.state = SchedulerState()
-        self.occupancy = Occupancy(config.chip)
+        self.occupancy = Occupancy(config.chip, config.t_q_mode)
         self.queue = WaitingQueue(config.policy, self.n_qubits, self.state)
         self.running: dict[int, _RunningGroup] = {}
         self.heap: list[tuple] = []
@@ -641,8 +653,7 @@ class _Simulation:
                         for i, j in enumerate(prefix)
                     ]
                 self._next_group_id += len(groups)
-                outcome = allocate(self.chip, self.occupancy, groups,
-                                   t_q_mode=self.config.t_q_mode)
+                outcome = allocate(self.occupancy, groups)
                 placed_ids: set[int] = set()
                 for p in outcome.placed:
                     self._start_group(p, now)
@@ -678,5 +689,5 @@ def run(config: SimConfig) -> tuple[Trace, MetricsReport]:
     """Simulate the config to quiescence and compute its metrics."""
     sim = _Simulation(config)
     trace = sim.run()
-    report = compute_report(trace, config.chip, t_q_mode=config.t_q_mode, spans=sim.spans)
+    report = compute_report(trace, config.chip, spans=sim.spans)
     return trace, report

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .allocator import Occupancy, RegionStats
-from .chip import Chip
+from .chip import Chip, ChipError
 from .workload import service_demand
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -200,19 +200,37 @@ def mean_region_ratio(trace: "Trace") -> float:
     return float(np.mean([RegionStats(rec.r_i, rec.r_a).ratio for rec in trace.allocations]))
 
 
+def trace_mode(trace: "Trace", chip: Chip) -> str:
+    """The coherence mode of ``trace``, its meta line's ``t_q_mode``, after
+    checking that ``chip`` is the size of the trace's chip.
+
+    A trace without a mode, which only a hand-built one lacks, has the
+    default ``"t2"``. Raises ``ChipError`` naming both sizes when the meta
+    line's ``n_qubits`` is not ``chip.n_qubits``; a trace without one is
+    taken to fit.
+    """
+    n = trace.meta.get("n_qubits", chip.n_qubits)
+    if n != chip.n_qubits:
+        raise ChipError(f"the trace is of a {n}-qubit chip, not of the "
+                        f"{chip.n_qubits}-qubit chip {chip.name!r}")
+    return trace.meta.get("t_q_mode", "t2")
+
+
 def compute_report(
     trace: "Trace",
     chip: Chip,
-    t_q_mode: str = "t2",
     spans: list[tuple[float, float, int, int]] | None = None,
 ) -> MetricsReport:
-    """Score a completed trace.
+    """Score a completed trace on ``chip``, the pst estimate under the
+    trace's coherence mode (``trace_mode``).
 
     ``spans`` are the occupancy spans the simulation recorded (see
     ``engine.run``); when they are None, the trace is replayed through
     ``occupancy_timeline``, which re-checks regions, buffers and roots.
-    Either way the same spans are integrated with ``math.fsum``.
+    Either way the same spans are integrated with ``math.fsum``. Raises
+    ``ChipError`` for a chip of another size than the trace's.
     """
+    t_q_mode = trace_mode(trace, chip)
     records = trace.completed_jobs()
     if not records:
         raise EmptyTraceError("empty trace")

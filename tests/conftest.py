@@ -1,7 +1,9 @@
 import json
 import math
+import random
 
 import pytest
+from hypothesis import strategies as st
 
 from qpusched.allocator import AllocationError, RegionStats
 from qpusched.chip import Chip, CouplingGraph, QubitSpec, generate_grid
@@ -113,3 +115,48 @@ def order_jobs(policy, jobs, now, n_qubits, state) -> list:
 
 def chip_json(chip_doc: dict) -> str:
     return json.dumps(chip_doc)
+
+
+class Draws:
+    """The draws of a property, from hypothesis or from a seeded ``random.Random``.
+
+    ``Draws(data.draw)`` draws each value from the hypothesis strategy
+    named beside it; ``Draws(seed=s)`` draws it from ``random.Random(s)``.
+    A property written against it runs both as a hypothesis test and as a
+    deterministic case builder. A probe that counts the cases of the
+    seeded draws meets its minimum by construction: hypothesis seeds part
+    of its generation from constants in the loaded modules, so its counts
+    move with the modules a run imports.
+    """
+
+    def __init__(self, draw=None, seed: int = 0):
+        self._draw = draw
+        self._rng = random.Random(seed)
+
+    def flag(self, label=None) -> bool:
+        if self._draw is not None:
+            return self._draw(st.booleans(), label=label)
+        return self._rng.random() < 0.5
+
+    def integer(self, low: int, high: int, label=None) -> int:
+        """An integer from ``low`` to ``high``, both included."""
+        if self._draw is not None:
+            return self._draw(st.integers(low, high), label=label)
+        return self._rng.randint(low, high)
+
+    def number(self, low: float, high: float, label=None) -> float:
+        if self._draw is not None:
+            return self._draw(st.floats(low, high), label=label)
+        return self._rng.uniform(low, high)
+
+    def one(self, options, label=None):
+        """One of the sequence ``options``."""
+        if self._draw is not None:
+            return self._draw(st.sampled_from(options), label=label)
+        return self._rng.choice(options)
+
+    def some(self, options, min_size: int = 0, label=None) -> set:
+        """A set of at least ``min_size`` of the sequence ``options``."""
+        if self._draw is not None:
+            return self._draw(st.sets(st.sampled_from(options), min_size=min_size), label=label)
+        return set(self._rng.sample(list(options), self._rng.randint(min_size, len(options))))

@@ -93,7 +93,7 @@ def test_criterion_2_corner_roots():
             Group.build(i, [Job(id=i, n=4, shots=100, t_sub=0.0, t_e_shot=0.001)])
             for i in range(4)
         ]
-        outcome = allocate(chip, Occupancy(chip), groups)
+        outcome = allocate(Occupancy(chip), groups)
         assert sorted(p.root for p in outcome.placed) == [0, 4, 20, 24]
 
 
@@ -115,7 +115,7 @@ def _criterion3_worker(graphs):
         occ = Occupancy(chip)
         for root in range(n):
             for demand in range(1, min(4, n) + 1):
-                res = grow_region(chip, occ, root, demand, 0.001, record_steps=True)
+                res = grow_region(occ, root, demand, 0.001, record_steps=True)
                 if res.region is None or len(res.region) != demand:
                     bad += 1
                     continue
@@ -233,7 +233,7 @@ def _criterion4_cell(i):
     trace, report = run(cfg)
     violations = _occupancy_violations(trace, chip)
     # the replay re-places every interval and must score what the run saw
-    rescored = compute_report(trace, chip, t_q_mode=cfg.t_q_mode) == report
+    rescored = compute_report(trace, chip) == report
     job_side = busy_qubit_seconds(trace)
     timeline_side = timeline_qubit_seconds(trace, chip)
     conserved = math.isclose(job_side, timeline_side, rel_tol=1e-12, abs_tol=1e-9)

@@ -320,9 +320,9 @@ def report_bits(report) -> str:
 
 
 def assert_rescores(text: str, report, chip: Chip) -> None:
-    """The trace file alone re-scores to the run's report, through the replay."""
-    meta = json.loads(text.splitlines()[0])
-    rescored = compute_report(Trace.from_jsonl(text), chip, t_q_mode=meta["t_q_mode"])
+    """The trace file alone re-scores to the run's report, through the replay,
+    under the coherence mode its meta line records."""
+    rescored = compute_report(Trace.from_jsonl(text), chip)
     assert report_bits(rescored) == report_bits(report)
 
 

@@ -361,7 +361,7 @@ class TestRecordedSpans:
         with monkeypatch.context() as patch:
             patch.setattr(metrics, "occupancy_timeline", refuse)
             trace, report = run(config)
-        replayed = compute_report(trace, config.chip, t_q_mode)
+        replayed = compute_report(trace, config.chip)
         assert dataclasses.asdict(report) == dataclasses.asdict(replayed)
 
     def test_replay_rejects_a_root_outside_its_region(self):

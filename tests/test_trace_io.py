@@ -1,15 +1,16 @@
 """Trace file tests: ``Trace.from_jsonl`` is the exact inverse of ``to_jsonl``.
 
-The round trip is drawn by hypothesis over every connected graph of up to
-six qubits, all 8 policies and the four golden modes. The job records and
-the growth steps are not written, so reading a trace back folds the
-records from the events; the property asserts the read trace equals the
-run's in meta, events, jobs (with every counter and dispatch record),
-intervals and allocations, that writing it again gives the same text, and
-that ``growth_steps`` regrows every dispatch of the trace read back. The
-``requeue`` events are checked against an independent record of the
-conflicts: every ``resolve_conflict`` call of the run, and whether the
-group was dispatched.
+The round trip is drawn over every connected graph of up to six qubits,
+all 8 policies and the four golden modes, by hypothesis and by seeded
+cases (``conftest.Draws``) whose probe counts do not move with the run.
+The job records and the growth steps are not written, so reading a trace
+back folds the records from the events; the property asserts the read
+trace equals the run's in meta, events, jobs (with every counter and
+dispatch record), intervals and allocations, that writing it again gives
+the same text, and that ``growth_steps`` regrows every dispatch of the
+trace read back. The ``requeue`` events are checked against an
+independent record of the conflicts: every ``resolve_conflict`` call of
+the run, and whether the group was dispatched.
 """
 
 import json
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from qpusched import allocator
 from qpusched.allocator import AllocationError
+from qpusched.chip import ChipError, QubitSpec, generate_grid
 from qpusched.engine import (
     _EVENT_FIELDS,
     MergeConfig,
@@ -35,9 +37,9 @@ from qpusched.engine import (
 )
 from qpusched.metrics import compute_report
 from qpusched.scheduler import POLICY_NAMES, Policy
-from qpusched.workload import Job, Workload
+from qpusched.workload import Job, Workload, default_spec, generate_poisson_workload
 
-from conftest import uniform_chip
+from conftest import Draws, uniform_chip
 from graphgen import small_graphs
 from legacy_trace import legacy_growth
 from test_golden import MODES
@@ -50,20 +52,19 @@ T_BASES = (0.0, 1e9)
 T_E_SHOTS = (1e-3, 1.3e-3, 2e-3, 1e-8)
 
 
-@st.composite
-def simulations(draw):
-    n, edges = draw(st.sampled_from(small_graphs()), label="graph")
-    base = draw(st.sampled_from(T_BASES), label="t_base")
+def draw_simulation(draws: Draws) -> SimConfig:
+    n, edges = draws.one(small_graphs(), label="graph")
+    base = draws.one(T_BASES, label="t_base")
     jobs = sorted((
-        Job(id=i, n=draw(st.integers(1, min(n, 3))), shots=draw(st.integers(1, 6)),
-            t_sub=base + draw(st.sampled_from((0.0, 1e-3, 2.5e-3))),
-            t_e_shot=draw(st.sampled_from(T_E_SHOTS[:-1] if i == 0 else T_E_SHOTS)))
-        for i in range(draw(st.integers(1, 7), label="jobs"))
+        Job(id=i, n=draws.integer(1, min(n, 3)), shots=draws.integer(1, 6),
+            t_sub=base + draws.one((0.0, 1e-3, 2.5e-3)),
+            t_e_shot=draws.one(T_E_SHOTS[:-1] if i == 0 else T_E_SHOTS))
+        for i in range(draws.integer(1, 7, label="jobs"))
     ), key=lambda j: j.t_sub)
-    merge, exclusive = MODES[draw(st.sampled_from(sorted(MODES)), label="mode")]
-    policy = Policy(draw(st.sampled_from(POLICY_NAMES), label="policy"),
-                    rr_quantum_shots=draw(st.integers(1, 3)),
-                    mfq_base_quantum_shots=draw(st.integers(1, 3)))
+    merge, exclusive = MODES[draws.one(sorted(MODES), label="mode")]
+    policy = Policy(draws.one(POLICY_NAMES, label="policy"),
+                    rr_quantum_shots=draws.integer(1, 3),
+                    mfq_base_quantum_shots=draws.integer(1, 3))
     return SimConfig(
         chip=uniform_chip(n, edges),
         workload=Workload(jobs=tuple(jobs), horizon=base + 1.0),
@@ -114,10 +115,8 @@ def features(trace: Trace) -> set[str]:
     return found
 
 
-@given(data=st.data())
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
-def round_trip(probe: Counter, data):
-    config = data.draw(simulations())
+def check_round_trip(probe: Counter, draws: Draws) -> None:
+    config = draw_simulation(draws)
     conflicts = []
     real_resolve = allocator.resolve_conflict
 
@@ -138,13 +137,21 @@ def round_trip(probe: Counter, data):
     probe.update(features(trace))
 
 
+@given(data=st.data())
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+def round_trip(data):
+    check_round_trip(Counter(), Draws(data.draw))
+
+
 def test_round_trip_is_exact_and_draws_every_case():
     probe = Counter()
-    round_trip(probe)
-    # a probe of the draws: without these cases the property proves less
+    for seed in range(250):
+        check_round_trip(probe, Draws(seed=seed))
+    # a probe of the seeded cases: without these cases the property proves less
     assert probe["zero-length dispatch"] >= 5, probe
     assert probe["shed, then placed"] >= 5, probe
     assert probe["release after a dispatch at one instant"] >= 5, probe
+    round_trip()  # hypothesis draws more
 
 
 EXAMPLE_CHIP = uniform_chip(4, [(0, 1), (1, 2), (2, 3)])
@@ -382,6 +389,15 @@ def requeue_before_the_arrivals(lines):
                                     "group": 9, "requeued": [2], "placed": False})] + lines[1:]
 
 
+def both(*damages):
+    """A damage that applies each of ``damages`` in turn."""
+    def damage(lines):
+        for one in damages:
+            lines = one(lines)
+        return lines
+    return damage
+
+
 # (the example's policy, a damage of its lines, what the refusal says); the
 # reader would otherwise fold each of these into records the run never had
 FOLD_REFUSALS = [
@@ -410,6 +426,20 @@ FOLD_REFUSALS = [
                  id="preempt after no shot"),
     pytest.param("fcfs", edited('"kind": "group_complete"', shots_done=5), "after 5 shots",
                  id="more shots than dispatched"),
+    # dispatches that the fold alone would take, but whose region, shots or
+    # duration do not follow from their members; the ends are edited to what
+    # the fold logs for each
+    pytest.param("fcfs", edited('"kind": "dispatch"', 1, region=[0, 1, 2]), "not that of its",
+                 id="region larger than its members' demand"),
+    pytest.param("fcfs", edited('"kind": "dispatch"', 1, t_e_group=2e-3), "not that of its",
+                 id="t_e_group longer than its members'"),
+    pytest.param("fcfs", both(edited('"kind": "dispatch"', 1, shots=2),
+                              edited('"kind": "group_complete"', 1, shots_done=2, completed=[],
+                                     requeued=[2])),
+                 "not that of its", id="shots fewer than its members have left"),
+    pytest.param("fcfs", both(edited('"kind": "dispatch"', members=[]),
+                              edited('"kind": "group_complete"', completed=[])),
+                 "not that of its", id="no members"),
 ]
 
 
@@ -421,31 +451,29 @@ def test_reader_refuses_events_that_do_not_follow_from_the_ones_before(policy, d
         Trace.from_jsonl("\n".join(damage(lines)) + "\n")
 
 
-JSON_VALUES = st.sampled_from([None, True, -1, 2.5, "x", [], [1, 2], {}, {"type": "event"}])
+JSON_VALUES = [None, True, -1, 2.5, "x", [], [1, 2], {}, {"type": "event"}]
 
 
-@given(data=st.data())
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-def damaged_reading(probe: Counter, data):
-    config = data.draw(simulations())
+def check_damaged_reading(probe: Counter, draws: Draws) -> None:
+    config = draw_simulation(draws)
     lines = run(config)[0].to_jsonl().splitlines()
-    damage = data.draw(st.sampled_from(["truncate", "drop line", "drop key", "retype key",
-                                        "retype line"]), label="damage")
-    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    damage = draws.one(["truncate", "drop line", "drop key", "retype key", "retype line"],
+                       label="damage")
+    i = draws.integer(0, len(lines) - 1, label="line")
     doc = json.loads(lines[i])
     if damage == "truncate":
         text = "\n".join(lines)
-        lines = [text[:data.draw(st.integers(0, len(text) - 1), label="cut")]]
+        lines = [text[:draws.integer(0, len(text) - 1, label="cut")]]
     elif damage == "drop line":
         del lines[i]
     elif damage == "retype line":
-        lines[i] = json.dumps(data.draw(JSON_VALUES))
+        lines[i] = json.dumps(draws.one(JSON_VALUES))
     else:
-        key = data.draw(st.sampled_from(sorted(doc)), label="key")
+        key = draws.one(sorted(doc), label="key")
         if damage == "drop key":
             del doc[key]
         else:
-            doc[key] = data.draw(JSON_VALUES)
+            doc[key] = draws.one(JSON_VALUES)
         lines[i] = json.dumps(doc)
     try:
         back = Trace.from_jsonl("\n".join(lines) + "\n")
@@ -456,9 +484,44 @@ def damaged_reading(probe: Counter, data):
     compute_report(back, config.chip)  # what reads back has the types scoring needs
 
 
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def damaged_reading(data):
+    check_damaged_reading(Counter(), Draws(data.draw))
+
+
 def test_damaged_text_reads_as_a_trace_or_raises_trace_format_error():
     # any other exception, from the reader or from scoring what it read,
-    # fails the property; the probe shows both outcomes
+    # fails the property; the probe of the seeded cases shows both outcomes
     probe = Counter()
-    damaged_reading(probe)
+    for seed in range(200):
+        check_damaged_reading(probe, Draws(seed=seed))
     assert probe["rejected"] >= 50 and probe["read"] >= 5, probe
+    damaged_reading()  # hypothesis draws more
+
+
+def six_by_six_run(t_q_mode: str = "t2"):
+    """A fcfs run on a noisy 6x6 grid whose qubits have T1 = 40 us, below
+    their T2: the chip, the trace's text and the run's report."""
+    chip = generate_grid(6, 6, QubitSpec(0, t2_us=100.0, readout_error=0.01, t1_us=40.0),
+                         noise_seed=4)
+    config = SimConfig(
+        chip=chip, policy=Policy("fcfs"), t_q_mode=t_q_mode,
+        workload=generate_poisson_workload(default_spec(chip.n_qubits, 10.0, 1.0, seed=3)))
+    trace, report = run(config)
+    return chip, trace.to_jsonl(), report
+
+
+def test_a_trace_file_scores_under_the_mode_it_records():
+    # T1 < T2, so scoring a min_t1_t2 run under t2 would give another pst
+    chip, text, report = six_by_six_run("min_t1_t2")
+    assert compute_report(Trace.from_jsonl(text), chip) == report
+    assert six_by_six_run("t2")[2].mean_pst > report.mean_pst
+
+
+@pytest.mark.parametrize("side", [4, 8])
+@pytest.mark.parametrize("read", [compute_report, growth_steps], ids=lambda f: f.__name__)
+def test_a_trace_read_on_a_chip_of_another_size_fails_with_one_clear_error(read, side):
+    _, text, _ = six_by_six_run()
+    with pytest.raises(ChipError, match=f"36-qubit chip, not of the {side * side}-qubit chip"):
+        read(Trace.from_jsonl(text), generate_grid(side, side))
