@@ -142,35 +142,51 @@ def _bfs_all_pairs(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarra
 
     Bit-parallel BFS (Then et al., "The More the Merrier", PVLDB 8(4),
     2014): bit s of the packed uint64 row v is set once source s has
-    reached v, and a level ORs the frontier rows of v's neighbours over the
-    CSR arrays. Levels are kept as bit planes (plane b holds bit b of each
-    distance) and unpacked a block of rows at a time, which bounds the
-    temporaries. int16 is exact up to 32768 vertices: the diameter is at
-    most n - 1.
+    reached v, and a level ORs the frontier rows of v's neighbours, one
+    neighbour slot at a time: slot j gathers every vertex's j-th
+    neighbour's row (a zero row where it has fewer) into a kept buffer.
+    Levels are kept as bit planes (plane b holds bit b of each distance)
+    and unpacked a block of rows at a time, each plane shifted into a kept
+    buffer, which bounds the temporaries.
+    int16 is exact up to 32768 vertices: the diameter is at most n - 1.
     """
     src = np.arange(n)
-    frontier = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    words = -(-n // 64)
+    # row n of the frontier stays zero: the neighbour table's padding points there
+    frontier = np.zeros((n + 1, words), dtype=np.uint64)
     frontier[src, src // 64] = np.uint64(1) << (src % 64).astype(np.uint64)
-    seen = frontier.copy()
+    seen = frontier[:n].copy()
+    # slot j of the table: each vertex's j-th neighbour, else the zero row
+    degree = np.diff(indptr)
+    table = np.full((int(degree.max(initial=0)), n), n, dtype=np.intp)
+    slots = np.arange(len(indices)) - np.repeat(indptr[:-1], degree)
+    table[slots, np.repeat(src, degree)] = indices
+    reached, slot = np.empty_like(seen), np.empty_like(seen)
     planes: list[np.ndarray] = []
     for level in range(1, n):
-        frontier = np.bitwise_or.reduceat(frontier[indices], indptr[:-1], axis=0) & ~seen
-        if not frontier.any():
+        np.take(frontier, table[0], axis=0, out=reached)
+        for neighbours in table[1:]:
+            reached |= np.take(frontier, neighbours, axis=0, out=slot)
+        reached ^= np.bitwise_and(reached, seen, out=slot)  # drop what was seen
+        if not reached.any():
             break
-        seen |= frontier
+        seen |= reached
+        frontier[:n] = reached
         if level >> len(planes):
             planes.append(np.zeros_like(seen))
         for b, plane in enumerate(planes):
             if level >> b & 1:
-                plane |= frontier
-    del frontier, seen  # freed before the (n, n) matrix is allocated
+                plane |= reached
+    del frontier, seen, reached, slot  # freed before the (n, n) matrix is allocated
     hops = np.zeros((n, n), dtype=np.int16 if n <= 32768 else np.int32)
     block = max(1, (1 << 19) // n)  # rows per unpacked block
+    shifted = np.empty((min(block, n), n), dtype=hops.dtype)
     for lo in range(0, n, block):
         for b, plane in enumerate(planes):
             packed = plane[lo:lo + block].astype("<u8", copy=False).view(np.uint8)
             bits = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-            hops[lo:lo + block] |= bits.astype(hops.dtype) << b
+            out = shifted[:len(bits)]
+            hops[lo:lo + block] |= np.left_shift(bits, b, out=out, dtype=hops.dtype)
     hops.flags.writeable = False
     return hops
 
@@ -317,18 +333,20 @@ def generate_grid(
         raise ChipError(f"grid dimensions must be >= 1, got {rows}x{cols}")
     template = spec_template if spec_template is not None else DEFAULT_TEMPLATE
     n = rows * cols
-    rng = np.random.default_rng(noise_seed) if noise_seed is not None else None
-    specs = []
-    for q in range(n):
-        t2 = template.t2_us
-        ro = template.readout_error
-        t1 = template.t1_us
-        if rng is not None:
-            t2 = t2 * rng.uniform(0.8, 1.2)
-            ro = float(np.clip(ro * rng.uniform(0.5, 1.5), 1e-9, 1.0))
-            if t1 is not None:
-                t1 = t1 * rng.uniform(0.8, 1.2)
-        specs.append(QubitSpec(id=q, t2_us=t2, readout_error=ro, t1_us=t1))
+    # one column per calibration value, in QubitSpec's order: t2, readout, t1
+    values = [template.t2_us, template.readout_error]
+    if template.t1_us is not None:
+        values.append(template.t1_us)
+    if noise_seed is None:
+        per_qubit = [values] * n
+    else:
+        # drawn row by row, so qubit q takes the (2 or 3) draws after q-1's
+        low, high = [0.8, 0.5, 0.8][:len(values)], [1.2, 1.5, 1.2][:len(values)]
+        jittered = np.array(values) * np.random.default_rng(noise_seed).uniform(
+            low, high, size=(n, len(values)))
+        np.clip(jittered[:, 1], 1e-9, 1.0, out=jittered[:, 1])
+        per_qubit = jittered.tolist()
+    specs = [QubitSpec(q, *row) for q, row in enumerate(per_qubit)]
     edges = []
     for r in range(rows):
         for c in range(cols):

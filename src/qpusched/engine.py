@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -124,6 +123,47 @@ _EVENT_FIELDS = {  # event kind -> its fields and their rules
     "group_complete": _END_FIELDS,
     "requeue": {"time": _is_time, "group": _is_int, "requeued": _is_ints, "placed": _is_flag},
 }
+
+
+def _number(value, what: str) -> str:
+    """A time or duration as ``json`` writes it: a float by ``float.__repr__``,
+    an int by ``int.__repr__``. Raises ``ValueError`` for a non-finite float,
+    as ``json.JSONEncoder(allow_nan=False)`` does."""
+    if not isinstance(value, float):
+        return int.__repr__(value)
+    if math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(f"non-finite {what} {value!r} in the trace")
+
+
+# The writer's spelling of a value of each rule: the expression, of the
+# value ``{v}`` in the field ``{what}``, that gives the text ``json`` writes
+_JSON_OF = {
+    _is_int: "_int({v})",
+    _is_time: "_number({v}, {what!r})",
+    _is_duration: "_number({v}, {what!r})",
+    _is_ints: '"[" + _join(map(_int, {v})) + "]"',
+    _is_flag: '("true" if {v} else "false")',
+}
+
+
+def _event_writer(kind: str, fields: dict):
+    """The function that writes an event of ``kind`` as its trace line, the
+    text of ``json.JSONEncoder(allow_nan=False).encode({"type": "event", **ev})``
+    for an event that keeps its fields' rules. It is one f-string, compiled
+    from ``fields`` in their order with ``kind`` after ``time``, so writing an
+    event loops over no fields."""
+    parts = []
+    for name, rule in fields.items():
+        value = _JSON_OF[rule].format(v=f"ev[{name!r}]", what=f"{kind} {name}")
+        parts.append(f'"{name}": {{{value}}}')
+        if name == "time":
+            parts.append(f'"kind": "{kind}"')
+    source = "lambda ev: f'''{{\"type\": \"event\", " + ", ".join(parts) + "}}'''"
+    return eval(source, {"_int": int.__repr__, "_number": _number, "_join": ", ".join})
+
+
+_EVENT_WRITERS = {kind: _event_writer(kind, fields) for kind, fields in _EVENT_FIELDS.items()}
 
 
 def _checked(doc: dict, fields: dict, what: str) -> dict:
@@ -288,12 +328,14 @@ class Trace:
     def to_jsonl(self) -> str:
         """Serialize the trace as JSON lines: the meta line, then the events.
         The job records and the growth steps are not written, since they
-        follow from the events (see ``growth_steps``). A non-finite number
+        follow from the events (see ``growth_steps``). The meta line is
+        written by ``json``, each event by its kind's writer
+        (``_event_writer``), which gives the same text. A non-finite number
         raises ``ValueError``."""
-        events = ({"type": "event", **ev} for ev in self.events)
-        docs = itertools.chain([{"type": "meta", **self.meta}], events)
-        encode = json.JSONEncoder(allow_nan=False).encode
-        return "\n".join(map(encode, docs)) + "\n"
+        write = _EVENT_WRITERS
+        lines = [json.JSONEncoder(allow_nan=False).encode({"type": "meta", **self.meta})]
+        lines += [write[ev["kind"]](ev) for ev in self.events]
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
@@ -319,7 +361,9 @@ class Trace:
         extra field; a ``preempt`` that ran all of its dispatch's shots or a
         ``group_complete`` that did not; ``completed`` and ``requeued`` other
         than the members left without shots and with some, in member order),
-        or a dispatch that never ends.
+        a dispatch that never ends, or a job that never completes (the first
+        to arrive is named), which no run logs: ``run`` raises
+        ``SimulationError`` instead.
 
         A dispatch of the engine holds these facts, which follow from the
         chip (``n_qubits`` in the meta line) and the events before it:
@@ -414,6 +458,9 @@ class Trace:
         if len(trace.jobs) != trace.meta["n_jobs"]:
             raise TraceFormatError(
                 f"{len(trace.jobs)} jobs arrive in a trace of {trace.meta['n_jobs']}")
+        for jid, rec in trace.jobs.items():
+            if rec.t_comp is None:
+                raise TraceFormatError(f"job {jid} never completes")
         return trace
 
 

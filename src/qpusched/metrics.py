@@ -175,11 +175,14 @@ def occupancy_timeline(trace: "Trace", chip: Chip) -> list[tuple[float, float, i
     return timeline.spans(trace)
 
 
-def pst_estimate(record: "JobRecord", chip: Chip, t_q_mode: str = "t2") -> float:
+def pst_estimate(record: "JobRecord", chip: Chip, t_q_mode: str) -> float:
     """Per-trial success proxy over the job's final region.
 
     Product over region qubits of exp(-t_e_group/T_q) * (1 - readout_q),
-    with t_e_group the per-shot duration of the completing dispatch.
+    with t_e_group the per-shot duration of the completing dispatch and
+    T_q the coherence time under ``t_q_mode``, which has no default: a
+    trace's is its meta line's ``t_q_mode``, the one ``compute_report``
+    scores under.
     """
     if record.t_comp is None or not record.dispatches:
         raise EmptyTraceError(f"job {record.job.id} has not completed")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qpusched import engine, metrics
 from qpusched.allocator import AllocationError
 from qpusched.chip import COHERENCE_MODES, QubitSpec, generate_grid
-from qpusched.engine import MergeConfig, SimConfig, run
+from qpusched.engine import MergeConfig, SimConfig, Trace, run
 from qpusched.metrics import (
     EmptyTraceError,
     compute_report,
@@ -37,6 +37,7 @@ from conftest import (
 from graphgen import small_graphs
 from test_golden import CHIPS, MODES, _scenarios
 from test_time_shift import SRTF_SCENARIOS
+from test_trace_io import six_by_six_run
 
 
 def simulate(jobs, rows=4, cols=4, policy="fcfs", **kwargs):
@@ -144,13 +145,13 @@ class TestPstEstimate:
         chip = uniform_chip(2, [(0, 1)], t2=1e12, readout=0.0)
         wl = Workload(jobs=(make_job(0, n=2, shots=10, t_e=0.001),), horizon=1.0)
         trace, _ = run(SimConfig(chip=chip, workload=wl, policy=Policy("fcfs")))
-        assert pst_estimate(trace.jobs[0], chip) == pytest.approx(1.0)
+        assert pst_estimate(trace.jobs[0], chip, "t2") == pytest.approx(1.0)
 
     def test_single_qubit_closed_form(self):
         chip = uniform_chip(2, [(0, 1)], t2=100.0, readout=0.02)
         wl = Workload(jobs=(make_job(0, n=1, shots=10, t_e=100e-6),), horizon=1.0)
         trace, _ = run(SimConfig(chip=chip, workload=wl, policy=Policy("fcfs")))
-        assert pst_estimate(trace.jobs[0], chip) == pytest.approx(math.exp(-1) * 0.98)
+        assert pst_estimate(trace.jobs[0], chip, "t2") == pytest.approx(math.exp(-1) * 0.98)
 
     def test_superset_region_never_better(self):
         chip = generate_grid(3, 3)
@@ -159,7 +160,18 @@ class TestPstEstimate:
             wl_b = Workload(jobs=(make_job(0, n=big, shots=10, t_e=0.001),), horizon=1.0)
             ts, _ = run(SimConfig(chip=chip, workload=wl_s, policy=Policy("fcfs")))
             tb, _ = run(SimConfig(chip=chip, workload=wl_b, policy=Policy("fcfs")))
-            assert pst_estimate(tb.jobs[0], chip) <= pst_estimate(ts.jobs[0], chip)
+            assert pst_estimate(tb.jobs[0], chip, "t2") <= pst_estimate(ts.jobs[0], chip, "t2")
+
+    def test_a_trace_file_scores_under_the_mode_it_records(self):
+        # T1 = 40 us < T2, so the t2 value of a min_t1_t2 run's job is not its score
+        chip, text, report = six_by_six_run("min_t1_t2")
+        trace = Trace.from_jsonl(text)
+        assert {jid: pst_estimate(rec, chip, trace.meta["t_q_mode"])
+                for jid, rec in trace.jobs.items()} == report.pst_by_job
+        assert all(pst_estimate(rec, chip, "t2") > report.pst_by_job[jid]
+                   for jid, rec in trace.jobs.items())
+        with pytest.raises(TypeError):  # the mode has no default
+            pst_estimate(trace.jobs[0], chip)
 
 
 class TestMeanRegionRatio:

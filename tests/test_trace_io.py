@@ -14,6 +14,7 @@ the run, and whether the group was dispatched.
 """
 
 import json
+import math
 import pathlib
 import re
 from collections import Counter
@@ -28,6 +29,11 @@ from qpusched.allocator import AllocationError
 from qpusched.chip import ChipError, QubitSpec, generate_grid
 from qpusched.engine import (
     _EVENT_FIELDS,
+    _is_duration,
+    _is_flag,
+    _is_int,
+    _is_ints,
+    _is_time,
     MergeConfig,
     SimConfig,
     Trace,
@@ -262,6 +268,17 @@ def test_reader_rejects_a_dispatch_that_never_ends():
     ends = [i for i, line in enumerate(lines) if '"kind": "group_complete"' in line]
     del lines[ends[-1]]
     with pytest.raises(TraceFormatError, match="never ends"):
+        Trace.from_jsonl("\n".join(lines) + "\n")
+
+
+def test_reader_refuses_a_job_that_never_completes():
+    # a file cut between dispatches: group 1 (job 2) has neither its dispatch
+    # nor its end, and a report of what read would score 2 of the 3 jobs
+    lines = [line for line in example_text().splitlines()
+             if not ('"group": 1,' in line and ('"kind": "dispatch"' in line
+                                                or '"kind": "group_complete"' in line))]
+    assert len(lines) == len(example_text().splitlines()) - 2
+    with pytest.raises(TraceFormatError, match="job 2 never completes"):
         Trace.from_jsonl("\n".join(lines) + "\n")
 
 
@@ -525,3 +542,122 @@ def test_a_trace_read_on_a_chip_of_another_size_fails_with_one_clear_error(read,
     _, text, _ = six_by_six_run()
     with pytest.raises(ChipError, match=f"36-qubit chip, not of the {side * side}-qubit chip"):
         read(Trace.from_jsonl(text), generate_grid(side, side))
+
+
+def logged_trace() -> Trace:
+    """A trace, logged by hand, that holds an event of every kind: job 0
+    arrives, stalls a pass, runs 2 of its 3 shots and then the last one."""
+    trace = Trace({"n_qubits": 4, "n_jobs": 1, "t_q_mode": "t2"})
+    trace.arrive(Job(0, 2, 3, 0.5, 1e-3))
+    trace.requeue(0.5, 0, [0], False)
+    trace.dispatch(0.5, 1, [0], 0, [0, 1], 1, 3, 3, 1e-3)
+    trace.end(0.502, 1, 2)
+    trace.dispatch(0.502, 2, [0], 0, [0, 1], 1, 3, 1, 1e-3)
+    trace.end(0.503, 2, 1)
+    return trace
+
+
+FLOAT_FIELDS = [*((kind, "time") for kind in
+                  ("arrival", "dispatch", "preempt", "group_complete", "requeue")),
+                ("arrival", "t_e_shot"), ("dispatch", "t_e_group")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind, name", FLOAT_FIELDS, ids=[f"{k}.{n}" for k, n in FLOAT_FIELDS])
+def test_writer_refuses_a_non_finite_number(kind, name, value):
+    trace = logged_trace()
+    assert {ev["kind"] for ev in trace.events} == set(_EVENT_FIELDS)
+    Trace.from_jsonl(trace.to_jsonl())  # the undamaged trace writes and reads
+    next(ev for ev in trace.events if ev["kind"] == kind)[name] = value
+    with pytest.raises(ValueError):
+        trace.to_jsonl()
+
+
+# numbers whose text is easy to get wrong: integral and short floats, -0.0,
+# exponents, subnormals, ints beyond 64 bits
+LISTED_NUMBERS = (0, 7, 2**63, -(2**64) - 1, 0.0, -0.0, 1.0, 0.1, 2.5, 1e-07, 1.5e+300, 1e16,
+                  5e-324, 1e-310, 2.2250738585072014e-308)
+
+
+def draw_int(draws: Draws) -> int:
+    if draws.flag():
+        return draws.integer(0, 9)
+    return draws.integer(-(2**70), 2**70)
+
+
+def draw_number(draws: Draws) -> int | float:
+    form = draws.one(("int", "float", "listed"), label="number")
+    if form == "int":
+        return draw_int(draws)
+    if form == "float":  # any exponent, subnormal ones too
+        return draws.number(-1.0, 1.0) * 10.0 ** draws.integer(-320, 300)
+    return draws.one(LISTED_NUMBERS)
+
+
+def draw_duration(draws: Draws) -> int | float:
+    return abs(draw_number(draws)) or 1
+
+
+DRAW_VALUE = {  # a field's rule -> a draw of a value that keeps it
+    _is_int: draw_int,
+    _is_time: draw_number,
+    _is_duration: draw_duration,
+    _is_ints: lambda draws: [draw_int(draws) for _ in range(draws.integer(0, 3))],
+    _is_flag: lambda draws: draws.flag(),
+}
+
+
+def draw_event(draws: Draws) -> dict:
+    """An event of any kind, whose fields keep their rules, in the order the
+    fold logs them: ``time``, ``kind``, then the rest."""
+    kind = draws.one(sorted(_EVENT_FIELDS), label="kind")
+    values = {name: DRAW_VALUE[rule](draws) for name, rule in _EVENT_FIELDS[kind].items()}
+    assert all(rule(values[name]) for name, rule in _EVENT_FIELDS[kind].items())
+    return {"time": values.pop("time"), "kind": kind, **values}
+
+
+def number_cases(value) -> set[str]:
+    if type(value) is int:
+        return {"int beyond 64 bits"} if abs(value) >= 2**63 else set()
+    cases = {"exponent"} if "e" in repr(value) else set()
+    if 0 < abs(value) < 2.2250738585072014e-308:
+        cases.add("subnormal")
+    if value == 0 and math.copysign(1.0, value) < 0:
+        cases.add("-0.0")
+    if value == int(value):
+        cases.add("integral float")
+    return cases
+
+
+def check_writer(probe: Counter, draws: Draws) -> None:
+    trace = Trace({})
+    trace.events = [draw_event(draws) for _ in range(draws.integer(1, 5, label="events"))]
+    encode = json.JSONEncoder(allow_nan=False).encode
+    assert trace.to_jsonl().splitlines() == [
+        encode({"type": "meta"}), *(encode({"type": "event", **ev}) for ev in trace.events)]
+    for ev in trace.events:
+        if type(ev["time"]) is int:
+            probe["int time"] += 1
+        for value in ev.values():
+            if type(value) in (int, float):
+                probe.update(number_cases(value))
+            elif type(value) is list:
+                probe.update({0: ["empty list"], 1: ["one-element list"]}.get(len(value), []))
+                probe.update(case for x in value for case in number_cases(x))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def writer_matches_json(data):
+    check_writer(Counter(), Draws(data.draw))
+
+
+def test_writer_writes_each_event_as_json_does():
+    probe = Counter()
+    for seed in range(300):
+        check_writer(probe, Draws(seed=seed))
+    # a probe of the seeded cases: without these cases the property proves less
+    for case in ("int time", "int beyond 64 bits", "exponent", "subnormal", "-0.0",
+                 "integral float", "empty list", "one-element list"):
+        assert probe[case] >= 10, probe
+    writer_matches_json()  # hypothesis draws more
