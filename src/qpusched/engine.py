@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 from .allocator import AllocationError, GrowthStep, Occupancy, Placement, allocate, grow_region
 from .chip import COHERENCE_MODES, Chip, check_coherence_mode
-from .merger import Group, group_by_exec_time, select_prefix
+from .merger import Group, check_alpha, group_by_exec_time, select_prefix
 from .metrics import MetricsReport, OccupancyTimeline, compute_report, trace_mode
 from .scheduler import (
     Policy,
@@ -183,8 +183,7 @@ class MergeConfig:
     by_total_time: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 1):
-            raise ValueError(f"merge alpha must be finite and >= 1, got {self.alpha}")
+        check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)

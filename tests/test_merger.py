@@ -1,9 +1,12 @@
 """Prefix selection and duration-similarity grouping tests."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpusched import MergeConfig
 from qpusched.merger import Group, group_by_exec_time, select_prefix
 from qpusched.workload import Job, service_demand
 
@@ -61,6 +64,15 @@ class TestGrouping:
         with pytest.raises(ValueError):
             group_by_exec_time([], alpha=0.9)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.5])
+    def test_grouping_and_config_share_the_alpha_rule(self, alpha):
+        jobs = [make_job(0, t_e=0.01), make_job(1, t_e=1.0)]
+        with pytest.raises(ValueError, match="merge alpha must be finite and >= 1") as grouping:
+            group_by_exec_time(jobs, alpha)
+        with pytest.raises(ValueError) as config:
+            MergeConfig(alpha=alpha)
+        assert str(grouping.value) == str(config.value)
+
     def test_group_by_total_switch(self):
         # same t_e but very different shots: per-shot grouping merges them,
         # total-time grouping does not
@@ -103,9 +115,33 @@ class TestGroupModel:
         g = Group.build(0, jobs)
         assert g == Group(0, tuple(jobs), (100, 200), ((0.0, 0), (0.0, 1)))
         assert g != Group.build(1, jobs)
+        assert g != Group.build(0, jobs[:1])
+        assert g != Group.build(0, jobs, shots_by_id={0: 100, 1: 199})
+        assert g != Group.build(0, jobs, keys_by_id={0: (0.0, 0), 1: (0.0, 2)})
+        assert g.__eq__((0, tuple(jobs), (100, 200), ((0.0, 0), (0.0, 1)))) is NotImplemented
         assert hash(g) == hash(Group.build(0, jobs))
+        # groups that share an id but not their members hash apart
+        assert len({hash(Group.build(0, [j])) for j in jobs} | {hash(g)}) == 3
         with pytest.raises(TypeError):
             Group(0, tuple(jobs), (100, 200), ((0.0, 0), (0.0, 1)), demand=8)
+
+    def test_repr_lists_every_field(self):
+        job = make_job(0, n=3, shots=100, t_e=0.010)
+        assert repr(Group.build(4, [job])) == (
+            f"Group(id=4, members=({job!r},), member_shots=(100,), member_keys=((0.0, 0),), "
+            "t_e_group=0.01, shots_group=100, demand=3, priority_key=(0.0, 0))"
+        )
+
+    @pytest.mark.parametrize("shots, keys", [
+        ((100,), ((0.0, 0), (0.0, 1))),
+        ((100, 200), ((0.0, 0),)),
+        ((100,), ((0.0, 0),)),
+        ((100, 200, 300), ((0.0, 0), (0.0, 1))),
+    ])
+    def test_member_lists_must_have_one_length(self, shots, keys):
+        jobs = (make_job(0, n=2), make_job(1, n=2))
+        with pytest.raises(ValueError, match="2 members"):
+            Group(0, jobs, shots, keys)
 
     def test_priority_is_best_member_key(self):
         keys = {0: (3.0, 0.0, 0), 1: (1.0, 0.0, 1), 2: (2.0, 0.0, 2)}
