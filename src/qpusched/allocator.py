@@ -66,12 +66,12 @@ same. A growth is therefore kept by its demand and serves every
 per-shot duration at which its certificate holds: a duration seen before
 is a dict lookup (a preempted job comes back with its own), and a new one
 takes the first growth of that demand whose decisions re-evaluate the
-same, computing E_Q only at the qubits the certificate names. E_Q per
-qubit does not depend on the occupancy: a pass keeps one list of it per
-``t_e_group``, made at the first tie of root choice or growth and read by
-both, so it is computed at most once per per-shot duration in a pass. It
-is not kept longer, since a memo across passes would grow with the number
-of distinct durations.
+same. E_Q per qubit does not depend on the occupancy: a pass keeps one
+list of it per ``t_e_group`` (``_error_list``), made at the first E_Q
+decision of a certificate check, root choice or growth and read by all
+three, so it is computed at most once per per-shot duration in a pass.
+It is not kept longer, since a memo across passes would grow with the
+number of distinct durations.
 
 No run logs its growth steps. They follow from a dispatch (its root,
 region size and ``t_e_group``), the chip and the occupancy the events
@@ -212,12 +212,15 @@ class Occupancy:
         self.memo = self._idle_memo = AllocationMemo()
 
     def place(self, group_id: int, qubits: Iterable[int], root: int) -> None:
-        """Give ``qubits`` to ``group_id``: distinct qubits of the chip, at
-        least one, all free and touching no other group's region, rooted at
-        one of them. A rejected region leaves the occupancy as it was."""
+        """Give ``qubits`` to ``group_id``, a group id of 0 or more: distinct
+        qubits of the chip, at least one, all free and touching no other
+        group's region, rooted at one of them. A rejected placement leaves
+        the occupancy as it was."""
         qs = sorted(map(int, qubits))
         root = int(root)
         owner = self.owner
+        if group_id < 0:  # -1 in ``owner`` marks a free qubit
+            raise AllocationError(f"group id {group_id} is negative")
         if group_id in self.regions:
             raise AllocationError(f"group {group_id} is already placed")
         if not qs or qs[0] < 0 or qs[-1] >= len(owner) or len(set(qs)) < len(qs):
@@ -270,22 +273,14 @@ class Occupancy:
                 self.buffers += step
 
 
-def qubit_errors(
-    chip: Chip, t_e_group: float, t_q_mode: str, qubits: Sequence[int] | None = None
-) -> np.ndarray:
-    """Error score E_Q = (1 - exp(-t_e/T_Q)) * E_meas of every qubit, or of
-    ``qubits`` only, in their order, for tie-breaking.
+def qubit_errors(chip: Chip, t_e_group: float, t_q_mode: str) -> np.ndarray:
+    """Error score E_Q = (1 - exp(-t_e/T_Q)) * E_meas of every qubit, for tie-breaking.
 
     t_e_group is in seconds; coherence times are stored in microseconds.
-    ``t_q_mode`` picks T_Q (see ``chip.COHERENCE_MODES``). The formula is
-    applied elementwise, so a subset equals the full array at its indices
-    bit for bit.
+    ``t_q_mode`` picks T_Q (see ``chip.COHERENCE_MODES``).
     """
     t_us = t_e_group * 1e6
-    coh, readout = chip.coherence_array(t_q_mode), chip.readout_array
-    if qubits is not None:
-        coh, readout = coh[qubits], readout[qubits]
-    return (1.0 - np.exp(-t_us / coh)) * readout
+    return (1.0 - np.exp(-t_us / chip.coherence_array(t_q_mode))) * chip.readout_array
 
 
 def _error_list(occupancy: Occupancy, t_e_group: float, errors: Errors) -> list[float]:
@@ -297,7 +292,7 @@ def _error_list(occupancy: Occupancy, t_e_group: float, errors: Errors) -> list[
     return eq
 
 
-def _lowest_error(eq: Sequence[float] | dict[int, float], tied: list[int]) -> list[int]:
+def _lowest_error(eq: list[float], tied: list[int]) -> list[int]:
     """The qubits of ``tied``, in order, whose E_Q (``eq[q]``) is lowest.
 
     This is the one E_Q decision of root choice and growth, and of the
@@ -310,17 +305,11 @@ def _lowest_error(eq: Sequence[float] | dict[int, float], tied: list[int]) -> li
 def _certified(occupancy: Occupancy, ties: list[Tie], t_e_group: float, errors: Errors) -> bool:
     """Whether every E_Q decision of a certificate keeps the same qubits at ``t_e_group``.
 
-    E_Q is read from the pass's list for that duration when ``errors`` has
-    one (see ``_error_list``), and is otherwise computed at the qubits the
-    decisions compare, and nowhere else.
+    E_Q is read from the pass's list for that duration (see ``_error_list``).
     """
     if not ties:
         return True
-    eq = errors.get(t_e_group)
-    if eq is None:
-        qubits = [c for tied, _ in ties for c in tied]
-        eq = dict(zip(qubits, qubit_errors(
-            occupancy.chip, t_e_group, occupancy.t_q_mode, qubits).tolist()))
+    eq = _error_list(occupancy, t_e_group, errors)
     return all(_lowest_error(eq, tied) == kept for tied, kept in ties)
 
 
@@ -403,11 +392,15 @@ def grow_region(occupancy: Occupancy, root: int, demand: int, t_e_group: float, 
     its step log is empty. ``record_steps`` only decides whether the
     growth steps are logged; logging sorts the frontier at every step,
     so no run sets it, and ``engine.growth_steps`` does to regrow a trace.
+    Raises ``AllocationError`` for a demand outside 1..n, a root outside
+    0..n-1, or a root that is not open.
     """
     chip = occupancy.chip
     n = chip.n_qubits
     if not 1 <= demand <= n:
         raise AllocationError(f"demand {demand} outside 1..{n}")
+    if not 0 <= root < n:
+        raise AllocationError(f"root {root} outside 0..{n - 1}")
     open_ = occupancy.open
     if not open_[root]:
         if occupancy.owner[root] >= 0:

@@ -353,15 +353,18 @@ class Trace:
         whose value breaks its rule (``_EVENT_FIELDS``), a job that arrives
         twice, a trace whose arrivals are not the meta line's ``n_jobs``, a
         dispatch or ``requeue`` that names a job before its arrival, while it
-        runs or after it completed, a group dispatched twice, a dispatch that
-        is not that of its members on the chip (below), an end of a group
-        that is not running or that ran no shot or more than its dispatch's
-        ``shots``, an event that is not the one the fold logs for it (an
-        extra field; a ``preempt`` that ran all of its dispatch's shots or a
-        ``group_complete`` that did not; ``completed`` and ``requeued`` other
-        than the members left without shots and with some, in member order),
-        a dispatch that never ends, or a job that never completes (the first
-        to arrive is named), which no run logs: ``run`` raises
+        runs or after it completed, a group dispatched twice or with a
+        negative id, a dispatch that is not that of its members on the chip
+        (below), a ``requeue`` whose ``placed`` is not whether its group was
+        dispatched at the requeue's time (a pass logs its requeues after its
+        dispatches), an event earlier than the event before it, an end of a
+        group that is not running or that ran no shot or more than its
+        dispatch's ``shots``, an event that is not the one the fold logs for
+        it (an extra field; a ``preempt`` that ran all of its dispatch's shots
+        or a ``group_complete`` that did not; ``completed`` and ``requeued``
+        other than the members left without shots and with some, in member
+        order), a dispatch that never ends, or a job that never completes (the
+        first to arrive is named), which no run logs: ``run`` raises
         ``SimulationError`` instead.
 
         A dispatch of the engine holds these facts, which follow from the
@@ -403,7 +406,7 @@ class Trace:
             if fields is None:
                 raise TraceFormatError(f"unknown event kind {doc['kind']!r}")
             events.append(_checked(doc, fields, doc["kind"]))
-        dispatched: set[int] = set()  # group ids are unique per dispatch
+        dispatched: dict[int, float] = {}  # group -> its dispatch time, unique per dispatch
 
         def waiting(jids: list[int]) -> None:
             for jid in jids:
@@ -413,6 +416,7 @@ class Trace:
                     raise TraceFormatError(f"a {kind} names job {jid}, which is not waiting: "
                                            f"it has not arrived, is running or is done")
 
+        last = -math.inf
         for ev in events:
             kind, time = ev["kind"], ev["time"]
             if kind == "arrival":
@@ -421,9 +425,11 @@ class Trace:
                 trace.arrive(Job(ev["job"], ev["n"], ev["shots"], time, ev["t_e_shot"]))
             elif kind == "dispatch":
                 gid, region = ev["group"], ev["region"]
+                if gid < 0:
+                    raise TraceFormatError(f"group {gid} is dispatched with a negative id")
                 if gid in dispatched:
                     raise TraceFormatError(f"group {gid} is dispatched twice")
-                dispatched.add(gid)
+                dispatched[gid] = time
                 waiting(ev["members"])
                 recs = [trace.jobs[jid] for jid in ev["members"]]
                 # a nonempty region, since every member demands a qubit or more
@@ -439,6 +445,11 @@ class Trace:
                                ev["r_a"], ev["shots"], ev["t_e_group"])
             elif kind == "requeue":
                 waiting(ev["requeued"])
+                # a pass logs its requeues after its dispatches
+                if ev["placed"] != (dispatched.get(ev["group"]) == time):
+                    raise TraceFormatError(
+                        f"a requeue of group {ev['group']} at {time} says placed={ev['placed']}, "
+                        f"which the dispatches before it do not give")
                 trace.requeue(time, ev["group"], ev["requeued"], ev["placed"])
             else:
                 gid = ev["group"]
@@ -452,6 +463,9 @@ class Trace:
             if trace.events[-1] != ev:
                 raise TraceFormatError(
                     f"the event {ev} is not what the events before it give: {trace.events[-1]}")
+            if time < last:
+                raise TraceFormatError(f"the event {ev} is earlier than the event before it")
+            last = time
         if trace._running:
             raise TraceFormatError(f"the dispatch of group {min(trace._running)} never ends")
         if len(trace.jobs) != trace.meta["n_jobs"]:

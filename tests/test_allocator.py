@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpusched import allocator
+from qpusched import allocator, engine
 from qpusched.allocator import (
     AllocationError,
     Occupancy,
@@ -288,6 +288,16 @@ class TestOccupancy:
         occ.place(5, [0, 1], root=np.int64(1))
         assert occ.roots == {5: 1}
 
+    def test_place_rejects_a_negative_group_id(self):
+        # ``owner`` holds -1 for a free qubit, so group -1 would own a qubit
+        # that still reads as free and that a second group could take
+        occ = Occupancy(generate_grid(3, 3))
+        with pytest.raises(AllocationError, match="group id -1 is negative"):
+            occ.place(-1, [5], root=5)
+        assert not occ.regions and kept_state(occ) == kept_state(Occupancy(occ.chip))
+        occ.place(3, [5], root=5)
+        assert occ.regions == {3: (5,)} and occ.owned == 1
+
     def test_an_occupancy_keeps_one_known_coherence_mode(self):
         chip = generate_grid(3, 3)
         assert Occupancy(chip).t_q_mode == "t2"  # SimConfig's default
@@ -409,6 +419,13 @@ class TestGrowRegion:
             grow_region(occ, root=0, demand=1, t_e_group=0.001)
         with pytest.raises(AllocationError, match="adjacent"):
             grow_region(occ, root=2, demand=1, t_e_group=0.001)
+
+    @pytest.mark.parametrize("root", [-1, 16])
+    def test_root_outside_the_chip_rejected(self, root):
+        # a negative root would wrap to the last qubit; one past the chip
+        # would raise a bare IndexError
+        with pytest.raises(AllocationError, match=rf"root {root} outside 0\.\.15"):
+            grow_region(Occupancy(generate_grid(4, 4)), root=root, demand=3, t_e_group=0.001)
 
     def test_whole_chip_growth(self):
         chip = generate_grid(4, 4)
@@ -1115,16 +1132,15 @@ def test_error_scores_once_per_duration_in_a_pass(monkeypatch):
     # groups never tie during growth; a three-qubit group grown from a
     # corner ties on the ratio at its first step (both neighbours have one
     # link and degree 3). Root choice and growth share one E_Q list per
-    # duration, whichever of them needs it first. A certificate check reads
-    # E_Q at the qubits it names: those calls are counted apart. A growth
-    # lists its ratio ties, each an E_Q decision, in its ``ties``
+    # duration, whichever of them needs it first. A growth lists its ratio
+    # ties, each an E_Q decision, in its ``ties``
     chip = generate_grid(5, 5, noise_seed=3)
-    made, subsets, grown = [], [], []
+    made, grown = [], []
     real_errors, real_grow = allocator.qubit_errors, allocator.grow_region
 
-    def counting_errors(chip, t_e, t_q_mode, qubits=None):
-        (made if qubits is None else subsets).append(t_e)
-        return real_errors(chip, t_e, t_q_mode, qubits)
+    def counting_errors(chip, t_e, t_q_mode):
+        made.append(t_e)
+        return real_errors(chip, t_e, t_q_mode)
 
     def recording_grow(occupancy, root, demand, t_e_group, **kwargs):
         result = real_grow(occupancy, root, demand, t_e_group, **kwargs)
@@ -1145,15 +1161,15 @@ def test_error_scores_once_per_duration_in_a_pass(monkeypatch):
         if n == 1:
             assert [p.root for p in outcome.placed] == [4, 20, 0, 24, 2, 14]
         assert sorted(made) == [1e-4, 1e-3]  # ties at both durations, one list each
-        assert subsets == []  # each group is placed on a new state: no growth to certify
-    # the idle memo holds a growth made at 1e-4: at 2e-4 its certificate is
-    # checked at its own qubits, holds, and no full list is made
+    # the idle memo holds a growth made at 1e-4: at 2e-4 its certificate
+    # reads that pass's list, holds, and nothing grows
     occ = Occupancy(chip)
     made.clear()
     first = allocate(occ, [singleton_group(0, n=3, t_e=1e-4)]).placed[0]
     occ.release(0)
+    grown.clear()
     hit = allocate(occ, [singleton_group(1, n=3, t_e=2e-4)]).placed[0]
-    assert (made, subsets) == ([1e-4], [2e-4])
+    assert made == [1e-4, 2e-4] and grown == []
     assert (hit.root, hit.region, hit.stats) == (first.root, first.region, first.stats)
 
 
@@ -1342,23 +1358,6 @@ def test_certified_growths_match_the_memo_free_reference():
     certified_growths_match_reference()  # hypothesis draws more
 
 
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_error_subset_is_bit_identical_to_the_full_array(data):
-    # noisy grids with T1, up to the benchmark's 16x16, under both coherence
-    # modes; the subset is any list of qubits, in any order, with repeats
-    t1 = data.draw(st.sampled_from([30.0, 80.0, 150.0]), label="t1")
-    template = QubitSpec(id=0, t2_us=100.0, readout_error=0.01, t1_us=t1)
-    side = st.integers(1, 16)
-    chip = generate_grid(data.draw(side), data.draw(side), spec_template=template,
-                         noise_seed=data.draw(st.integers(0, 99)))
-    mode = data.draw(st.sampled_from(COHERENCE_MODES), label="mode")
-    t_e = data.draw(DURATIONS | st.floats(0.0, 1.0), label="t_e")
-    idx = data.draw(st.lists(st.integers(0, chip.n_qubits - 1), max_size=2 * chip.n_qubits))
-    subset = qubit_errors(chip, t_e, mode, qubits=idx)
-    assert np.array_equal(subset, qubit_errors(chip, t_e, mode)[idx])
-
-
 def test_exclusive_runs_grow_less_than_once_per_demand_and_duration():
     # a work-count guard: on a noisy grid, 24 jobs of three demands at 24
     # per-shot durations from 1e-6 to 7e-3 s, run exclusively (each group
@@ -1381,3 +1380,41 @@ def test_exclusive_runs_grow_less_than_once_per_demand_and_duration():
     assert pairs == 24
     assert growths == dict.fromkeys(POLICY_NAMES, 6)
     assert all(count < pairs for count in growths.values())
+
+
+def test_exclusive_runs_compute_error_scores_once_per_duration_in_a_pass():
+    # the noisy exclusive runs of the test above. A certificate check, and
+    # the root choice and growth that follow it when it fails, read one E_Q
+    # list per t_e_group in a pass; a second computation at one duration in
+    # one ``allocate`` call fails the test
+    chip = generate_grid(4, 4, noise_seed=1)
+    jobs = tuple(Job(id=i, n=(2, 3, 4)[i % 3], shots=20 + i, t_sub=0.002 * i,
+                     t_e_shot=10 ** (-6 + i / 6)) for i in range(24))
+    workload = Workload(jobs=jobs, horizon=0.1)
+    passes: list[Counter] = []  # per allocate call: t_e_group -> E_Q computations
+    probe = Counter()
+    real_allocate, real_errors = engine.allocate, allocator.qubit_errors
+    real_certified = allocator._certified
+
+    def counting_allocate(occupancy, groups):
+        passes.append(Counter())
+        return real_allocate(occupancy, groups)
+
+    def counting_errors(chip, t_e, t_q_mode):
+        passes[-1][t_e] += 1
+        return real_errors(chip, t_e, t_q_mode)
+
+    def probing_certified(occupancy, ties, *args):
+        holds = real_certified(occupancy, ties, *args)
+        probe["hit" if holds else "rejected"] += bool(ties)
+        return holds
+
+    with mock.patch.object(engine, "allocate", counting_allocate), \
+            mock.patch.object(allocator, "qubit_errors", counting_errors), \
+            mock.patch.object(allocator, "_certified", probing_certified):
+        for name in POLICY_NAMES:
+            run(SimConfig(chip=chip, workload=workload, policy=Policy(name, rr_quantum_shots=5),
+                          merge=MergeConfig(enabled=False), exclusive=True))
+    assert max(max(counts.values(), default=0) for counts in passes) == 1
+    # certificates that fail, after which root choice reads the same list
+    assert probe["rejected"] >= 1 and probe["hit"] >= 1, probe

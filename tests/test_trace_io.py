@@ -406,6 +406,17 @@ def requeue_before_the_arrivals(lines):
                                     "group": 9, "requeued": [2], "placed": False})] + lines[1:]
 
 
+def requeue_after(marker: str, group: int, placed: bool):
+    """A damage that logs, right after the last line holding ``marker``, that
+    ``group`` shed job 2 at time 0 and whether it was ``placed``."""
+    def damage(lines):
+        i = max(i for i, line in enumerate(lines) if marker in line)
+        lines.insert(i + 1, json.dumps({"type": "event", "time": 0.0, "kind": "requeue",
+                                        "group": group, "requeued": [2], "placed": placed}))
+        return lines
+    return damage
+
+
 def both(*damages):
     """A damage that applies each of ``damages`` in turn."""
     def damage(lines):
@@ -443,6 +454,20 @@ FOLD_REFUSALS = [
                  id="preempt after no shot"),
     pytest.param("fcfs", edited('"kind": "group_complete"', shots_done=5), "after 5 shots",
                  id="more shots than dispatched"),
+    # events out of time order, which scoring would read as negative spans
+    pytest.param("fcfs", edited('"kind": "dispatch"', 1, time=0.002), "earlier than the event",
+                 id="dispatch earlier than the event before it"),
+    pytest.param("fcfs", edited('"kind": "group_complete"', 1, time=0.003),
+                 "earlier than the event", id="group_complete earlier than its dispatch"),
+    # a group is placed in a pass exactly when it is dispatched at that time
+    pytest.param("fcfs", requeue_after('"kind": "arrival"', 9, True), "placed=True",
+                 id="requeue placed without a dispatch"),
+    pytest.param("fcfs", requeue_after('"members": [0, 1]', 0, False), "placed=False",
+                 id="requeue not placed after its dispatch"),
+    # owner -1 marks a free qubit, so scoring cannot place a negative group
+    pytest.param("fcfs", both(edited('"kind": "dispatch"', group=-1),
+                              edited('"kind": "group_complete"', group=-1)),
+                 "negative id", id="negative group"),
     # dispatches that the fold alone would take, but whose region, shots or
     # duration do not follow from their members; the ends are edited to what
     # the fold logs for each
