@@ -6,9 +6,11 @@ to someone else's region is ineligible (it acts as a buffer), enforced as
 a candidate filter rather than by reserving qubits. ``Occupancy`` keeps
 the open mask (free, non-buffer qubits) and the owned and buffer counts
 up to date as it places and releases regions, at a cost in the region's
-size times its degree, not the chip's size; ``Occupancy._shift_near`` is
-the one statement of the buffer rule, and ``Occupancy.place`` refuses a
-region that breaks it. Root choice and growth read the kept mask.
+size and its halo (the free qubits next to it), not the chip's size; a
+growth returns the halo it found, so a grown region is never scanned
+again. ``Occupancy._shift_near`` is the one statement of the buffer
+rule, and ``Occupancy.place`` refuses a region that breaks it. Root
+choice and growth read the kept mask.
 
 Placement of one group:
 
@@ -29,7 +31,9 @@ Placement of one group:
    every frontier qubit: candidates with two or more links into the region
    are scored one by one, and those with one link are bucketed by degree,
    since only the lowest-degree bucket can hold the best one-link ratio
-   and all its members tie (see ``grow_region``).
+   and all its members tie (see ``grow_region``). A growth also returns
+   the region's halo, which it met on the way: the open qubits left on
+   its frontier and the buffers next to the region.
 3. Before growing, a component search from the root counts the open
    qubits (free, non-buffer) it can reach, stopping at the demand. A
    smaller component is a stall: growth would take all of it and stop,
@@ -83,7 +87,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -143,7 +147,10 @@ class GrowthResult:
     A stall has ``region`` None and gives ``component_size``, the number of
     open qubits the root can reach, which is below the demand.
     ``ties`` lists the growth's E_Q decisions in the order they were made;
-    a stall made none.
+    a stall made none. ``halo`` holds each free qubit next to the region
+    once, on the occupancy it grew on, in no set order: a tuple that is
+    never mutated, which ``Occupancy.place`` keeps as it is. A stall has
+    none.
     """
 
     region: tuple[int, ...] | None
@@ -151,6 +158,7 @@ class GrowthResult:
     steps: list[GrowthStep]
     component_size: int = 0
     ties: list[Tie] = field(default_factory=list)
+    halo: tuple[int, ...] | None = None
 
     @property
     def ok(self) -> bool:
@@ -182,13 +190,16 @@ class AllocationMemo:
 class Occupancy:
     """Mutable map from physical qubits to owning groups.
 
-    ``owner[q]`` is the owning group id, or -1 when free; ``near[q]`` counts
-    the owned neighbours of q. A free qubit with an owned neighbour is a
-    buffer, which no group may take; the other free qubits are open, and
-    ``open[q]`` is 1 exactly for them. ``owned`` and ``buffers`` count the
-    owned and the buffer qubits. ``place`` and ``release`` keep all of these
-    up to date in O(region x degree); ``_shift_near`` is the one statement
-    of the buffer rule. One simulation owns its Occupancy exclusively.
+    ``owner[q]`` is the owning group id, or -1 when free. A region's halo is
+    the set of qubits outside it next to it, all free since regions never
+    touch; ``near[q]`` counts the regions whose halo holds q, and is 0 on
+    owned qubits. A free qubit next to a region is a buffer, which no group
+    may take; the other free qubits are open, and ``open[q]`` is 1 exactly
+    for them. ``owned`` and ``buffers`` count the owned and the buffer
+    qubits. ``place`` and ``release`` keep all of these up to date in
+    O(region + halo), each group's halo kept from its ``place``;
+    ``_shift_near`` is the one statement of the buffer rule. One simulation
+    owns its Occupancy exclusively.
     ``memo`` is ``allocate``'s memo of the current state. Only ``place`` and
     ``release`` replace it: with a fresh one, or with the memo of the empty
     occupancy, kept for good, when no region is left. ``t_q_mode`` picks the
@@ -208,14 +219,18 @@ class Occupancy:
         self.buffers = 0
         self.regions: dict[int, tuple[int, ...]] = {}
         self.roots: dict[int, int] = {}
-        self._nbrs: dict[int, list[int]] = {}  # per group: its qubits' neighbours, with repeats
+        self._halos: dict[int, Collection[int]] = {}  # per group: its region's halo
         self.memo = self._idle_memo = AllocationMemo()
 
-    def place(self, group_id: int, qubits: Iterable[int], root: int) -> None:
+    def place(self, group_id: int, qubits: Iterable[int], root: int,
+              halo: Collection[int] | None = None) -> None:
         """Give ``qubits`` to ``group_id``, a group id of 0 or more: distinct
         qubits of the chip, at least one, all free and touching no other
-        group's region, rooted at one of them. A rejected placement leaves
-        the occupancy as it was."""
+        group's region, rooted at one of them. ``halo`` is the region's halo
+        as its growth found it (``GrowthResult.halo``), kept as given;
+        without it the halo is computed from the chip's edges. A given halo
+        is checked in O(halo): distinct free qubits of the chip outside the
+        region. A rejected placement leaves the occupancy as it was."""
         qs = sorted(map(int, qubits))
         root = int(root)
         owner = self.owner
@@ -223,24 +238,32 @@ class Occupancy:
             raise AllocationError(f"group id {group_id} is negative")
         if group_id in self.regions:
             raise AllocationError(f"group {group_id} is already placed")
-        if not qs or qs[0] < 0 or qs[-1] >= len(owner) or len(set(qs)) < len(qs):
+        region = set(qs)
+        if not qs or qs[0] < 0 or qs[-1] >= len(owner) or len(region) < len(qs):
             raise AllocationError(
                 f"group {group_id}: region {qs} is not a nonempty set of distinct qubits of the chip")
-        if root not in qs:
+        if root not in region:
             raise AllocationError(f"group {group_id}: root {root} is not in its region {qs}")
         if any(owner[q] >= 0 for q in qs):
             raise AllocationError("placement overlaps an owned qubit")
         near = self.near
         if any(near[q] for q in qs):
             raise AllocationError(f"group {group_id} touches another group's region")
+        if halo is None:
+            nbrs = self.chip.graph.neighbors
+            halo = {w for q in qs for w in nbrs[q]}.difference(region)
+        elif (halo and (min(halo) < 0 or max(halo) >= len(owner))
+              or len(set(halo)) < len(halo) or any(owner[w] >= 0 for w in halo)
+              or not region.isdisjoint(halo)):
+            raise AllocationError(f"group {group_id}: halo {sorted(halo)} is not a set "
+                                  f"of free qubits of the chip outside its region")
         open_ = self.open
         for q in qs:  # open before: free and touching no region
             owner[q] = group_id
             open_[q] = 0
         self.owned += len(qs)
-        nbrs = self.chip.graph.neighbors
-        touched = self._nbrs[group_id] = [w for q in qs for w in nbrs[q]]
-        self._shift_near(touched, 1)
+        self._halos[group_id] = halo
+        self._shift_near(halo, 1)
         self.regions[group_id] = tuple(qs)
         self.roots[group_id] = root
         self.memo = AllocationMemo()
@@ -248,7 +271,7 @@ class Occupancy:
     def release(self, group_id: int) -> None:
         qs = self.regions.pop(group_id)
         self.roots.pop(group_id)
-        self._shift_near(self._nbrs.pop(group_id), -1)
+        self._shift_near(self._halos.pop(group_id), -1)
         owner, open_ = self.owner, self.open
         for q in qs:  # no other region touches a placed region, so its qubits reopen
             owner[q] = -1
@@ -256,19 +279,21 @@ class Occupancy:
         self.owned -= len(qs)
         self.memo = AllocationMemo() if self.regions else self._idle_memo
 
-    def _shift_near(self, touched: list[int], step: int) -> None:
-        """Add ``step`` (1 or -1) to ``near`` once per entry of ``touched``.
+    def _shift_near(self, halo: Collection[int], step: int) -> None:
+        """Add ``step`` (1 or -1) to ``near`` at each qubit of a region's ``halo``.
 
         The buffer rule: a free qubit is a buffer exactly while its count is
         above 0, so it enters the buffer set as its count leaves 0 and
-        leaves the set, open again, as its count returns to 0.
+        leaves the set, open again, as its count returns to 0. A halo holds
+        free qubits only, and they stay free while its region is placed,
+        since a region that took one would touch that region.
         """
-        near, owner, open_ = self.near, self.owner, self.open
+        near, open_ = self.near, self.open
         crossing = 0 if step > 0 else 1  # the count before a step that crosses 0
-        for w in touched:
+        for w in halo:
             c = near[w]
             near[w] = c + step
-            if c == crossing and owner[w] < 0:
+            if c == crossing:
                 open_[w] = step < 0
                 self.buffers += step
 
@@ -415,15 +440,16 @@ def grow_region(occupancy: Occupancy, root: int, demand: int, t_e_group: float, 
         errors = {}
     nbrs = chip.graph.neighbors
     deg = chip.graph.degree
-    # per qubit: 0 closed, 1 open, 1 + k open with k links into the region
+    # per qubit: -1 in the region, 0 closed, 1 open, 1 + k open with k links into the region
     state = list(open_)
     frontier: dict[int, int] = {}  # open qubit next to the region -> its links into it
     multi: dict[int, int] = {}  # the candidates of frontier with two or more links
     ones: dict[int, set[int]] = {}  # degree -> the candidates of that degree with one link
+    walls: set[int] = set()  # closed qubits next to the region: other regions' buffers
     region = [root]
     r_i = 0
     sum_deg = deg[root]
-    state[root] = 0
+    state[root] = -1
     chosen = root
     steps: list[GrowthStep] = []
     ties: list[Tie] = []
@@ -431,7 +457,7 @@ def grow_region(occupancy: Occupancy, root: int, demand: int, t_e_group: float, 
     while True:
         for w in nbrs[chosen]:  # the frontier gains the open neighbours of chosen
             s = state[w]
-            if s:
+            if s > 0:
                 state[w] = s + 1
                 if s == 1:
                     frontier[w] = 1
@@ -447,6 +473,8 @@ def grow_region(occupancy: Occupancy, root: int, demand: int, t_e_group: float, 
                         bucket.remove(w)
                         if not bucket:
                             del ones[deg[w]]
+            elif not s:
+                walls.add(w)
         if len(region) == demand:
             break
         # never empty: the root's open component holds demand qubits
@@ -474,7 +502,7 @@ def grow_region(occupancy: Occupancy, root: int, demand: int, t_e_group: float, 
                 for w in nbrs[c]:
                     if w in nxt:
                         nxt[w] += 1
-                    elif state[w]:
+                    elif state[w] > 0:
                         nxt[w] = 1
                 ahead[c] = _best_candidates(nxt, r_i + frontier[c], sum_deg + deg[c], deg)[1:]
             top_i, top_a = -1, 1
@@ -498,7 +526,7 @@ def grow_region(occupancy: Occupancy, root: int, demand: int, t_e_group: float, 
                 )
             )
         k = frontier.pop(chosen)
-        state[chosen] = 0
+        state[chosen] = -1
         if k > 1:
             del multi[chosen]
         else:
@@ -511,7 +539,9 @@ def grow_region(occupancy: Occupancy, root: int, demand: int, t_e_group: float, 
         region.append(chosen)
 
     stats = RegionStats(r_i=r_i, r_a=sum_deg - r_i)
-    return GrowthResult(region=tuple(sorted(region)), stats=stats, steps=steps, ties=ties)
+    # an open qubit never touches an owned one, so the walls are free
+    return GrowthResult(region=tuple(sorted(region)), stats=stats, steps=steps, ties=ties,
+                        halo=(*frontier, *walls))
 
 
 def _best_candidates(
@@ -636,7 +666,7 @@ def allocate(occupancy: Occupancy, groups: Sequence[Group]) -> AllocationOutcome
                             memo.stalls[root] = result.component_size
             placed = result is not None and result.ok
             if placed:
-                occupancy.place(group.id, result.region, root)
+                occupancy.place(group.id, result.region, root, result.halo)
                 placements.append(Placement(group, result.region, root, result.stats))
             else:
                 job = resolve_conflict(group)

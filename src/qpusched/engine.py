@@ -504,7 +504,7 @@ def growth_steps(trace: Trace, chip: Chip) -> dict[int, list[GrowthStep]]:
                     f"group {gid} regrows from root {root} to {result.region} with "
                     f"{result.stats}, not to the dispatched {list(region)} with "
                     f"r_i={ev['r_i']}, r_a={ev['r_a']}")
-            occ.place(gid, region, root)
+            occ.place(gid, region, root, result.halo)
             steps[gid] = result.steps
         elif kind in ("preempt", "group_complete"):
             occ.release(ev["group"])

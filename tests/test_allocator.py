@@ -65,16 +65,18 @@ def kept_state(occ):
 
 def fresh_state(chip, regions):
     """``kept_state`` recomputed from scratch from ``regions`` (group id ->
-    qubits) by a scan of the chip's edges."""
+    qubits) by a scan of the chip's edges: ``near`` of a free qubit is the
+    number of distinct groups next to it, and 0 on an owned one."""
     n = chip.n_qubits
     owner = [-1] * n
     for gid, qubits in regions.items():
         for q in qubits:
             owner[q] = gid
-    near = [0] * n
+    groups_next = [set() for _ in range(n)]
     for a, b in chip.graph.edges:
-        near[a] += owner[b] >= 0
-        near[b] += owner[a] >= 0
+        groups_next[a].add(owner[b])
+        groups_next[b].add(owner[a])
+    near = [0 if owner[q] >= 0 else len(groups_next[q] - {-1}) for q in range(n)]
     free = [q for q in range(n) if owner[q] < 0]
     return (owner, near, [int(owner[q] < 0 and near[q] == 0) for q in range(n)],
             n - len(free), sum(near[q] > 0 for q in free))
@@ -117,10 +119,25 @@ def draw_occupancy(data, chip=None, owner_ids=(0, 1, 2)):
     return chip, owner, occ
 
 
+def bad_halo(draws: Draws, occ, qubits):
+    """The halo of ``qubits`` spoilt by one drawn fault: a qubit of the
+    region, a qubit off the chip, a repeat or an owned qubit."""
+    nbrs = occ.chip.graph.neighbors
+    halo = tuple({w for q in qubits for w in nbrs[q]}.difference(qubits))
+    faults = [qubits[0], draws.one([-1, occ.chip.n_qubits], label="stray")]
+    if halo:
+        faults.append(halo[0])
+    if occ.regions:
+        faults.append(occ.regions[min(occ.regions)][0])
+    return (*halo, draws.one(faults, label="fault"))
+
+
 def check_kept_state(probe: Counter, draws: Draws) -> None:
     # place, release and rejected place calls in any order, on the small
     # connected graphs and on stars, whose hub is a buffer of every leaf
-    # group at once; placed regions need not be connected
+    # group at once; placed regions need not be connected. A "grown"
+    # region is grown from an open root and placed with its growth's halo;
+    # every other region's halo is computed by ``place``, or is spoilt
     if draws.flag(label="star"):
         leaves = draws.integer(2, 12, label="leaves")
         n, edges = leaves + 1, tuple((0, q) for q in range(1, leaves + 1))
@@ -138,27 +155,42 @@ def check_kept_state(probe: Counter, draws: Draws) -> None:
             if any(occ.near[w] for w in ring):
                 probe["a buffer of two groups loses one"] += 1
         else:
-            kind = draws.one(["open", "open", "any", "bad root", "placed id", "off the chip"],
-                             label="kind")
-            pool = open_qubits(occ) if kind == "open" else range(n)
+            kind = draws.one(["open", "grown", "grown", "any", "bad root", "placed id",
+                              "off the chip", "bad halo"], label="kind")
+            pool = open_qubits(occ) if kind in ("open", "grown", "bad halo") else range(n)
             if not pool:
                 continue
-            qubits = sorted(draws.some(pool, min_size=1, label="qubits"))
-            root = draws.one(qubits, label="root")
+            halo = None
+            if kind == "grown":
+                root = draws.one(pool, label="root")
+                result = grow_region(occ, root, draws.integer(1, len(pool), label="demand"), 0.001)
+                if not result.ok:  # grow the whole open component instead
+                    result = grow_region(occ, root, result.component_size, 0.001)
+                qubits, halo = list(result.region), result.halo
+                if any(occ.owner[w] < 0 and not occ.open[w] for w in halo):
+                    probe["grown beside a buffer"] += 1
+            else:
+                qubits = sorted(draws.some(pool, min_size=1, label="qubits"))
+                root = draws.one(qubits, label="root")
             if kind == "bad root":
                 root = n
             elif kind == "placed id" and occ.regions:
                 gid = min(occ.regions)
             elif kind == "off the chip":
                 qubits.append(draws.one([-1, n], label="stray"))
+            elif kind == "bad halo":
+                halo = bad_halo(draws, occ, qubits)
             before = kept_state(occ), dict(occ.regions), dict(occ.roots), occ.memo
             try:
-                occ.place(gid, qubits, root)
+                occ.place(gid, qubits, root, halo)
             except AllocationError:
                 assert (kept_state(occ), occ.regions, occ.roots, occ.memo) == before
                 probe["rejected"] += 1
+                probe["bad halo rejected"] += kind == "bad halo"
             else:
+                assert kind != "bad halo"
                 probe["placed"] += 1
+                probe["grown"] += kind == "grown"
         assert kept_state(occ) == fresh_state(chip, occ.regions)
 
 
@@ -173,8 +205,9 @@ def test_kept_occupancy_state_matches_a_recount_from_its_regions():
     for seed in range(300):
         check_kept_state(probe, Draws(seed=seed))
     # a probe of the seeded cases: without these cases the property proves less
-    assert min(probe[k] for k in ("placed", "rejected", "release")) >= 100, probe
+    assert min(probe[k] for k in ("placed", "rejected", "release", "grown")) >= 100, probe
     assert probe["a buffer of two groups loses one"] >= 20, probe
+    assert min(probe["grown beside a buffer"], probe["bad halo rejected"]) >= 20, probe
     kept_state_matches_a_recount()  # hypothesis draws more
 
 
@@ -267,6 +300,21 @@ class TestOccupancy:
         occ.place(1, [3, 4], root=4)  # qubit 2 is the buffer between them
         assert [q for q in range(6) if occ.owner[q] < 0 and not occ.open[q]] == [2, 5]
         assert occ.buffers == 2 and occ.owned == 4 and not any(occ.open)
+        assert occ.near == [0, 0, 2, 0, 0, 1]  # regions whose halo holds the qubit
+        assert kept_state(occ) == fresh_state(occ.chip, occ.regions)
+
+    @pytest.mark.parametrize("halo", [(3, 6, 1), (3, 6, 4), (3, 6, 6), (3, 6, 8), (-1, 3, 6)],
+                             ids=["owned", "in-the-region", "repeated", "past-the-chip", "negative"])
+    def test_place_refuses_a_bad_halo(self, halo):
+        # a given halo is kept as it is, so a bad one would skew ``near``
+        # until the region is released, and past that
+        occ = Occupancy(path_chip(8))
+        occ.place(0, [0, 1], root=0)
+        before = kept_state(occ), dict(occ.regions), dict(occ.roots), occ.memo
+        with pytest.raises(AllocationError, match="halo"):
+            occ.place(1, [4, 5], root=4, halo=halo)
+        assert (kept_state(occ), occ.regions, occ.roots, occ.memo) == before
+        occ.place(1, [4, 5], root=4, halo=(6, 3))
         assert kept_state(occ) == fresh_state(occ.chip, occ.regions)
 
     @pytest.mark.parametrize("qubits, root", [([-1], -1), ([0, 0, 1], 0), ([], 0), ([8, 9], 9)],
@@ -507,6 +555,16 @@ class TestGrowRegion:
         }
         assert grown == {2: (0, 1), 3: (0, 2, 4)}
 
+    def test_lookahead_scores_no_region_qubit(self):
+        # 3x4 grid, root 0 in a corner: 1 and 4 (degree 3) tie on the ratio
+        # and on E_Q. After 4 the corner 8 (degree 2) offers 2/5, after 1 no
+        # qubit offers more than 1/3, so 4 and then 8 join. Were the root, a
+        # region qubit of degree 2, scored as a candidate after 1, it would
+        # offer 2/5 there too, and the lower id 1 would join
+        chip = generate_grid(3, 4)
+        res = grow_region(Occupancy(chip), root=0, demand=3, t_e_group=0.001)
+        assert res.region == (0, 4, 8)
+
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_buffers_and_stalls_match_edge_scan(self, data):
@@ -520,7 +578,8 @@ class TestGrowRegion:
         buffers = {q for q in range(n) if owner[q] < 0 and any(owner[w] >= 0 for w in adj[q])}
         assert {q for q in range(n) if occ.owner[q] < 0 and not occ.open[q]} == buffers
         assert occ.buffers == len(buffers)
-        assert occ.near == [sum(owner[w] >= 0 for w in adj[q]) for q in range(n)]
+        assert occ.near == [0 if owner[q] >= 0 else len({owner[w] for w in adj[q]} - {-1})
+                            for q in range(n)]
 
         eligible = [q for q in range(n) if owner[q] < 0 and q not in buffers]
         if not eligible:
@@ -536,7 +595,7 @@ class TestGrowRegion:
                     component.add(w)
                     stack.append(w)
         res = grow_region(occ, root=root, demand=n, t_e_group=0.001)
-        assert res.region is None
+        assert res.region is None and res.halo is None
         assert res.component_size == len(component)
 
     @given(data=st.data())
@@ -790,6 +849,14 @@ def check_growth_against_reference(data, chip, occ):
                       record_steps=record_steps)
     assert res.region == tuple(sorted(want))
     assert res.stats == region_ratio(chip, want)
+    # the halo: every qubit next to the region once, all free
+    adj = {q: set() for q in range(chip.n_qubits)}
+    for a, b in chip.graph.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    assert len(set(res.halo)) == len(res.halo)
+    assert set(res.halo) == {w for q in want for w in adj[q]} - set(want)
+    assert all(occ.owner[w] < 0 for w in res.halo)
     if not record_steps:
         assert res.steps == []
         return
